@@ -126,6 +126,72 @@ def test_evolve_classifies_instability_and_divergence(tmp_path):
                      "--out", str(tmp_path / "o2")]) == 3
 
 
+def test_evolve_checks_reality_over_the_whole_trajectory(tmp_path, monkeypatch):
+    """A state that leaves the real symbols mid-run fails the gate even when
+    the final state is real again."""
+    integrate = cli.dynamics.integrate
+
+    def non_real_midway(*args, **kwargs):
+        result = integrate(*args, **kwargs)
+        result.states[result.states.shape[0] // 2, 0] += 1e-3j
+        return result
+
+    monkeypatch.setattr(cli.dynamics, "integrate", non_real_midway)
+    cfg_path = _write(tmp_path, "run.json", _evolve_config())
+    assert cli.main(["evolve", "--config", cfg_path,
+                     "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("where", ("flag", "config"))
+@pytest.mark.parametrize("value", ("nan", "-1"))
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, where, value):
+    cfg = _evolve_config()
+    argv = ["evolve", "--out", str(tmp_path / "o")]
+    if where == "flag":
+        argv += ["--tolerance", value]
+    else:
+        cfg["tolerance"] = float(value)
+    argv += ["--config", _write(tmp_path, "run.json", cfg)]
+    assert cli.main(argv) == 1
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "resolved_config.json").exists()
+
+
+def test_gates_fail_on_nan_measurements(tmp_path, monkeypatch):
+    """A NaN reality residual, deviation or slope fails its gate with exit 2."""
+    integrate = cli.dynamics.integrate
+
+    def nan_final_state(*args, **kwargs):
+        result = integrate(*args, **kwargs)
+        result.states[-1] = np.nan
+        return result
+
+    monkeypatch.setattr(cli.dynamics, "integrate", nan_final_state)
+    cfg_path = _write(tmp_path, "run.json", _evolve_config())
+    assert cli.main(["evolve", "--config", cfg_path,
+                     "--out", str(tmp_path / "e")]) == 2
+    cfg = {
+        "spin": {"twice_s": 2},
+        "hamiltonian": {"expression": [[-1.0, [3]]]},
+        "bath": {"coupling": [[1.0, [1]]], "gamma": 0.1, "temperature": 1.0},
+        "initial": {"coherent": {"theta": 0.9, "phi": 0.0}},
+        "time": {"t_end": 0.5, "dt": 0.1},
+    }
+    assert cli.main(["compare", "--config", _write(tmp_path, "cmp.json", cfg),
+                     "--out", str(tmp_path / "c")]) == 2
+
+    monkeypatch.setattr(cli.dynamics, "classical_limit_scan", lambda *a, **k: {
+        "s_values": np.array([3.0, 5.0]), "deviations": np.array([np.nan, np.nan]),
+        "slope": float("nan")})
+    cfg = {
+        "scan": {"mode": "unitary", "twice_s_values": [6, 10],
+                 "l_test": 3, "expected_slope": -1.0},
+        "field": [0.0, 0.0, 1.0],
+    }
+    assert cli.main(["limit-scan", "--config", _write(tmp_path, "scan.json", cfg),
+                     "--out", str(tmp_path / "s")]) == 2
+
+
 def test_compare_agrees_and_honors_tolerance(tmp_path, capsys):
     cfg = {
         "spin": {"twice_s": 2},

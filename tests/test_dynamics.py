@@ -311,6 +311,49 @@ def test_integrate_flags_divergence_with_time_stamp():
         dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
 
 
+def _dissipative_case(twice_s, sigma):
+    ctx = SpinContext(twice_s)
+    bath = dyn.BathSpec(((0.6, (1,)), (0.8, (3,))), 0.3, 1.5)
+    gen = dyn.qfp_generator([(-1.0, (3,)), (0.4, (1, 1))], bath, sigma, ctx)
+    c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 1.1, 0.4), sigma, ctx)
+    return ctx, gen, c0
+
+
+@pytest.mark.parametrize("twice_s", (2, 5, 6))
+@pytest.mark.parametrize("sigma", (-1.0, 0.0, 0.5, 1.0))
+def test_integrate_expm_matches_dense_exponential(twice_s, sigma):
+    """Every state equals expm(G t_k) c0, computed densely and step by step."""
+    _, gen, c0 = _dissipative_case(twice_s, sigma)
+    res = dyn.integrate(gen, c0, 2.0, 0.25, "expm")
+    assert res.states.shape == (9, c0.size)
+    np.testing.assert_allclose(res.times, 0.25 * np.arange(9), atol=1e-15)
+    dense = gen.toarray()
+    for t, state in zip(res.times, res.states):
+        np.testing.assert_allclose(state, la.expm(dense * t) @ c0, rtol=0,
+                                   atol=1e-13)
+
+
+def test_integrate_expm_ignores_global_rng_state():
+    """The 1-norm estimator's draws leave neither a trace in the states nor
+    a change in the caller's global RNG stream."""
+    _, gen, c0 = _dissipative_case(10, 0.5)
+    outputs = []
+    for seed in (0, 12345):
+        np.random.seed(seed)
+        outputs.append(dyn.integrate(gen, c0, 4.0, 0.05, "expm").states.tobytes())
+        after = np.random.random()
+        np.random.seed(seed)
+        assert after == np.random.random()
+    assert outputs[0] == outputs[1]
+
+
+def test_integrate_expm_flags_overflow_step():
+    gen = 1e3 * sp.identity(3, dtype=complex, format="csr")
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(RuntimeError, match=r"step 8/10"):
+            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
+
+
 def test_integrate_rejects_bad_method_and_steps():
     ctx = SpinContext(1)
     gen = dyn.unitary_generator([(-1.0, (3,))], 0.0, ctx)
