@@ -1,10 +1,10 @@
 """Command-line interface: batch runs driven by a JSON config file.
 
-Subcommands: evolve, compare, limit-scan, kernel, symbol.  Every run
-echoes its resolved configuration to <out>/resolved_config.json and writes
+Subcommands: evolve, compare, limit-scan, kernel, symbol.  A run writes
 deterministic CSV files (17 significant digits), so identical configs give
-byte-identical outputs.  Exit codes: 0 success, 1 validation error,
-2 tolerance exceeded, 3 numerical failure.
+byte-identical outputs, and on exit 0 or 2 echoes its resolved
+configuration to <out>/resolved_config.json.  Exit codes: 0 success,
+1 validation error, 2 tolerance exceeded, 3 numerical failure.
 """
 
 import argparse
@@ -160,9 +160,7 @@ def _time_block(cfg):
     method = t.get("method", "rk4")
     if method not in ("rk4", "expm"):
         raise ValueError(f'time method must be "rk4" or "expm", got {method!r}')
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
-    return t_end, dt, method
+    return t_end, dynamics.time_steps(t_end, dt)[1], method  # the step integrate takes
 
 
 def _grid_band(cfg, ctx):
@@ -180,8 +178,31 @@ def _pad_coefficients(c, band):
 
 
 def _out_path(out_dir, cfg, key, default):
-    name = cfg.get("outputs", {}).get(key, default)
-    return Path(out_dir) / name
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return Path(out_dir) / cfg.get("outputs", {}).get(key, default)
+
+
+def _check_rk4_step(gen, t_end, dt_used):
+    """Reject (exit 1) an rk4 step that amplifies one of the eigenvalues of gen
+    of largest magnitude (ARPACK, fixed start vector), naming the largest dt
+    on the same time grid that keeps them inside the rk4 stability region."""
+    from scipy.sparse.linalg import eigs  # slow import, rk4 runs only
+
+    n = gen.shape[0]
+    lam = eigs(gen, k=min(6, n - 2), which="LM", v0=np.ones(n), return_eigenvectors=False)
+
+    def stable(h):  # |R(h lam)| <= 1 up to rounding, R(z) = sum_{k<=4} z^k / k!
+        z = h * lam
+        return np.max(np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))) <= 1 + 1e-9
+
+    if stable(dt_used):
+        return
+    lo, hi = 0.0, dt_used  # bisect for the step limit
+    for _ in range(60):
+        lo, hi = ((lo + hi) / 2, hi) if stable((lo + hi) / 2) else (lo, (lo + hi) / 2)
+    hint = f"use dt <= {t_end / math.ceil(t_end / lo):.6g}" if lo > 0 else "no dt is stable"
+    raise ValueError(f"rk4 is unstable at dt = {dt_used:.6g} (generator eigenvalues up to "
+                     f"{np.max(np.abs(lam)):.6g} in magnitude); {hint}")
 
 
 def _cmd_evolve(cfg, out_dir, tolerance, rng):
@@ -203,6 +224,8 @@ def _cmd_evolve(cfg, out_dir, tolerance, rng):
     t_end, dt, method = _time_block(cfg)
     if "grid" in cfg:
         band = _grid_band(cfg, ctx)  # reject inconsistent bands up front
+    if method == "rk4":
+        _check_rk4_step(gen, t_end, dt)
     result = dynamics.integrate(gen, c0, t_end, dt, method, ctx, sigma, "symbol")
     dynamics.write_trajectory_csv(_out_path(out_dir, cfg, "trajectory",
                                             "trajectory.csv"), result)
@@ -342,6 +365,9 @@ def _cmd_symbol(cfg, out_dir, tolerance, rng):
         raise ValueError(
             'operator needs "spin_component", "expression" or "random_hermitian"')
     c = sw_transform.operator_to_symbol(mat, sigma, ctx)
+    # a self-check of the transform, reported only: the default tolerance is 0
+    back = sw_transform.symbol_to_operator(c, sigma, ctx)
+    print(f"round-trip residual = {np.max(np.abs(back - mat)):.6g}", file=sys.stderr)
     band = _grid_band(cfg, ctx)
     grid, synthesize, _, _ = sphere_ops.grid_synthesis_analysis(band)
     values = synthesize(_pad_coefficients(c, band))
@@ -391,15 +417,15 @@ def main(argv=None):
         if seed is None:
             seed = int(cfg.get("seed", 0))
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         resolved = dict(cfg)
         resolved["command"] = args.command
         resolved["tolerance"] = tolerance
         resolved["seed"] = seed
+        rng = np.random.default_rng(seed)
+        code = _COMMANDS[args.command](cfg, out_dir, tolerance, rng)
         (out_dir / "resolved_config.json").write_text(
             json.dumps(resolved, indent=2, sort_keys=True) + "\n")
-        rng = np.random.default_rng(seed)
-        return _COMMANDS[args.command](cfg, out_dir, tolerance, rng)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

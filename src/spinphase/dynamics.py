@@ -347,6 +347,14 @@ def _non_finite(step, n_steps, dt_used):
     )
 
 
+def time_steps(t_end, dt):
+    """(n_steps, dt_used): the uniform grid on [0, t_end] with step nearest dt."""
+    if t_end <= 0 or dt <= 0:
+        raise ValueError("t_end and dt must be positive")
+    n_steps = max(1, int(round(t_end / dt)))
+    return n_steps, t_end / n_steps
+
+
 def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None):
     """Propagate dy/dt = G y (matrix G) or dy/dt = f(y) (callable, rk4 only).
 
@@ -358,10 +366,7 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None)
     trace and purity (needs ctx, and sigma for symbols).  Non-finite states
     abort with a diagnostic.
     """
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
-    n_steps = max(1, int(round(t_end / dt)))
-    dt_used = t_end / n_steps
+    n_steps, dt_used = time_steps(t_end, dt)
     y = np.asarray(y0, dtype=complex)
     states = [y.copy()]
 

@@ -12,6 +12,7 @@ i(m x L)_i are genuinely band-limited here: products that would leave
 shell L are dropped (documented lossy top shell).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,15 +39,12 @@ def band_limit_of(n):
     return band
 
 
+@functools.lru_cache(maxsize=64)
 def lm_arrays(band_limit):
-    """Arrays l_of[idx], m_of[idx] over the flat index."""
-    n = num_coefficients(band_limit)
-    l_of = np.empty(n, dtype=int)
-    m_of = np.empty(n, dtype=int)
-    for l in range(band_limit + 1):
-        for m in range(-l, l + 1):
-            l_of[l * l + l + m] = l
-            m_of[l * l + l + m] = m
+    """Arrays l_of[idx], m_of[idx] over the flat index; read-only and shared."""
+    l_of = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
+    m_of = np.arange(l_of.size) - l_of * (l_of + 1)
+    l_of.flags.writeable = m_of.flags.writeable = False
     return l_of, m_of
 
 
@@ -101,6 +99,19 @@ def ylm_eval(l, m, theta, phi):
     return out.reshape(shape) if shape else out[0]
 
 
+def _ylm_rows(band_limit, x):
+    # Y_lm(theta, phi = 0) over the flat index (rows) at x = cos(theta) (columns)
+    l_of, m_of = lm_arrays(band_limit)
+    sign = (-1.0) ** np.minimum(m_of, 0)
+    return sign[:, None] * _legendre_table(band_limit, x)[_half_index(l_of, np.abs(m_of))]
+
+
+def ylm_point(band_limit, theta, phi):
+    """Y_lm(theta, phi) at one point for every l <= band_limit, over the flat index."""
+    _, m_of = lm_arrays(band_limit)
+    return _ylm_rows(band_limit, math.cos(theta))[:, 0] * np.exp(1j * m_of * phi)
+
+
 @dataclass(frozen=True)
 class SphereGrid:
     """Quadrature grid: Gauss-Legendre in cos(theta) x uniform phi."""
@@ -141,9 +152,9 @@ def grid_synthesis_analysis(band_limit):
     """
     grid = make_grid(band_limit)
     L = band_limit
-    table = _legendre_table(L, grid.x)  # (packed lm, n_theta)
-    ms = np.arange(-L, L + 1)
-    phase = np.exp(1j * np.outer(ms, grid.phis))  # (2L+1, n_phi)
+    rows = _ylm_rows(L, grid.x)  # (flat lm, n_theta)
+    _, m_of = lm_arrays(L)
+    phase = np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phis))  # (2L+1, n_phi)
     dphi = 2.0 * math.pi / grid.n_phi
 
     def synthesize(c):
@@ -152,13 +163,7 @@ def grid_synthesis_analysis(band_limit):
         if band > L:
             raise ValueError(f"coefficient band {band} exceeds grid band {L}")
         g = np.zeros((2 * L + 1, grid.n_theta), dtype=complex)
-        for l in range(band + 1):
-            for m in range(-l, l + 1):
-                coeff = c[l * l + l + m]
-                if coeff == 0:
-                    continue
-                sign = 1.0 if m >= 0 else (-1.0) ** (-m)
-                g[L + m] += coeff * sign * table[_half_index(l, abs(m))]
+        np.add.at(g, L + m_of[: c.size], c[:, None] * rows[: c.size])  # in order of l
         return g.T @ phase
 
     def analyze(values):
@@ -169,14 +174,7 @@ def grid_synthesis_analysis(band_limit):
                 f"({grid.n_theta}, {grid.n_phi})"
             )
         h = dphi * (values @ phase.conj().T)  # (n_theta, 2L+1)
-        c = np.zeros(num_coefficients(L), dtype=complex)
-        for l in range(L + 1):
-            for m in range(-l, l + 1):
-                sign = 1.0 if m >= 0 else (-1.0) ** (-m)
-                c[l * l + l + m] = sign * np.dot(
-                    grid.weights, table[_half_index(l, abs(m))] * h[:, L + m]
-                )
-        return c
+        return np.einsum("kt,t,tk->k", rows, grid.weights, h[:, L + m_of])
 
     def integrate(values):
         values = np.asarray(values)

@@ -1,15 +1,18 @@
 """Exact SU(2) representation machinery.
 
-Log-domain factorials, Clebsch-Gordan coefficients (Condon-Shortley),
-spin matrices, orthonormal irreducible tensor operators, and z-axis
+Log-domain factorials, Clebsch-Gordan coefficients (Condon-Shortley; the
+Racah sum, kept as the reference for the tables), spin matrices, the
+diagonals of the orthonormal irreducible tensor operators, and z-axis
 rotations.  Spin labels are carried as doubled integers (twice_s = 2S)
 so half-integer spins never touch floating point.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 # ln(n!) table, grown on demand; entries are exact sums of math.log terms
 # and stay well above 14 significant digits for any n reachable here.
@@ -139,29 +142,52 @@ def spin_matrices(ctx):
     return s1, s2, s3
 
 
+@functools.lru_cache(maxsize=8)
+def tensor_blocks(twice_s):
+    """Diagonals of the orthonormal T_lm at 2S = twice_s: one read-only block per m.
+
+    Block m + 2S holds np.diagonal(T_lm, m) in rows l = |m|..2S.  At fixed m
+    (2m'+m) d_l(m') = A_{l+1} d_{l+1} + A_l d_{l-1}, A_l^2 = (l^2-m^2)
+    ((2S+1)^2-l^2)/(4l^2-1): the block is the eigenvector matrix of that
+    Jacobi matrix (Schulten & Gordon, J. Math. Phys. 16, 1961 (1975)),
+    stable where the recursion is not.  Condon-Shortley: d_m has sign (-1)^m
+    at m >= 0; a column's largest entry, at l = m + k, gets the sign of
+    d_m prod_{i<k} e_i over the backward-stable Sturm sequence e_0 = 2m'+m,
+    e_i = e_0 - A^2 / e_{i-1}, as computed entries near d_m can be too small
+    to carry a sign.  At m < 0, d_l(-m') = (-1)^l d_l(m') at -m.
+    """
+    n = twice_s + 1
+    blocks = {}
+    for m in range(n):
+        l = np.arange(m, n)
+        a2 = (l[1:] ** 2 - m * m) * (n * n - l[1:] ** 2) / (4.0 * l[1:] ** 2 - 1)
+        lam = twice_s + m - 2.0 * l  # 2m'+m at columns c = m..2S (m' = S - c)
+        vec = eigh_tridiagonal(np.zeros(n - m), np.sqrt(a2))[1][:, ::-1]
+        k = np.argmax(np.abs(vec), axis=0)
+        sign, e = (-1.0) ** m * np.sign(vec[k, np.arange(n - m)]), lam
+        for i in range(k.max()):
+            e = np.where(np.abs(e) < 1e-16, 1e-16, e)  # e_i and e_i+1 flip together
+            sign = np.where(i < k, sign * np.sign(e), sign)
+            e = lam - a2[i] / e
+        blocks[m] = vec = vec * sign
+        blocks[-m] = ((-1.0) ** l)[:, None] * vec[:, ::-1] if m else vec
+        vec.flags.writeable = blocks[-m].flags.writeable = False
+    return tuple(blocks[m] for m in range(-twice_s, n))
+
+
 def tensor_operator(ctx, l, m):
     """Orthonormal irreducible tensor operator T_lm, Tr(T_l'm'^dag T_lm) = delta delta.
 
     T_lm = sqrt((2l+1)/(2S+1)) sum_m' <S,m'; l,m | S,m'+m> |S,m'+m><S,m'|.
-    Nonzero entries sit on the single diagonal row = col - m.
+    Nonzero entries sit on the single diagonal row = col - m; they are read
+    from tensor_blocks.
     """
     if l != int(l) or not 0 <= l <= ctx.twice_s:
         raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
     if m != int(m) or abs(m) > l:
         raise ValueError(f"m must be an integer with |m| <= l, got {m!r}")
     l, m = int(l), int(m)
-    n = ctx.hilbert_dim
-    t = np.zeros((n, n), dtype=complex)
-    norm = math.sqrt((2 * l + 1) / (ctx.twice_s + 1))
-    for col in range(n):
-        two_mp = ctx.twice_s - 2 * col
-        two_mpp = two_mp + 2 * m
-        if abs(two_mpp) > ctx.twice_s:
-            continue
-        t[col - m, col] = norm * clebsch_gordan(
-            ctx.twice_s, two_mp, 2 * l, 2 * m, ctx.twice_s, two_mpp
-        )
-    return t
+    return np.diag(tensor_blocks(ctx.twice_s)[ctx.twice_s + m][l - abs(m)], m).astype(complex)
 
 
 def rotation_z(ctx, angle):

@@ -34,44 +34,45 @@ def measure_constant(ctx):
 
 
 def cg_weight(ctx, l):
-    """Stretched coefficient <S,S; l,0 | S,S>; strictly positive for l <= 2S."""
+    """Stretched coefficient <S,S; l,0 | S,S>; strictly positive for l <= 2S.
+
+    Closed form (2S)! sqrt(2S+1) / F(l) with F(l) = sqrt((2S+l+1)!(2S-l)!).
+    """
     if l != int(l) or not 0 <= l <= ctx.twice_s:
         raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
-    w = su2_algebra.clebsch_gordan(
-        ctx.twice_s, ctx.twice_s, 2 * int(l), 0, ctx.twice_s, ctx.twice_s
-    )
+    w = math.exp(_log_weights(ctx.twice_s)[int(l)])
     if w <= 0.0:
         raise RuntimeError(f"stretched CG weight not positive at l={l}: {w}")
     return w
 
 
-@functools.lru_cache(maxsize=32)
-def _tensor_structure(twice_s):
-    """Per flat (l,m): column indices and values of T_lm's single diagonal.
-
-    T_lm is nonzero only at (col - m, col); caching the value arrays keeps
-    both transform directions O(hilbert_dim) per coefficient.
-    """
-    ctx = su2_algebra.SpinContext(twice_s)
-    structure = []
-    for l in range(ctx.band_limit + 1):
-        for m in range(-l, l + 1):
-            t = su2_algebra.tensor_operator(ctx, l, m)
-            cols = np.arange(max(0, m), min(ctx.hilbert_dim, ctx.hilbert_dim + m))
-            vals = t[cols - m, cols]
-            structure.append((m, cols, vals))
-    return structure
-
-
 @functools.lru_cache(maxsize=64)
-def _weight_table(twice_s):
-    ctx = su2_algebra.SpinContext(twice_s)
-    return np.array([cg_weight(ctx, l) for l in range(ctx.band_limit + 1)])
+def _log_weights(twice_s):
+    # ln w_l from the closed form of cg_weight, exact to rounding at every S
+    n2 = twice_s
+    log_f = [0.5 * (su2_algebra.log_factorial(n2 + l + 1) + su2_algebra.log_factorial(n2 - l))
+             for l in range(n2 + 1)]
+    return su2_algebra.log_factorial(n2) + 0.5 * math.log(n2 + 1) - np.array(log_f)
 
 
-def _weight_powers(ctx, exponent):
-    # w_l^exponent via logs; weights are positive so this is safe
-    return np.exp(exponent * np.log(_weight_table(ctx.twice_s)))
+def _factors(ctx, sigma):
+    # c_lm / Tr(T_lm^dag A) = sqrt(4pi/(2S+1)) w_l^-sigma over the flat index,
+    # through logs: the weights span many decades
+    l_of, _ = sphere_ops.lm_arrays(ctx.band_limit)
+    log_scale = 0.5 * math.log(4.0 * math.pi / (ctx.twice_s + 1))
+    return np.exp(log_scale - sigma * _log_weights(ctx.twice_s))[l_of]
+
+
+@functools.lru_cache(maxsize=8)
+def _diagonals(twice_s):
+    # per m: m, the flat indices of (l, m) for l = |m|..2S, the positions of
+    # np.diagonal(a, m) in a, and the T_lm diagonals over those l
+    n = twice_s + 1
+    out = []
+    for m, block in zip(range(-twice_s, n), su2_algebra.tensor_blocks(twice_s)):
+        l, j = np.arange(abs(m), n), np.arange(n - abs(m))
+        out.append((m, l * l + l + m, (j + max(0, -m), j + max(0, m)), block))
+    return tuple(out)
 
 
 def operator_to_symbol(a, sigma, ctx):
@@ -80,13 +81,10 @@ def operator_to_symbol(a, sigma, ctx):
     a = np.asarray(a, dtype=complex)
     if a.shape != (ctx.hilbert_dim, ctx.hilbert_dim):
         raise ValueError(f"operator shape {a.shape} does not match 2S+1 = {ctx.hilbert_dim}")
-    scale = math.sqrt(4.0 * math.pi / (ctx.twice_s + 1))
-    wpow = _weight_powers(ctx, -sigma)
-    l_of, _ = sphere_ops.lm_arrays(ctx.band_limit)
     c = np.empty(ctx.symbol_dim, dtype=complex)
-    for idx, (m, cols, vals) in enumerate(_tensor_structure(ctx.twice_s)):
-        c[idx] = scale * wpow[l_of[idx]] * np.dot(vals.conj(), a[cols - m, cols])
-    return c
+    for m, idx, _, block in _diagonals(ctx.twice_s):
+        c[idx] = block @ np.diagonal(a, m)  # Tr(T_lm^dag a), T_lm real
+    return _factors(ctx, sigma) * c
 
 
 def symbol_to_operator(c, sigma, ctx):
@@ -97,12 +95,10 @@ def symbol_to_operator(c, sigma, ctx):
         raise ValueError(
             f"coefficient length {c.size} does not match (2S+1)^2 = {ctx.symbol_dim}"
         )
-    scale = math.sqrt(4.0 * math.pi / (ctx.twice_s + 1))
-    wpow = _weight_powers(ctx, sigma)
-    l_of, _ = sphere_ops.lm_arrays(ctx.band_limit)
+    b = c / _factors(ctx, sigma)
     a = np.zeros((ctx.hilbert_dim, ctx.hilbert_dim), dtype=complex)
-    for idx, (m, cols, vals) in enumerate(_tensor_structure(ctx.twice_s)):
-        a[cols - m, cols] += (wpow[l_of[idx]] * c[idx] / scale) * vals
+    for _, idx, pos, block in _diagonals(ctx.twice_s):
+        a[pos] = b[idx] @ block  # sum_l b_lm T_lm on the diagonal m
     return a
 
 
@@ -113,8 +109,7 @@ def switch_ordering(c, sigma_from, sigma_to, ctx):
     c = np.asarray(c, dtype=complex)
     if c.size != ctx.symbol_dim:
         raise ValueError("coefficient length does not match context")
-    l_of, _ = sphere_ops.lm_arrays(ctx.band_limit)
-    return c * _weight_powers(ctx, sigma_from - sigma_to)[l_of]
+    return c * _factors(ctx, sigma_to) / _factors(ctx, sigma_from)
 
 
 def kernel_eval(ctx, sigma, theta, phi):
@@ -123,15 +118,9 @@ def kernel_eval(ctx, sigma, theta, phi):
     Tr(A Delta^(sigma)(x)) reproduces the symbol of A at x.
     """
     sigma = validate_sigma(sigma)
-    scale = math.sqrt(4.0 * math.pi / (ctx.twice_s + 1))
-    wpow = _weight_powers(ctx, -sigma)
-    l_of, _ = sphere_ops.lm_arrays(ctx.band_limit)
-    delta = np.zeros((ctx.hilbert_dim, ctx.hilbert_dim), dtype=complex)
-    for idx, (m, cols, vals) in enumerate(_tensor_structure(ctx.twice_s)):
-        l = l_of[idx]
-        y = sphere_ops.ylm_eval(l, m, theta, phi)
-        delta[cols - m, cols] += scale * wpow[l] * np.conj(y) * vals
-    return delta
+    y = sphere_ops.ylm_point(ctx.band_limit, theta, phi)
+    # the operator whose symbol at ordering -sigma is the delta function at x
+    return symbol_to_operator(np.conj(y) / measure_constant(ctx), -sigma, ctx)
 
 
 def expectation(c_a, c_rho, ctx):

@@ -108,7 +108,10 @@ def test_evolve_matrix_file_initial_state(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_evolve_classifies_instability_and_divergence(tmp_path):
+def test_evolve_classifies_instability_and_divergence(tmp_path, monkeypatch):
+    """The gates after integration, for an unstable step that gets past the
+    rk4 pre-flight (switched off here; its own test is below)."""
+    monkeypatch.setattr(cli, "_check_rk4_step", lambda *args: None)
     stiff = _evolve_config(
         spin={"twice_s": 4},
         bath={"coupling": [[1.0, [1]]], "gamma": 60.0, "temperature": 10.0},
@@ -124,6 +127,30 @@ def test_evolve_classifies_instability_and_divergence(tmp_path):
     cfg_path = _write(tmp_path, "worse.json", worse)
     assert cli.main(["evolve", "--config", cfg_path,
                      "--out", str(tmp_path / "o2")]) == 3
+
+
+@pytest.mark.parametrize("twice_s, gamma, temperature, dt, t_end", [
+    (4, 60.0, 10.0, 0.01, 0.05),
+    (20, 0.1, 1.0, 0.1, 2.0),
+])
+def test_evolve_rejects_an_unstable_rk4_step_before_writing(
+        tmp_path, capsys, twice_s, gamma, temperature, dt, t_end):
+    """exit 1 with no files, and the dt it names runs and passes the gates."""
+    bath = {"coupling": [[1.0, [1]]], "gamma": gamma, "temperature": temperature}
+    cfg = _evolve_config(spin={"twice_s": twice_s}, bath=bath,
+                         time={"t_end": t_end, "dt": dt, "method": "rk4"})
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "rk4 is unstable" in err and not out.exists()
+    stable = float(err.rsplit("use dt <= ", 1)[1].split()[0])
+    assert stable < dt
+    cfg["time"]["dt"] = stable
+    assert cli.main(["evolve", "--config", _write(tmp_path, "ok.json", cfg),
+                     "--out", str(out)]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 2 + round(t_end / stable)
 
 
 def test_evolve_checks_reality_over_the_whole_trajectory(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from spinphase.su2_algebra import (
     is_hermitian,
     rotation_z,
     spin_matrices,
+    tensor_blocks,
     tensor_operator,
 )
 
@@ -221,3 +222,64 @@ def test_tensor_operator_rejects_out_of_band_labels():
         tensor_operator(ctx, 3, 0)
     with pytest.raises(ValueError):
         tensor_operator(ctx, 1, 2)
+
+
+# --- T_lm tables: Jacobi eigenvectors against the Racah sum and the algebra --
+
+@pytest.mark.parametrize("twice_s", range(1, 17))
+def test_tensor_blocks_match_the_racah_sum(twice_s):
+    """Every diagonal entry, signs included, at small S where the Racah sum
+    is still exact to rounding."""
+    n = twice_s + 1
+    for m, block in zip(range(-twice_s, n), tensor_blocks(twice_s)):
+        cols = np.arange(max(0, m), n + min(0, m))
+        assert block.shape == (n - abs(m), cols.size)
+        for row, l in enumerate(range(abs(m), n)):
+            norm = math.sqrt((2 * l + 1) / n)
+            want = [norm * clebsch_gordan(twice_s, twice_s - 2 * c, 2 * l, 2 * m,
+                                          twice_s, twice_s - 2 * c + 2 * m)
+                    for c in cols]
+            np.testing.assert_allclose(block[row], want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("twice_s", [80, 81, 160])
+def test_tensor_blocks_orthonormal_at_large_spin(twice_s):
+    """Tr(T_l'm^dag T_lm) = delta_ll' within each m; different m never overlap."""
+    for block in tensor_blocks(twice_s):
+        assert not block.flags.writeable
+        assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= 1e-12
+
+
+def _padded_diagonals(twice_s, m):
+    # D[l, c] = T_lm[c - m, c] for every l and column c, zero where absent,
+    # with one more zero column so that D[:, c + 1] exists at the last c
+    n = twice_s + 1
+    d = np.zeros((n, n + 1))
+    block = tensor_blocks(twice_s)[twice_s + m]
+    d[abs(m):, max(0, m):max(0, m) + block.shape[1]] = block
+    return d
+
+
+@pytest.mark.parametrize("twice_s", [81, 160])
+def test_tensor_blocks_obey_the_ladder_relation(twice_s):
+    """[S-, T_lm] = sqrt((l+m)(l-m+1)) T_l,m-1 for every l and m.
+
+    A flipped sign in one column of a block leaves orthonormality and the
+    symbol round trip intact; this relation between neighbouring blocks
+    catches it.  On diagonals: [S-, T_lm][c-m+1, c] =
+    s(c-m) T_lm[c-m, c] - s(c) T_lm[c-m+1, c+1], s(c) = S-[c+1, c].
+    """
+    ctx = SpinContext(twice_s)
+    s1, s2, _ = spin_matrices(ctx)
+    n = ctx.hilbert_dim
+    s_minus = np.append(np.diagonal(s1 - 1j * s2, -1).real, 0.0)
+    c = np.arange(n)
+    l = np.arange(n)[:, None]
+    worst = 0.0
+    for m in range(-twice_s + 1, twice_s + 1):
+        d = _padded_diagonals(twice_s, m)
+        shifted = np.where((c >= m) & (c - m < n), s_minus[np.clip(c - m, 0, n - 1)], 0.0)
+        comm = shifted * d[:, :n] - s_minus * d[:, 1:]
+        coef = np.sqrt(np.clip((l + m) * (l - m + 1), 0, None))
+        worst = max(worst, np.max(np.abs(comm - coef * _padded_diagonals(twice_s, m - 1)[:, :n])))
+    assert worst <= 1e-13 * n

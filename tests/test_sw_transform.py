@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinphase import dynamics
 from spinphase import sphere_ops as so
+from spinphase import su2_algebra
 from spinphase import sw_transform as swt
 from spinphase.su2_algebra import SpinContext, rotation_z, spin_matrices
 
@@ -36,6 +38,14 @@ def test_cg_weight_positive_and_known_value():
             assert swt.cg_weight(ctx, l) > 0
 
 
+def test_cg_weight_matches_the_racah_sum():
+    for twice_s in range(1, 17):
+        ctx = SpinContext(twice_s)
+        for l in range(twice_s + 1):
+            want = su2_algebra.clebsch_gordan(twice_s, twice_s, 2 * l, 0, twice_s, twice_s)
+            assert swt.cg_weight(ctx, l) == pytest.approx(want, rel=1e-12)
+
+
 def test_measure_constant():
     assert swt.measure_constant(SpinContext(3)) == pytest.approx(
         4 / (4 * math.pi))
@@ -51,6 +61,41 @@ def test_symbol_transform_round_trip(twice_s, sigma, seed):
     c = swt.operator_to_symbol(a, sigma, ctx)
     np.testing.assert_allclose(swt.symbol_to_operator(c, sigma, ctx), a,
                                atol=1e-11)
+
+
+@pytest.mark.parametrize("twice_s", [80, 81, 160])
+def test_round_trip_exact_at_large_spin(twice_s):
+    ctx = SpinContext(twice_s)
+    a = _random_hermitian(ctx.hilbert_dim, twice_s)
+    for sigma in SIGMAS:
+        c = swt.operator_to_symbol(a, sigma, ctx)
+        assert np.max(np.abs(swt.symbol_to_operator(c, sigma, ctx) - a)) <= 1e-12
+
+
+def test_transforms_do_not_reach_the_racah_sum(monkeypatch):
+    """The tables are built without the Clebsch-Gordan oracle they are
+    tested against: with it broken and every table cache empty, the
+    transforms, the kernel and an integration still run at a new 2S."""
+    def broken(*args):
+        raise AssertionError("clebsch_gordan called outside the tests")
+
+    monkeypatch.setattr(su2_algebra, "clebsch_gordan", broken)
+    for cached in (su2_algebra.tensor_blocks, swt._log_weights, swt._diagonals):
+        cached.cache_clear()
+    ctx = SpinContext(23)
+    a = _random_hermitian(ctx.hilbert_dim, 23)
+    for sigma in SIGMAS:
+        c = swt.operator_to_symbol(a, sigma, ctx)
+        np.testing.assert_allclose(swt.symbol_to_operator(c, sigma, ctx), a, atol=1e-12)
+    _, synthesize, _, _ = so.grid_synthesis_analysis(ctx.band_limit)
+    grid = so.make_grid(ctx.band_limit)
+    delta = swt.kernel_eval(ctx, 0.5, grid.thetas[4], grid.phis[7])
+    w = synthesize(swt.operator_to_symbol(a, 0.5, ctx))
+    assert np.trace(a @ delta) == pytest.approx(w[4, 7], abs=1e-11)
+    gen = dynamics.unitary_generator([(-1.0, (3,))], 0.0, ctx)
+    c0 = swt.operator_to_symbol(dynamics.coherent_state(ctx, 0.8, 0.2), 0.0, ctx)
+    result = dynamics.integrate(gen, c0, 0.1, 0.05, "rk4", ctx, 0.0, "symbol")
+    np.testing.assert_allclose(result.trace, 1.0, atol=1e-12)
 
 
 def test_round_trip_holds_for_fractional_ordering():
