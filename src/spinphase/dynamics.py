@@ -9,6 +9,7 @@ rate gamma and temperature T; the small parameter gamma/(S T) is
 reported, never enforced.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -338,6 +339,12 @@ class EvolutionResult:
     s3: np.ndarray = None
     trace: np.ndarray = None
     purity: np.ndarray = None
+    reality: np.ndarray = None
+
+
+# bytes of states that integrate holds at once: 77 rows at 2S=40, and the
+# 201 rows of a 200-step run at 2S=20 still fit in one block
+_BLOCK_BYTES = 2 << 20
 
 
 def _non_finite(step, n_steps, dt_used):
@@ -349,125 +356,185 @@ def _non_finite(step, n_steps, dt_used):
 
 def time_steps(t_end, dt):
     """(n_steps, dt_used): the uniform grid on [0, t_end] with step nearest dt."""
-    if t_end <= 0 or dt <= 0:
-        raise ValueError("t_end and dt must be positive")
+    if not (0 < t_end < math.inf and 0 < dt < math.inf):
+        raise ValueError(f"t_end and dt must be finite and positive, got {t_end}, {dt}")
     n_steps = max(1, int(round(t_end / dt)))
     return n_steps, t_end / n_steps
 
 
-def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None):
+def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
+              keep_states=True):
     """Propagate dy/dt = G y (matrix G) or dy/dt = f(y) (callable, rk4 only).
 
-    dt is adjusted to divide t_end evenly.  States at every step are kept.
-    "expm" computes the action of exp(G t) on y0 over the uniform time grid
-    in one call (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)) on
-    G as a sparse matrix: no dense n x n matrix is formed and there is no
-    size limit.  kind "symbol" or "density" attaches spin observables,
-    trace and purity (needs ctx, and sigma for symbols).  Non-finite states
-    abort with a diagnostic.
+    dt is adjusted to divide t_end evenly.  States are made in blocks of at
+    most _BLOCK_BYTES, so with keep_states=False memory does not grow with
+    the step count and `states` holds only the initial and final states;
+    with keep_states=True it holds the state at every step.
+    "expm" computes the action of exp(G t) on y0 over the uniform time grid,
+    one call per block from the last state of the block before (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)), on G as a sparse matrix:
+    no dense n x n matrix is formed and there is no size limit.  kind
+    "symbol" or "density" attaches spin observables, trace and purity at
+    every step (needs ctx, and sigma for symbols); "symbol" also attaches
+    the reality residual max|P conj(c) - c|.  Non-finite states abort with
+    a diagnostic.
     """
     n_steps, dt_used = time_steps(t_end, dt)
-    y = np.asarray(y0, dtype=complex)
-    states = [y.copy()]
-
+    y0 = np.asarray(y0, dtype=complex)
+    rows = max(2, _BLOCK_BYTES // max(1, y0.nbytes))  # an expm block needs two time points
     if method == "rk4":
-        if callable(gen):
-            rhs = gen
-        else:
-            mat = gen
-
-            def rhs(state):
-                return mat @ state
-
-        for step in range(n_steps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt_used * k1)
-            k3 = rhs(y + 0.5 * dt_used * k2)
-            k4 = rhs(y + dt_used * k3)
-            y = y + (dt_used / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y.view(float))):
-                raise _non_finite(step + 1, n_steps, dt_used)
-            states.append(y.copy())
+        blocks = _rk4_blocks(gen, y0, n_steps, dt_used, rows)
+        rng = contextlib.nullcontext()
     elif method == "expm":
         if callable(gen):
             raise ValueError("expm needs a generator matrix, not a callable")
-        from scipy.sparse.linalg import expm_multiply  # slow import, expm only
-
-        # its 1-norm estimator draws from the global RNG: pin it, restore after
-        rng_state = np.random.get_state()
-        np.random.seed(0)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                states = expm_multiply(sp.csr_matrix(gen), y, start=0.0, stop=t_end,
-                                       num=n_steps + 1, endpoint=True)
-        finally:
-            np.random.set_state(rng_state)
-        finite = np.all(np.isfinite(states.view(float)), axis=1)
-        if not np.all(finite):
-            raise _non_finite(int(np.argmin(finite)), n_steps, dt_used)
+        blocks = _expm_blocks(sp.csr_matrix(gen), y0, n_steps, dt_used, rows)
+        rng = _pinned_global_rng()  # expm_multiply's 1-norm estimator draws from it
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    times = dt_used * np.arange(n_steps + 1)
-    states = np.asarray(states)
-    result = EvolutionResult(times=times, states=states)
     if kind == "symbol":
         if ctx is None or sigma is None:
             raise ValueError("symbol observables need ctx and sigma")
-        _attach_symbol_observables(result, ctx, sigma)
+        observe = _symbol_observables(ctx, sigma)
     elif kind == "density":
         if ctx is None:
             raise ValueError("density observables need ctx")
-        _attach_density_observables(result, ctx)
-    elif kind is not None:
+        observe = _density_observables(ctx)
+    elif kind is None:
+        observe = None
+    else:
         raise ValueError(f"unknown kind {kind!r}")
+
+    kept, obs, initial = [], [], None
+    with rng:
+        for block in blocks:
+            if keep_states:
+                kept.append(block)
+            if observe is not None:
+                obs.append(observe(block))
+            if initial is None:
+                initial = block[0].copy()
+            final = block[-1].copy()
+            del block  # unless kept, freed before the next block is made
+    if not keep_states:
+        states = np.stack((initial, final))
+    else:
+        states = kept[0] if len(kept) == 1 else np.concatenate(kept)
+
+    result = EvolutionResult(times=dt_used * np.arange(n_steps + 1), states=states)
+    if observe is not None:
+        obs = np.concatenate(obs)
+        result.s1, result.s2, result.s3, result.trace, result.purity = obs.T[:5]
+        if kind == "symbol":
+            result.reality = obs[:, 5]
     return result
 
 
-def _attach_symbol_observables(result, ctx, sigma):
+def _rk4_blocks(gen, y, n_steps, dt_used, rows):
+    """Consecutive blocks of at most `rows` states of the grid, from y on."""
+    if callable(gen):
+        rhs = gen
+    else:
+        def rhs(state):
+            return gen @ state
+
+    block = np.empty((min(rows, n_steps + 1),) + y.shape, dtype=complex)
+    block[0] = y
+    first = 0
+    for step in range(1, n_steps + 1):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt_used * k1)
+        k3 = rhs(y + 0.5 * dt_used * k2)
+        k4 = rhs(y + dt_used * k3)
+        y = y + (dt_used / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y.view(float))):
+            raise _non_finite(step, n_steps, dt_used)
+        if step - first == len(block):
+            yield block
+            first = step
+            block = np.empty((min(rows, n_steps + 1 - step),) + y.shape, dtype=complex)
+        block[step - first] = y
+    yield block
+
+
+def _expm_blocks(mat, y, n_steps, dt_used, rows):
+    """As _rk4_blocks, one expm_multiply call per block."""
+    from scipy.sparse.linalg import expm_multiply  # slow import, expm only
+
+    first, skip = 0, 0  # later blocks start one step back, at a known state
+    while first <= n_steps:
+        count = min(rows, n_steps + 1 - first)
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = expm_multiply(mat, y, start=0.0, stop=(count - 1 + skip) * dt_used,
+                                  num=count + skip, endpoint=True)[skip:]
+        finite = np.all(np.isfinite(block.view(float)), axis=1)
+        if not np.all(finite):
+            raise _non_finite(first + int(np.argmin(finite)), n_steps, dt_used)
+        yield block
+        first, y, skip = first + count, block[-1].copy(), 1
+        del block  # freed before the next block is made
+
+
+@contextlib.contextmanager
+def _pinned_global_rng():
+    """Seed NumPy's global RNG, and give the caller's state back after."""
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        yield
+    finally:
+        np.random.set_state(state)
+
+
+def _symbol_observables(ctx, sigma):
+    """Per block of symbol states: S1, S2, S3, trace, purity and the reality
+    residual, one row per state."""
     sigma = sw_transform.validate_sigma(sigma)
-    smats = spin_matrices(ctx)
-    duals = [sw_transform.operator_to_symbol(sm, -sigma, ctx) for sm in smats]
-    nt = result.times.size
-    obs = np.empty((nt, 5))
-    for i in range(nt):
-        c = result.states[i]
-        for k in range(3):
-            obs[i, k] = sw_transform.expectation(duals[k], c, ctx).real
-        obs[i, 3] = sw_transform.symbol_trace(c, ctx).real
-        dual_c = sw_transform.switch_ordering(c, sigma, -sigma, ctx)
-        obs[i, 4] = sw_transform.expectation(c, dual_c, ctx).real
-    result.s1, result.s2, result.s3 = obs[:, 0], obs[:, 1], obs[:, 2]
-    result.trace, result.purity = obs[:, 3], obs[:, 4]
+    duals = [sw_transform.operator_to_symbol(sm, -sigma, ctx) for sm in spin_matrices(ctx)]
+    conj = sphere_ops.conjugation_matrix(ctx.band_limit)
+
+    def observe(block):
+        obs = np.empty((len(block), 6))
+        for i, c in enumerate(block):
+            for k in range(3):
+                obs[i, k] = sw_transform.expectation(duals[k], c, ctx).real
+            obs[i, 3] = sw_transform.symbol_trace(c, ctx).real
+            dual_c = sw_transform.switch_ordering(c, sigma, -sigma, ctx)
+            obs[i, 4] = sw_transform.expectation(c, dual_c, ctx).real
+            obs[i, 5] = np.max(np.abs(conj @ c.conj() - c))
+        return obs
+
+    return observe
 
 
-def _attach_density_observables(result, ctx):
+def _density_observables(ctx):
+    """Per block of density states: S1, S2, S3, trace and purity."""
     smats = spin_matrices(ctx)
-    nt = result.times.size
-    obs = np.empty((nt, 5))
-    for i in range(nt):
-        state = result.states[i]
-        rho = state if state.ndim == 2 else unvec_density(state)
-        for k in range(3):
-            obs[i, k] = np.trace(smats[k] @ rho).real
-        obs[i, 3] = np.trace(rho).real
-        obs[i, 4] = np.trace(rho @ rho).real
-    result.s1, result.s2, result.s3 = obs[:, 0], obs[:, 1], obs[:, 2]
-    result.trace, result.purity = obs[:, 3], obs[:, 4]
+
+    def observe(block):
+        obs = np.empty((len(block), 5))
+        for i, state in enumerate(block):
+            rho = state if state.ndim == 2 else unvec_density(state)
+            for k in range(3):
+                obs[i, k] = np.trace(smats[k] @ rho).real
+            obs[i, 3] = np.trace(rho).real
+            obs[i, 4] = np.trace(rho @ rho).real
+        return obs
+
+    return observe
 
 
 def write_trajectory_csv(path, result):
     """Trajectory CSV: t,Sx,Sy,Sz,trace,purity at 17 significant digits."""
     if result.s1 is None:
         raise ValueError("result carries no observables")
-    lines = ["t,Sx,Sy,Sz,trace,purity"]
-    for i, t in enumerate(result.times):
-        lines.append(
-            f"{t:.17g},{result.s1[i]:.17g},{result.s2[i]:.17g},"
-            f"{result.s3[i]:.17g},{result.trace[i]:.17g},{result.purity[i]:.17g}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w") as fh:  # line by line: the text is not held in memory
+        fh.write("t,Sx,Sy,Sz,trace,purity\n")
+        for i, t in enumerate(result.times):
+            fh.write(
+                f"{t:.17g},{result.s1[i]:.17g},{result.s2[i]:.17g},"
+                f"{result.s3[i]:.17g},{result.trace[i]:.17g},{result.purity[i]:.17g}\n"
+            )
 
 
 # --- classical-limit scans -------------------------------------------------

@@ -2,14 +2,17 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import spinphase
 from spinphase import cli
@@ -160,13 +163,60 @@ def test_evolve_checks_reality_over_the_whole_trajectory(tmp_path, monkeypatch):
 
     def non_real_midway(*args, **kwargs):
         result = integrate(*args, **kwargs)
-        result.states[result.states.shape[0] // 2, 0] += 1e-3j
+        result.reality[result.reality.size // 2] = 1e-3
         return result
 
     monkeypatch.setattr(cli.dynamics, "integrate", non_real_midway)
     cfg_path = _write(tmp_path, "run.json", _evolve_config())
     assert cli.main(["evolve", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_evolve_fails_a_generator_that_leaves_the_real_symbols(tmp_path, monkeypatch,
+                                                             capsys):
+    """exp(i t) c0 is not real at t = pi/2 but real again at t = pi: the
+    reality column catches it mid-run and the gate exits 2."""
+    monkeypatch.setattr(cli.dynamics, "qfp_generator", lambda h, bath, sigma, ctx:
+                        1j * sp.identity(ctx.symbol_dim, dtype=complex, format="csr"))
+    cfg = _evolve_config(time={"t_end": math.pi, "dt": math.pi / 8, "method": "expm"})
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    residual = float(capsys.readouterr().err.split("reality residual = ")[1].split()[0])
+    assert residual > 0.1
+
+
+@pytest.mark.parametrize("key", ("t_end", "dt"))
+@pytest.mark.parametrize("value", (math.inf, math.nan))
+def test_evolve_rejects_a_non_finite_time_grid(tmp_path, capsys, key, value):
+    cfg = _evolve_config()
+    cfg["time"][key] = value  # written as Infinity or NaN, which json accepts
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(out)]) == 1
+    assert "error: t_end and dt must be finite" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+
+
+def test_evolve_memory_does_not_grow_with_the_step_count(tmp_path, monkeypatch):
+    """Peak traced allocation of a whole evolve run grows by less than a
+    quarter of one state per added step (the states themselves, kept, would
+    add a whole one)."""
+    twice_s = 10
+    n = (twice_s + 1) ** 2
+    monkeypatch.setattr(cli.dynamics, "_BLOCK_BYTES", 8 * 16 * n)  # 8 rows
+    cfg = _evolve_config(spin={"twice_s": twice_s})
+    peaks = {}
+    for steps in (1, 40, 200):  # the first run only warms the caches
+        cfg["time"] = {"t_end": steps * 0.01, "dt": 0.01, "method": "expm"}
+        argv = ["evolve", "--config", _write(tmp_path, f"{steps}.json", cfg),
+                "--out", str(tmp_path / str(steps))]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[200] - peaks[40]) / 160 < 16 * n / 4
 
 
 @pytest.mark.parametrize("where", ("flag", "config"))
@@ -190,7 +240,9 @@ def test_gates_fail_on_nan_measurements(tmp_path, monkeypatch):
 
     def nan_final_state(*args, **kwargs):
         result = integrate(*args, **kwargs)
-        result.states[-1] = np.nan
+        result.states[-1] = np.nan  # read by compare
+        if result.reality is not None:
+            result.reality[-1] = np.nan  # read by evolve
         return result
 
     monkeypatch.setattr(cli.dynamics, "integrate", nan_final_state)
@@ -242,6 +294,38 @@ def test_compare_agrees_and_honors_tolerance(tmp_path, capsys):
     rc = cli.main(["compare", "--config", cfg_path, "--out",
                    str(tmp_path / "o2"), "--tolerance", "1e-30"])
     assert rc == 2
+
+
+def test_compare_integrates_with_the_configured_method(tmp_path, capsys, monkeypatch):
+    """An unstable rk4 step exits 1 before anything is written; a stable one
+    runs both trajectories with rk4, which agree to rounding."""
+    cfg = {
+        "spin": {"twice_s": 4},
+        "hamiltonian": {"expression": [[-1.0, [3]]]},
+        "bath": {"coupling": [[1.0, [1]]], "gamma": 60.0, "temperature": 10.0},
+        "initial": {"coherent": {"theta": 0.9, "phi": 0.0}},
+        "time": {"t_end": 0.05, "dt": 0.01, "method": "rk4"},
+    }
+    out = tmp_path / "o"
+    assert cli.main(["compare", "--config", _write(tmp_path, "bad.json", cfg),
+                     "--out", str(out)]) == 1
+    assert "rk4 is unstable" in capsys.readouterr().err and not out.exists()
+
+    methods = []
+    integrate = cli.dynamics.integrate
+
+    def spy(gen, y0, t_end, dt, method, *args, **kwargs):
+        methods.append(method)
+        return integrate(gen, y0, t_end, dt, method, *args, **kwargs)
+
+    monkeypatch.setattr(cli.dynamics, "integrate", spy)
+    cfg["bath"]["gamma"] = 0.1
+    assert cli.main(["compare", "--config", _write(tmp_path, "ok.json", cfg),
+                     "--out", str(out)]) == 0
+    assert methods == ["rk4", "rk4"]
+    with open(out / "compare.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 6 and max(float(r[1]) for r in rows) < 1e-10
 
 
 def test_compare_rejects_oversized_hilbert_space(tmp_path):

@@ -354,6 +354,99 @@ def test_integrate_expm_flags_overflow_step():
             dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
 
 
+def _block_rows(monkeypatch, rows, n):
+    """Make integrate propagate in blocks of `rows` states of length n."""
+    monkeypatch.setattr(dyn, "_BLOCK_BYTES", rows * 16 * n)
+
+
+def test_integrate_rk4_blocks_are_byte_identical_to_one_block(monkeypatch):
+    ctx, gen, c0 = _dissipative_case(6, 0.5)
+
+    def run():
+        res = dyn.integrate(gen, c0, 2.0, 0.05, "rk4", ctx=ctx, sigma=0.5, kind="symbol")
+        return [a.tobytes() for a in (res.states, res.s1, res.s2, res.s3, res.trace,
+                                      res.purity, res.reality)]
+
+    whole = run()
+    _block_rows(monkeypatch, 3, c0.size)  # 41 states: 13 blocks of 3 and one of 2
+    assert run() == whole
+
+
+@pytest.mark.parametrize("twice_s", (2, 5, 6))
+@pytest.mark.parametrize("sigma", (-1.0, 0.5))
+def test_integrate_expm_blocks_match_dense_exponential(monkeypatch, twice_s, sigma):
+    """Each block starts from the last state of the one before, and every
+    state still equals expm(G t_k) c0."""
+    _, gen, c0 = _dissipative_case(twice_s, sigma)
+    _block_rows(monkeypatch, 3, c0.size)
+    res = dyn.integrate(gen, c0, 2.0, 0.2, "expm")
+    assert res.states.shape == (11, c0.size)
+    dense = gen.toarray()
+    for t, state in zip(res.times, res.states):
+        np.testing.assert_allclose(state, la.expm(dense * t) @ c0, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("method", ("rk4", "expm"))
+def test_integrate_without_states_keeps_the_ends_and_observables(monkeypatch, method):
+    ctx, gen, c0 = _dissipative_case(5, 1.0)
+    _block_rows(monkeypatch, 4, c0.size)
+    fields = ("times", "s1", "s2", "s3", "trace", "purity", "reality")
+    runs = [dyn.integrate(gen, c0, 1.0, 0.05, method, ctx=ctx, sigma=1.0, kind="symbol",
+                          keep_states=keep) for keep in (True, False)]
+    full, ends = runs
+    assert ends.states.shape == (2, c0.size)
+    assert ends.states.tobytes() == full.states[[0, -1]].tobytes()
+    for name in fields:
+        assert getattr(ends, name).tobytes() == getattr(full, name).tobytes()
+    assert np.max(full.reality) < 1e-12
+
+
+def test_integrate_reality_column_sees_a_non_real_step():
+    """exp(i t) c0 leaves the real symbols at t = pi/2 and is real at t = pi."""
+    ctx, _, c0 = _dissipative_case(2, 0.0)
+    gen = 1j * sp.identity(c0.size, dtype=complex, format="csr")
+    res = dyn.integrate(gen, c0, math.pi, math.pi / 8, "expm", ctx=ctx, sigma=0.0,
+                        kind="symbol")
+    assert res.reality[4] == pytest.approx(2 * np.max(np.abs(c0)), rel=1e-12)
+    assert res.reality[0] < 1e-15 and res.reality[-1] < 1e-14
+
+
+def test_integrate_expm_blocks_keep_the_global_rng_stream(monkeypatch):
+    _, gen, c0 = _dissipative_case(10, 0.5)
+    _block_rows(monkeypatch, 5, c0.size)  # 81 states: 17 blocks
+    outputs = []
+    for seed in (0, 12345):
+        np.random.seed(seed)
+        outputs.append(dyn.integrate(gen, c0, 4.0, 0.05, "expm").states.tobytes())
+        after = np.random.random()
+        np.random.seed(seed)
+        assert after == np.random.random()
+    assert outputs[0] == outputs[1]
+
+
+def test_integrate_flags_overflow_step_in_a_later_block(monkeypatch):
+    _block_rows(monkeypatch, 3, 3)  # step 8 is in the third block
+    gen = 1e3 * sp.identity(3, dtype=complex, format="csr")
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(RuntimeError, match=r"step 8/10"):
+            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
+    gen = np.array([[500.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError) as whole:
+            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
+        _block_rows(monkeypatch, 3, 1)
+        with pytest.raises(RuntimeError) as blocked:
+            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
+    assert str(blocked.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("t_end, dt", [(math.inf, 0.1), (math.nan, 0.1),
+                                       (1.0, math.inf), (1.0, math.nan)])
+def test_time_steps_rejects_a_non_finite_grid(t_end, dt):
+    with pytest.raises(ValueError, match="finite"):
+        dyn.time_steps(t_end, dt)
+
+
 def test_integrate_rejects_bad_method_and_steps():
     ctx = SpinContext(1)
     gen = dyn.unitary_generator([(-1.0, (3,))], 0.0, ctx)
