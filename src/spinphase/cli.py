@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg as la
 
 from . import bopp, dynamics, sphere_ops, sw_transform
 from .su2_algebra import SpinContext, spin_matrices
@@ -222,8 +221,7 @@ def _cmd_evolve(cfg, out_dir, tolerance, rng):
     rho0 = _initial_density(cfg, ctx)
     c0 = sw_transform.operator_to_symbol(rho0, sigma, ctx)
     t_end, dt, method = _time_block(cfg)
-    if "grid" in cfg:
-        band = _grid_band(cfg, ctx)  # reject inconsistent bands up front
+    band = _grid_band(cfg, ctx)  # reject inconsistent bands up front
     if method == "rk4":
         _check_rk4_step(gen, t_end, dt)
     result = dynamics.integrate(gen, c0, t_end, dt, method, ctx, sigma, "symbol",
@@ -231,7 +229,6 @@ def _cmd_evolve(cfg, out_dir, tolerance, rng):
     dynamics.write_trajectory_csv(_out_path(out_dir, cfg, "trajectory",
                                             "trajectory.csv"), result)
     if "grid" in cfg.get("outputs", {}):
-        band = _grid_band(cfg, ctx)
         grid, synthesize, _, _ = sphere_ops.grid_synthesis_analysis(band)
         values = synthesize(_pad_coefficients(result.states[-1], band))
         sphere_ops.write_grid_csv(_out_path(out_dir, cfg, "grid", "grid.csv"),
@@ -429,7 +426,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, FloatingPointError, la.LinAlgError) as exc:
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

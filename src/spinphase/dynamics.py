@@ -9,12 +9,10 @@ rate gamma and temperature T; the small parameter gamma/(S T) is
 reported, never enforced.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
 from . import bopp, sphere_ops, sw_transform
@@ -236,7 +234,7 @@ def master_liouvillian(h, f, gamma, temperature):
 def master_stationary_state(h, f, gamma, temperature):
     """Null vector of the master generator as a unit-trace Hermitian matrix."""
     liou = master_liouvillian(h, f, gamma, temperature)
-    w, v = la.eig(liou)
+    w, v = np.linalg.eig(liou)
     rho = unvec_density(v[:, np.argmin(np.abs(w))])
     rho = (rho + rho.conj().T) / 2.0
     return rho / np.trace(rho).real
@@ -325,8 +323,9 @@ def classical_generators(h_poly, lam, temperature, band_limit, s):
 def coherent_state(ctx, theta0, phi0):
     """Density matrix of the spin coherent state at (theta0, phi0)."""
     _, s2, _ = spin_matrices(ctx)
-    u = rotation_z(ctx, phi0) @ la.expm(-1j * theta0 * s2)
-    ket = u[:, 0]  # rotated highest-weight state
+    w, v = np.linalg.eigh(s2)
+    # rotated highest-weight state: column 0 of Rz(phi0) exp(-i theta0 S2)
+    ket = rotation_z(ctx, phi0) @ (v @ (np.exp(-1j * theta0 * w) * v[0].conj()))
     return np.outer(ket, ket.conj())
 
 
@@ -345,19 +344,22 @@ class EvolutionResult:
 # bytes of states that integrate holds at once: 77 rows at 2S=40, and the
 # 201 rows of a 200-step run at 2S=20 still fit in one block
 _BLOCK_BYTES = 2 << 20
-
-
-def _non_finite(step, n_steps, dt_used):
-    return RuntimeError(
-        f"non-finite state at t = {step * dt_used:.6g} "
-        f"(step {step}/{n_steps}, dt = {dt_used:.6g})"
-    )
+# the most steps one time grid may have: a larger count is a typo, not a run
+MAX_STEPS = 10 ** 7
+# theta_m for double precision (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+# 488 (2011), Table 3.1): the degree-m Taylor series of exp(A) meets unit
+# roundoff in backward error while ||A||_1 <= theta_m
+_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
+          35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 
 
 def time_steps(t_end, dt):
     """(n_steps, dt_used): the uniform grid on [0, t_end] with step nearest dt."""
     if not (0 < t_end < math.inf and 0 < dt < math.inf):
         raise ValueError(f"t_end and dt must be finite and positive, got {t_end}, {dt}")
+    if not t_end / dt < MAX_STEPS + 0.5:  # an overflowing ratio is inf
+        raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps exceeds the ceiling "
+                         f"of MAX_STEPS = {MAX_STEPS} steps")
     n_steps = max(1, int(round(t_end / dt)))
     return n_steps, t_end / n_steps
 
@@ -366,63 +368,47 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
               keep_states=True):
     """Propagate dy/dt = G y (matrix G) or dy/dt = f(y) (callable, rk4 only).
 
-    dt is adjusted to divide t_end evenly.  States are made in blocks of at
-    most _BLOCK_BYTES, so with keep_states=False memory does not grow with
-    the step count and `states` holds only the initial and final states;
-    with keep_states=True it holds the state at every step.
-    "expm" computes the action of exp(G t) on y0 over the uniform time grid,
-    one call per block from the last state of the block before (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 488 (2011)), on G as a sparse matrix:
-    no dense n x n matrix is formed and there is no size limit.  kind
+    dt is adjusted to divide t_end evenly.  One loop makes the states step
+    by step into blocks of at most _BLOCK_BYTES: with keep_states=False,
+    `states` holds only the initial and final states and memory does not grow
+    with the step count.  "rk4" is classical Runge-Kutta; "expm" applies
+    exp(G dt) as the truncated Taylor series of _taylor_step on the sparse G,
+    with no dense n x n matrix, no random numbers and no size limit.  kind
     "symbol" or "density" attaches spin observables, trace and purity at
-    every step (needs ctx, and sigma for symbols); "symbol" also attaches
-    the reality residual max|P conj(c) - c|.  Non-finite states abort with
-    a diagnostic.
+    every step (needs ctx, and sigma for symbols); "symbol" also attaches the
+    reality residual max|P conj(c) - c|.  A non-finite state aborts, naming
+    its step.
     """
     n_steps, dt_used = time_steps(t_end, dt)
     y0 = np.asarray(y0, dtype=complex)
-    rows = max(2, _BLOCK_BYTES // max(1, y0.nbytes))  # an expm block needs two time points
-    if method == "rk4":
-        blocks = _rk4_blocks(gen, y0, n_steps, dt_used, rows)
-        rng = contextlib.nullcontext()
-    elif method == "expm":
-        if callable(gen):
-            raise ValueError("expm needs a generator matrix, not a callable")
-        blocks = _expm_blocks(sp.csr_matrix(gen), y0, n_steps, dt_used, rows)
-        rng = _pinned_global_rng()  # expm_multiply's 1-norm estimator draws from it
-    else:
+    if method not in ("rk4", "expm"):
         raise ValueError(f"unknown method {method!r}")
-    if kind == "symbol":
-        if ctx is None or sigma is None:
-            raise ValueError("symbol observables need ctx and sigma")
-        observe = _symbol_observables(ctx, sigma)
-    elif kind == "density":
-        if ctx is None:
-            raise ValueError("density observables need ctx")
-        observe = _density_observables(ctx)
-    elif kind is None:
-        observe = None
-    else:
+    step = (_rk4_step if method == "rk4" else _taylor_step)(gen, dt_used)
+    if kind not in (None, "symbol", "density"):
         raise ValueError(f"unknown kind {kind!r}")
+    if kind and (ctx is None or kind == "symbol" and sigma is None):
+        raise ValueError(f"{kind} observables need ctx" + " and sigma" * (kind == "symbol"))
+    observe = kind and (_symbol_observables(ctx, sigma) if kind == "symbol"
+                        else _density_observables(ctx))
 
     kept, obs, initial = [], [], None
-    with rng:
-        for block in blocks:
-            if keep_states:
-                kept.append(block)
-            if observe is not None:
-                obs.append(observe(block))
-            if initial is None:
-                initial = block[0].copy()
-            final = block[-1].copy()
-            del block  # unless kept, freed before the next block is made
+    rows = max(1, _BLOCK_BYTES // max(1, y0.nbytes))
+    for block in _blocks(step, y0, n_steps, dt_used, rows):
+        if keep_states:
+            kept.append(block)
+        if observe:
+            obs.append(observe(block))
+        if initial is None:
+            initial = block[0].copy()
+        final = block[-1].copy()
+        del block  # unless kept, freed before the next block is made
     if not keep_states:
         states = np.stack((initial, final))
     else:
         states = kept[0] if len(kept) == 1 else np.concatenate(kept)
 
     result = EvolutionResult(times=dt_used * np.arange(n_steps + 1), states=states)
-    if observe is not None:
+    if observe:
         obs = np.concatenate(obs)
         result.s1, result.s2, result.s3, result.trace, result.purity = obs.T[:5]
         if kind == "symbol":
@@ -430,60 +416,76 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
     return result
 
 
-def _rk4_blocks(gen, y, n_steps, dt_used, rows):
+def _blocks(step, y, n_steps, dt_used, rows):
     """Consecutive blocks of at most `rows` states of the grid, from y on."""
-    if callable(gen):
-        rhs = gen
-    else:
-        def rhs(state):
-            return gen @ state
-
     block = np.empty((min(rows, n_steps + 1),) + y.shape, dtype=complex)
     block[0] = y
     first = 0
-    for step in range(1, n_steps + 1):
+    for k in range(1, n_steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            y = step(y)
+        if not np.all(np.isfinite(y.view(float))):
+            raise RuntimeError(f"non-finite state at t = {k * dt_used:.6g} "
+                               f"(step {k}/{n_steps}, dt = {dt_used:.6g})")
+        if k - first == len(block):
+            yield block
+            first = k
+            block = np.empty((min(rows, n_steps + 1 - k),) + y.shape, dtype=complex)
+        block[k - first] = y
+    yield block
+
+
+def _rk4_step(gen, dt_used):
+    """y -> y after one classical Runge-Kutta step of dy/dt = G y or f(y)."""
+    rhs = gen if callable(gen) else gen.__matmul__
+
+    def step(y):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt_used * k1)
         k3 = rhs(y + 0.5 * dt_used * k2)
         k4 = rhs(y + dt_used * k3)
-        y = y + (dt_used / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y.view(float))):
-            raise _non_finite(step, n_steps, dt_used)
-        if step - first == len(block):
-            yield block
-            first = step
-            block = np.empty((min(rows, n_steps + 1 - step),) + y.shape, dtype=complex)
-        block[step - first] = y
-    yield block
+        return y + (dt_used / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return step
 
 
-def _expm_blocks(mat, y, n_steps, dt_used, rows):
-    """As _rk4_blocks, one expm_multiply call per block."""
-    from scipy.sparse.linalg import expm_multiply  # slow import, expm only
-
-    first, skip = 0, 0  # later blocks start one step back, at a known state
-    while first <= n_steps:
-        count = min(rows, n_steps + 1 - first)
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = expm_multiply(mat, y, start=0.0, stop=(count - 1 + skip) * dt_used,
-                                  num=count + skip, endpoint=True)[skip:]
-        finite = np.all(np.isfinite(block.view(float)), axis=1)
-        if not np.all(finite):
-            raise _non_finite(first + int(np.argmin(finite)), n_steps, dt_used)
-        yield block
-        first, y, skip = first + count, block[-1].copy(), 1
-        del block  # freed before the next block is made
+def _taylor_parameters(norm):
+    """(m, s) of least cost m*s over _THETA with s substeps of ||A||_1 / s <= theta_m."""
+    return min(((m, max(1, math.ceil(norm / theta))) for m, theta in _THETA.items()),
+               key=lambda ms: ms[0] * ms[1])
 
 
-@contextlib.contextmanager
-def _pinned_global_rng():
-    """Seed NumPy's global RNG, and give the caller's state back after."""
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        yield
-    finally:
-        np.random.set_state(state)
+def _taylor_step(gen, dt_used):
+    """y -> exp(G dt_used) y: s substeps of exp(mu dt/s) T_m(A/s), A = (G - mu I) dt,
+    mu = trace(G)/n, each cut once its last two terms sum below tol max|partial sum|."""
+    if callable(gen):
+        raise ValueError("expm needs a generator matrix, not a callable")
+    gen = sp.csr_matrix(gen)
+    n = gen.shape[0]
+    mu = gen.diagonal().sum() / n
+    a = (gen - mu * sp.identity(n, format="csr")) * dt_used
+    m, s = _taylor_parameters(abs(a).sum(axis=0).max())  # exact 1-norm: column sums
+    a = a / s
+    eta = np.exp(mu * dt_used / s)
+    tol = 2.0 ** -53  # unit roundoff
+
+    def step(y):
+        for _ in range(s):
+            f, term = y.copy(), y
+            c1 = bound = np.max(np.abs(term))
+            for j in range(1, m + 1):
+                term = a @ term
+                term /= j
+                c2 = np.max(np.abs(term))
+                f += term
+                bound += c2  # >= max|f| to rounding: read max|f| only when it may stop
+                if c1 + c2 <= tol * bound and c1 + c2 <= tol * np.max(np.abs(f)):
+                    break
+                c1 = c2
+            y = eta * f
+        return y
+
+    return step
 
 
 def _symbol_observables(ctx, sigma):
@@ -541,8 +543,8 @@ def write_trajectory_csv(path, result):
 
 def _submatrix(gen, l_test):
     n = sphere_ops.num_coefficients(l_test)
-    dense = gen.toarray() if sp.issparse(gen) else np.asarray(gen)
-    return dense[:n, :n]
+    sub = gen[:n, :n]  # sliced first: a dense generator has (2S+1)^4 entries
+    return sub.toarray() if sp.issparse(sub) else np.asarray(sub)
 
 
 def classical_limit_scan(mode, twice_s_values, sigma, l_test,

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 # ln(n!) table, grown on demand; entries are exact sums of math.log terms
 # and stay well above 14 significant digits for any n reachable here.
@@ -162,7 +161,7 @@ def tensor_blocks(twice_s):
         l = np.arange(m, n)
         a2 = (l[1:] ** 2 - m * m) * (n * n - l[1:] ** 2) / (4.0 * l[1:] ** 2 - 1)
         lam = twice_s + m - 2.0 * l  # 2m'+m at columns c = m..2S (m' = S - c)
-        vec = eigh_tridiagonal(np.zeros(n - m), np.sqrt(a2))[1][:, ::-1]
+        vec = np.linalg.eigh(np.diag(np.sqrt(a2), -1))[1][:, ::-1]  # reads the lower triangle
         k = np.argmax(np.abs(vec), axis=0)
         sign, e = (-1.0) ** m * np.sign(vec[k, np.arange(n - m)]), lam
         for i in range(k.max()):

@@ -197,6 +197,19 @@ def test_evolve_rejects_a_non_finite_time_grid(tmp_path, capsys, key, value):
     assert not (out / "resolved_config.json").exists()
 
 
+@pytest.mark.parametrize("t_end, dt", [(1e300, 1e-10), (1e14, 0.1)])
+def test_evolve_refuses_a_step_count_above_the_ceiling(tmp_path, capsys, t_end, dt):
+    """t_end / dt overflowing to inf, or finite and absurd: exit 1, no traceback."""
+    cfg = _evolve_config()
+    cfg["time"].update(t_end=t_end, dt=dt)
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: t_end / dt" in err and f"MAX_STEPS = {cli.dynamics.MAX_STEPS}" in err
+    assert not (out / "resolved_config.json").exists()
+
+
 def test_evolve_memory_does_not_grow_with_the_step_count(tmp_path, monkeypatch):
     """Peak traced allocation of a whole evolve run grows by less than a
     quarter of one state per added step (the states themselves, kept, would

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from spinphase import bopp
 from spinphase import dynamics as dyn
 from spinphase import sphere_ops as so
 from spinphase import sw_transform as swt
-from spinphase.su2_algebra import SpinContext, spin_matrices
+from spinphase.su2_algebra import SpinContext, rotation_z, spin_matrices
 
 SIGMAS = (-1.0, 0.0, 1.0)
 
@@ -254,6 +255,17 @@ def test_coherent_state_points_along_its_angles():
     np.testing.assert_allclose(got, ctx.s * direction, atol=1e-12)
 
 
+@pytest.mark.parametrize("twice_s", (1, 2, 7, 40))
+def test_coherent_state_matches_the_dense_rotation(twice_s):
+    """rho = |u0><u0| with u0 column 0 of Rz(phi0) expm(-i theta0 S2)."""
+    ctx = SpinContext(twice_s)
+    _, s2, _ = spin_matrices(ctx)
+    for theta0, phi0 in ((0.0, 0.0), (1.1, 2.3), (math.pi / 2, -0.7), (math.pi, 0.4)):
+        ket = (rotation_z(ctx, phi0) @ la.expm(-1j * theta0 * s2))[:, 0]
+        np.testing.assert_allclose(dyn.coherent_state(ctx, theta0, phi0),
+                                   np.outer(ket, ket.conj()), rtol=0, atol=1e-14)
+
+
 def test_integrate_adjusts_dt_and_attaches_observables():
     ctx = SpinContext(2)
     gen = dyn.unitary_generator([(-1.0, (3,))], 0.0, ctx)
@@ -447,6 +459,65 @@ def test_time_steps_rejects_a_non_finite_grid(t_end, dt):
         dyn.time_steps(t_end, dt)
 
 
+@pytest.mark.parametrize("t_end, dt", [(1e300, 1e-10), (1e14, 0.1)])
+def test_time_steps_refuses_counts_above_the_ceiling(t_end, dt):
+    """An overflowing ratio (inf) and a finite absurd one are both refused."""
+    with pytest.raises(ValueError, match=f"MAX_STEPS = {dyn.MAX_STEPS} steps"):
+        dyn.time_steps(t_end, dt)
+
+
+def test_time_steps_accepts_the_ceiling():
+    assert dyn.MAX_STEPS == 10 ** 7
+    assert dyn.time_steps(float(dyn.MAX_STEPS), 1.0) == (dyn.MAX_STEPS, 1.0)
+    assert dyn.time_steps(1.0, 1.0 / dyn.MAX_STEPS)[0] == dyn.MAX_STEPS
+
+
+@pytest.mark.parametrize("twice_s", (10, 20))
+@pytest.mark.parametrize("sigma", (0.0, 1.0))
+def test_integrate_expm_matches_expm_multiply(twice_s, sigma):
+    """Every state of the README's 400-step damped precession against scipy's
+    expm_multiply over the same grid, which shares no code with the Taylor step."""
+    from scipy.sparse.linalg import expm_multiply
+
+    ctx = SpinContext(twice_s)
+    gen = dyn.qfp_generator([(-1.0, (3,))], dyn.BathSpec(((1.0, (1,)),), 0.1, 1.0),
+                            sigma, ctx)
+    c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 1.1, 0.3), sigma, ctx)
+    res = dyn.integrate(gen, c0, 20.0, 0.05, "expm")
+    want = expm_multiply(gen, c0, start=0.0, stop=20.0, num=401, endpoint=True)
+    assert res.states.shape == want.shape == (401, c0.size)
+    assert np.max(np.abs(res.states - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_taylor_parameters_come_once_from_the_exact_one_norm(monkeypatch):
+    """The norm handed to the (m, s) choice is the dense column-sum norm of
+    (G - trace(G)/n I) dt, read once per run."""
+    ctx, gen, c0 = _dissipative_case(10, 0.5)
+    seen = []
+    choose = dyn._taylor_parameters
+    monkeypatch.setattr(dyn, "_taylor_parameters", lambda norm: seen.append(norm) or choose(norm))
+    dyn.integrate(gen, c0, 2.0, 0.05, "expm", ctx=ctx, sigma=0.5, kind="symbol")
+    dense = gen.toarray()
+    n = dense.shape[0]
+    shifted = (dense - np.trace(dense) / n * np.eye(n)) * 0.05
+    assert seen == [pytest.approx(np.abs(shifted).sum(axis=0).max(), rel=1e-14, abs=0)]
+
+
+@pytest.mark.parametrize("norm", (0.0, 1e-3, 0.1, 0.5, 7.46, 8.86, 30.0, 1e3))
+def test_taylor_parameters_are_the_cheapest_admissible_pair(norm):
+    """m*s is the least over every table degree m and substep count s with
+    norm / s <= theta_m, found here by brute force."""
+    m, s = dyn._taylor_parameters(norm)
+    assert norm / s <= dyn._THETA[m]
+    assert m * s == min(mm * ss for mm, theta in dyn._THETA.items()
+                        for ss in range(1, 1000) if norm / ss <= theta)
+
+
+def test_taylor_parameters_at_the_documented_norms():
+    assert dyn._taylor_parameters(7.46) == (50, 1)
+    assert dyn._taylor_parameters(8.86) == (55, 1)
+
+
 def test_integrate_rejects_bad_method_and_steps():
     ctx = SpinContext(1)
     gen = dyn.unitary_generator([(-1.0, (3,))], 0.0, ctx)
@@ -493,6 +564,25 @@ def test_bilinear_scan_decays_inversely_with_spin():
 def test_asymptotics_scan_decays_quadratically():
     out = dyn.classical_limit_scan("asymptotics", [20, 40, 80], 0.0, 4)
     assert -2.4 < out["slope"] < -1.6
+
+
+def test_bilinear_scan_never_densifies_a_whole_generator():
+    """Peak traced allocation of a scan up to 2S=40 stays far below one dense
+    2S=40 generator (1681^2 complex entries, 43 MB): only the l <= l_test
+    corner is made dense."""
+    tracemalloc.start()
+    try:
+        out = dyn.classical_limit_scan("bilinear", [10, 20, 40], -1.0, 3,
+                                       b=[0.0, 0.0, 1.0], xi=[1.0, 0.0, 0.0],
+                                       gamma=2.0, temperature=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert np.all(np.isfinite(out["deviations"]))
+    gen = dyn.isotropic_bilinear_generator([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], 2.0, 0.1,
+                                           -1.0, SpinContext(10))
+    assert np.array_equal(dyn._submatrix(gen, 3), gen.toarray()[:16, :16])
 
 
 def test_scan_rejects_bad_modes_and_contaminated_blocks():

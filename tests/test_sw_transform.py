@@ -72,6 +72,22 @@ def test_round_trip_exact_at_large_spin(twice_s):
         assert np.max(np.abs(swt.symbol_to_operator(c, sigma, ctx) - a)) <= 1e-12
 
 
+def test_tables_and_round_trip_hold_at_2s_320():
+    """The largest spin the tests pin (about 3 s): orthonormal T_lm blocks and
+    the round trip at every ordering, both <= 1e-12."""
+    ctx = SpinContext(320)
+    try:
+        for block in su2_algebra.tensor_blocks(ctx.twice_s):
+            assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= 1e-12
+        a = _random_hermitian(ctx.hilbert_dim, ctx.twice_s)
+        for sigma in SIGMAS:
+            c = swt.operator_to_symbol(a, sigma, ctx)
+            assert np.max(np.abs(swt.symbol_to_operator(c, sigma, ctx) - a)) <= 1e-12
+    finally:  # the tables at 2S=320 hold about 180 MB
+        su2_algebra.tensor_blocks.cache_clear()
+        swt._diagonals.cache_clear()
+
+
 def test_transforms_do_not_reach_the_racah_sum(monkeypatch):
     """The tables are built without the Clebsch-Gordan oracle they are
     tested against: with it broken and every table cache empty, the
