@@ -117,23 +117,29 @@ def shell_diagonal(band_limit, table):
     return sp.diags(table[l_of]).tocsr()
 
 
-def bopp_matrices(ctx, sigma):
-    """(B1, B2, B3) on symbol coefficients at band limit 2S, CSR.
-
-    B_i = M_i F1 + K_i F2 + L_i/2; the shell tables act first.  On the
-    complete band-2S space these reproduce left multiplication by S_i
-    exactly for every ordering.
-    """
+def bopp_operators(ctx, sigma):
+    """(L, M, K, F1, F2, B) at band limit 2S, CSR, built anew on every call:
+    triples over the components, and the shell diagonals F1, F2 of the tables.
+    B_i = M_i F1 + K_i F2 + L_i/2; the shell tables act first."""
     coeffs = bopp_coefficients(ctx, sigma)
     L = ctx.band_limit
     f1d = shell_diagonal(L, coeffs.f1)
     f2d = shell_diagonal(L, coeffs.f2)
-    l1, l2, l3, _ = sphere_ops.angular_operators(L)
-    m1, m2, m3, k1, k2, k3 = sphere_ops.position_operators(L)
-    b1 = (m1 @ f1d + k1 @ f2d + 0.5 * l1).tocsr()
-    b2 = (m2 @ f1d + k2 @ f2d + 0.5 * l2).tocsr()
-    b3 = (m3 @ f1d + k3 @ f2d + 0.5 * l3).tocsr()
-    return b1, b2, b3
+    l_ops = sphere_ops.angular_operators(L)[:3]
+    mk_ops = sphere_ops.position_operators(L)
+    m_ops, k_ops = mk_ops[:3], mk_ops[3:]
+    b_ops = tuple((m_ops[i] @ f1d + k_ops[i] @ f2d + 0.5 * l_ops[i]).tocsr()
+                  for i in range(3))
+    return l_ops, m_ops, k_ops, f1d, f2d, b_ops
+
+
+def bopp_matrices(ctx, sigma):
+    """(B1, B2, B3) on symbol coefficients at band limit 2S, CSR.
+
+    On the complete band-2S space these reproduce left multiplication by
+    S_i exactly for every ordering.
+    """
+    return bopp_operators(ctx, sigma)[5]
 
 
 def left_mult_superoperator(a, sigma, ctx):

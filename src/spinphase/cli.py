@@ -134,12 +134,16 @@ def _initial_density(cfg, ctx):
         raise ValueError('config needs an "initial" section')
     if "coherent" in init:
         c = init["coherent"]
+        if not isinstance(c, dict) or "theta" not in c:
+            raise ValueError('initial "coherent" needs {"theta": <angle>}')
         return dynamics.coherent_state(ctx, float(c["theta"]), float(c.get("phi", 0.0)))
     if init.get("mixed"):
         return np.eye(ctx.hilbert_dim, dtype=complex) / ctx.hilbert_dim
     if "matrix_file" in init:
-        rho = np.load(init["matrix_file"])
-        rho = np.asarray(rho, dtype=complex)
+        try:
+            rho = np.asarray(np.load(init["matrix_file"]), dtype=complex)
+        except OSError as exc:
+            raise ValueError(f"cannot read initial matrix_file: {exc}") from exc
         if rho.shape != (ctx.hilbert_dim, ctx.hilbert_dim):
             raise ValueError(f"initial matrix shape {rho.shape} does not match 2S+1")
         if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
@@ -162,11 +166,16 @@ def _time_block(cfg):
     return t_end, dynamics.time_steps(t_end, dt)[1], method  # the step integrate takes
 
 
-def _grid_band(cfg, ctx):
-    band = cfg.get("grid", {}).get("band_limit", ctx.band_limit)
-    if band < ctx.band_limit:
-        raise ValueError(
-            f"grid band_limit {band} is below the symbol band {ctx.band_limit}")
+def _grid_band(cfg, ctx, minimum):
+    """grid.band_limit (default: the symbol band) as an integer >= minimum."""
+    grid = cfg.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ValueError('"grid" must be an object')
+    band = grid.get("band_limit", ctx.band_limit)
+    if not (type(band) is int or isinstance(band, float) and band.is_integer()):
+        raise ValueError(f"grid band_limit must be an integer, got {band!r}")
+    if band < minimum:
+        raise ValueError(f"grid band_limit {band} is below {minimum}")
     return int(band)
 
 
@@ -221,7 +230,7 @@ def _cmd_evolve(cfg, out_dir, tolerance, rng):
     rho0 = _initial_density(cfg, ctx)
     c0 = sw_transform.operator_to_symbol(rho0, sigma, ctx)
     t_end, dt, method = _time_block(cfg)
-    band = _grid_band(cfg, ctx)  # reject inconsistent bands up front
+    band = _grid_band(cfg, ctx, ctx.band_limit)  # reject bad bands up front
     if method == "rk4":
         _check_rk4_step(gen, t_end, dt)
     result = dynamics.integrate(gen, c0, t_end, dt, method, ctx, sigma, "symbol",
@@ -325,8 +334,7 @@ def _cmd_limit_scan(cfg, out_dir, tolerance, rng):
 def _cmd_kernel(cfg, out_dir, tolerance, rng):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
-    band = int(cfg.get("grid", {}).get("band_limit", ctx.band_limit))
-    grid = sphere_ops.make_grid(band)
+    grid = sphere_ops.make_grid(_grid_band(cfg, ctx, 0))
     path = _out_path(out_dir, cfg, "kernel", "kernel.csv")
     lines = ["theta,phi,row,col,value_re,value_im"]
     for th in grid.thetas:
@@ -365,7 +373,7 @@ def _cmd_symbol(cfg, out_dir, tolerance, rng):
     # a self-check of the transform, reported only: the default tolerance is 0
     back = sw_transform.symbol_to_operator(c, sigma, ctx)
     print(f"round-trip residual = {np.max(np.abs(back - mat)):.6g}", file=sys.stderr)
-    band = _grid_band(cfg, ctx)
+    band = _grid_band(cfg, ctx, ctx.band_limit)
     grid, synthesize, _, _ = sphere_ops.grid_synthesis_analysis(band)
     values = synthesize(_pad_coefficients(c, band))
     sphere_ops.write_grid_csv(_out_path(out_dir, cfg, "grid", "symbol.csv"),

@@ -90,13 +90,8 @@ def quadratic_generator(qh, sigma, ctx):
     """
     if not isinstance(qh, QuadraticHamiltonian):
         qh = QuadraticHamiltonian(*qh)
-    coeffs = bopp.bopp_coefficients(ctx, sigma)
-    L = ctx.band_limit
-    f1d = bopp.shell_diagonal(L, coeffs.f1)
-    f2d = bopp.shell_diagonal(L, coeffs.f2)
-    l_ops = sphere_ops.angular_operators(L)[:3]
-    m1, m2, m3, k1, k2, k3 = sphere_ops.position_operators(L)
-    r_ops = [m1 @ f1d + k1 @ f2d, m2 @ f1d + k2 @ f2d, m3 @ f1d + k3 @ f2d]
+    l_ops, m_ops, k_ops, f1d, f2d, _ = bopp.bopp_operators(ctx, sigma)
+    r_ops = [m_ops[k] @ f1d + k_ops[k] @ f2d for k in range(3)]
     n = ctx.symbol_dim
     gen = sp.csr_matrix((n, n), dtype=complex)
     for j in range(3):
@@ -157,15 +152,8 @@ def isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx):
         raise ValueError("temperature must be finite and > 0")
     b = np.asarray(b, dtype=float)
     s = ctx.s
-    L = ctx.band_limit
     n = ctx.symbol_dim
-    coeffs = bopp.bopp_coefficients(ctx, sigma)
-    f1d = bopp.shell_diagonal(L, coeffs.f1)
-    f2d = bopp.shell_diagonal(L, coeffs.f2)
-    l_ops = sphere_ops.angular_operators(L)[:3]
-    m1, m2, m3, k1, k2, k3 = sphere_ops.position_operators(L)
-    m_mult = [m1, m2, m3]
-    k_mult = [k1, k2, k3]
+    l_ops, m_mult, k_mult, f1d, f2d, _ = bopp.bopp_operators(ctx, sigma)
     eye = sp.identity(n, dtype=complex, format="csr")
     m_vec = [(m_mult[a] @ (f1d - s * eye) + k_mult[a] @ f2d) / s for a in range(3)]
     b_eff = s * b

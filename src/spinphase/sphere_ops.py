@@ -188,16 +188,22 @@ def alpha_beta(l, m):
 
     cos(theta) Y_lm = alpha1 Y_{l+1,m} + alpha2 Y_{l-1,m}
     sin(theta) dY_lm/dtheta = beta1 Y_{l+1,m} + beta2 Y_{l-1,m}
-    with beta1 = l*alpha1 and beta2 = -(l+1)*alpha2.
+    with beta1 = l*alpha1 and beta2 = -(l+1)*alpha2.  Broadcasts over
+    integer arrays l, m; alpha2 = 0 at l = 0.
     """
-    if l < 0 or abs(m) > l:
+    l, m = np.asarray(l), np.asarray(m)
+    if np.any((l < 0) | (np.abs(m) > l)):
         raise ValueError(f"invalid (l, m) = ({l}, {m})")
-    alpha1 = math.sqrt((l - m + 1) * (l + m + 1) / ((2 * l + 1) * (2 * l + 3)))
-    if l == 0:
-        alpha2 = 0.0
-    else:
-        alpha2 = math.sqrt((l - m) * (l + m) / ((2 * l - 1) * (2 * l + 1)))
+    alpha1 = np.sqrt((l - m + 1) * (l + m + 1) / ((2 * l + 1) * (2 * l + 3)))
+    alpha2 = np.where(l == 0, 0.0,
+                      np.sqrt((l - m) * (l + m) / ((2 * l - 1) * (2 * l + 1))))
     return alpha1, alpha2, l * alpha1, -(l + 1) * alpha2
+
+
+def _csr(data, rows, cols, n):
+    # n x n CSR matrix with sorted indices; zero entries are not stored
+    keep = data != 0
+    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
 def angular_operators(band_limit):
@@ -205,16 +211,11 @@ def angular_operators(band_limit):
 
     Shell-diagonal, hence exact (no truncation loss).  CSR matrices.
     """
-    L = band_limit
-    n = num_coefficients(L)
-    l_of, m_of = lm_arrays(L)
-    lp = sp.lil_matrix((n, n))
-    for l in range(L + 1):
-        for m in range(-l, l):
-            lp[flat_index(l, m + 1), flat_index(l, m)] = math.sqrt(
-                l * (l + 1) - m * (m + 1)
-            )
-    lp = lp.tocsr()
+    n = num_coefficients(band_limit)
+    l_of, m_of = lm_arrays(band_limit)
+    idx = np.arange(n)
+    # L+ maps (l, m - 1) -> (l, m) with sqrt(l(l+1) - (m-1)m), which is 0 at m = -l
+    lp = _csr(np.sqrt(l_of * (l_of + 1) - (m_of - 1) * m_of), idx, idx - 1, n)
     lm = lp.T.tocsr()
     l1 = ((lp + lm) / 2.0).astype(complex)
     l2 = ((lp - lm) / 2j).tocsr()
@@ -226,27 +227,23 @@ def angular_operators(band_limit):
 def position_operators(band_limit):
     """Multiplication operators M_i (by m_i) and K_i (by i(m x L)_i), band-limited.
 
-    M3/K3 couple (l, m) -> (l+-1, m); components 1 and 2 follow from the
-    commutators M1 = i[M3, L2], M2 = -i[M3, L1] (same for K).  Transitions
-    to shell L+1 are dropped: products of top-shell content are lossy.
+    M3/K3 couple (l, m) -> (l+-1, m), flat index idx + 2l + 2 and idx - 2l;
+    components 1 and 2 follow from the commutators M1 = i[M3, L2],
+    M2 = -i[M3, L1] (same for K).  Transitions to shell L+1 are dropped:
+    products of top-shell content are lossy.
     """
     L = band_limit
     n = num_coefficients(L)
     l1, l2, _, _ = angular_operators(L)
-    m3 = sp.lil_matrix((n, n))
-    k3 = sp.lil_matrix((n, n))
-    for l in range(L + 1):
-        for m in range(-l, l + 1):
-            a1, a2, b1, b2 = alpha_beta(l, m)
-            col = flat_index(l, m)
-            if l + 1 <= L:
-                m3[flat_index(l + 1, m), col] = a1
-                k3[flat_index(l + 1, m), col] = b1
-            if l >= 1 and abs(m) <= l - 1:
-                m3[flat_index(l - 1, m), col] = a2
-                k3[flat_index(l - 1, m), col] = b2
-    m3 = m3.tocsr().astype(complex)
-    k3 = k3.tocsr().astype(complex)
+    l_of, m_of = lm_arrays(L)
+    idx = np.arange(n)
+    a1, a2, b1, b2 = alpha_beta(l_of, m_of)
+    up = l_of < L
+    down = np.abs(m_of) < l_of
+    rows = np.concatenate([idx[up] + 2 * l_of[up] + 2, idx[down] - 2 * l_of[down]])
+    cols = np.concatenate([idx[up], idx[down]])
+    m3 = _csr(np.concatenate([a1[up], a2[down]]), rows, cols, n).astype(complex)
+    k3 = _csr(np.concatenate([b1[up], b2[down]]), rows, cols, n).astype(complex)
     m1 = (1j * (m3 @ l2 - l2 @ m3)).tocsr()
     m2 = (-1j * (m3 @ l1 - l1 @ m3)).tocsr()
     k1 = (1j * (k3 @ l2 - l2 @ k3)).tocsr()
@@ -260,12 +257,9 @@ def conjugation_matrix(band_limit):
     Complex conjugation of a symbol acts on coefficients as P composed with
     entrywise conjugation.
     """
-    n = num_coefficients(band_limit)
-    p = sp.lil_matrix((n, n))
-    for l in range(band_limit + 1):
-        for m in range(-l, l + 1):
-            p[flat_index(l, m), flat_index(l, -m)] = (-1.0) ** m
-    return p.tocsr().astype(complex)
+    _, m_of = lm_arrays(band_limit)
+    idx = np.arange(m_of.size)
+    return _csr((-1.0) ** m_of, idx, idx - 2 * m_of, m_of.size).astype(complex)
 
 
 def apply_conjugation(c):

@@ -92,6 +92,22 @@ def test_bopp_matrices_match_left_multiplication(twice_s, sigma):
         assert np.max(np.abs(mat.toarray() - oracle)) < 1e-12
 
 
+@pytest.mark.parametrize("twice_s", [41, 80, 160])
+def test_bopp_matrices_are_exact_at_large_spin(twice_s):
+    """B_i W_A is the symbol of S_i A to rounding on a random Hermitian A,
+    at every ordering (B at 2S=160 takes about 0.1 s to build)."""
+    ctx = SpinContext(twice_s)
+    rng = np.random.default_rng(twice_s)
+    n = ctx.hilbert_dim
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = (raw + raw.conj().T) / 2.0
+    for sigma in (-1.0, 0.0, 0.5, 1.0):
+        c = swt.operator_to_symbol(a, sigma, ctx)
+        for op, mat in zip(spin_matrices(ctx), bopp.bopp_matrices(ctx, sigma)):
+            ref = swt.operator_to_symbol(op @ a, sigma, ctx)
+            assert np.max(np.abs(mat @ c - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("sigma", SIGMAS)
 def test_bopp_algebra_commutators_and_casimir(sigma):
     ctx = SpinContext(3)

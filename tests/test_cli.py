@@ -463,6 +463,25 @@ def test_validation_failures_exit_one(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("make_config", [
+    lambda tmp: _evolve_config(initial={"coherent": {"phi": 0.4}}),
+    lambda tmp: _evolve_config(initial={"matrix_file": str(tmp / "absent.npy")}),
+    lambda tmp: _evolve_config(grid={"band_limit": "8"}),
+    lambda tmp: _evolve_config(grid={"band_limit": None}),
+    lambda tmp: _evolve_config(grid={"band_limit": 6.5}),
+    lambda tmp: {"spin": {"twice_s": 1}, "grid": {"band_limit": 6.5}},
+], ids=["coherent-without-theta", "missing-matrix-file", "band-limit-string",
+        "band-limit-null", "band-limit-fractional", "kernel-band-limit-fractional"])
+def test_malformed_config_fields_exit_one(tmp_path, capsys, make_config):
+    cfg = make_config(tmp_path)
+    command = "evolve" if "time" in cfg else "kernel"
+    rc = cli.main([command, "--config", _write(tmp_path, "bad.json", cfg),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "resolved_config.json").exists()
+
+
 def test_console_script_entry_point(tmp_path):
     """The declared `spinphase` script runs `symbol` as its own process.
 

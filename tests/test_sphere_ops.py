@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from spinphase import sphere_ops as so
@@ -195,6 +196,76 @@ def test_conjugation_matrix_properties():
     for op in m_ops:
         np.testing.assert_allclose(
             so.conjugated_operator(op.toarray(), L), op.toarray(), atol=1e-13)
+
+
+def _reference_operators(L):
+    """L1, L2, L3, L^2, M1..K3 and P filled one (l, m) at a time, with the
+    couplings written out here: the entry-by-entry oracle for the closed forms."""
+    n = so.num_coefficients(L)
+
+    def idx(l, m):
+        return l * l + l + m
+
+    lp, m3, k3, p = (sp.lil_matrix((n, n)) for _ in range(4))
+    for l in range(L + 1):
+        for m in range(-l, l + 1):
+            p[idx(l, m), idx(l, -m)] = (-1.0) ** m
+            if m < l:
+                lp[idx(l, m + 1), idx(l, m)] = math.sqrt(l * (l + 1) - m * (m + 1))
+            if l + 1 <= L:
+                a1 = math.sqrt((l - m + 1) * (l + m + 1) / ((2 * l + 1) * (2 * l + 3)))
+                m3[idx(l + 1, m), idx(l, m)] = a1
+                k3[idx(l + 1, m), idx(l, m)] = l * a1  # lil stores no zero at l = 0
+            if abs(m) <= l - 1:
+                a2 = math.sqrt((l - m) * (l + m) / ((2 * l - 1) * (2 * l + 1)))
+                m3[idx(l - 1, m), idx(l, m)] = a2
+                k3[idx(l - 1, m), idx(l, m)] = -(l + 1) * a2
+    lp = lp.tocsr()
+    lm = lp.T.tocsr()
+    l1 = ((lp + lm) / 2.0).astype(complex).tocsr()
+    l2 = ((lp - lm) / 2j).tocsr()
+    ms = np.array([m for l in range(L + 1) for m in range(-l, l + 1)])
+    ls = np.array([l for l in range(L + 1) for m in range(-l, l + 1)])
+    l3 = sp.diags(ms.astype(complex)).tocsr()
+    lam2 = sp.diags((ls * (ls + 1)).astype(complex)).tocsr()
+    m3 = m3.tocsr().astype(complex)
+    k3 = k3.tocsr().astype(complex)
+    mk = []
+    for op in (m3, k3):
+        mk += [(1j * (op @ l2 - l2 @ op)).tocsr(), (-1j * (op @ l1 - l1 @ op)).tocsr(), op]
+    return (l1, l2, l3, lam2), tuple(mk), p.tocsr().astype(complex)
+
+
+def _assert_same_entries(got, ref):
+    got, ref = got.tocsr().sorted_indices(), ref.tocsr().sorted_indices()
+    assert got.shape == ref.shape and got.nnz == ref.nnz
+    np.testing.assert_array_equal(got.indptr, ref.indptr)
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    np.testing.assert_array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("twice_s", [1, 2, 7, 16])
+def test_closed_form_operators_match_the_per_entry_reference(twice_s):
+    ref_l, ref_mk, ref_p = _reference_operators(twice_s)
+    for got, ref in zip(so.angular_operators(twice_s), ref_l):
+        _assert_same_entries(got, ref)
+    for got, ref in zip(so.position_operators(twice_s), ref_mk):
+        _assert_same_entries(got, ref)
+    _assert_same_entries(so.conjugation_matrix(twice_s), ref_p)
+
+
+def test_alpha_beta_on_arrays_equals_its_scalar_calls():
+    ls, ms = so.lm_arrays(16)
+    arrays = so.alpha_beta(ls, ms)
+    for k, (l, m) in enumerate(zip(ls.tolist(), ms.tolist())):
+        scalar = so.alpha_beta(l, m)
+        assert [float(a[k]) for a in arrays] == [float(x) for x in scalar]
+    assert math.copysign(1.0, so.alpha_beta(0, 0)[1]) == 1.0  # alpha2 = +0.0 at l = 0
+    for l, m in ((-1, 0), (2, 3), (2, -3)):
+        with pytest.raises(ValueError):
+            so.alpha_beta(l, m)
+    with pytest.raises(ValueError):
+        so.alpha_beta(np.array([1, 2]), np.array([0, 3]))
 
 
 def test_operator_real_imag_split_reassembles():
