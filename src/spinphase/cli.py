@@ -58,6 +58,20 @@ def _load_config(path):
     return cfg
 
 
+def _number(value, what):
+    """A JSON number as a float; null, strings, booleans and containers are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what):
+    """A JSON integer (or integral float) as an int; anything else is refused."""
+    if not (type(value) is int or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _validate_keys(cfg, command):
     allowed = _ALLOWED_KEYS[command]
     unknown = sorted(set(cfg) - allowed)
@@ -104,6 +118,8 @@ def _hamiltonian(cfg):
         return "expression", _parse_expression(h["expression"])
     if "quadratic" in h:
         q = h["quadratic"]
+        if not isinstance(q, dict):
+            raise ValueError(f'hamiltonian "quadratic" must be an object, got {q!r}')
         qh = dynamics.QuadraticHamiltonian(
             np.asarray(q.get("d", np.zeros((3, 3))), dtype=float),
             np.asarray(q.get("b", np.zeros(3)), dtype=float),
@@ -121,10 +137,12 @@ def _bath(cfg):
     b = cfg.get("bath")
     if b is None:
         return None
+    if not isinstance(b, dict):
+        raise ValueError(f'"bath" must be an object, got {b!r}')
     return dynamics.BathSpec(
         coupling=tuple(_parse_expression(b.get("coupling", []))),
-        gamma=float(b.get("gamma", 0.0)),
-        temperature=float(b.get("temperature", 1.0)),
+        gamma=_number(b.get("gamma", 0.0), "bath gamma"),
+        temperature=_number(b.get("temperature", 1.0), "bath temperature"),
     )
 
 
@@ -136,7 +154,8 @@ def _initial_density(cfg, ctx):
         c = init["coherent"]
         if not isinstance(c, dict) or "theta" not in c:
             raise ValueError('initial "coherent" needs {"theta": <angle>}')
-        return dynamics.coherent_state(ctx, float(c["theta"]), float(c.get("phi", 0.0)))
+        return dynamics.coherent_state(ctx, _number(c["theta"], "coherent theta"),
+                                       _number(c.get("phi", 0.0), "coherent phi"))
     if init.get("mixed"):
         return np.eye(ctx.hilbert_dim, dtype=complex) / ctx.hilbert_dim
     if "matrix_file" in init:
@@ -158,8 +177,8 @@ def _time_block(cfg):
     t = cfg.get("time")
     if not isinstance(t, dict):
         raise ValueError('config needs a "time" section')
-    t_end = float(t.get("t_end", 1.0))
-    dt = float(t.get("dt", 0.01))
+    t_end = _number(t.get("t_end", 1.0), "time t_end")
+    dt = _number(t.get("dt", 0.01), "time dt")
     method = t.get("method", "rk4")
     if method not in ("rk4", "expm"):
         raise ValueError(f'time method must be "rk4" or "expm", got {method!r}')
@@ -171,12 +190,10 @@ def _grid_band(cfg, ctx, minimum):
     grid = cfg.get("grid", {})
     if not isinstance(grid, dict):
         raise ValueError('"grid" must be an object')
-    band = grid.get("band_limit", ctx.band_limit)
-    if not (type(band) is int or isinstance(band, float) and band.is_integer()):
-        raise ValueError(f"grid band_limit must be an integer, got {band!r}")
+    band = _integer(grid.get("band_limit", ctx.band_limit), "grid band_limit")
     if band < minimum:
         raise ValueError(f"grid band_limit {band} is below {minimum}")
-    return int(band)
+    return band
 
 
 def _pad_coefficients(c, band):
@@ -273,8 +290,7 @@ def _cmd_compare(cfg, out_dir, tolerance, rng):
     if method == "rk4":  # the oracle's Liouvillian has the same spectrum
         _check_rk4_step(gen, t_end, dt)
     liou = dynamics.master_liouvillian(h_mat, f_mat, bath.gamma, bath.temperature)
-    oracle = dynamics.integrate(liou, dynamics.vec_density(rho0), t_end, dt,
-                                method, ctx, kind="density")
+    oracle = dynamics.integrate(liou, dynamics.vec_density(rho0), t_end, dt, method)
     c0 = sw_transform.operator_to_symbol(rho0, sigma, ctx)
     phase = dynamics.integrate(gen, c0, t_end, dt, method, ctx, sigma, "symbol")
     devs = np.empty(oracle.times.size)
@@ -304,7 +320,7 @@ def _cmd_limit_scan(cfg, out_dir, tolerance, rng):
     twice_s_values = scan.get("twice_s_values")
     if not twice_s_values:
         raise ValueError('scan needs "twice_s_values"')
-    l_test = int(scan.get("l_test", 3))
+    l_test = _integer(scan.get("l_test", 3), "scan l_test")
     sigma = _sigma(cfg)
     result = dynamics.classical_limit_scan(
         mode, twice_s_values, sigma, l_test,
@@ -356,7 +372,7 @@ def _cmd_symbol(cfg, out_dir, tolerance, rng):
     if not isinstance(op_spec, dict):
         raise ValueError('config needs an "operator" section')
     if "spin_component" in op_spec:
-        k = int(op_spec["spin_component"])
+        k = _integer(op_spec["spin_component"], "spin_component")
         if k not in (1, 2, 3):
             raise ValueError("spin_component must be 1, 2 or 3")
         mat = spin_matrices(ctx)[k - 1]
@@ -413,14 +429,18 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config)
         _validate_keys(cfg, args.command)
+        outputs = cfg.get("outputs", {})
+        if not (isinstance(outputs, dict) and all(isinstance(v, str) for v in outputs.values())):
+            raise ValueError(f'"outputs" must map names to file names, got {outputs!r}')
         tolerance = args.tolerance
         if tolerance is None:
-            tolerance = float(cfg.get("tolerance", _DEFAULT_TOLERANCE[args.command]))
+            tolerance = _number(cfg.get("tolerance", _DEFAULT_TOLERANCE[args.command]),
+                                "tolerance")
         if not (math.isfinite(tolerance) and tolerance >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
         seed = args.seed
         if seed is None:
-            seed = int(cfg.get("seed", 0))
+            seed = _integer(cfg.get("seed", 0), "seed")
         out_dir = Path(args.out)
         resolved = dict(cfg)
         resolved["command"] = args.command

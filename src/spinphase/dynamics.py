@@ -108,8 +108,9 @@ def qfp_generator(h_expr, bath, sigma, ctx):
     _require_hermitian_expression(h_expr, ctx, "Hamiltonian")
     _require_hermitian_expression(bath.coupling, ctx, "coupling operator")
     L = ctx.band_limit
-    h_hat = bopp.evaluate_expression(h_expr, sigma, ctx)
-    f_hat = bopp.evaluate_expression(bath.coupling, sigma, ctx)
+    bmats = bopp.bopp_matrices(ctx, sigma)  # one Bopp set for both H and F
+    h_hat = bopp._ordered_products(h_expr, bmats)
+    f_hat = bopp._ordered_products(bath.coupling, bmats)
     im_h = sphere_ops.operator_imag(h_hat, L)
     im_f = sphere_ops.operator_imag(f_hat, L)
     im_g = sphere_ops.operator_imag(h_hat @ f_hat - f_hat @ h_hat, L)
@@ -329,8 +330,8 @@ class EvolutionResult:
     reality: np.ndarray = None
 
 
-# bytes of states that integrate holds at once: 77 rows at 2S=40, and the
-# 201 rows of a 200-step run at 2S=20 still fit in one block
+# bytes of the state buffer that integrate reuses when it keeps no states: 77
+# rows at 2S=40, and the 201 rows of a 200-step run at 2S=20 still fit in one
 _BLOCK_BYTES = 2 << 20
 # the most steps one time grid may have: a larger count is a typo, not a run
 MAX_STEPS = 10 ** 7
@@ -354,18 +355,18 @@ def time_steps(t_end, dt):
 
 def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
               keep_states=True):
-    """Propagate dy/dt = G y (matrix G) or dy/dt = f(y) (callable, rk4 only).
+    """Propagate dy/dt = G y on the uniform grid of time_steps(t_end, dt).
 
-    dt is adjusted to divide t_end evenly.  One loop makes the states step
-    by step into blocks of at most _BLOCK_BYTES: with keep_states=False,
-    `states` holds only the initial and final states and memory does not grow
-    with the step count.  "rk4" is classical Runge-Kutta; "expm" applies
-    exp(G dt) as the truncated Taylor series of _taylor_step on the sparse G,
-    with no dense n x n matrix, no random numbers and no size limit.  kind
-    "symbol" or "density" attaches spin observables, trace and purity at
-    every step (needs ctx, and sigma for symbols); "symbol" also attaches the
-    reality residual max|P conj(c) - c|.  A non-finite state aborts, naming
-    its step.
+    dt is adjusted to divide t_end evenly.  The states go into one buffer:
+    every state with keep_states=True; otherwise at most _BLOCK_BYTES of rows
+    that each block reuses, so `states` holds only the initial and final
+    states and memory does not grow with the step count.  "rk4" is classical
+    Runge-Kutta; "expm" applies exp(G dt) as the truncated Taylor series of
+    _taylor_step on the sparse G, with no dense n x n matrix, no random
+    numbers and no size limit.  kind "symbol" or "density" attaches spin
+    observables, trace and purity at every step (needs ctx, and sigma for
+    symbols); "symbol" also attaches the reality residual max|P conj(c) - c|.
+    A non-finite state aborts, naming its step.
     """
     n_steps, dt_used = time_steps(t_end, dt)
     y0 = np.asarray(y0, dtype=complex)
@@ -379,59 +380,49 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
     observe = kind and (_symbol_observables(ctx, sigma) if kind == "symbol"
                         else _density_observables(ctx))
 
-    kept, obs, initial = [], [], None
-    rows = max(1, _BLOCK_BYTES // max(1, y0.nbytes))
-    for block in _blocks(step, y0, n_steps, dt_used, rows):
-        if keep_states:
-            kept.append(block)
-        if observe:
-            obs.append(observe(block))
-        if initial is None:
-            initial = block[0].copy()
-        final = block[-1].copy()
-        del block  # unless kept, freed before the next block is made
+    rows = n_steps + 1
     if not keep_states:
-        states = np.stack((initial, final))
-    else:
-        states = kept[0] if len(kept) == 1 else np.concatenate(kept)
+        rows = min(rows, max(1, _BLOCK_BYTES // max(1, y0.nbytes)))
+    buf = np.empty((rows,) + y0.shape, dtype=complex)
+    obs = np.empty((n_steps + 1, 6 if kind == "symbol" else 5)) if observe else None
+    for first, block in _blocks(step, y0, n_steps, dt_used, buf):
+        if observe:
+            observe(block, obs[first:first + len(block)])
+    states = buf if keep_states else np.stack((y0, block[-1]))
 
     result = EvolutionResult(times=dt_used * np.arange(n_steps + 1), states=states)
     if observe:
-        obs = np.concatenate(obs)
         result.s1, result.s2, result.s3, result.trace, result.purity = obs.T[:5]
         if kind == "symbol":
             result.reality = obs[:, 5]
     return result
 
 
-def _blocks(step, y, n_steps, dt_used, rows):
-    """Consecutive blocks of at most `rows` states of the grid, from y on."""
-    block = np.empty((min(rows, n_steps + 1),) + y.shape, dtype=complex)
-    block[0] = y
-    first = 0
+def _blocks(step, y, n_steps, dt_used, buf):
+    """Fill buf with the states of the grid from y on, yielding (k, rows of buf)
+    for each filled stretch starting at step k; a full buf is reused from row 0."""
+    rows = len(buf)
+    buf[0] = y
     for k in range(1, n_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # caught just below
             y = step(y)
         if not np.all(np.isfinite(y.view(float))):
             raise RuntimeError(f"non-finite state at t = {k * dt_used:.6g} "
                                f"(step {k}/{n_steps}, dt = {dt_used:.6g})")
-        if k - first == len(block):
-            yield block
-            first = k
-            block = np.empty((min(rows, n_steps + 1 - k),) + y.shape, dtype=complex)
-        block[k - first] = y
-    yield block
+        if k % rows == 0:
+            yield k - rows, buf
+        buf[k % rows] = y
+    yield n_steps - n_steps % rows, buf[:n_steps % rows + 1]
 
 
 def _rk4_step(gen, dt_used):
-    """y -> y after one classical Runge-Kutta step of dy/dt = G y or f(y)."""
-    rhs = gen if callable(gen) else gen.__matmul__
+    """y -> y after one classical Runge-Kutta step of dy/dt = G y."""
 
     def step(y):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt_used * k1)
-        k3 = rhs(y + 0.5 * dt_used * k2)
-        k4 = rhs(y + dt_used * k3)
+        k1 = gen @ y
+        k2 = gen @ (y + 0.5 * dt_used * k1)
+        k3 = gen @ (y + 0.5 * dt_used * k2)
+        k4 = gen @ (y + dt_used * k3)
         return y + (dt_used / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     return step
@@ -446,8 +437,6 @@ def _taylor_parameters(norm):
 def _taylor_step(gen, dt_used):
     """y -> exp(G dt_used) y: s substeps of exp(mu dt/s) T_m(A/s), A = (G - mu I) dt,
     mu = trace(G)/n, each cut once its last two terms sum below tol max|partial sum|."""
-    if callable(gen):
-        raise ValueError("expm needs a generator matrix, not a callable")
     gen = sp.csr_matrix(gen)
     n = gen.shape[0]
     mu = gen.diagonal().sum() / n
@@ -477,14 +466,13 @@ def _taylor_step(gen, dt_used):
 
 
 def _symbol_observables(ctx, sigma):
-    """Per block of symbol states: S1, S2, S3, trace, purity and the reality
-    residual, one row per state."""
+    """Fills obs from a block of symbol states: S1, S2, S3, trace, purity and
+    the reality residual, one row per state."""
     sigma = sw_transform.validate_sigma(sigma)
     duals = [sw_transform.operator_to_symbol(sm, -sigma, ctx) for sm in spin_matrices(ctx)]
     conj = sphere_ops.conjugation_matrix(ctx.band_limit)
 
-    def observe(block):
-        obs = np.empty((len(block), 6))
+    def observe(block, obs):
         for i, c in enumerate(block):
             for k in range(3):
                 obs[i, k] = sw_transform.expectation(duals[k], c, ctx).real
@@ -492,24 +480,21 @@ def _symbol_observables(ctx, sigma):
             dual_c = sw_transform.switch_ordering(c, sigma, -sigma, ctx)
             obs[i, 4] = sw_transform.expectation(c, dual_c, ctx).real
             obs[i, 5] = np.max(np.abs(conj @ c.conj() - c))
-        return obs
 
     return observe
 
 
 def _density_observables(ctx):
-    """Per block of density states: S1, S2, S3, trace and purity."""
+    """Fills obs from a block of density states: S1, S2, S3, trace and purity."""
     smats = spin_matrices(ctx)
 
-    def observe(block):
-        obs = np.empty((len(block), 5))
+    def observe(block, obs):
         for i, state in enumerate(block):
-            rho = state if state.ndim == 2 else unvec_density(state)
+            rho = unvec_density(state)
             for k in range(3):
                 obs[i, k] = np.trace(smats[k] @ rho).real
             obs[i, 3] = np.trace(rho).real
             obs[i, 4] = np.trace(rho @ rho).real
-        return obs
 
     return observe
 

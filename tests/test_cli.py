@@ -482,6 +482,47 @@ def test_malformed_config_fields_exit_one(tmp_path, capsys, make_config):
     assert not (tmp_path / "o" / "resolved_config.json").exists()
 
 
+def _with(cfg, path, value):
+    """cfg with the field at the dotted path set to value."""
+    *parents, key = path.split(".")
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    return cfg
+
+
+_SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test": 3},
+                "field": [0.0, 0.0, 1.0], "xi": [1.0, 0.0, 0.0], "gamma": 0.1,
+                "temperature": 1.0}
+
+
+@pytest.mark.parametrize("command, path, value, message", [
+    ("evolve", "initial.coherent.theta", None, "coherent theta must be a number"),
+    ("evolve", "time.dt", None, "time dt must be a number"),
+    ("evolve", "bath.gamma", None, "bath gamma must be a number"),
+    ("evolve", "bath", [], '"bath" must be an object'),
+    ("evolve", "outputs", [], '"outputs" must map names'),
+    ("evolve", "seed", 2.7, "seed must be an integer"),
+    ("limit-scan", "scan.l_test", 3.7, "scan l_test must be an integer"),
+    ("evolve", "hamiltonian", {"quadratic": []}, 'hamiltonian "quadratic" must be an object'),
+    ("symbol", "operator.spin_component", 1.5, "spin_component must be an integer"),
+], ids=["theta-null", "dt-null", "gamma-null", "bath-list", "outputs-list",
+        "seed-fractional", "l-test-fractional", "quadratic-list", "spin-component-fractional"])
+def test_malformed_field_types_exit_one_at_parse(tmp_path, capsys, command, path, value,
+                                                  message):
+    """A null number, a list where an object belongs or a fractional integer
+    is refused with an error line: no traceback, no truncation, no files."""
+    base = {"evolve": _evolve_config(), "limit-scan": json.loads(json.dumps(_SCAN_CONFIG)),
+            "symbol": {"spin": {"twice_s": 2}, "operator": {"spin_component": 1}}}[command]
+    cfg = _with(base, path, value)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", _write(tmp_path, "bad.json", cfg),
+                     "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+
+
 def test_console_script_entry_point(tmp_path):
     """The declared `spinphase` script runs `symbol` as its own process.
 

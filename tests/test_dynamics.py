@@ -127,6 +127,29 @@ def test_qfp_generator_matches_master_equation_oracle(sigma):
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("sigma", (-1.0, 0.5))
+def test_qfp_generator_csr_is_byte_identical_to_separate_evaluations(monkeypatch, sigma):
+    """One Bopp set serves H and F; the CSR arrays equal those of the formula
+    applied to one evaluate_expression per expression, and the set is built once."""
+    ctx = SpinContext(7)
+    h_expr = [(-1.0, (3,)), (0.3, (1, 1)), (0.2, (2,))]
+    bath = dyn.BathSpec(((0.8, (1,)), (-0.5, (3,)), (0.2, (2, 2))), 0.15, 1.3)
+    h_hat = bopp.evaluate_expression(h_expr, sigma, ctx)
+    f_hat = bopp.evaluate_expression(bath.coupling, sigma, ctx)
+    im_h, im_f, im_g = (so.operator_imag(a, ctx.band_limit)
+                        for a in (h_hat, f_hat, h_hat @ f_hat - f_hat @ h_hat))
+    want = (2.0 * im_h + 4.0 * bath.gamma * bath.temperature * (im_f @ im_f)
+            - 2.0 * bath.gamma * (im_f @ im_g)).tocsr()
+    built = []
+    bopp_matrices = bopp.bopp_matrices
+    monkeypatch.setattr(bopp, "bopp_matrices",
+                        lambda *args: built.append(args) or bopp_matrices(*args))
+    got = dyn.qfp_generator(h_expr, bath, sigma, ctx)
+    assert len(built) == 1
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_master_rhs_preserves_trace_and_hermiticity():
     ctx = SpinContext(4)
     h = bopp.expression_to_matrix([(-1.0, (3,)), (0.2, (1, 1))], ctx)
@@ -450,6 +473,39 @@ def test_integrate_flags_overflow_step_in_a_later_block(monkeypatch):
         with pytest.raises(RuntimeError) as blocked:
             dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
     assert str(blocked.value) == str(whole.value)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method", ("rk4", "expm"))
+def test_integrate_streaming_reuses_one_block(monkeypatch, method):
+    """Without kept states, a run of five blocks holds one block at a time:
+    a block is never allocated while the one before is still alive."""
+    _, gen, c0 = _dissipative_case(10, 0.5)
+    _block_rows(monkeypatch, 200, c0.size)
+    block = 200 * c0.nbytes
+    res, peak = _traced_peak(
+        lambda: dyn.integrate(gen, c0, 10.0, 0.01, method, keep_states=False))
+    assert res.states.shape == (2, c0.size)
+    assert peak < 1.5 * block
+
+
+@pytest.mark.parametrize("method", ("rk4", "expm"))
+def test_integrate_keeps_many_blocks_without_a_second_copy(monkeypatch, method):
+    """Kept states longer than one block are written straight into the
+    returned array: no per-block arrays are joined at the end."""
+    _, gen, c0 = _dissipative_case(10, 0.5)
+    _block_rows(monkeypatch, 200, c0.size)
+    res, peak = _traced_peak(lambda: dyn.integrate(gen, c0, 10.0, 0.01, method))
+    assert res.states.shape == (1001, c0.size)
+    assert peak < 1.25 * res.states.nbytes
 
 
 @pytest.mark.parametrize("t_end, dt", [(math.inf, 0.1), (math.nan, 0.1),
