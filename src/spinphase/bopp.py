@@ -214,13 +214,9 @@ def is_hermitian_expression(expr, ctx, tol=1e-12):
 def evaluate_expression(expr, sigma, ctx):
     """Symbol-space matrix of an ordered polynomial: words become products
     of Bopp matrices in the same order."""
-    return _ordered_products(expr, bopp_matrices(ctx, sigma))
-
-
-def _ordered_products(expr, bmats):
-    """sum coeff * bmats[k1 - 1] @ bmats[k2 - 1] @ ... over the terms of expr."""
     expr = validate_expression(expr)
-    n = bmats[0].shape[0]
+    bmats = bopp_matrices(ctx, sigma)
+    n = ctx.symbol_dim
     out = sp.csr_matrix((n, n), dtype=complex)
     eye = sp.identity(n, dtype=complex, format="csr")
     for coeff, word in expr:

@@ -108,9 +108,8 @@ def qfp_generator(h_expr, bath, sigma, ctx):
     _require_hermitian_expression(h_expr, ctx, "Hamiltonian")
     _require_hermitian_expression(bath.coupling, ctx, "coupling operator")
     L = ctx.band_limit
-    bmats = bopp.bopp_matrices(ctx, sigma)  # one Bopp set for both H and F
-    h_hat = bopp._ordered_products(h_expr, bmats)
-    f_hat = bopp._ordered_products(bath.coupling, bmats)
+    h_hat = bopp.evaluate_expression(h_expr, sigma, ctx)
+    f_hat = bopp.evaluate_expression(bath.coupling, sigma, ctx)
     im_h = sphere_ops.operator_imag(h_hat, L)
     im_f = sphere_ops.operator_imag(f_hat, L)
     im_g = sphere_ops.operator_imag(h_hat @ f_hat - f_hat @ h_hat, L)

@@ -127,29 +127,6 @@ def test_qfp_generator_matches_master_equation_oracle(sigma):
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-@pytest.mark.parametrize("sigma", (-1.0, 0.5))
-def test_qfp_generator_csr_is_byte_identical_to_separate_evaluations(monkeypatch, sigma):
-    """One Bopp set serves H and F; the CSR arrays equal those of the formula
-    applied to one evaluate_expression per expression, and the set is built once."""
-    ctx = SpinContext(7)
-    h_expr = [(-1.0, (3,)), (0.3, (1, 1)), (0.2, (2,))]
-    bath = dyn.BathSpec(((0.8, (1,)), (-0.5, (3,)), (0.2, (2, 2))), 0.15, 1.3)
-    h_hat = bopp.evaluate_expression(h_expr, sigma, ctx)
-    f_hat = bopp.evaluate_expression(bath.coupling, sigma, ctx)
-    im_h, im_f, im_g = (so.operator_imag(a, ctx.band_limit)
-                        for a in (h_hat, f_hat, h_hat @ f_hat - f_hat @ h_hat))
-    want = (2.0 * im_h + 4.0 * bath.gamma * bath.temperature * (im_f @ im_f)
-            - 2.0 * bath.gamma * (im_f @ im_g)).tocsr()
-    built = []
-    bopp_matrices = bopp.bopp_matrices
-    monkeypatch.setattr(bopp, "bopp_matrices",
-                        lambda *args: built.append(args) or bopp_matrices(*args))
-    got = dyn.qfp_generator(h_expr, bath, sigma, ctx)
-    assert len(built) == 1
-    for name in ("data", "indices", "indptr"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-
-
 def test_master_rhs_preserves_trace_and_hermiticity():
     ctx = SpinContext(4)
     h = bopp.expression_to_matrix([(-1.0, (3,)), (0.2, (1, 1))], ctx)
@@ -472,6 +449,47 @@ def test_integrate_flags_overflow_step_in_a_later_block(monkeypatch):
         _block_rows(monkeypatch, 3, 1)
         with pytest.raises(RuntimeError) as blocked:
             dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
+    assert str(blocked.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("method", ("rk4", "expm"))
+@pytest.mark.parametrize("rows", (3, 6))
+def test_integrate_streaming_with_a_partial_last_block_matches_one_buffer(
+        monkeypatch, method, rows):
+    """41 states streamed through a reused buffer of 3 or 6 rows end in a
+    partial block; the ends and every observable equal a one-buffer run."""
+    ctx, gen, c0 = _dissipative_case(6, 0.5)
+    fields = ("times", "s1", "s2", "s3", "trace", "purity", "reality")
+
+    def run(keep):
+        return dyn.integrate(gen, c0, 2.0, 0.05, method, ctx=ctx, sigma=0.5,
+                             kind="symbol", keep_states=keep)
+
+    full = run(True)
+    _block_rows(monkeypatch, rows, c0.size)
+    ends = run(False)
+    assert len(full.times) == 41 and 40 % rows
+    assert ends.states.shape == (2, c0.size)
+    assert ends.states.tobytes() == full.states[[0, -1]].tobytes()
+    for name in fields:
+        assert getattr(ends, name).tobytes() == getattr(full, name).tobytes()
+
+
+def test_integrate_streaming_flags_overflow_step_in_a_later_block(monkeypatch):
+    _block_rows(monkeypatch, 3, 3)  # step 8 is in the third fill of the buffer
+    gen = 1e3 * sp.identity(3, dtype=complex, format="csr")
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(RuntimeError, match=r"step 8/10"):
+            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm",
+                          keep_states=False)
+    gen = np.array([[500.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError) as whole:
+            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
+        _block_rows(monkeypatch, 3, 1)
+        with pytest.raises(RuntimeError) as blocked:
+            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4",
+                          keep_states=False)
     assert str(blocked.value) == str(whole.value)
 
 
