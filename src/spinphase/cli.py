@@ -38,10 +38,6 @@ _ALLOWED_KEYS = {
 }
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 def _load_config(path):
     try:
         text = Path(path).read_text()
@@ -72,6 +68,25 @@ def _integer(value, what):
     return int(value)
 
 
+def _flag(value, what):
+    """A JSON boolean; anything else is refused."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _vector(value, what):
+    """A JSON list of 3 numbers as a list of floats."""
+    if not (isinstance(value, list) and len(value) == 3):
+        raise ValueError(f"{what} must be a list of 3 numbers, got {value!r}")
+    return [_number(v, what) for v in value]
+
+
+def _optional(value, parse, what):
+    """parse(value, what), or None for an absent or null field."""
+    return None if value is None else parse(value, what)
+
+
 def _validate_keys(cfg, command):
     allowed = _ALLOWED_KEYS[command]
     unknown = sorted(set(cfg) - allowed)
@@ -83,19 +98,19 @@ def _context(cfg):
     spin = cfg.get("spin")
     if not isinstance(spin, dict) or "twice_s" not in spin:
         raise ValueError('config needs "spin": {"twice_s": <int>}')
-    return SpinContext(spin["twice_s"])
+    return SpinContext(_integer(spin["twice_s"], "spin twice_s"))
 
 
 def _sigma(cfg):
-    return sw_transform.validate_sigma(cfg.get("sigma", 0.0))
+    return sw_transform.validate_sigma(_number(cfg.get("sigma", 0.0), "sigma"))
 
 
 def _parse_coeff(obj):
     if isinstance(obj, list):
         if len(obj) != 2:
             raise ValueError(f"complex coefficient must be [re, im], got {obj!r}")
-        return complex(obj[0], obj[1])
-    return complex(obj)
+        return complex(_number(obj[0], "coefficient re"), _number(obj[1], "coefficient im"))
+    return complex(_number(obj, "coefficient"))
 
 
 def _parse_expression(obj):
@@ -103,9 +118,10 @@ def _parse_expression(obj):
         raise ValueError("expression must be a list of [coeff, word] pairs")
     expr = []
     for item in obj:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ValueError(f"expression term {item!r} is not [coeff, word]")
-        expr.append((_parse_coeff(item[0]), tuple(item[1])))
+        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[1], list)):
+            raise ValueError(f"expression term {item!r} is not [coeff, word] with a list word")
+        expr.append((_parse_coeff(item[0]),
+                     tuple(_integer(k, "word component") for k in item[1])))
     return bopp.validate_expression(expr)
 
 
@@ -156,11 +172,14 @@ def _initial_density(cfg, ctx):
             raise ValueError('initial "coherent" needs {"theta": <angle>}')
         return dynamics.coherent_state(ctx, _number(c["theta"], "coherent theta"),
                                        _number(c.get("phi", 0.0), "coherent phi"))
-    if init.get("mixed"):
+    if _flag(init.get("mixed", False), "initial mixed"):
         return np.eye(ctx.hilbert_dim, dtype=complex) / ctx.hilbert_dim
     if "matrix_file" in init:
+        path = init["matrix_file"]
+        if not isinstance(path, str):
+            raise ValueError(f'initial "matrix_file" must be a path, got {path!r}')
         try:
-            rho = np.asarray(np.load(init["matrix_file"]), dtype=complex)
+            rho = np.asarray(np.load(path), dtype=complex)
         except OSError as exc:
             raise ValueError(f"cannot read initial matrix_file: {exc}") from exc
         if rho.shape != (ctx.hilbert_dim, ctx.hilbert_dim):
@@ -196,15 +215,25 @@ def _grid_band(cfg, ctx, minimum):
     return band
 
 
-def _pad_coefficients(c, band):
-    out = np.zeros(sphere_ops.num_coefficients(band), dtype=complex)
-    out[: c.size] = c
-    return out
-
-
 def _out_path(out_dir, cfg, key, default):
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     return Path(out_dir) / cfg.get("outputs", {}).get(key, default)
+
+
+def _write_csv(path, header, rows):
+    """Streams the header, then each row tuple at %.17g (integers print as integers)."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % row for row in rows)
+
+
+def _write_grid(path, band, c):
+    """Values of coefficients c (of band up to `band`) on the grid of `band`, theta-major."""
+    grid, synthesize, _, _ = sphere_ops.grid_synthesis_analysis(band)
+    rows = zip(grid.thetas, synthesize(c).tolist())
+    _write_csv(path, "theta,phi,value_re,value_im",
+               ((th, ph, v.real, v.imag) for th, row in rows for ph, v in zip(grid.phis, row)))
 
 
 def _check_rk4_step(gen, t_end, dt_used):
@@ -252,13 +281,12 @@ def _cmd_evolve(cfg, out_dir, tolerance, rng):
         _check_rk4_step(gen, t_end, dt)
     result = dynamics.integrate(gen, c0, t_end, dt, method, ctx, sigma, "symbol",
                                 keep_states=False)
-    dynamics.write_trajectory_csv(_out_path(out_dir, cfg, "trajectory",
-                                            "trajectory.csv"), result)
+    _write_csv(_out_path(out_dir, cfg, "trajectory", "trajectory.csv"),
+               "t,Sx,Sy,Sz,trace,purity",
+               zip(result.times, result.s1, result.s2, result.s3, result.trace,
+                   result.purity))
     if "grid" in cfg.get("outputs", {}):
-        grid, synthesize, _, _ = sphere_ops.grid_synthesis_analysis(band)
-        values = synthesize(_pad_coefficients(result.states[-1], band))
-        sphere_ops.write_grid_csv(_out_path(out_dir, cfg, "grid", "grid.csv"),
-                                  grid, values)
+        _write_grid(_out_path(out_dir, cfg, "grid", "grid.csv"), band, result.states[-1])
     drift = float(np.max(np.abs(result.trace - result.trace[0])))
     reality = float(np.max(result.reality))
     print(f"trace drift = {drift:.6g}", file=sys.stderr)
@@ -298,11 +326,8 @@ def _cmd_compare(cfg, out_dir, tolerance, rng):
         c_oracle = sw_transform.operator_to_symbol(
             dynamics.unvec_density(oracle.states[i]), sigma, ctx)
         devs[i] = np.max(np.abs(c_oracle - phase.states[i]))
-    path = _out_path(out_dir, cfg, "comparison", "compare.csv")
-    lines = ["t,deviation"]
-    for t, d in zip(oracle.times, devs):
-        lines.append(f"{_fmt(t)},{_fmt(d)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(_out_path(out_dir, cfg, "comparison", "compare.csv"), "t,deviation",
+               zip(oracle.times, devs))
     worst = float(np.max(devs))
     print(f"max deviation = {worst:.6g}")
     if not (worst <= tolerance):
@@ -317,30 +342,33 @@ def _cmd_limit_scan(cfg, out_dir, tolerance, rng):
     if not isinstance(scan, dict):
         raise ValueError('config needs a "scan" section')
     mode = scan.get("mode", "bilinear")
+    if mode not in ("unitary", "bilinear", "asymptotics"):
+        raise ValueError(f'scan mode must be "unitary", "bilinear" or "asymptotics", '
+                         f'got {mode!r}')
     twice_s_values = scan.get("twice_s_values")
-    if not twice_s_values:
-        raise ValueError('scan needs "twice_s_values"')
+    if not (isinstance(twice_s_values, list) and twice_s_values):
+        raise ValueError('scan needs "twice_s_values", a non-empty list of integers')
+    twice_s_values = [_integer(t, "scan twice_s_values entry") for t in twice_s_values]
     l_test = _integer(scan.get("l_test", 3), "scan l_test")
     sigma = _sigma(cfg)
+    expected = _optional(scan.get("expected_slope"), _number, "scan expected_slope")
     result = dynamics.classical_limit_scan(
         mode, twice_s_values, sigma, l_test,
-        b=cfg.get("field"), xi=cfg.get("xi"),
-        gamma=cfg.get("gamma"), temperature=cfg.get("temperature"))
-    path = _out_path(out_dir, cfg, "scan", "scan.csv")
-    lines = ["S,deviation"]
-    for s, d in zip(result["s_values"], result["deviations"]):
-        lines.append(f"{_fmt(s)},{_fmt(d)}")
-    path.write_text("\n".join(lines) + "\n")
+        b=_optional(cfg.get("field"), _vector, "field"),
+        xi=_optional(cfg.get("xi"), _vector, "xi"),
+        gamma=_optional(cfg.get("gamma"), _number, "gamma"),
+        temperature=_optional(cfg.get("temperature"), _number, "temperature"))
+    _write_csv(_out_path(out_dir, cfg, "scan", "scan.csv"), "S,deviation",
+               zip(result["s_values"], result["deviations"]))
     slope = result["slope"]
     print(f"slope = {slope:.6f}")
-    expected = scan.get("expected_slope")
     if expected is not None:
         if math.isnan(slope):
             if not (np.max(result["deviations"]) <= 1e-12):
                 print("slope undefined with non-vanishing deviations",
                       file=sys.stderr)
                 return 2
-        elif not (abs(slope - float(expected)) <= tolerance):
+        elif not (abs(slope - expected) <= tolerance):
             print(f"slope {slope:.4f} outside {expected} +- {tolerance}",
                   file=sys.stderr)
             return 2
@@ -351,17 +379,12 @@ def _cmd_kernel(cfg, out_dir, tolerance, rng):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     grid = sphere_ops.make_grid(_grid_band(cfg, ctx, 0))
-    path = _out_path(out_dir, cfg, "kernel", "kernel.csv")
-    lines = ["theta,phi,row,col,value_re,value_im"]
-    for th in grid.thetas:
-        for ph in grid.phis:
-            delta = sw_transform.kernel_eval(ctx, sigma, th, ph)
-            for r in range(ctx.hilbert_dim):
-                for c in range(ctx.hilbert_dim):
-                    v = delta[r, c]
-                    lines.append(
-                        f"{_fmt(th)},{_fmt(ph)},{r},{c},{_fmt(v.real)},{_fmt(v.imag)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(_out_path(out_dir, cfg, "kernel", "kernel.csv"),
+               "theta,phi,row,col,value_re,value_im",
+               ((th, ph, r, c, v.real, v.imag)
+                for th in grid.thetas for ph in grid.phis
+                for r, row in enumerate(sw_transform.kernel_eval(ctx, sigma, th, ph).tolist())
+                for c, v in enumerate(row)))
     return 0
 
 
@@ -378,7 +401,7 @@ def _cmd_symbol(cfg, out_dir, tolerance, rng):
         mat = spin_matrices(ctx)[k - 1]
     elif "expression" in op_spec:
         mat = bopp.expression_to_matrix(_parse_expression(op_spec["expression"]), ctx)
-    elif op_spec.get("random_hermitian"):
+    elif _flag(op_spec.get("random_hermitian", False), "operator random_hermitian"):
         n = ctx.hilbert_dim
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         mat = (raw + raw.conj().T) / 2.0
@@ -389,11 +412,8 @@ def _cmd_symbol(cfg, out_dir, tolerance, rng):
     # a self-check of the transform, reported only: the default tolerance is 0
     back = sw_transform.symbol_to_operator(c, sigma, ctx)
     print(f"round-trip residual = {np.max(np.abs(back - mat)):.6g}", file=sys.stderr)
-    band = _grid_band(cfg, ctx, ctx.band_limit)
-    grid, synthesize, _, _ = sphere_ops.grid_synthesis_analysis(band)
-    values = synthesize(_pad_coefficients(c, band))
-    sphere_ops.write_grid_csv(_out_path(out_dir, cfg, "grid", "symbol.csv"),
-                              grid, values)
+    _write_grid(_out_path(out_dir, cfg, "grid", "symbol.csv"),
+                _grid_band(cfg, ctx, ctx.band_limit), c)
     return 0
 
 

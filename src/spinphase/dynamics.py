@@ -498,19 +498,6 @@ def _density_observables(ctx):
     return observe
 
 
-def write_trajectory_csv(path, result):
-    """Trajectory CSV: t,Sx,Sy,Sz,trace,purity at 17 significant digits."""
-    if result.s1 is None:
-        raise ValueError("result carries no observables")
-    with open(path, "w") as fh:  # line by line: the text is not held in memory
-        fh.write("t,Sx,Sy,Sz,trace,purity\n")
-        for i, t in enumerate(result.times):
-            fh.write(
-                f"{t:.17g},{result.s1[i]:.17g},{result.s2[i]:.17g},"
-                f"{result.s3[i]:.17g},{result.trace[i]:.17g},{result.purity[i]:.17g}\n"
-            )
-
-
 # --- classical-limit scans -------------------------------------------------
 
 def _submatrix(gen, l_test):

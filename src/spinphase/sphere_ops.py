@@ -3,7 +3,7 @@ operators.
 
 A function W(theta, phi) = sum_{l<=L,|m|<=l} c_lm Y_lm is a flat complex
 vector with index l*l + l + m.  Evolution happens on these vectors; grids
-exist for quadrature, verification and CSV output.  Quadrature is
+exist for quadrature, verification and the values the CLI writes.  Quadrature is
 Gauss-Legendre in cos(theta) (L+1 nodes) times a uniform phi grid (2L+2
 points), exact for integrands of spherical-harmonic degree <= 2L.
 
@@ -295,17 +295,3 @@ def is_real_symbol(c, tol=1e-12):
     c = np.asarray(c, dtype=complex)
     return bool(np.max(np.abs(apply_conjugation(c) - c)) <= tol)
 
-
-def write_grid_csv(path, grid, values):
-    """Grid CSV: header theta,phi,value_re,value_im; theta-major rows;
-    17 significant digits."""
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (grid.n_theta, grid.n_phi):
-        raise ValueError("values shape does not match grid")
-    lines = ["theta,phi,value_re,value_im"]
-    for i, th in enumerate(grid.thetas):
-        for j, ph in enumerate(grid.phis):
-            v = values[i, j]
-            lines.append(f"{th:.17g},{ph:.17g},{v.real:.17g},{v.imag:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

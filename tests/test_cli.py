@@ -403,6 +403,19 @@ def test_kernel_dump_covers_grid_and_matrix_indices(tmp_path):
     assert len(rows) == 1 + 3 * 6 * 4  # nodes x matrix entries
 
 
+def test_kernel_streams_its_output(tmp_path):
+    """kernel.csv is written as it is computed: the traced peak of a whole run
+    at 2S=12 (57k rows, 4.6 MB of text) stays below a tenth of the file."""
+    cfg_path = _write(tmp_path, "k.json", {"spin": {"twice_s": 12}, "sigma": 0.3})
+    tracemalloc.start()
+    try:
+        assert cli.main(["kernel", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "o" / "kernel.csv").stat().st_size / 10
+
+
 def test_symbol_spin_component_matches_library(tmp_path):
     cfg = {"spin": {"twice_s": 2}, "sigma": 0.0,
            "operator": {"spin_component": 3}}
@@ -507,13 +520,44 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("limit-scan", "scan.l_test", 3.7, "scan l_test must be an integer"),
     ("evolve", "hamiltonian", {"quadratic": []}, 'hamiltonian "quadratic" must be an object'),
     ("symbol", "operator.spin_component", 1.5, "spin_component must be an integer"),
+    ("limit-scan", "scan.twice_s_values", 5, 'scan needs "twice_s_values"'),
+    ("limit-scan", "scan.twice_s_values", [8, 12.5],
+     "scan twice_s_values entry must be an integer"),
+    ("limit-scan", "scan.mode", "foo", "scan mode must be"),
+    ("limit-scan", "field", [0, 0], "field must be a list of 3 numbers"),
+    ("limit-scan", "xi", [1.0, 0.0, None], "xi must be a number"),
+    ("limit-scan", "scan.expected_slope", [1], "scan expected_slope must be a number"),
+    ("limit-scan", "temperature", "hot", "temperature must be a number"),
+    ("limit-scan", "gamma", True, "gamma must be a number"),
+    ("evolve", "hamiltonian.expression", [[-1.0, 3]], "expression term [-1.0, 3] is not"),
+    ("evolve", "bath.coupling", [[1.0, 1]], "expression term [1.0, 1] is not"),
+    ("evolve", "hamiltonian.expression", [[None, [3]]], "coefficient must be a number"),
+    ("evolve", "hamiltonian.expression", [[True, [3]]], "coefficient must be a number"),
+    ("evolve", "hamiltonian.expression", [[-1.0, [1.5]]], "word component must be an integer"),
+    ("evolve", "sigma", None, "sigma must be a number"),
+    ("evolve", "initial", {"matrix_file": 3}, 'initial "matrix_file" must be a path'),
+    ("evolve", "initial", {"mixed": "no"}, "initial mixed must be true or false"),
+    ("evolve", "spin.twice_s", None, "spin twice_s must be an integer"),
+    ("compare", "sigma", [0], "sigma must be a number"),
+    ("compare", "bath.coupling", [[[1.0, None], [1]]], "coefficient im must be a number"),
+    ("symbol", "sigma", None, "sigma must be a number"),
+    ("symbol", "operator", {"expression": [[None, [1]]]}, "coefficient must be a number"),
+    ("symbol", "operator", {"random_hermitian": "no"},
+     "operator random_hermitian must be true or false"),
 ], ids=["theta-null", "dt-null", "gamma-null", "bath-list", "outputs-list",
-        "seed-fractional", "l-test-fractional", "quadratic-list", "spin-component-fractional"])
+        "seed-fractional", "l-test-fractional", "quadratic-list", "spin-component-fractional",
+        "twice-s-values-number", "twice-s-values-fractional", "scan-mode-unknown",
+        "field-short", "xi-null", "expected-slope-list", "temperature-string", "gamma-boolean",
+        "word-number", "coupling-word-number", "coeff-null", "coeff-boolean",
+        "word-fractional", "sigma-null", "matrix-file-number", "mixed-string",
+        "twice-s-null", "compare-sigma-list", "compare-coeff-im-null", "symbol-sigma-null",
+        "symbol-coeff-null", "random-hermitian-string"])
 def test_malformed_field_types_exit_one_at_parse(tmp_path, capsys, command, path, value,
                                                   message):
     """A null number, a list where an object belongs or a fractional integer
     is refused with an error line: no traceback, no truncation, no files."""
-    base = {"evolve": _evolve_config(), "limit-scan": json.loads(json.dumps(_SCAN_CONFIG)),
+    base = {"evolve": _evolve_config(), "compare": _evolve_config(),
+            "limit-scan": json.loads(json.dumps(_SCAN_CONFIG)),
             "symbol": {"spin": {"twice_s": 2}, "operator": {"spin_component": 1}}}[command]
     cfg = _with(base, path, value)
     out = tmp_path / "o"

@@ -1,6 +1,7 @@
 """Evolution generators against Hilbert-space oracles; classical physics."""
 
 import csv
+import json
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from spinphase import bopp
+from spinphase import bopp, cli
 from spinphase import dynamics as dyn
 from spinphase import sphere_ops as so
 from spinphase import sw_transform as swt
@@ -602,15 +603,21 @@ def test_integrate_rejects_bad_method_and_steps():
         dyn.integrate(gen, c0, -1.0, 0.1, "rk4")
 
 
-def test_write_trajectory_csv_layout(tmp_path):
+def test_evolve_trajectory_csv_layout(tmp_path):
+    """The trajectory `evolve` writes holds the library's observables exactly."""
     ctx = SpinContext(2)
     gen = dyn.unitary_generator([(-1.0, (3,))], 0.0, ctx)
     c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 1.0, 0.0), 0.0, ctx)
     res = dyn.integrate(gen, c0, 1.0, 0.25, "rk4", ctx=ctx, sigma=0.0,
                         kind="symbol")
-    path = tmp_path / "traj.csv"
-    dyn.write_trajectory_csv(path, res)
-    with open(path, newline="") as fh:
+    cfg = {"spin": {"twice_s": 2}, "sigma": 0.0, "hamiltonian": {"expression": [[-1.0, [3]]]},
+           "initial": {"coherent": {"theta": 1.0, "phi": 0.0}},
+           "time": {"t_end": 1.0, "dt": 0.25, "method": "rk4"},
+           "outputs": {"trajectory": "traj.csv"}}
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    assert cli.main(["evolve", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "traj.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "Sx", "Sy", "Sz", "trace", "purity"]
     assert len(rows) == 1 + res.times.size

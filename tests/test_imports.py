@@ -1,4 +1,5 @@
-"""The library and `evolve` paths run on numpy and scipy.sparse alone."""
+"""The library and `evolve` paths run on numpy and scipy.sparse alone, and
+only `cli` writes files."""
 
 import ast
 import json
@@ -76,3 +77,34 @@ def test_no_module_imports_a_private_scipy_module():
     assert modules
     for path in modules:
         assert _private_scipy_imports(path.read_text()) == [], path.name
+
+
+def _file_writes(source):
+    """Calls in the source that open or write files: open, write_text,
+    write_bytes and numpy's save, savez, savez_compressed and savetxt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name in ("open", "write_text", "write_bytes") or name.startswith("save"):
+            found.append(name)
+    return found
+
+
+def test_only_cli_writes_files():
+    """The output format is the command line's alone: the library returns arrays."""
+    assert sorted(_file_writes(
+        "import numpy as np\n"
+        "with open(p, 'w') as fh:\n    fh.write(text)\n"
+        "Path(p).write_text(text)\n"
+        "def f(a):\n    np.save(p, a)\n    np.savez_compressed(p, a=a)\n"
+        "    np.savetxt(p, a)\n    return io.open(p).read()\n"
+        "np.load(p); Path(p).read_text()\n"
+    )) == ["open", "open", "save", "savetxt", "savez_compressed", "write_text"]
+    modules = sorted(SRC.glob("*.py"))
+    assert "cli.py" in [path.name for path in modules]
+    for path in modules:
+        if path.name != "cli.py":
+            assert _file_writes(path.read_text()) == [], path.name

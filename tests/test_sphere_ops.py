@@ -1,6 +1,7 @@
 """Spherical-harmonic grid machinery and coefficient-space operators."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from spinphase import bopp, cli
 from spinphase import sphere_ops as so
+from spinphase import sw_transform as swt
+from spinphase.su2_algebra import SpinContext
 
 
 # --- explicit low-order harmonics as the evaluation oracle ------------------
@@ -304,15 +308,21 @@ def test_apply_conjugation_matches_pointwise_conjugate():
 
 # --- CSV output ---------------------------------------------------------------
 
-def test_write_grid_csv_round_trips_values(tmp_path):
-    L = 3
+def test_symbol_grid_csv_round_trips_values(tmp_path):
+    """`symbol` writes the synthesized values of S+ = S1 + i S2 (complex, with
+    coefficients up to l = 2S = 3) on a grid of a higher band, exactly."""
+    L = 5
     grid, synthesize, _, _ = so.grid_synthesis_analysis(L)
-    rng = np.random.default_rng(5)
-    n = so.num_coefficients(L)
-    vals = synthesize(rng.normal(size=n) + 1j * rng.normal(size=n))
-    path = tmp_path / "grid.csv"
-    so.write_grid_csv(path, grid, vals)
-    with open(path, newline="") as fh:
+    expr = [[1.0, [1]], [[0.0, 1.0], [2]]]
+    ctx = SpinContext(3)
+    mat = bopp.expression_to_matrix([(1.0, (1,)), (1j, (2,))], ctx)
+    vals = synthesize(swt.operator_to_symbol(mat, 0.0, ctx))
+    cfg = {"spin": {"twice_s": 3}, "operator": {"expression": expr},
+           "grid": {"band_limit": L}, "outputs": {"grid": "grid.csv"}}
+    (tmp_path / "s.json").write_text(json.dumps(cfg))
+    assert cli.main(["symbol", "--config", str(tmp_path / "s.json"),
+                     "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "grid.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["theta", "phi", "value_re", "value_im"]
     assert len(rows) == 1 + grid.thetas.size * grid.phis.size
