@@ -61,6 +61,14 @@ def _number(value, what):
     return float(value)
 
 
+def _finite(value, what):
+    """A JSON number as a float; JSON's NaN and Infinity are refused too."""
+    x = _number(value, what)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _integer(value, what):
     """A JSON integer (or integral float) as an int; anything else is refused."""
     if not (type(value) is int or isinstance(value, float) and value.is_integer()):
@@ -75,11 +83,12 @@ def _flag(value, what):
     return value
 
 
-def _vector(value, what):
-    """A JSON list of 3 numbers as a list of floats."""
+def _vector(value, what, entry=_finite):
+    """A JSON list of 3 entries, each read by entry: finite numbers by default."""
     if not (isinstance(value, list) and len(value) == 3):
-        raise ValueError(f"{what} must be a list of 3 numbers, got {value!r}")
-    return [_number(v, what) for v in value]
+        kind = "numbers" if entry is _finite else "rows of 3 numbers"
+        raise ValueError(f"{what} must be a list of 3 {kind}, got {value!r}")
+    return [entry(v, what) for v in value]
 
 
 def _optional(value, parse, what):
@@ -109,8 +118,8 @@ def _parse_coeff(obj):
     if isinstance(obj, list):
         if len(obj) != 2:
             raise ValueError(f"complex coefficient must be [re, im], got {obj!r}")
-        return complex(_number(obj[0], "coefficient re"), _number(obj[1], "coefficient im"))
-    return complex(_number(obj, "coefficient"))
+        return complex(_finite(obj[0], "coefficient re"), _finite(obj[1], "coefficient im"))
+    return complex(_finite(obj, "coefficient"))
 
 
 def _parse_expression(obj):
@@ -126,27 +135,20 @@ def _parse_expression(obj):
 
 
 def _hamiltonian(cfg):
-    """Returns ("expression", expr) or ("quadratic", QuadraticHamiltonian)."""
+    """The Hamiltonian as an expression; a "quadratic" {d, b} is converted."""
     h = cfg.get("hamiltonian")
     if not isinstance(h, dict):
         raise ValueError('config needs a "hamiltonian" section')
     if "expression" in h:
-        return "expression", _parse_expression(h["expression"])
+        return _parse_expression(h["expression"])
     if "quadratic" in h:
         q = h["quadratic"]
         if not isinstance(q, dict):
             raise ValueError(f'hamiltonian "quadratic" must be an object, got {q!r}')
-        qh = dynamics.QuadraticHamiltonian(
-            np.asarray(q.get("d", np.zeros((3, 3))), dtype=float),
-            np.asarray(q.get("b", np.zeros(3)), dtype=float),
-        )
-        return "quadratic", qh
+        d = _vector(q.get("d", [[0.0] * 3] * 3), "hamiltonian quadratic d", _vector)
+        b = _vector(q.get("b", [0.0] * 3), "hamiltonian quadratic b")
+        return dynamics.QuadraticHamiltonian(d, b).to_expression()
     raise ValueError('hamiltonian needs "expression" or "quadratic"')
-
-
-def _hamiltonian_expression(cfg):
-    kind, payload = _hamiltonian(cfg)
-    return payload.to_expression() if kind == "quadratic" else payload
 
 
 def _bath(cfg):
@@ -170,8 +172,8 @@ def _initial_density(cfg, ctx):
         c = init["coherent"]
         if not isinstance(c, dict) or "theta" not in c:
             raise ValueError('initial "coherent" needs {"theta": <angle>}')
-        return dynamics.coherent_state(ctx, _number(c["theta"], "coherent theta"),
-                                       _number(c.get("phi", 0.0), "coherent phi"))
+        return dynamics.coherent_state(ctx, _finite(c["theta"], "coherent theta"),
+                                       _finite(c.get("phi", 0.0), "coherent phi"))
     if _flag(init.get("mixed", False), "initial mixed"):
         return np.eye(ctx.hilbert_dim, dtype=complex) / ctx.hilbert_dim
     if "matrix_file" in init:
@@ -263,16 +265,13 @@ def _cmd_evolve(cfg, out_dir, tolerance, rng):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     bath = _bath(cfg)
-    kind, payload = _hamiltonian(cfg)
+    h_expr = _hamiltonian(cfg)
     if bath is not None:
-        h_expr = payload.to_expression() if kind == "quadratic" else payload
         gen = dynamics.qfp_generator(h_expr, bath, sigma, ctx)
         print(f"validity ratio gamma/(S T) = {bath.validity_ratio(ctx):.6g}",
               file=sys.stderr)
-    elif kind == "quadratic":
-        gen = dynamics.quadratic_generator(payload, sigma, ctx)
     else:
-        gen = dynamics.unitary_generator(payload, sigma, ctx)
+        gen = dynamics.unitary_generator(h_expr, sigma, ctx)
     rho0 = _initial_density(cfg, ctx)
     c0 = sw_transform.operator_to_symbol(rho0, sigma, ctx)
     t_end, dt, method = _time_block(cfg)
@@ -309,7 +308,7 @@ def _cmd_compare(cfg, out_dir, tolerance, rng):
     bath = _bath(cfg)
     if bath is None:
         raise ValueError('compare needs a "bath" section')
-    h_expr = _hamiltonian_expression(cfg)
+    h_expr = _hamiltonian(cfg)
     h_mat = bopp.expression_to_matrix(h_expr, ctx)
     f_mat = bopp.expression_to_matrix(bath.coupling, ctx)
     rho0 = _initial_density(cfg, ctx)
@@ -341,19 +340,15 @@ def _cmd_limit_scan(cfg, out_dir, tolerance, rng):
     scan = cfg.get("scan")
     if not isinstance(scan, dict):
         raise ValueError('config needs a "scan" section')
-    mode = scan.get("mode", "bilinear")
-    if mode not in ("unitary", "bilinear", "asymptotics"):
-        raise ValueError(f'scan mode must be "unitary", "bilinear" or "asymptotics", '
-                         f'got {mode!r}')
     twice_s_values = scan.get("twice_s_values")
     if not (isinstance(twice_s_values, list) and twice_s_values):
         raise ValueError('scan needs "twice_s_values", a non-empty list of integers')
     twice_s_values = [_integer(t, "scan twice_s_values entry") for t in twice_s_values]
     l_test = _integer(scan.get("l_test", 3), "scan l_test")
     sigma = _sigma(cfg)
-    expected = _optional(scan.get("expected_slope"), _number, "scan expected_slope")
+    expected = _optional(scan.get("expected_slope"), _finite, "scan expected_slope")
     result = dynamics.classical_limit_scan(
-        mode, twice_s_values, sigma, l_test,
+        scan.get("mode", "bilinear"), twice_s_values, sigma, l_test,
         b=_optional(cfg.get("field"), _vector, "field"),
         xi=_optional(cfg.get("xi"), _vector, "xi"),
         gamma=_optional(cfg.get("gamma"), _number, "gamma"),
@@ -452,6 +447,10 @@ def main(argv=None):
         outputs = cfg.get("outputs", {})
         if not (isinstance(outputs, dict) and all(isinstance(v, str) for v in outputs.values())):
             raise ValueError(f'"outputs" must map names to file names, got {outputs!r}')
+        for name in outputs.values():  # each lands directly in --out
+            if name in ("", ".", "..") or Path(name).name != name:
+                raise ValueError(f'"outputs" file names must be plain names with no '
+                                 f'directory part, got {name!r}')
         tolerance = args.tolerance
         if tolerance is None:
             tolerance = _number(cfg.get("tolerance", _DEFAULT_TOLERANCE[args.command]),

@@ -34,7 +34,7 @@ class QuadraticHamiltonian:
         b = np.asarray(self.b, dtype=float)
         if d.shape != (3, 3) or b.shape != (3,):
             raise ValueError("d must be 3x3 and b length 3")
-        if np.max(np.abs(d - d.T)) > 1e-14:
+        if not np.max(np.abs(d - d.T)) <= 1e-14:  # NaN-safe
             raise ValueError("d must be symmetric to 1e-14")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "b", b)
@@ -88,8 +88,6 @@ def quadratic_generator(qh, sigma, ctx):
     unitary_generator route to rounding because shell truncation commutes
     with every L_j commutator.
     """
-    if not isinstance(qh, QuadraticHamiltonian):
-        qh = QuadraticHamiltonian(*qh)
     l_ops, m_ops, k_ops, f1d, f2d, _ = bopp.bopp_operators(ctx, sigma)
     r_ops = [m_ops[k] @ f1d + k_ops[k] @ f2d for k in range(3)]
     n = ctx.symbol_dim
@@ -362,28 +360,27 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
     states and memory does not grow with the step count.  "rk4" is classical
     Runge-Kutta; "expm" applies exp(G dt) as the truncated Taylor series of
     _taylor_step on the sparse G, with no dense n x n matrix, no random
-    numbers and no size limit.  kind "symbol" or "density" attaches spin
-    observables, trace and purity at every step (needs ctx, and sigma for
-    symbols); "symbol" also attaches the reality residual max|P conj(c) - c|.
-    A non-finite state aborts, naming its step.
+    numbers and no size limit.  kind "symbol" attaches, at every step, the
+    spin observables, trace, purity and reality residual max|P conj(c) - c|
+    of symbol states (needs ctx and sigma).  A non-finite state aborts,
+    naming its step.
     """
     n_steps, dt_used = time_steps(t_end, dt)
     y0 = np.asarray(y0, dtype=complex)
     if method not in ("rk4", "expm"):
         raise ValueError(f"unknown method {method!r}")
     step = (_rk4_step if method == "rk4" else _taylor_step)(gen, dt_used)
-    if kind not in (None, "symbol", "density"):
+    if kind not in (None, "symbol"):
         raise ValueError(f"unknown kind {kind!r}")
-    if kind and (ctx is None or kind == "symbol" and sigma is None):
-        raise ValueError(f"{kind} observables need ctx" + " and sigma" * (kind == "symbol"))
-    observe = kind and (_symbol_observables(ctx, sigma) if kind == "symbol"
-                        else _density_observables(ctx))
+    if kind and (ctx is None or sigma is None):
+        raise ValueError("symbol observables need ctx and sigma")
+    observe = kind and _symbol_observables(ctx, sigma)
 
     rows = n_steps + 1
     if not keep_states:
         rows = min(rows, max(1, _BLOCK_BYTES // max(1, y0.nbytes)))
     buf = np.empty((rows,) + y0.shape, dtype=complex)
-    obs = np.empty((n_steps + 1, 6 if kind == "symbol" else 5)) if observe else None
+    obs = np.empty((n_steps + 1, 6)) if observe else None
     for first, block in _blocks(step, y0, n_steps, dt_used, buf):
         if observe:
             observe(block, obs[first:first + len(block)])
@@ -391,9 +388,8 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
 
     result = EvolutionResult(times=dt_used * np.arange(n_steps + 1), states=states)
     if observe:
-        result.s1, result.s2, result.s3, result.trace, result.purity = obs.T[:5]
-        if kind == "symbol":
-            result.reality = obs[:, 5]
+        (result.s1, result.s2, result.s3, result.trace, result.purity,
+         result.reality) = obs.T
     return result
 
 
@@ -483,27 +479,12 @@ def _symbol_observables(ctx, sigma):
     return observe
 
 
-def _density_observables(ctx):
-    """Fills obs from a block of density states: S1, S2, S3, trace and purity."""
-    smats = spin_matrices(ctx)
-
-    def observe(block, obs):
-        for i, state in enumerate(block):
-            rho = unvec_density(state)
-            for k in range(3):
-                obs[i, k] = np.trace(smats[k] @ rho).real
-            obs[i, 3] = np.trace(rho).real
-            obs[i, 4] = np.trace(rho @ rho).real
-
-    return observe
-
-
 # --- classical-limit scans -------------------------------------------------
 
 def _submatrix(gen, l_test):
+    """The l <= l_test corner of a CSR generator, sliced before it is made dense."""
     n = sphere_ops.num_coefficients(l_test)
-    sub = gen[:n, :n]  # sliced first: a dense generator has (2S+1)^4 entries
-    return sub.toarray() if sp.issparse(sub) else np.asarray(sub)
+    return gen[:n, :n].toarray()
 
 
 def classical_limit_scan(mode, twice_s_values, sigma, l_test,
@@ -524,9 +505,14 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
     """
     from .su2_algebra import SpinContext
 
+    if mode not in ("unitary", "bilinear", "asymptotics"):
+        raise ValueError(f'scan mode must be "unitary", "bilinear" or "asymptotics", '
+                         f'got {mode!r}')
     sigma = sw_transform.validate_sigma(sigma)
     if not twice_s_values:
         raise ValueError("twice_s_values must be non-empty")
+    if l_test < 0:
+        raise ValueError(f"l_test must be >= 0, got {l_test}")
     if l_test > min(int(t) for t in twice_s_values) - 2:
         raise ValueError(
             f"l_test = {l_test} exceeds min(2S) - 2 = "
@@ -556,15 +542,13 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
                 QuadraticHamiltonian(np.zeros((3, 3)), np.asarray(b, float)), sigma, ctx)
             classical = classical_generators(
                 h_poly, np.zeros((3, 3)), 1.0, ctx.band_limit, ctx.s)[0]
-        elif mode == "bilinear":
+        else:  # "bilinear"
             if xi is None or gamma is None or temperature is None:
                 raise ValueError("bilinear mode needs xi, gamma, temperature")
             quantum = isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx)
             lam = bilinear_lambda(ctx, gamma, xi)
             classical = classical_generators(
                 h_poly, lam, temperature, ctx.band_limit, ctx.s)[1]
-        else:
-            raise ValueError(f"unknown scan mode {mode!r}")
         q_sub = _submatrix(quantum, l_test)
         c_sub = _submatrix(classical, l_test)
         deviations.append(

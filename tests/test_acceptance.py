@@ -180,8 +180,7 @@ def test_criterion_07_dissipative_flow_matches_master_equation():
     h = bopp.expression_to_matrix(h_expr, ctx)
     f = bopp.expression_to_matrix(f_expr, ctx)
     liou = dyn.master_liouvillian(h, f, gamma, temperature)
-    oracle = dyn.integrate(liou, dyn.vec_density(rho0), t_end, dt, "expm",
-                           ctx, kind="density")
+    oracle = dyn.integrate(liou, dyn.vec_density(rho0), t_end, dt, "expm")
     worst = 0.0
     for i in range(oracle.times.size):
         c_ref = swt.operator_to_symbol(dyn.unvec_density(oracle.states[i]),

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -544,6 +545,31 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("symbol", "operator", {"expression": [[None, [1]]]}, "coefficient must be a number"),
     ("symbol", "operator", {"random_hermitian": "no"},
      "operator random_hermitian must be true or false"),
+    ("evolve", "hamiltonian", {"quadratic": {"d": {}}},
+     "hamiltonian quadratic d must be a list of 3 rows of 3 numbers"),
+    ("evolve", "hamiltonian", {"quadratic": {"d": [[0, 0, 0], [0, None, 0], [0, 0, 0]]}},
+     "hamiltonian quadratic d must be a number"),
+    ("evolve", "hamiltonian", {"quadratic": {"b": [True, 0, 1]}},
+     "hamiltonian quadratic b must be a number"),
+    ("evolve", "hamiltonian", {"quadratic": {"d": [[0, 0, 0], [0, 0], [0, 0, 0]]}},
+     "hamiltonian quadratic d must be a list of 3 numbers"),
+    ("evolve", "hamiltonian", {"quadratic": {"d": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}},
+     "d must be symmetric"),
+    ("evolve", "initial.coherent.theta", math.inf, "coherent theta must be finite"),
+    ("evolve", "initial.coherent.phi", math.inf, "coherent phi must be finite"),
+    ("evolve", "hamiltonian.expression", [[math.nan, [3]]], "coefficient must be finite"),
+    ("evolve", "hamiltonian.expression", [[[math.inf, 0], [3]]],
+     "coefficient re must be finite"),
+    ("evolve", "bath.coupling", [[math.nan, [1]]], "coefficient must be finite"),
+    ("compare", "bath.coupling", [[[1.0, -math.inf], [1]]], "coefficient im must be finite"),
+    ("evolve", "hamiltonian", {"quadratic": {"d": [[math.inf, 0, 0], [0, 0, 0], [0, 0, 0]]}},
+     "hamiltonian quadratic d must be finite"),
+    ("evolve", "hamiltonian", {"quadratic": {"b": [0, 0, math.nan]}},
+     "hamiltonian quadratic b must be finite"),
+    ("limit-scan", "field", [0, 0, math.nan], "field must be finite"),
+    ("limit-scan", "xi", [math.inf, 0, 0], "xi must be finite"),
+    ("limit-scan", "scan.expected_slope", math.nan, "scan expected_slope must be finite"),
+    ("limit-scan", "scan.l_test", -1, "l_test must be >= 0"),
 ], ids=["theta-null", "dt-null", "gamma-null", "bath-list", "outputs-list",
         "seed-fractional", "l-test-fractional", "quadratic-list", "spin-component-fractional",
         "twice-s-values-number", "twice-s-values-fractional", "scan-mode-unknown",
@@ -551,7 +577,12 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
         "word-number", "coupling-word-number", "coeff-null", "coeff-boolean",
         "word-fractional", "sigma-null", "matrix-file-number", "mixed-string",
         "twice-s-null", "compare-sigma-list", "compare-coeff-im-null", "symbol-sigma-null",
-        "symbol-coeff-null", "random-hermitian-string"])
+        "symbol-coeff-null", "random-hermitian-string", "quadratic-d-object",
+        "quadratic-d-null-entry", "quadratic-b-boolean", "quadratic-d-short-row",
+        "quadratic-d-asymmetric", "theta-infinite", "phi-infinite", "coeff-nan",
+        "coeff-re-infinite", "coupling-coeff-nan", "compare-coeff-im-infinite",
+        "quadratic-d-infinite", "quadratic-b-nan", "field-nan", "xi-infinite",
+        "expected-slope-nan", "l-test-negative"])
 def test_malformed_field_types_exit_one_at_parse(tmp_path, capsys, command, path, value,
                                                   message):
     """A null number, a list where an object belongs or a fractional integer
@@ -565,6 +596,34 @@ def test_malformed_field_types_exit_one_at_parse(tmp_path, capsys, command, path
                      "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (out / "resolved_config.json").exists()
+
+
+@pytest.mark.parametrize("name", ["absolute", "../x.csv", "sub/t.csv", ""])
+def test_output_names_must_be_plain_file_names(tmp_path, capsys, name):
+    """An output name with a directory part, or none at all, exits 1 before
+    anything is written, inside --out or outside it."""
+    if name == "absolute":
+        name = str(tmp_path / "elsewhere.csv")
+    cfg_path = _write(tmp_path, "bad.json", _evolve_config(outputs={"trajectory": name}))
+    assert cli.main(["evolve", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert 'error: "outputs" file names must be plain names' in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+def test_readme_quick_starts_run_as_written(tmp_path, capsys):
+    """Every `python` block of the README runs, in order, in one namespace; and
+    its `run.json` runs through `evolve` and writes the documented header."""
+    text = (ROOT / "README.md").read_text()
+    namespace = {}
+    for block in re.findall(r"```python\n(.*?)```", text, re.S):
+        exec(compile(block, "README.md", "exec"), namespace)
+    run_json = re.search(r"with `run.json`:\s*```json\n(.*?)```", text, re.S).group(1)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(run_json)
+    out = tmp_path / "results"
+    assert cli.main(["evolve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    with open(out / "trajectory.csv") as fh:
+        assert fh.readline() == "t,Sx,Sy,Sz,trace,purity\n"
 
 
 def test_console_script_entry_point(tmp_path):

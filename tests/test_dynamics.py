@@ -309,11 +309,20 @@ def test_integrate_density_matches_symbol_route():
     h = bopp.expression_to_matrix(h_expr, ctx)
     f = bopp.expression_to_matrix(f_expr, ctx)
     liou = dyn.master_liouvillian(h, f, bath.gamma, bath.temperature)
-    den = dyn.integrate(liou, dyn.vec_density(rho0), 2.0, 0.05, "expm",
-                        ctx=ctx, kind="density")
-    for a, b in ((sym.s1, den.s1), (sym.s2, den.s2), (sym.s3, den.s3),
-                 (sym.trace, den.trace), (sym.purity, den.purity)):
+    den = dyn.integrate(liou, dyn.vec_density(rho0), 2.0, 0.05, "expm")
+    rhos = [dyn.unvec_density(v) for v in den.states]
+    s1, s2, s3 = ([np.trace(m @ r).real for r in rhos] for m in spin_matrices(ctx))
+    trace = [np.trace(r).real for r in rhos]
+    purity = [np.trace(r @ r).real for r in rhos]
+    for a, b in ((sym.s1, s1), (sym.s2, s2), (sym.s3, s3),
+                 (sym.trace, trace), (sym.purity, purity)):
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+
+def test_integrate_refuses_density_observables():
+    with pytest.raises(ValueError, match="unknown kind"):
+        dyn.integrate(np.zeros((4, 4)), np.eye(2).ravel(), 1.0, 0.5, "expm",
+                      ctx=SpinContext(1), kind="density")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -671,3 +680,5 @@ def test_scan_rejects_bad_modes_and_contaminated_blocks():
         dyn.classical_limit_scan("nonsense", [10, 20], 0.0, 3, b=[0, 0, 1.0])
     with pytest.raises(ValueError):
         dyn.classical_limit_scan("unitary", [4, 10], 0.0, 3, b=[0, 0, 1.0])
+    with pytest.raises(ValueError, match="l_test must be >= 0"):
+        dyn.classical_limit_scan("unitary", [4, 10], 0.0, -1, b=[0, 0, 1.0])
