@@ -5,8 +5,8 @@ matrix B_i on symbol coefficients: B_i = M_i F1 + K_i F2 + L_i/2, with
 shell-diagonal tables f1(l), f2(l) built from ratios of
 F(l) = sqrt((2S+l+1)!(2S-l)!).  Products of the B_i realize star products
 of symbols without ever leaving coefficient space; an independent oracle
-(conjugating actual left multiplication with the transform pair) pins the
-construction.
+in the tests (conjugating actual left multiplication with the transform
+pair) pins the construction.
 """
 
 import math
@@ -79,22 +79,6 @@ def bopp_coefficients(ctx, sigma):
     return BoppCoefficients(n2, sigma, f1, f2)
 
 
-def symmetric_coefficients_closed_form(ctx, l):
-    """(f1, f2) at sigma = 0 in closed form, for cross-checking the tables.
-
-    With n = 2S+1: f1 = [(l+1) sqrt(n^2-(l+1)^2) + l sqrt(n^2-l^2)] / (2(2l+1)),
-    f2 = [sqrt(n^2-(l+1)^2) - sqrt(n^2-l^2)] / (2(2l+1)).
-    """
-    if l != int(l) or not 0 <= l <= ctx.twice_s:
-        raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
-    n = ctx.twice_s + 1
-    up = math.sqrt(max(n * n - (l + 1) ** 2, 0))
-    down = math.sqrt(n * n - l * l)
-    f1 = ((l + 1) * up + l * down) / (2.0 * (2 * l + 1))
-    f2 = (up - down) / (2.0 * (2 * l + 1))
-    return f1, f2
-
-
 def asymptotic_coefficients(ctx, sigma, l):
     """Large-S approximations of (f1, f2) at fixed shell l.
 
@@ -142,23 +126,6 @@ def bopp_matrices(ctx, sigma):
     return bopp_operators(ctx, sigma)[5]
 
 
-def left_mult_superoperator(a, sigma, ctx):
-    """Matrix of c -> symbol(a @ operator(c)), built column by column.
-
-    Independent of the Bopp construction; serves as its oracle.
-    """
-    sigma = sw_transform.validate_sigma(sigma)
-    n = ctx.symbol_dim
-    out = np.empty((n, n), dtype=complex)
-    basis = np.zeros(n, dtype=complex)
-    for idx in range(n):
-        basis[idx] = 1.0
-        op = sw_transform.symbol_to_operator(basis, sigma, ctx)
-        out[:, idx] = sw_transform.operator_to_symbol(a @ op, sigma, ctx)
-        basis[idx] = 0.0
-    return out
-
-
 def star_product(c_a, c_b, sigma, ctx):
     """Coefficients of W_A star W_B via the exact operator route."""
     op_a = sw_transform.symbol_to_operator(c_a, sigma, ctx)
@@ -187,11 +154,6 @@ def validate_expression(expr):
     return out
 
 
-def expression_adjoint(expr):
-    """Adjoint: conjugate coefficients, reverse each word."""
-    return [(np.conj(coeff), word[::-1]) for coeff, word in validate_expression(expr)]
-
-
 def expression_to_matrix(expr, ctx):
     """Hilbert-space matrix of an ordered polynomial in the spin components."""
     expr = validate_expression(expr)
@@ -204,11 +166,6 @@ def expression_to_matrix(expr, ctx):
             term = term @ smats[k - 1]
         out += coeff * term
     return out
-
-
-def is_hermitian_expression(expr, ctx, tol=1e-12):
-    a = expression_to_matrix(expr, ctx)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
 def evaluate_expression(expr, sigma, ctx):
@@ -225,11 +182,6 @@ def evaluate_expression(expr, sigma, ctx):
             term = term @ bmats[k - 1]
         out = out + coeff * term
     return out.tocsr()
-
-
-def linear_expression(vec):
-    """Expression for vec . S, skipping zero components."""
-    return [(complex(v), (k + 1,)) for k, v in enumerate(vec) if v != 0]
 
 
 def s3_star_ylm(ctx, sigma, l, m):

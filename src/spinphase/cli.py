@@ -186,9 +186,9 @@ def _initial_density(cfg, ctx):
             raise ValueError(f"cannot read initial matrix_file: {exc}") from exc
         if rho.shape != (ctx.hilbert_dim, ctx.hilbert_dim):
             raise ValueError(f"initial matrix shape {rho.shape} does not match 2S+1")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:  # NaN-safe
             raise ValueError("initial matrix must be Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-8:
+        if not abs(np.trace(rho).real - 1.0) <= 1e-8:
             raise ValueError("initial matrix must have unit trace")
         return rho
     raise ValueError('initial needs "coherent", "mixed" or "matrix_file"')
@@ -242,6 +242,8 @@ def _check_rk4_step(gen, t_end, dt_used):
     """Reject (exit 1) an rk4 step that amplifies one of the eigenvalues of gen
     of largest magnitude (ARPACK, fixed start vector), naming the largest dt
     on the same time grid that keeps them inside the rk4 stability region."""
+    if not np.any(gen.data):  # G = 0 amplifies nothing, and ARPACK's start
+        return                # vector would map to zero
     from scipy.sparse.linalg import eigs  # slow import, rk4 runs only
 
     n = gen.shape[0]
@@ -320,11 +322,15 @@ def _cmd_compare(cfg, out_dir, tolerance, rng):
     oracle = dynamics.integrate(liou, dynamics.vec_density(rho0), t_end, dt, method)
     c0 = sw_transform.operator_to_symbol(rho0, sigma, ctx)
     phase = dynamics.integrate(gen, c0, t_end, dt, method, ctx, sigma, "symbol")
+    # the gap is read on sigma = 0 coefficients, where it is an operator error
+    # in the orthonormal T_lm basis (see dynamics._symbol_observables); the
+    # factors are exactly 1 at sigma = 0, so that gap is the one read at sigma
+    to_symmetric = sw_transform.switch_ordering(np.ones(ctx.symbol_dim), sigma, 0.0, ctx).real
     devs = np.empty(oracle.times.size)
     for i in range(oracle.times.size):
         c_oracle = sw_transform.operator_to_symbol(
-            dynamics.unvec_density(oracle.states[i]), sigma, ctx)
-        devs[i] = np.max(np.abs(c_oracle - phase.states[i]))
+            dynamics.unvec_density(oracle.states[i]), 0.0, ctx)
+        devs[i] = np.max(np.abs(c_oracle - to_symmetric * phase.states[i]))
     _write_csv(_out_path(out_dir, cfg, "comparison", "compare.csv"), "t,deviation",
                zip(oracle.times, devs))
     worst = float(np.max(devs))

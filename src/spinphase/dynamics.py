@@ -217,15 +217,6 @@ def master_liouvillian(h, f, gamma, temperature):
     return out
 
 
-def master_stationary_state(h, f, gamma, temperature):
-    """Null vector of the master generator as a unit-trace Hermitian matrix."""
-    liou = master_liouvillian(h, f, gamma, temperature)
-    w, v = np.linalg.eig(liou)
-    rho = unvec_density(v[:, np.argmin(np.abs(w))])
-    rho = (rho + rho.conj().T) / 2.0
-    return rho / np.trace(rho).real
-
-
 # --- classical generators -------------------------------------------------
 
 def _validate_poly(poly):
@@ -361,9 +352,9 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
     Runge-Kutta; "expm" applies exp(G dt) as the truncated Taylor series of
     _taylor_step on the sparse G, with no dense n x n matrix, no random
     numbers and no size limit.  kind "symbol" attaches, at every step, the
-    spin observables, trace, purity and reality residual max|P conj(c) - c|
-    of symbol states (needs ctx and sigma).  A non-finite state aborts,
-    naming its step.
+    spin observables, trace, purity and reality residual max|P conj(c0) - c0|
+    of symbol states c, with c0 = switch_ordering(c, sigma, 0) (needs ctx and
+    sigma).  A non-finite state aborts, naming its step.
     """
     n_steps, dt_used = time_steps(t_end, dt)
     y0 = np.asarray(y0, dtype=complex)
@@ -462,10 +453,14 @@ def _taylor_step(gen, dt_used):
 
 def _symbol_observables(ctx, sigma):
     """Fills obs from a block of symbol states: S1, S2, S3, trace, purity and
-    the reality residual, one row per state."""
+    the reality residual, one row per state.  The residual is read on the
+    sigma = 0 coefficients, the operator in the orthonormal T_lm basis: at
+    sigma > 0 the factors w_l^-sigma magnify rounding in the top shell by
+    about 2^(2S sigma), which is no error of the operator."""
     sigma = sw_transform.validate_sigma(sigma)
     duals = [sw_transform.operator_to_symbol(sm, -sigma, ctx) for sm in spin_matrices(ctx)]
     conj = sphere_ops.conjugation_matrix(ctx.band_limit)
+    to_symmetric = sw_transform.switch_ordering(np.ones(ctx.symbol_dim), sigma, 0.0, ctx).real
 
     def observe(block, obs):
         for i, c in enumerate(block):
@@ -474,7 +469,8 @@ def _symbol_observables(ctx, sigma):
             obs[i, 3] = sw_transform.symbol_trace(c, ctx).real
             dual_c = sw_transform.switch_ordering(c, sigma, -sigma, ctx)
             obs[i, 4] = sw_transform.expectation(c, dual_c, ctx).real
-            obs[i, 5] = np.max(np.abs(conj @ c.conj() - c))
+            c0 = to_symmetric * c
+            obs[i, 5] = np.max(np.abs(conj @ c0.conj() - c0))
 
     return observe
 
@@ -509,8 +505,9 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
         raise ValueError(f'scan mode must be "unitary", "bilinear" or "asymptotics", '
                          f'got {mode!r}')
     sigma = sw_transform.validate_sigma(sigma)
-    if not twice_s_values:
-        raise ValueError("twice_s_values must be non-empty")
+    if len({int(t) for t in twice_s_values}) < 2:  # one S fits no slope
+        raise ValueError(f"twice_s_values needs at least two distinct values, "
+                         f"got {list(twice_s_values)}")
     if l_test < 0:
         raise ValueError(f"l_test must be >= 0, got {l_test}")
     if l_test > min(int(t) for t in twice_s_values) - 2:

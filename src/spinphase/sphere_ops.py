@@ -81,24 +81,6 @@ def _legendre_table(band_limit, x):
     return table
 
 
-def ylm_eval(l, m, theta, phi):
-    """Y_lm(theta, phi), orthonormal with Condon-Shortley phase.
-
-    Broadcasts over array-valued theta/phi of a common shape.
-    """
-    if l < 0 or abs(m) > l:
-        raise ValueError(f"invalid (l, m) = ({l}, {m})")
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    shape = np.broadcast_shapes(theta.shape, phi.shape)
-    th = np.broadcast_to(theta, shape).ravel()
-    ph = np.broadcast_to(phi, shape).ravel()
-    p = _legendre_table(l, np.cos(th))[_half_index(l, abs(m))]
-    sign = 1.0 if m >= 0 else (-1.0) ** (-m)
-    out = sign * p * np.exp(1j * m * ph)
-    return out.reshape(shape) if shape else out[0]
-
-
 def _ylm_rows(band_limit, x):
     # Y_lm(theta, phi = 0) over the flat index (rows) at x = cos(theta) (columns)
     l_of, m_of = lm_arrays(band_limit)
@@ -284,14 +266,3 @@ def conjugated_operator(op, band_limit):
 def operator_imag(op, band_limit):
     """Im(O) = (O - C O C)/(2i) as a linear operator on coefficients."""
     return (op - conjugated_operator(op, band_limit)) / 2j
-
-
-def operator_real(op, band_limit):
-    """Re(O) = (O + C O C)/2."""
-    return (op + conjugated_operator(op, band_limit)) / 2.0
-
-
-def is_real_symbol(c, tol=1e-12):
-    c = np.asarray(c, dtype=complex)
-    return bool(np.max(np.abs(apply_conjugation(c) - c)) <= tol)
-

@@ -193,7 +193,3 @@ def rotation_z(ctx, angle):
     """exp(-i angle S3), diagonal in the standard basis."""
     m = ctx.s - np.arange(ctx.hilbert_dim)
     return np.diag(np.exp(-1j * angle * m))
-
-
-def is_hermitian(a, tol=1e-12):
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)

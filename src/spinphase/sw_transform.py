@@ -33,22 +33,10 @@ def measure_constant(ctx):
     return (ctx.twice_s + 1) / (4.0 * math.pi)
 
 
-def cg_weight(ctx, l):
-    """Stretched coefficient <S,S; l,0 | S,S>; strictly positive for l <= 2S.
-
-    Closed form (2S)! sqrt(2S+1) / F(l) with F(l) = sqrt((2S+l+1)!(2S-l)!).
-    """
-    if l != int(l) or not 0 <= l <= ctx.twice_s:
-        raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
-    w = math.exp(_log_weights(ctx.twice_s)[int(l)])
-    if w <= 0.0:
-        raise RuntimeError(f"stretched CG weight not positive at l={l}: {w}")
-    return w
-
-
 @functools.lru_cache(maxsize=64)
 def _log_weights(twice_s):
-    # ln w_l from the closed form of cg_weight, exact to rounding at every S
+    # ln w_l, w_l = <S,S; l,0 | S,S> = (2S)! sqrt(2S+1) / sqrt((2S+l+1)!(2S-l)!),
+    # in closed form: exact to rounding at every S, and positive for l <= 2S
     n2 = twice_s
     log_f = [0.5 * (su2_algebra.log_factorial(n2 + l + 1) + su2_algebra.log_factorial(n2 - l))
              for l in range(n2 + 1)]

@@ -1,0 +1,109 @@
+"""Reference helpers of the tests: oracles, predicates and small builders that
+no library path calls.
+
+They live here so the library cannot reuse the code that checks it.  Each
+one either computes a quantity by a route independent of the library's own
+(the harmonics from scipy, the Bopp matrices from the transform pair, the
+symmetric tables from their closed form, the stationary state from a dense
+eigen-solve) or exposes a library quantity for a test to read.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import sph_harm_y
+
+from spinphase import bopp, dynamics, sphere_ops, sw_transform
+
+
+def ylm_eval(l, m, theta, phi):
+    """Y_lm(theta, phi), orthonormal with Condon-Shortley phase, from scipy.
+
+    Broadcasts over array-valued theta/phi; the library's own harmonics come
+    from its Legendre recurrence, which this does not share.
+    """
+    return sph_harm_y(l, m, theta, phi)
+
+
+def operator_real(op, band_limit):
+    """Re(O) = (O + C O C)/2."""
+    return (op + sphere_ops.conjugated_operator(op, band_limit)) / 2.0
+
+
+def is_real_symbol(c, tol=1e-12):
+    c = np.asarray(c, dtype=complex)
+    return bool(np.max(np.abs(sphere_ops.apply_conjugation(c) - c)) <= tol)
+
+
+def is_hermitian(a, tol=1e-12):
+    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+
+
+def is_hermitian_expression(expr, ctx, tol=1e-12):
+    return is_hermitian(bopp.expression_to_matrix(expr, ctx), tol)
+
+
+def expression_adjoint(expr):
+    """Adjoint: conjugate coefficients, reverse each word."""
+    return [(np.conj(coeff), word[::-1]) for coeff, word in bopp.validate_expression(expr)]
+
+
+def linear_expression(vec):
+    """Expression for vec . S, skipping zero components."""
+    return [(complex(v), (k + 1,)) for k, v in enumerate(vec) if v != 0]
+
+
+def symmetric_coefficients_closed_form(ctx, l):
+    """(f1, f2) at sigma = 0 in closed form, for cross-checking the tables.
+
+    With n = 2S+1: f1 = [(l+1) sqrt(n^2-(l+1)^2) + l sqrt(n^2-l^2)] / (2(2l+1)),
+    f2 = [sqrt(n^2-(l+1)^2) - sqrt(n^2-l^2)] / (2(2l+1)).
+    """
+    if l != int(l) or not 0 <= l <= ctx.twice_s:
+        raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
+    n = ctx.twice_s + 1
+    up = math.sqrt(max(n * n - (l + 1) ** 2, 0))
+    down = math.sqrt(n * n - l * l)
+    f1 = ((l + 1) * up + l * down) / (2.0 * (2 * l + 1))
+    f2 = (up - down) / (2.0 * (2 * l + 1))
+    return f1, f2
+
+
+def left_mult_superoperator(a, sigma, ctx):
+    """Matrix of c -> symbol(a @ operator(c)), built column by column.
+
+    Independent of the Bopp construction; serves as its oracle.
+    """
+    sigma = sw_transform.validate_sigma(sigma)
+    n = ctx.symbol_dim
+    out = np.empty((n, n), dtype=complex)
+    basis = np.zeros(n, dtype=complex)
+    for idx in range(n):
+        basis[idx] = 1.0
+        op = sw_transform.symbol_to_operator(basis, sigma, ctx)
+        out[:, idx] = sw_transform.operator_to_symbol(a @ op, sigma, ctx)
+        basis[idx] = 0.0
+    return out
+
+
+def cg_weight(ctx, l):
+    """Stretched coefficient <S,S; l,0 | S,S> as the transform uses it.
+
+    Closed form (2S)! sqrt(2S+1) / F(l) with F(l) = sqrt((2S+l+1)!(2S-l)!),
+    read from the transform's log-domain table; strictly positive for l <= 2S.
+    """
+    if l != int(l) or not 0 <= l <= ctx.twice_s:
+        raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
+    w = math.exp(sw_transform._log_weights(ctx.twice_s)[int(l)])
+    if w <= 0.0:
+        raise RuntimeError(f"stretched CG weight not positive at l={l}: {w}")
+    return w
+
+
+def master_stationary_state(h, f, gamma, temperature):
+    """Null vector of the master generator as a unit-trace Hermitian matrix."""
+    liou = dynamics.master_liouvillian(h, f, gamma, temperature)
+    w, v = np.linalg.eig(liou)
+    rho = dynamics.unvec_density(v[:, np.argmin(np.abs(w))])
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho).real

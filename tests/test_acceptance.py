@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from spinphase import bopp
 from spinphase import dynamics as dyn
 from spinphase import sphere_ops as so
@@ -78,7 +79,7 @@ def test_criterion_02_multiplication_operators_match_transform_oracle():
         for sigma in SIGMAS:
             mats = bopp.bopp_matrices(ctx, sigma)
             for op, mat in zip(spin_matrices(ctx), mats):
-                oracle = bopp.left_mult_superoperator(op, sigma, ctx)
+                oracle = oracles.left_mult_superoperator(op, sigma, ctx)
                 worst = max(worst, float(np.linalg.norm(
                     mat.toarray() - oracle, 2)))
     ok = worst < 1e-10
@@ -167,7 +168,7 @@ def test_criterion_07_dissipative_flow_matches_master_equation():
     b3, gamma, temperature = 1.0, 0.1, 1.0  # gamma T = 0.1
     xi = np.array([0.8, 0.0, 0.6])
     h_expr = [(-b3, (3,))]
-    f_expr = bopp.linear_expression(xi)
+    f_expr = oracles.linear_expression(xi)
     bath = dyn.BathSpec(tuple(f_expr), gamma, temperature)
     t_end = 5.0 / gamma
     dt = 0.5

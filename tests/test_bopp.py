@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from spinphase import bopp
 from spinphase import sphere_ops as so
 from spinphase import sw_transform as swt
@@ -43,7 +44,7 @@ def test_symmetric_tables_match_closed_form(twice_s):
     ctx = SpinContext(twice_s)
     table = bopp.bopp_coefficients(ctx, 0.0)
     for l in range(twice_s + 1):
-        f1, f2 = bopp.symmetric_coefficients_closed_form(ctx, l)
+        f1, f2 = oracles.symmetric_coefficients_closed_form(ctx, l)
         assert table.f1[l] == pytest.approx(f1, abs=1e-12)
         assert table.f2[l] == pytest.approx(f2, abs=1e-12)
 
@@ -88,7 +89,7 @@ def test_bopp_matrices_match_left_multiplication(twice_s, sigma):
     ctx = SpinContext(twice_s)
     mats = bopp.bopp_matrices(ctx, sigma)
     for op, mat in zip(spin_matrices(ctx), mats):
-        oracle = bopp.left_mult_superoperator(op, sigma, ctx)
+        oracle = oracles.left_mult_superoperator(op, sigma, ctx)
         assert np.max(np.abs(mat.toarray() - oracle)) < 1e-12
 
 
@@ -157,7 +158,7 @@ def test_validate_expression_normalizes_and_rejects():
 
 def test_expression_adjoint_reverses_words():
     expr = [(2.0 + 1j, (1, 2, 3)), (0.5, (2,))]
-    adj = bopp.expression_adjoint(expr)
+    adj = oracles.expression_adjoint(expr)
     assert adj == [(2.0 - 1j, (3, 2, 1)), (0.5 + 0j, (2,))]
 
 
@@ -170,9 +171,9 @@ def test_expression_to_matrix_multiplies_in_word_order():
 
 def test_is_hermitian_expression():
     ctx = SpinContext(2)
-    assert bopp.is_hermitian_expression([(-0.3, (1,)), (1.0, (3,))], ctx)
-    assert bopp.is_hermitian_expression([(1.0, (1, 2)), (1.0, (2, 1))], ctx)
-    assert not bopp.is_hermitian_expression([(1j, (1,))], ctx)
+    assert oracles.is_hermitian_expression([(-0.3, (1,)), (1.0, (3,))], ctx)
+    assert oracles.is_hermitian_expression([(1.0, (1, 2)), (1.0, (2, 1))], ctx)
+    assert not oracles.is_hermitian_expression([(1j, (1,))], ctx)
 
 
 def test_evaluate_expression_builds_ordered_bopp_products():
@@ -186,7 +187,7 @@ def test_evaluate_expression_builds_ordered_bopp_products():
 
 
 def test_linear_expression_drops_zeros():
-    assert bopp.linear_expression([0.0, 2.0, -1.0]) == [
+    assert oracles.linear_expression([0.0, 2.0, -1.0]) == [
         (2.0 + 0j, (2,)), (-1.0 + 0j, (3,))]
 
 

