@@ -19,34 +19,6 @@ from . import sphere_ops, sw_transform
 from .su2_algebra import log_factorial, spin_matrices
 
 
-def f_ratio(ctx, l, direction):
-    """Closed-form ratio F(l)/F(l + direction) with F(l) = sqrt((2S+l+1)!(2S-l)!).
-
-    direction +1: sqrt((2S-l)/(2S+l+2)), zero at the band edge l = 2S.
-    direction -1: sqrt((2S+l+1)/(2S-l+1)), defined for l >= 1.
-    """
-    if l != int(l) or not 0 <= l <= ctx.twice_s:
-        raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
-    l = int(l)
-    n2 = ctx.twice_s
-    if direction == 1:
-        return math.sqrt((n2 - l) / (n2 + l + 2))
-    if direction == -1:
-        if l == 0:
-            raise ValueError("f_ratio direction -1 requires l >= 1")
-        return math.sqrt((n2 + l + 1) / (n2 - l + 1))
-    raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-
-
-def _power(ratio, exponent):
-    # ratio^exponent with the 0^0 = 1 convention used at the band edge
-    if exponent == 0.0:
-        return 1.0
-    if ratio == 0.0:
-        return 0.0
-    return math.exp(exponent * math.log(ratio))
-
-
 @dataclass(frozen=True)
 class BoppCoefficients:
     """Shell tables f1(l), f2(l) for l = 0..2S at a fixed ordering."""
@@ -58,37 +30,43 @@ class BoppCoefficients:
 
 
 def bopp_coefficients(ctx, sigma):
-    """Tables f1(l), f2(l); ratio powers are taken in the log domain.
+    """Tables f1(l), f2(l) for l = 0..2S, exact to rounding at every S.
 
-    f1(l) = [r+^{1-sigma} (2S+l+2)(l+1) + r-^{1-sigma} (2S+1-l) l] / (2(2l+1))
-    f2(l) = [r+^{1-sigma} (2S+l+2)   -   r-^{1-sigma} (2S+1-l)  ] / (2(2l+1))
-    with r+ = F(l)/F(l+1), r- = F(l)/F(l-1); F(-1) = F(0) regularizes l = 0.
+    With N = 2S, e = 1 - sigma and F(l) = sqrt((N+l+1)!(N-l)!),
+      up   = (F(l)/F(l+1))^e (N+l+2) = (N-l)^(e/2) (N+l+2)^(1-e/2),
+      down = (F(l)/F(l-1))^e (N+1-l) = (N+l+1)^(e/2) (N+1-l)^(1-e/2),
+      f1 = (up (l+1) + down l) / (2(2l+1)),  f2 = (up - down) / (2(2l+1)).
+    f2 is O(1/S) while up and down are O(S), so it is formed from
+    q = ln(up/down) = (e/2) log1p(-(2l+1)/((N+1)^2-l^2)) + (1-e) log1p((2l+1)/(N+1-l)),
+    whose log1p arguments are exact integer ratios: f2 = down expm1(q) / (2(2l+1)).
+    The factor 1 - e is sigma itself, so it carries no rounding.
     """
     sigma = sw_transform.validate_sigma(sigma)
     n2 = ctx.twice_s
-    expo = 1.0 - sigma
-    f1 = np.empty(n2 + 1)
-    f2 = np.empty(n2 + 1)
-    for l in range(n2 + 1):
-        rp_pow = _power(f_ratio(ctx, l, +1), expo)
-        rm_pow = _power(1.0 if l == 0 else f_ratio(ctx, l, -1), expo)
-        up = rp_pow * (n2 + l + 2)
-        down = rm_pow * (n2 + 1 - l)
-        f1[l] = (up * (l + 1) + down * l) / (2.0 * (2 * l + 1))
-        f2[l] = (up - down) / (2.0 * (2 * l + 1))
+    half_e = 0.5 * (1.0 - sigma)
+    l = np.arange(n2 + 1)
+    two_l1 = 2 * l + 1
+    down = (n2 + l + 1.0) ** half_e * (n2 + 1.0 - l) ** (1.0 - half_e)
+    q = sigma * np.log1p(two_l1 / (n2 + 1 - l))
+    if half_e:  # at sigma = 1 the term is 0, not 0 * log1p(-1) = nan at l = 2S
+        with np.errstate(divide="ignore"):
+            q = q + half_e * np.log1p(-two_l1 / ((n2 + 1) ** 2 - l * l))
+    f1 = down * ((l + 1) * np.exp(q) + l) / (2.0 * two_l1)
+    f2 = down * np.expm1(q) / (2.0 * two_l1)
     return BoppCoefficients(n2, sigma, f1, f2)
 
 
 def asymptotic_coefficients(ctx, sigma, l):
-    """Large-S approximations of (f1, f2) at fixed shell l.
+    """Large-S approximations of (f1, f2) at shell(s) l, broadcast over l.
 
     f1 ~ (2S+1+sigma)/2 + (l(l+1)+1)(sigma^2-1)/(4(2S+1))
     f2 ~ sigma/2 + (sigma^2-1)/(4(2S+1))
     """
     sigma = sw_transform.validate_sigma(sigma)
     n = ctx.twice_s + 1
+    l = np.asarray(l, dtype=float)
     f1 = (n + sigma) / 2.0 + (l * (l + 1) + 1) * (sigma * sigma - 1.0) / (4.0 * n)
-    f2 = sigma / 2.0 + (sigma * sigma - 1.0) / (4.0 * n)
+    f2 = np.full_like(l, sigma / 2.0 + (sigma * sigma - 1.0) / (4.0 * n))
     return f1, f2
 
 
@@ -224,10 +202,11 @@ def s3_star_ylm(ctx, sigma, l, m):
     out = np.zeros(ctx.symbol_dim, dtype=complex)
     # j = 1 term contributes -series_ratio * (i d/dphi) on the l shell
     out[sphere_ops.flat_index(l, m)] = pref * series_ratio * m
-    rp_pow = _power(f_ratio(ctx, l, +1), 1.0 - sigma)
+    # F(l)/F(l+1) and F(l)/F(l-1), each to the power 1 - sigma
     if l + 1 <= n2:
+        rp_pow = ((n2 - l) / (n2 + l + 2)) ** (0.5 * (1.0 - sigma))
         out[sphere_ops.flat_index(l + 1, m)] = pref * rp_pow * (a1 + series_ratio * b1)
     if l >= 1 and abs(m) <= l - 1:  # at |m| = l the couplings a2, b2 vanish
-        rm_pow = _power(f_ratio(ctx, l, -1), 1.0 - sigma)
+        rm_pow = ((n2 + l + 1) / (n2 - l + 1)) ** (0.5 * (1.0 - sigma))
         out[sphere_ops.flat_index(l - 1, m)] = pref * rm_pow * (a2 + series_ratio * b2)
     return out

@@ -521,14 +521,12 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
         ctx = SpinContext(twice_s)
         s_values.append(ctx.s)
         if mode == "asymptotics":
+            l = np.arange(l_test + 1)
             coeffs = bopp.bopp_coefficients(ctx, sigma)
-            worst = 0.0
-            for l in range(min(l_test, ctx.band_limit) + 1):
-                a1, a2 = bopp.asymptotic_coefficients(ctx, sigma, l)
-                for exact, approx in ((coeffs.f1[l], a1), (coeffs.f2[l], a2)):
-                    denom = max(abs(exact), 1e-300)
-                    worst = max(worst, abs(exact - approx) / denom)
-            deviations.append(worst)
+            exact = np.stack([coeffs.f1[l], coeffs.f2[l]])
+            approx = np.stack(bopp.asymptotic_coefficients(ctx, sigma, l))
+            rel = np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-300)
+            deviations.append(np.max(rel))
             continue
         if b is None:
             raise ValueError(f"mode {mode!r} needs a field vector b")

@@ -91,13 +91,15 @@ def symbol_to_operator(c, sigma, ctx):
 
 
 def switch_ordering(c, sigma_from, sigma_to, ctx):
-    """Re-express coefficients at a different ordering: factor w_l^{from-to}."""
+    """Re-express coefficients at a different ordering: factor w_l^{from-to}.
+
+    The factor is formed first, so equal orderings return c unchanged."""
     sigma_from = validate_sigma(sigma_from)
     sigma_to = validate_sigma(sigma_to)
     c = np.asarray(c, dtype=complex)
     if c.size != ctx.symbol_dim:
         raise ValueError("coefficient length does not match context")
-    return c * _factors(ctx, sigma_to) / _factors(ctx, sigma_from)
+    return c * (_factors(ctx, sigma_to) / _factors(ctx, sigma_from))
 
 
 def kernel_eval(ctx, sigma, theta, phi):

@@ -57,7 +57,8 @@ def symmetric_coefficients_closed_form(ctx, l):
     """(f1, f2) at sigma = 0 in closed form, for cross-checking the tables.
 
     With n = 2S+1: f1 = [(l+1) sqrt(n^2-(l+1)^2) + l sqrt(n^2-l^2)] / (2(2l+1)),
-    f2 = [sqrt(n^2-(l+1)^2) - sqrt(n^2-l^2)] / (2(2l+1)).
+    f2 = [sqrt(n^2-(l+1)^2) - sqrt(n^2-l^2)] / (2(2l+1)) = -1 / (2(up + down)),
+    with up, down the two roots: up^2 - down^2 = -(2l+1), so no difference is formed.
     """
     if l != int(l) or not 0 <= l <= ctx.twice_s:
         raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
@@ -65,7 +66,7 @@ def symmetric_coefficients_closed_form(ctx, l):
     up = math.sqrt(max(n * n - (l + 1) ** 2, 0))
     down = math.sqrt(n * n - l * l)
     f1 = ((l + 1) * up + l * down) / (2.0 * (2 * l + 1))
-    f2 = (up - down) / (2.0 * (2 * l + 1))
+    f2 = -1.0 / (2.0 * (up + down))
     return f1, f2
 
 

@@ -1,6 +1,7 @@
 """Phase-space multiplication operators and their shell tables."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -17,14 +18,48 @@ SIGMAS = (-1.0, 0.0, 1.0)
 
 # --- shell tables -----------------------------------------------------------
 
-def test_f_ratio_domains():
-    ctx = SpinContext(4)
-    assert bopp.f_ratio(ctx, 4, +1) == 0.0  # top shell closes upward
-    assert bopp.f_ratio(ctx, 1, -1) > 0
-    with pytest.raises(ValueError):
-        bopp.f_ratio(ctx, 5, +1)
-    with pytest.raises(ValueError):
-        bopp.f_ratio(ctx, 0, -1)
+@pytest.mark.parametrize("twice_s", [1, 2, 7, 40, 1000])
+@pytest.mark.parametrize("sigma", [-1.0, -0.5, 0.0, 0.3, 0.99])
+def test_top_shell_closes_upward(twice_s, sigma):
+    """For sigma < 1, F(2S)/F(2S+1) = 0 leaves only the downward term at l = 2S:
+    f1 = 2S down / (2(4S+1)) and f2 = -down / (2(4S+1))."""
+    table = bopp.bopp_coefficients(SpinContext(twice_s), sigma)
+    f1, f2 = table.f1[twice_s], table.f2[twice_s]
+    assert f2 < 0
+    assert abs(f1 + twice_s * f2) <= 4e-16 * f1
+
+
+def _decimal_tables(twice_s, sigma, l):
+    """(f1, f2) at shell l from their defining powers, in 50-digit decimal.
+
+    up = (N-l)^(e/2) (N+l+2)^(1-e/2), down = (N+l+1)^(e/2) (N+1-l)^(1-e/2),
+    N = 2S, e = 1 - sigma; f1 = (up (l+1) + down l)/(2(2l+1)),
+    f2 = (up - down)/(2(2l+1)).  At 50 digits the difference up - down
+    keeps over 35 of them up to 2S = 10^5.
+    """
+    def power(x, y):  # 0^0 = 1: at sigma = 1 the top shell's up is N+l+2
+        if y == 0:
+            return Decimal(1)
+        return Decimal(0) if x == 0 else (y * x.ln()).exp()
+
+    with localcontext() as dec:
+        dec.prec = 50
+        n, l, e = Decimal(twice_s), Decimal(l), 1 - Decimal(sigma)
+        up = power(n - l, e / 2) * power(n + l + 2, 1 - e / 2)
+        down = power(n + l + 1, e / 2) * power(n + 1 - l, 1 - e / 2)
+        return (up * (l + 1) + down * l) / (4 * l + 2), (up - down) / (4 * l + 2)
+
+
+@pytest.mark.parametrize("twice_s", [1, 2, 7, 40, 1000, 100000])
+@pytest.mark.parametrize("sigma", [-1.0, -0.5, 0.0, 0.3, 1.0])
+def test_tables_match_decimal_reference(twice_s, sigma):
+    """Relative error <= 1e-15 at every S: f2 is O(1/S), a difference of two
+    O(S) terms, so forming it as one loses about eps S^2."""
+    table = bopp.bopp_coefficients(SpinContext(twice_s), sigma)
+    for l in sorted({0, 1, 2, twice_s - 1, twice_s} & set(range(twice_s + 1))):
+        for got, want in zip((table.f1[l], table.f2[l]),
+                             _decimal_tables(twice_s, sigma, l)):
+            assert abs(Decimal(got) - want) <= Decimal("1e-15") * abs(want), (l, got)
 
 
 @pytest.mark.parametrize("twice_s", range(1, 21))
@@ -37,6 +72,15 @@ def test_tables_reduce_to_constant_orderings_at_sigma_plus_minus_one(twice_s):
     normal = bopp.bopp_coefficients(ctx, 1.0)
     np.testing.assert_allclose(normal.f1, s + 1.0, atol=1e-13)
     np.testing.assert_allclose(normal.f2, 0.5, atol=1e-13)
+
+
+@pytest.mark.parametrize("twice_s", [1, 2, 7, 40, 1000, 100000])
+def test_symmetric_closed_form_matches_decimal_reference(twice_s):
+    ctx = SpinContext(twice_s)
+    for l in sorted({0, 1, 2, twice_s - 1, twice_s} & set(range(twice_s + 1))):
+        for got, want in zip(oracles.symmetric_coefficients_closed_form(ctx, l),
+                             _decimal_tables(twice_s, 0.0, l)):
+            assert abs(Decimal(got) - want) <= Decimal("1e-15") * abs(want), (l, got)
 
 
 @pytest.mark.parametrize("twice_s", [1, 2, 3, 5, 8, 13])
@@ -72,6 +116,16 @@ def test_asymptotic_tables_converge_at_second_order():
                         abs(table.f2[l] - a2) / abs(table.f2[l]))
         errs.append(worst)
     assert errs[1] < errs[0] / 3.0  # halving 1/S should cut the error ~4x
+
+
+def test_asymptotic_coefficients_broadcast_over_shells():
+    ctx = SpinContext(30)
+    l = np.arange(5)
+    f1, f2 = bopp.asymptotic_coefficients(ctx, 0.4, l)
+    assert f1.shape == f2.shape == (5,)
+    for k in l:
+        a1, a2 = bopp.asymptotic_coefficients(ctx, 0.4, int(k))
+        assert (f1[k], f2[k]) == (a1, a2)
 
 
 def test_shell_diagonal_layout():

@@ -467,6 +467,37 @@ def test_limit_scan_bilinear_slope_gate(tmp_path):
                      "--out", str(tmp_path / "o2")]) == 2
 
 
+def _readme_asymptotics_config():
+    text = (ROOT / "README.md").read_text()
+    return json.loads(re.search(r"Example asymptotics `limit-scan` config.*?```json\n(.*?)```",
+                                text, re.S).group(1))
+
+
+@pytest.mark.parametrize("sigma", [None, -0.5, 0.5])
+def test_readme_asymptotics_scan_fits_minus_two(tmp_path, capsys, sigma):
+    """The README's asymptotics scan over 2S up to 10^5 fits slope -2 +- 0.01,
+    as written (sigma = 0) and at two other orderings."""
+    cfg = _readme_asymptotics_config()
+    if sigma is not None:
+        cfg["sigma"] = sigma
+    assert cli.main(["limit-scan", "--config", _write(tmp_path, "scan.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert abs(float(capsys.readouterr().out.split("slope = ")[1]) + 2.0) <= 0.01
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 1.0])
+def test_asymptotics_scan_at_constant_orderings_has_no_slope(tmp_path, capsys, sigma):
+    """At sigma = +-1 the tables equal their asymptotic forms, so the deviations
+    are rounding and the gate passes through the undefined-slope path."""
+    cfg = _readme_asymptotics_config()
+    cfg["sigma"] = sigma
+    assert cli.main(["limit-scan", "--config", _write(tmp_path, "scan.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert "slope = nan" in capsys.readouterr().out
+    with open(tmp_path / "o" / "scan.csv", newline="") as fh:
+        assert all(float(r[1]) <= 1e-15 for r in list(csv.reader(fh))[1:])
+
+
 def test_kernel_dump_covers_grid_and_matrix_indices(tmp_path):
     cfg = {"spin": {"twice_s": 1}, "sigma": 0.0, "grid": {"band_limit": 2}}
     cfg_path = _write(tmp_path, "k.json", cfg)

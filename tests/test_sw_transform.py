@@ -210,6 +210,14 @@ def test_switch_ordering_consistent_with_direct_transform(twice_s, s_from,
     np.testing.assert_allclose(via_switch, direct, atol=1e-11)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.5, 1.0])
+def test_switch_ordering_to_the_same_ordering_is_the_identity(sigma):
+    ctx = SpinContext(20)
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=ctx.symbol_dim) + 1j * rng.normal(size=ctx.symbol_dim)
+    assert np.array_equal(swt.switch_ordering(c, sigma, sigma, ctx), c)
+
+
 def test_kernel_is_hermitian_unit_trace_and_reproduces_symbols():
     ctx = SpinContext(2)
     a = _random_hermitian(ctx.hilbert_dim, 13)
