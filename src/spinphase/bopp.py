@@ -132,34 +132,32 @@ def validate_expression(expr):
     return out
 
 
+def _ordered_sum(expr, mats, zero, eye):
+    """zero + sum of coeff * mats[w1-1] @ mats[w2-1] @ ... over the (coeff, word)
+    terms of a validated expression; the empty word is eye."""
+    out = zero
+    for coeff, word in expr:
+        term = eye
+        for k in word:
+            term = term @ mats[k - 1]
+        out = out + coeff * term
+    return out
+
+
 def expression_to_matrix(expr, ctx):
     """Hilbert-space matrix of an ordered polynomial in the spin components."""
-    expr = validate_expression(expr)
-    smats = spin_matrices(ctx)
     n = ctx.hilbert_dim
-    out = np.zeros((n, n), dtype=complex)
-    for coeff, word in expr:
-        term = np.eye(n, dtype=complex)
-        for k in word:
-            term = term @ smats[k - 1]
-        out += coeff * term
-    return out
+    return _ordered_sum(validate_expression(expr), spin_matrices(ctx),
+                       np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex))
 
 
 def evaluate_expression(expr, sigma, ctx):
     """Symbol-space matrix of an ordered polynomial: words become products
     of Bopp matrices in the same order."""
-    expr = validate_expression(expr)
-    bmats = bopp_matrices(ctx, sigma)
     n = ctx.symbol_dim
-    out = sp.csr_matrix((n, n), dtype=complex)
-    eye = sp.identity(n, dtype=complex, format="csr")
-    for coeff, word in expr:
-        term = eye
-        for k in word:
-            term = term @ bmats[k - 1]
-        out = out + coeff * term
-    return out.tocsr()
+    return _ordered_sum(validate_expression(expr), bopp_matrices(ctx, sigma),
+                       sp.csr_matrix((n, n), dtype=complex),
+                       sp.identity(n, dtype=complex, format="csr")).tocsr()
 
 
 def s3_star_ylm(ctx, sigma, l, m):

@@ -37,6 +37,18 @@ _ALLOWED_KEYS = {
     "symbol": {"spin", "sigma", "operator", "grid", "outputs", "tolerance", "seed"},
 }
 
+# keys of the config sections by dotted path; those of "outputs" by command
+_SECTION_KEYS = {
+    "spin": {"twice_s"}, "hamiltonian": {"expression", "quadratic"},
+    "hamiltonian.quadratic": {"d", "b"}, "bath": {"coupling", "gamma", "temperature"},
+    "initial": {"coherent", "mixed", "matrix_file"}, "initial.coherent": {"theta", "phi"},
+    "time": {"t_end", "dt", "method"}, "grid": {"band_limit"},
+    "scan": {"mode", "twice_s_values", "l_test", "expected_slope"},
+    "operator": {"spin_component", "expression", "random_hermitian"},
+}
+_OUTPUT_KEYS = {"evolve": {"trajectory", "grid"}, "compare": {"comparison"},
+                "limit-scan": {"scan"}, "kernel": {"kernel"}, "symbol": {"grid"}}
+
 
 def _load_config(path):
     try:
@@ -97,10 +109,17 @@ def _optional(value, parse, what):
 
 
 def _validate_keys(cfg, command):
-    allowed = _ALLOWED_KEYS[command]
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ValueError(f"unknown config keys for {command}: {', '.join(unknown)}")
+    """Refuse unknown keys at the top level and in every section that is an
+    object (a section of another type is refused where it is read)."""
+    sections = {"": _ALLOWED_KEYS[command], **_SECTION_KEYS, "outputs": _OUTPUT_KEYS[command]}
+    for path, allowed in sections.items():
+        section = cfg
+        for name in filter(None, path.split(".")):
+            section = section.get(name) if isinstance(section, dict) else None
+        unknown = sorted(set(section) - allowed) if isinstance(section, dict) else []
+        if unknown:
+            where = f' in "{path}"' if path else ""
+            raise ValueError(f"unknown config keys{where} for {command}: {', '.join(unknown)}")
 
 
 def _context(cfg):

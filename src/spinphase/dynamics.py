@@ -125,23 +125,32 @@ def bilinear_lambda(ctx, gamma, xi):
     return ctx.s * gamma * np.outer(xi, xi)
 
 
-def _cross_multiplication(vec_ops, const):
-    """Operators for the components of (v x const), v given componentwise."""
-    n = vec_ops[0].shape[0]
-    out = [sp.csr_matrix((n, n), dtype=complex) for _ in range(3)]
+def _effective_field_generator(l_ops, m_ops, b_ops, lam, temperature, s, v_ops=None):
+    """(i/S) sum_k L_k B_k - (i/S) sum_kj L_k Lam_kj [((m + V) x B)_j - i T L_j], the
+    form of both the quantum and the classical generators, for field operators
+    B_k and an optional vector operator V.  Components B_k with no nonzero
+    entry are skipped, so they store no entries."""
+    zero = sp.csr_matrix(l_ops[0].shape, dtype=complex)
+    if v_ops is not None:
+        m_ops = [m + v for m, v in zip(m_ops, v_ops)]
+    live = [b.count_nonzero() > 0 for b in b_ops]
+    cross = [zero] * 3
     for a, b, c, sign in _EPS:
-        if const[c] != 0:
-            out[a] = out[a] + sign * const[c] * vec_ops[b]
-    return out
+        if live[c]:
+            cross[a] = cross[a] + sign * (m_ops[b] @ b_ops[c])
+    gen = sum(((1j / s) * (l_ops[k] @ b_ops[k]) for k in range(3) if live[k]), zero)
+    for k, j in zip(*np.nonzero(lam)):
+        gen = gen - (1j / s) * lam[k, j] * (l_ops[k] @ (cross[j] - 1j * temperature * l_ops[j]))
+    return gen.tocsr()
 
 
 def isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx):
-    """Bilinear-coupling generator written in effective-field form.
+    """Bilinear-coupling generator: the classical Fokker-Planck generator of
+    H = -S b.m plus an O(1/S) term.
 
-    (i/S) sum_k L_k B_eff,k
-    - (i/S) sum_kj L_k Lam_kj [ (m x B_eff)_j + (M x B_eff)_j - i T L_j ]
-    with B_eff = S b, Lam = S gamma xi xi^T and the vector operator
-    M_a = (1/S)(M_a (F1 - S) + K_a F2), which is O(1/S).  Equals
+    It is the effective-field form (see classical_generators) with the field
+    B = S b, Lam = S gamma xi xi^T and the vector operator
+    V_a = (1/S)(M_a (F1 - S) + K_a F2), which is O(1/S), added to m.  Equals
     qfp_generator for H = -b.S, F = xi.S up to rounding.
     """
     if not (math.isfinite(gamma) and gamma >= 0):
@@ -150,24 +159,12 @@ def isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx):
         raise ValueError("temperature must be finite and > 0")
     b = np.asarray(b, dtype=float)
     s = ctx.s
-    n = ctx.symbol_dim
     l_ops, m_mult, k_mult, f1d, f2d, _ = bopp.bopp_operators(ctx, sigma)
-    eye = sp.identity(n, dtype=complex, format="csr")
-    m_vec = [(m_mult[a] @ (f1d - s * eye) + k_mult[a] @ f2d) / s for a in range(3)]
-    b_eff = s * b
-    lam = bilinear_lambda(ctx, gamma, xi)
-    cross_m = _cross_multiplication(m_mult, b_eff)
-    cross_v = _cross_multiplication(m_vec, b_eff)
-    gen = sp.csr_matrix((n, n), dtype=complex)
-    for k in range(3):
-        if b_eff[k] != 0:
-            gen = gen + (1j / s) * b_eff[k] * l_ops[k]
-        for j in range(3):
-            if lam[k, j] == 0:
-                continue
-            inner = cross_m[j] + cross_v[j] - 1j * temperature * l_ops[j]
-            gen = gen - (1j / s) * lam[k, j] * (l_ops[k] @ inner)
-    return gen.tocsr()
+    eye = sp.identity(ctx.symbol_dim, dtype=complex, format="csr")
+    v_ops = [(m_mult[a] @ (f1d - s * eye) + k_mult[a] @ f2d) / s for a in range(3)]
+    return _effective_field_generator(l_ops, m_mult, [s * b[k] * eye for k in range(3)],
+                                      bilinear_lambda(ctx, gamma, xi), temperature, s,
+                                      v_ops)
 
 
 # --- Hilbert-space oracle -------------------------------------------------
@@ -244,27 +241,23 @@ def poly_gradient(poly):
 
 def poly_multiplication_operator(poly, band_limit):
     """Band-limited multiplication operator for a polynomial in m (lossy top shells)."""
-    poly = _validate_poly(poly)
     n = sphere_ops.num_coefficients(band_limit)
-    m1, m2, m3, _, _, _ = sphere_ops.position_operators(band_limit)
-    out = sp.csr_matrix((n, n), dtype=complex)
-    eye = sp.identity(n, dtype=complex, format="csr")
-    for coeff, expo in poly:
-        term = eye
-        for op, e in zip((m1, m2, m3), expo):
-            for _ in range(e):
-                term = term @ op
-        out = out + coeff * term
-    return out
+    words = [(coeff, (1,) * e1 + (2,) * e2 + (3,) * e3)
+             for coeff, (e1, e2, e3) in _validate_poly(poly)]
+    return bopp._ordered_sum(words, sphere_ops.position_operators(band_limit)[:3],
+                             sp.csr_matrix((n, n), dtype=complex),
+                             sp.identity(n, dtype=complex, format="csr"))
 
 
 def classical_generators(h_poly, lam, temperature, band_limit, s):
     """(liouville, fokker_planck) for classical spin dynamics at band limit L.
 
-    The classical Hamiltonian is a polynomial in m; B_eff = -grad H.
-    liouville = (i/S) sum_k L_k B_eff,k
-    fokker_planck adds -(i/S) sum_kj L_k Lam_kj [(m x B_eff)_j - i T L_j].
-    exp(-H/T) is stationary under fokker_planck for linear H.
+    The classical Hamiltonian is a polynomial in m; B_eff = -grad H.  Both are
+    the effective-field form with no V: liouville at Lam = 0,
+    (i/S) sum_k L_k B_eff,k, and fokker_planck with Lam, which adds
+    -(i/S) sum_kj L_k Lam_kj [(m x B_eff)_j - i T L_j].  exp(-H/T) is
+    stationary under fokker_planck on the shells the band truncation leaves
+    intact.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (3, 3):
@@ -278,21 +271,8 @@ def classical_generators(h_poly, lam, temperature, band_limit, s):
              for g in grads]
     l_ops = sphere_ops.angular_operators(band_limit)[:3]
     m_ops = sphere_ops.position_operators(band_limit)[:3]
-    n = sphere_ops.num_coefficients(band_limit)
-    liou = sp.csr_matrix((n, n), dtype=complex)
-    for k in range(3):
-        liou = liou + (1j / s) * (l_ops[k] @ b_ops[k])
-    cross = [sp.csr_matrix((n, n), dtype=complex) for _ in range(3)]
-    for a, b, c, sign in _EPS:
-        cross[a] = cross[a] + sign * (m_ops[b] @ b_ops[c])
-    fp = liou
-    for k in range(3):
-        for j in range(3):
-            if lam[k, j] == 0:
-                continue
-            inner = cross[j] - 1j * temperature * l_ops[j]
-            fp = fp - (1j / s) * lam[k, j] * (l_ops[k] @ inner)
-    return liou.tocsr(), fp.tocsr()
+    liou = _effective_field_generator(l_ops, m_ops, b_ops, np.zeros((3, 3)), temperature, s)
+    return liou, _effective_field_generator(l_ops, m_ops, b_ops, lam, temperature, s)
 
 
 # --- states, integration, observables -------------------------------------

@@ -35,12 +35,11 @@ def measure_constant(ctx):
 
 @functools.lru_cache(maxsize=64)
 def _log_weights(twice_s):
-    # ln w_l, w_l = <S,S; l,0 | S,S> = (2S)! sqrt(2S+1) / sqrt((2S+l+1)!(2S-l)!),
-    # in closed form: exact to rounding at every S, and positive for l <= 2S
-    n2 = twice_s
-    log_f = [0.5 * (su2_algebra.log_factorial(n2 + l + 1) + su2_algebra.log_factorial(n2 - l))
-             for l in range(n2 + 1)]
-    return su2_algebra.log_factorial(n2) + 0.5 * math.log(n2 + 1) - np.array(log_f)
+    # ln w_l, w_l = <S,S; l,0 | S,S> = (2S)! sqrt(2S+1) / sqrt((2S+l+1)!(2S-l)!):
+    # w_0 = 1 and w_{l+1}/w_l = sqrt((2S-l)/(2S+l+2)), so ln w_l is a cumulative
+    # sum of log1p terms whose arguments are exact integer ratios
+    l = np.arange(twice_s)
+    return np.concatenate(([0.0], np.cumsum(0.5 * np.log1p(-(2 * l + 2) / (twice_s + l + 2)))))
 
 
 def _factors(ctx, sigma):

@@ -720,6 +720,47 @@ def test_output_names_must_be_plain_file_names(tmp_path, capsys, name):
     assert os.listdir(tmp_path) == ["bad.json"]
 
 
+@pytest.mark.parametrize("command, path, value, where, keys", [
+    ("evolve", "bath", {"coupling": [[1.0, [1]]], "gama": 0.5}, "bath", "gama"),
+    ("evolve", "time", {"t_end": 2.0, "dt": 0.05, "metod": "expm"}, "time", "metod"),
+    ("evolve", "outputs", {"trajectroy": "t.csv", "grd": "g.csv"}, "outputs",
+     "grd, trajectroy"),
+    ("evolve", "spin", {"twice_s": 2, "twice": 4}, "spin", "twice"),
+    ("evolve", "hamiltonian", {"expression": [[-1.0, [3]]], "quadractic": {}},
+     "hamiltonian", "quadractic"),
+    ("evolve", "hamiltonian", {"quadratic": {"b": [0, 0, 1], "bb": [0, 0, 2]}},
+     "hamiltonian.quadratic", "bb"),
+    ("evolve", "initial", {"mixed": True, "mxied": False}, "initial", "mxied"),
+    ("evolve", "initial.coherent", {"theta": 1.1, "phy": 0.4}, "initial.coherent", "phy"),
+    ("evolve", "grid", {"band_limit": 2, "bandlimit": 3}, "grid", "bandlimit"),
+    ("compare", "outputs", {"trajectory": "t.csv"}, "outputs", "trajectory"),
+    ("limit-scan", "scan.ltest", 2, "scan", "ltest"),
+    ("limit-scan", "outputs", {"scna": "s.csv"}, "outputs", "scna"),
+    ("kernel", "grid", {"band_limit": 2, "band": 3}, "grid", "band"),
+    ("kernel", "outputs", {"grid": "g.csv"}, "outputs", "grid"),
+    ("symbol", "operator", {"spin_component": 1, "spin_compnent": 2}, "operator",
+     "spin_compnent"),
+    ("symbol", "outputs", {"symbol": "s.csv"}, "outputs", "symbol"),
+], ids=["bath-gama", "time-metod", "outputs-typos", "spin", "hamiltonian", "quadratic",
+        "initial", "coherent", "grid", "compare-outputs", "scan", "scan-outputs", "kernel-grid",
+        "kernel-outputs", "operator", "symbol-outputs"])
+def test_unknown_section_keys_exit_one_before_any_file(tmp_path, capsys, command, path,
+                                                       value, where, keys):
+    """A misspelt key inside a section would otherwise run silently with a
+    default (gamma 0, rk4, the default file names); it exits 1, naming the
+    section and the key, and writes nothing.  An output key of another
+    command is unknown too."""
+    base = {"evolve": _evolve_config(), "compare": _evolve_config(),
+            "limit-scan": json.loads(json.dumps(_SCAN_CONFIG)),
+            "kernel": {"spin": {"twice_s": 2}},
+            "symbol": {"spin": {"twice_s": 2}, "operator": {"spin_component": 1}}}[command]
+    cfg_path = _write(tmp_path, "bad.json", _with(base, path, value))
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f'error: unknown config keys in "{where}" for {command}: {keys}' in err
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
 def test_readme_quick_starts_run_as_written(tmp_path, capsys):
     """Every `python` block of the README runs, in order, in one namespace; and
     its `run.json` runs through `evolve` and writes the documented header."""

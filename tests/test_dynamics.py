@@ -219,6 +219,26 @@ def test_boltzmann_state_is_stationary_for_linear_hamiltonian():
     assert np.linalg.norm(fp @ c) / np.linalg.norm(c) < 1e-10
 
 
+def test_boltzmann_state_is_stationary_for_nonlinear_hamiltonian():
+    """exp(-H/T) is stationary under the Fokker-Planck generator for a
+    quadratic H as well, on the shells below the truncated top of the band;
+    the reversed weight exp(+H/T) is not."""
+    L, s, temperature = 24, 10.0, 0.5
+    _, fp = dyn.classical_generators([(-1.0, (0, 0, 2)), (0.3, (1, 0, 0))],
+                                     0.4 * np.eye(3), temperature, L, s)
+    grid, _, analyze, _ = so.grid_synthesis_analysis(L)
+    m1 = np.sqrt(1.0 - grid.x ** 2)[:, None] * np.cos(grid.phis)[None, :]
+    h = -(grid.x ** 2)[:, None] + 0.3 * m1
+    interior = so.num_coefficients(20)
+
+    def residual(sign):
+        c = analyze(np.exp(sign * h / temperature).astype(complex))
+        return np.linalg.norm((fp @ c)[:interior]) / np.linalg.norm(c)
+
+    assert residual(-1.0) < 1e-12
+    assert residual(+1.0) > 1e-2
+
+
 def test_free_diffusion_spectrum_is_shellwise():
     L, s, temperature = 12, 4.0, 0.7
     lam_val = 0.3

@@ -1,5 +1,6 @@
 """Operator-symbol correspondence: postulates, duality, kernels."""
 
+import decimal
 import math
 
 import numpy as np
@@ -45,6 +46,22 @@ def test_cg_weight_matches_the_racah_sum():
         for l in range(twice_s + 1):
             want = su2_algebra.clebsch_gordan(twice_s, twice_s, 2 * l, 0, twice_s, twice_s)
             assert oracles.cg_weight(ctx, l) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("twice_s,bound", [(40, 1e-14), (80, 1e-14), (1000, 1e-13),
+                                            (100_000, 1e-11)])
+def test_log_weight_ratios_match_a_decimal_reference(twice_s, bound):
+    """ln(w_{l+1}/w_l) = (1/2) ln((2S-l)/(2S+l+2)) against 40-digit decimal
+    logarithms, at every l up to 2S=1000 and at 400 spread l (both ends
+    included) at 2S=10^5; ln w_0 = 0 exactly."""
+    log_w = swt._log_weights(twice_s)
+    assert log_w.shape == (twice_s + 1,) and log_w[0] == 0.0
+    ls = np.unique(np.linspace(0, twice_s - 1, min(twice_s, 400)).astype(int))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        want = [float((decimal.Decimal(twice_s - l) / (twice_s + l + 2)).ln() / 2)
+                for l in ls.tolist()]
+    assert np.max(np.abs(log_w[ls + 1] - log_w[ls] - want)) <= bound
 
 
 def test_measure_constant():
