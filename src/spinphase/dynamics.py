@@ -125,23 +125,24 @@ def bilinear_lambda(ctx, gamma, xi):
     return ctx.s * gamma * np.outer(xi, xi)
 
 
-def _effective_field_generator(l_ops, m_ops, b_ops, lam, temperature, s, v_ops=None):
-    """(i/S) sum_k L_k B_k - (i/S) sum_kj L_k Lam_kj [((m + V) x B)_j - i T L_j], the
-    form of both the quantum and the classical generators, for field operators
-    B_k and an optional vector operator V.  Components B_k with no nonzero
-    entry are skipped, so they store no entries."""
+def _effective_field_generator(l_ops, m_ops, b_ops, lam, temperature, s):
+    """(drift, generator) of the effective-field form shared by the quantum and
+    the classical generators, for position operators m_a and field operators B_k:
+    drift = (i/S) sum_k L_k B_k and generator = drift
+    - (i/S) sum_kj L_k Lam_kj [(m x B)_j - i T L_j].  Field components with no
+    nonzero entry, and cross products that Lam never reads, are not built."""
     zero = sp.csr_matrix(l_ops[0].shape, dtype=complex)
-    if v_ops is not None:
-        m_ops = [m + v for m, v in zip(m_ops, v_ops)]
     live = [b.count_nonzero() > 0 for b in b_ops]
+    read = lam.any(axis=0)
     cross = [zero] * 3
     for a, b, c, sign in _EPS:
-        if live[c]:
+        if read[a] and live[c]:
             cross[a] = cross[a] + sign * (m_ops[b] @ b_ops[c])
-    gen = sum(((1j / s) * (l_ops[k] @ b_ops[k]) for k in range(3) if live[k]), zero)
+    drift = sum(((1j / s) * (l_ops[k] @ b_ops[k]) for k in range(3) if live[k]), zero)
+    gen = drift
     for k, j in zip(*np.nonzero(lam)):
         gen = gen - (1j / s) * lam[k, j] * (l_ops[k] @ (cross[j] - 1j * temperature * l_ops[j]))
-    return gen.tocsr()
+    return drift.tocsr(), gen.tocsr()
 
 
 def isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx):
@@ -149,8 +150,8 @@ def isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx):
     H = -S b.m plus an O(1/S) term.
 
     It is the effective-field form (see classical_generators) with the field
-    B = S b, Lam = S gamma xi xi^T and the vector operator
-    V_a = (1/S)(M_a (F1 - S) + K_a F2), which is O(1/S), added to m.  Equals
+    B = S b, Lam = S gamma xi xi^T and the position operators M_a + V_a in
+    place of m_a, where V_a = (1/S)(M_a (F1 - S) + K_a F2) is O(1/S).  Equals
     qfp_generator for H = -b.S, F = xi.S up to rounding.
     """
     if not (math.isfinite(gamma) and gamma >= 0):
@@ -161,10 +162,11 @@ def isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx):
     s = ctx.s
     l_ops, m_mult, k_mult, f1d, f2d, _ = bopp.bopp_operators(ctx, sigma)
     eye = sp.identity(ctx.symbol_dim, dtype=complex, format="csr")
-    v_ops = [(m_mult[a] @ (f1d - s * eye) + k_mult[a] @ f2d) / s for a in range(3)]
-    return _effective_field_generator(l_ops, m_mult, [s * b[k] * eye for k in range(3)],
-                                      bilinear_lambda(ctx, gamma, xi), temperature, s,
-                                      v_ops)
+    # V apart from m: the equal (M F1 + K F2)/S rounds twice at the size of m
+    m_ops = [m_mult[a] + (m_mult[a] @ (f1d - s * eye) + k_mult[a] @ f2d) / s
+             for a in range(3)]
+    return _effective_field_generator(l_ops, m_ops, [s * b[k] * eye for k in range(3)],
+                                      bilinear_lambda(ctx, gamma, xi), temperature, s)[1]
 
 
 # --- Hilbert-space oracle -------------------------------------------------
@@ -252,10 +254,10 @@ def poly_multiplication_operator(poly, band_limit):
 def classical_generators(h_poly, lam, temperature, band_limit, s):
     """(liouville, fokker_planck) for classical spin dynamics at band limit L.
 
-    The classical Hamiltonian is a polynomial in m; B_eff = -grad H.  Both are
-    the effective-field form with no V: liouville at Lam = 0,
-    (i/S) sum_k L_k B_eff,k, and fokker_planck with Lam, which adds
-    -(i/S) sum_kj L_k Lam_kj [(m x B_eff)_j - i T L_j].  exp(-H/T) is
+    The classical Hamiltonian is a polynomial in m; B_eff = -grad H.  They are
+    the drift and the full generator of the effective-field form with the
+    position operators m: liouville = (i/S) sum_k L_k B_eff,k, and
+    fokker_planck adds -(i/S) sum_kj L_k Lam_kj [(m x B_eff)_j - i T L_j].  exp(-H/T) is
     stationary under fokker_planck on the shells the band truncation leaves
     intact.
     """
@@ -271,8 +273,7 @@ def classical_generators(h_poly, lam, temperature, band_limit, s):
              for g in grads]
     l_ops = sphere_ops.angular_operators(band_limit)[:3]
     m_ops = sphere_ops.position_operators(band_limit)[:3]
-    liou = _effective_field_generator(l_ops, m_ops, b_ops, np.zeros((3, 3)), temperature, s)
-    return liou, _effective_field_generator(l_ops, m_ops, b_ops, lam, temperature, s)
+    return _effective_field_generator(l_ops, m_ops, b_ops, lam, temperature, s)
 
 
 # --- states, integration, observables -------------------------------------
