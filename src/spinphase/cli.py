@@ -46,6 +46,7 @@ _SECTION_KEYS = {
     "scan": {"mode", "twice_s_values", "l_test", "expected_slope"},
     "operator": {"spin_component", "expression", "random_hermitian"},
 }
+_ONE_OF = {"hamiltonian", "initial", "operator"}  # each key is an alternative to the others
 _OUTPUT_KEYS = {"evolve": {"trajectory", "grid"}, "compare": {"comparison"},
                 "limit-scan": {"scan"}, "kernel": {"kernel"}, "symbol": {"grid"}}
 
@@ -110,7 +111,8 @@ def _optional(value, parse, what):
 
 def _validate_keys(cfg, command):
     """Refuse unknown keys at the top level and in every section that is an
-    object (a section of another type is refused where it is read)."""
+    object (a section of another type is refused where it is read), and a
+    second alternative in a section of _ONE_OF, which would go unread."""
     sections = {"": _ALLOWED_KEYS[command], **_SECTION_KEYS, "outputs": _OUTPUT_KEYS[command]}
     for path, allowed in sections.items():
         section = cfg
@@ -120,6 +122,8 @@ def _validate_keys(cfg, command):
         if unknown:
             where = f' in "{path}"' if path else ""
             raise ValueError(f"unknown config keys{where} for {command}: {', '.join(unknown)}")
+        if path in _ONE_OF and isinstance(section, dict) and len(section) > 1:
+            raise ValueError(f'"{path}" takes one of its keys, got {", ".join(sorted(section))}')
 
 
 def _context(cfg):

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import bopp, sphere_ops, sw_transform
-from .su2_algebra import rotation_z, spin_matrices
+from .su2_algebra import SpinContext, rotation_z, spin_matrices
 
 _EPS = [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
         (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0)]
@@ -119,6 +119,8 @@ def qfp_generator(h_expr, bath, sigma, ctx):
 
 def bilinear_lambda(ctx, gamma, xi):
     """Diffusion matrix S gamma xi_j xi_k of the isotropic bilinear coupling."""
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("gamma must be finite and >= 0")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (3,):
         raise ValueError("xi must be a real 3-vector")
@@ -131,6 +133,8 @@ def _effective_field_generator(l_ops, m_ops, b_ops, lam, temperature, s):
     drift = (i/S) sum_k L_k B_k and generator = drift
     - (i/S) sum_kj L_k Lam_kj [(m x B)_j - i T L_j].  Field components with no
     nonzero entry, and cross products that Lam never reads, are not built."""
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError("temperature must be finite and > 0")
     zero = sp.csr_matrix(l_ops[0].shape, dtype=complex)
     live = [b.count_nonzero() > 0 for b in b_ops]
     read = lam.any(axis=0)
@@ -145,28 +149,32 @@ def _effective_field_generator(l_ops, m_ops, b_ops, lam, temperature, s):
     return drift.tocsr(), gen.tocsr()
 
 
+def _bilinear_operators(b, sigma, ctx, band):
+    """(L, m, m + V, B) at band limit band <= 2S: the sphere's position operators
+    m_a, their Bopp form with the O(1/S) V_a = (M_a (F1 - S) + K_a F2)/S, and
+    the field B = S b; each couples shell l only to l and l +- 1."""
+    coeffs = bopp.bopp_coefficients(ctx, sigma)
+    f1d, f2d = (bopp.shell_diagonal(band, t[:band + 1]) for t in (coeffs.f1, coeffs.f2))
+    eye = sp.identity(sphere_ops.num_coefficients(band), dtype=complex, format="csr")
+    mk_ops = sphere_ops.position_operators(band)
+    m_ops, k_ops, s = mk_ops[:3], mk_ops[3:], ctx.s
+    # V apart from m: the equal (M F1 + K F2)/S rounds twice at the size of m
+    mv_ops = [m_ops[a] + (m_ops[a] @ (f1d - s * eye) + k_ops[a] @ f2d) / s for a in range(3)]
+    return sphere_ops.angular_operators(band)[:3], m_ops, mv_ops, [s * bk * eye for bk in b]
+
+
 def isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx):
     """Bilinear-coupling generator: the classical Fokker-Planck generator of
     H = -S b.m plus an O(1/S) term.
 
     It is the effective-field form (see classical_generators) with the field
-    B = S b, Lam = S gamma xi xi^T and the position operators M_a + V_a in
-    place of m_a, where V_a = (1/S)(M_a (F1 - S) + K_a F2) is O(1/S).  Equals
-    qfp_generator for H = -b.S, F = xi.S up to rounding.
+    B = S b, Lam = S gamma xi xi^T and the position operators m + V of
+    _bilinear_operators in place of m.  Equals qfp_generator for H = -b.S,
+    F = xi.S up to rounding.
     """
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError("gamma must be finite and >= 0")
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError("temperature must be finite and > 0")
-    b = np.asarray(b, dtype=float)
-    s = ctx.s
-    l_ops, m_mult, k_mult, f1d, f2d, _ = bopp.bopp_operators(ctx, sigma)
-    eye = sp.identity(ctx.symbol_dim, dtype=complex, format="csr")
-    # V apart from m: the equal (M F1 + K F2)/S rounds twice at the size of m
-    m_ops = [m_mult[a] + (m_mult[a] @ (f1d - s * eye) + k_mult[a] @ f2d) / s
-             for a in range(3)]
-    return _effective_field_generator(l_ops, m_ops, [s * b[k] * eye for k in range(3)],
-                                      bilinear_lambda(ctx, gamma, xi), temperature, s)[1]
+    lam = bilinear_lambda(ctx, gamma, xi)
+    l_ops, _, mv_ops, b_ops = _bilinear_operators(b, sigma, ctx, ctx.band_limit)
+    return _effective_field_generator(l_ops, mv_ops, b_ops, lam, temperature, ctx.s)[1]
 
 
 # --- Hilbert-space oracle -------------------------------------------------
@@ -264,8 +272,6 @@ def classical_generators(h_poly, lam, temperature, band_limit, s):
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (3, 3):
         raise ValueError("lam must be 3x3")
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError("temperature must be finite and > 0")
     if not (math.isfinite(s) and s > 0):
         raise ValueError("s must be finite and > 0")
     grads = poly_gradient(h_poly)
@@ -470,18 +476,17 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
     s_values, deviations and the fitted log-log slope.
 
     Modes:
-      "unitary": quadratic generator (d = 0) against the classical
-        Liouville generator for B_eff = S b; deviation vanishes identically.
-      "bilinear": bilinear-coupling generator against the classical
-        Fokker-Planck generator, relative operator-norm deviation on the
-        l <= l_test block; decays like 1/S.
+      "unitary": "bilinear" at Lam = 0, where both generators are the drift
+        (i/S) sum_k L_k B_k for B = S b and read no position operator, so
+        the deviation vanishes identically.
+      "bilinear": the isotropic_bilinear_generator form against the classical
+        Fokker-Planck generator on the l <= l_test block (relative operator
+        norm), both built at band l_test + 1; decays like 1/S.
       "asymptotics": relative sup deviation between the exact shell tables
         (f1, f2) and their large-S approximations over l <= l_test.  The
         deviation is measured relative to the exact values (f2 itself is
         O(1/S), so its relative error is the O(1/S^2) quantity of interest).
     """
-    from .su2_algebra import SpinContext
-
     if mode not in ("unitary", "bilinear", "asymptotics"):
         raise ValueError(f'scan mode must be "unitary", "bilinear" or "asymptotics", '
                          f'got {mode!r}')
@@ -496,6 +501,8 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
             f"l_test = {l_test} exceeds min(2S) - 2 = "
             f"{min(int(t) for t in twice_s_values) - 2}; the truncated top "
             "shells would contaminate the compared block")
+    if mode == "unitary":
+        xi, gamma, temperature = np.zeros(3), 0.0, 1.0
     s_values = []
     deviations = []
     for twice_s in twice_s_values:
@@ -511,24 +518,13 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
             continue
         if b is None:
             raise ValueError(f"mode {mode!r} needs a field vector b")
-        h_poly = [(-ctx.s * float(b[k]), tuple(1 if i == k else 0 for i in range(3)))
-                  for k in range(3) if b[k] != 0]
-        if mode == "unitary":
-            quantum = quadratic_generator(
-                QuadraticHamiltonian(np.zeros((3, 3)), np.asarray(b, float)), sigma, ctx)
-            classical = classical_generators(
-                h_poly, np.zeros((3, 3)), 1.0, ctx.band_limit, ctx.s)[0]
-        else:  # "bilinear"
-            if xi is None or gamma is None or temperature is None:
-                raise ValueError("bilinear mode needs xi, gamma, temperature")
-            quantum = isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx)
-            lam = bilinear_lambda(ctx, gamma, xi)
-            classical = classical_generators(
-                h_poly, lam, temperature, ctx.band_limit, ctx.s)[1]
-        q_sub = _submatrix(quantum, l_test)
-        c_sub = _submatrix(classical, l_test)
-        deviations.append(
-            np.linalg.norm(q_sub - c_sub, 2) / np.linalg.norm(c_sub, 2))
+        if xi is None or gamma is None or temperature is None:
+            raise ValueError("bilinear mode needs xi, gamma, temperature")
+        lam = bilinear_lambda(ctx, gamma, xi)
+        l_ops, m_ops, mv_ops, b_ops = _bilinear_operators(b, sigma, ctx, l_test + 1)
+        q_sub, c_sub = (_submatrix(_effective_field_generator(
+            l_ops, pos, b_ops, lam, temperature, ctx.s)[1], l_test) for pos in (mv_ops, m_ops))
+        deviations.append(np.linalg.norm(q_sub - c_sub, 2) / np.linalg.norm(c_sub, 2))
     s_values = np.asarray(s_values, dtype=float)
     deviations = np.asarray(deviations, dtype=float)
     if np.all(deviations > 1e-13):

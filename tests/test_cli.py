@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -813,3 +814,53 @@ def test_console_script_entry_point(tmp_path):
                               capture_output=True, text=True)
         assert proc.returncode == 0, f"{name} {target}: {proc.stderr}"
         assert (out / "symbol.csv").exists()
+
+
+def _readme_large_s_bilinear_config():
+    text = (ROOT / "README.md").read_text()
+    return json.loads(re.search(r"example large-S `limit-scan`\s+config\):\s*```json\n(.*?)```",
+                                text, re.S).group(1))
+
+
+@pytest.mark.parametrize("sigma", [None, 0.0, 1.0])
+def test_readme_bilinear_scan_fits_minus_one_up_to_large_spin(tmp_path, capsys, sigma):
+    """The README's bilinear scan over 2S up to 10^5 fits slope -1 +- 0.01 in
+    under a second, as written (sigma = -1) and at two other orderings."""
+    cfg = _readme_large_s_bilinear_config()
+    assert cfg["scan"]["twice_s_values"] == [1000, 10000, 100000]
+    if sigma is not None:
+        cfg["sigma"] = sigma
+    start = time.monotonic()
+    assert cli.main(["limit-scan", "--config", _write(tmp_path, "scan.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert time.monotonic() - start < 1.0
+    assert abs(float(capsys.readouterr().out.split("slope = ")[1]) + 1.0) <= 0.01
+
+
+@pytest.mark.parametrize("command, path, value, keys", [
+    ("evolve", "hamiltonian", {"expression": [[-1.0, [3]]], "quadratic": {"b": [5.0, 0, 0]}},
+     "expression, quadratic"),
+    ("compare", "hamiltonian", {"expression": [[-1.0, [3]]], "quadratic": {}},
+     "expression, quadratic"),
+    ("evolve", "initial", {"coherent": {"theta": 1.1}, "mixed": True}, "coherent, mixed"),
+    ("evolve", "initial", {"coherent": {"theta": 1.1}, "mixed": False}, "coherent, mixed"),
+    ("evolve", "initial", {"mixed": True, "matrix_file": "rho.npy"}, "matrix_file, mixed"),
+    ("compare", "initial", {"coherent": {"theta": 1.1}, "matrix_file": "rho.npy"},
+     "coherent, matrix_file"),
+    ("evolve", "initial", {"coherent": {"theta": 1.1}, "mixed": True,
+                           "matrix_file": "rho.npy"}, "coherent, matrix_file, mixed"),
+    ("symbol", "operator", {"spin_component": 3, "random_hermitian": True},
+     "random_hermitian, spin_component"),
+], ids=["hamiltonian", "compare-hamiltonian", "coherent-mixed", "coherent-mixed-false",
+        "mixed-matrix-file", "compare-coherent-matrix-file", "all-three", "operator"])
+def test_two_alternatives_in_a_section_exit_one_before_any_file(tmp_path, capsys, command,
+                                                                path, value, keys):
+    """A section that names two alternatives would run the first and ignore
+    the other without a word; it exits 1, naming the section and the keys,
+    and writes nothing."""
+    base = {"evolve": _evolve_config(), "compare": _evolve_config(),
+            "symbol": {"spin": {"twice_s": 2}, "operator": {"spin_component": 1}}}[command]
+    cfg_path = _write(tmp_path, "bad.json", _with(base, path, value))
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert f'error: "{path}" takes one of its keys, got {keys}' in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.json"]

@@ -703,3 +703,91 @@ def test_scan_rejects_bad_modes_and_contaminated_blocks():
         dyn.classical_limit_scan("unitary", [4, 10], 0.0, 3, b=[0, 0, 1.0])
     with pytest.raises(ValueError, match="l_test must be >= 0"):
         dyn.classical_limit_scan("unitary", [4, 10], 0.0, -1, b=[0, 0, 1.0])
+
+
+_SCAN_FIELD = dict(b=[0.3, -0.2, 1.0], xi=[0.5, 0.7, -0.2], gamma=0.1, temperature=1.0)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, -0.5, 0.0, 0.3, 1.0])
+@pytest.mark.parametrize("twice_s", [6, 10, 20])
+@pytest.mark.parametrize("l_test", [0, 3, "2S-2"])
+def test_scan_blocks_equal_the_full_band_generators_bit_for_bit(monkeypatch, twice_s,
+                                                                 sigma, l_test):
+    """The blocks a scan compares, built at band l_test + 1, are the l <= l_test
+    blocks of the public band-2S isotropic_bilinear_generator and
+    classical_generators, bit for bit."""
+    l_test = twice_s - 2 if l_test == "2S-2" else l_test
+    blocks = []
+    submatrix = dyn._submatrix
+
+    def recording(gen, l):
+        blocks.append((gen.shape[0], submatrix(gen, l)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(dyn, "_submatrix", recording)
+    dyn.classical_limit_scan("bilinear", [twice_s, twice_s + 1], sigma, l_test, **_SCAN_FIELD)
+    assert len(blocks) == 4
+    for (size_q, quantum), (size_c, classical), twice in zip(blocks[::2], blocks[1::2],
+                                                             [twice_s, twice_s + 1]):
+        ctx = SpinContext(twice)
+        assert size_q == size_c == so.num_coefficients(l_test + 1)
+        b, xi, gamma, temperature = (_SCAN_FIELD[k] for k in ("b", "xi", "gamma", "temperature"))
+        full_q = dyn.isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx)
+        h_poly = [(-ctx.s * b[k], tuple(int(i == k) for i in range(3))) for k in range(3)]
+        full_c = dyn.classical_generators(h_poly, dyn.bilinear_lambda(ctx, gamma, xi),
+                                          temperature, ctx.band_limit, ctx.s)[1]
+        assert np.array_equal(quantum, submatrix(full_q, l_test))
+        assert np.array_equal(classical, submatrix(full_c, l_test))
+
+
+@pytest.mark.parametrize("mode", ["unitary", "bilinear"])
+def test_scan_builds_no_operator_above_band_l_test_plus_one(monkeypatch, mode):
+    """Every sphere operator a scan builds has band <= l_test + 1, and the
+    band-2S Bopp set is never built."""
+    bands = []
+    for name in ("angular_operators", "position_operators"):
+        original = getattr(so, name)
+        monkeypatch.setattr(so, name, lambda band, f=original: bands.append(band) or f(band))
+
+    def refuse(*args):
+        raise AssertionError("bopp_operators called during a scan")
+
+    monkeypatch.setattr(bopp, "bopp_operators", refuse)
+    out = dyn.classical_limit_scan(mode, [10, 40, 1000], 1.0, 3, **_SCAN_FIELD)
+    assert bands and max(bands) == 4
+    assert np.all(np.isfinite(out["deviations"]))
+
+
+def test_bilinear_scan_memory_does_not_grow_with_spin():
+    """A bilinear scan at 2S in {320, 322} peaks under 2 MiB: nothing of size
+    (2S+1)^2 is built.  Full-band generators peaked at hundreds of MB here."""
+    tracemalloc.start()
+    try:
+        out = dyn.classical_limit_scan("bilinear", [320, 322], -1.0, 3,
+                                       b=[0.0, 0.0, 1.0], xi=[1.0, 0.0, 0.0],
+                                       gamma=2.0, temperature=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    assert np.all(out["deviations"] > 0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(_SCAN_FIELD, gamma=-0.1), "gamma must be finite and >= 0"),
+    (dict(_SCAN_FIELD, temperature=0.0), "temperature must be finite and > 0"),
+    (dict(_SCAN_FIELD, temperature=math.nan), "temperature must be finite and > 0"),
+])
+def test_bilinear_paths_refuse_bad_gamma_and_temperature(kwargs, message):
+    """The scan, the isotropic generator and the classical generators refuse
+    gamma < 0 and T <= 0 (or NaN) with one message each."""
+    ctx = SpinContext(6)
+    with pytest.raises(ValueError, match=message):
+        dyn.classical_limit_scan("bilinear", [6, 8], 0.0, 3, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        dyn.isotropic_bilinear_generator(kwargs["b"], kwargs["xi"], kwargs["gamma"],
+                                         kwargs["temperature"], 0.0, ctx)
+    if kwargs["gamma"] >= 0:
+        with pytest.raises(ValueError, match=message):
+            dyn.classical_generators([(-1.0, (0, 0, 1))], np.eye(3), kwargs["temperature"],
+                                     6, ctx.s)
