@@ -47,8 +47,12 @@ _SECTION_KEYS = {
     "operator": {"spin_component", "expression", "random_hermitian"},
 }
 _ONE_OF = {"hamiltonian", "initial", "operator"}  # each key is an alternative to the others
-_OUTPUT_KEYS = {"evolve": {"trajectory", "grid"}, "compare": {"comparison"},
-                "limit-scan": {"scan"}, "kernel": {"kernel"}, "symbol": {"grid"}}
+# the keys of "outputs" by command, with each file's default name (None: the
+# file is written only when "outputs" names it); every run also writes this one
+_OUTPUTS = {"evolve": {"trajectory": "trajectory.csv", "grid": None},
+            "compare": {"comparison": "compare.csv"}, "limit-scan": {"scan": "scan.csv"},
+            "kernel": {"kernel": "kernel.csv"}, "symbol": {"grid": "symbol.csv"}}
+_RESOLVED_CONFIG = "resolved_config.json"
 
 
 def _load_config(path):
@@ -113,7 +117,7 @@ def _validate_keys(cfg, command):
     """Refuse unknown keys at the top level and in every section that is an
     object (a section of another type is refused where it is read), and a
     second alternative in a section of _ONE_OF, which would go unread."""
-    sections = {"": _ALLOWED_KEYS[command], **_SECTION_KEYS, "outputs": _OUTPUT_KEYS[command]}
+    sections = {"": _ALLOWED_KEYS[command], **_SECTION_KEYS, "outputs": set(_OUTPUTS[command])}
     for path, allowed in sections.items():
         section = cfg
         for name in filter(None, path.split(".")):
@@ -240,14 +244,30 @@ def _grid_band(cfg, ctx, minimum):
     return band
 
 
-def _out_path(out_dir, cfg, key, default):
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    return Path(out_dir) / cfg.get("outputs", {}).get(key, default)
+def _output_paths(cfg, command, out_dir):
+    """The path of each file the run writes, by its "outputs" key.  Each name
+    must be a plain file name, and no two files of the run, the resolved
+    config included, may share one: the later would overwrite the earlier."""
+    outputs = cfg.get("outputs", {})
+    if not (isinstance(outputs, dict) and all(isinstance(v, str) for v in outputs.values())):
+        raise ValueError(f'"outputs" must map names to file names, got {outputs!r}')
+    for name in outputs.values():  # each lands directly in --out
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise ValueError(f'"outputs" file names must be plain names with no '
+                             f'directory part, got {name!r}')
+    names = {key: outputs.get(key, default) for key, default in _OUTPUTS[command].items()}
+    names = {key: name for key, name in names.items() if name is not None}
+    for key, name in names.items():
+        if name == _RESOLVED_CONFIG or list(names.values()).count(name) > 1:
+            raise ValueError(f'"outputs" {key} file {name!r} would overwrite another '
+                             f"file of the run")
+    return {key: Path(out_dir) / name for key, name in names.items()}
 
 
 def _write_csv(path, header, rows):
     """Streams the header, then each row tuple at %.17g (integers print as integers)."""
     line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         fh.writelines(line % row for row in rows)
@@ -286,7 +306,7 @@ def _check_rk4_step(gen, t_end, dt_used):
                      f"{np.max(np.abs(lam)):.6g} in magnitude); {hint}")
 
 
-def _cmd_evolve(cfg, out_dir, tolerance, rng):
+def _cmd_evolve(cfg, paths, tolerance, rng):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     bath = _bath(cfg)
@@ -305,12 +325,11 @@ def _cmd_evolve(cfg, out_dir, tolerance, rng):
         _check_rk4_step(gen, t_end, dt)
     result = dynamics.integrate(gen, c0, t_end, dt, method, ctx, sigma, "symbol",
                                 keep_states=False)
-    _write_csv(_out_path(out_dir, cfg, "trajectory", "trajectory.csv"),
-               "t,Sx,Sy,Sz,trace,purity",
+    _write_csv(paths["trajectory"], "t,Sx,Sy,Sz,trace,purity",
                zip(result.times, result.s1, result.s2, result.s3, result.trace,
                    result.purity))
-    if "grid" in cfg.get("outputs", {}):
-        _write_grid(_out_path(out_dir, cfg, "grid", "grid.csv"), band, result.states[-1])
+    if "grid" in paths:
+        _write_grid(paths["grid"], band, result.states[-1])
     drift = float(np.max(np.abs(result.trace - result.trace[0])))
     reality = float(np.max(result.reality))
     print(f"trace drift = {drift:.6g}", file=sys.stderr)
@@ -325,10 +344,8 @@ def _cmd_evolve(cfg, out_dir, tolerance, rng):
     return 0
 
 
-def _cmd_compare(cfg, out_dir, tolerance, rng):
+def _cmd_compare(cfg, paths, tolerance, rng):
     ctx = _context(cfg)
-    if ctx.hilbert_dim > 64:
-        raise ValueError("compare oracle is limited to 2S+1 <= 64")
     sigma = _sigma(cfg)
     bath = _bath(cfg)
     if bath is None:
@@ -344,7 +361,7 @@ def _cmd_compare(cfg, out_dir, tolerance, rng):
     liou = dynamics.master_liouvillian(h_mat, f_mat, bath.gamma, bath.temperature)
     oracle = dynamics.integrate(liou, dynamics.vec_density(rho0), t_end, dt, method)
     c0 = sw_transform.operator_to_symbol(rho0, sigma, ctx)
-    phase = dynamics.integrate(gen, c0, t_end, dt, method, ctx, sigma, "symbol")
+    phase = dynamics.integrate(gen, c0, t_end, dt, method)
     # the gap is read on sigma = 0 coefficients, where it is an operator error
     # in the orthonormal T_lm basis (see dynamics._symbol_observables); the
     # factors are exactly 1 at sigma = 0, so that gap is the one read at sigma
@@ -354,8 +371,7 @@ def _cmd_compare(cfg, out_dir, tolerance, rng):
         c_oracle = sw_transform.operator_to_symbol(
             dynamics.unvec_density(oracle.states[i]), 0.0, ctx)
         devs[i] = np.max(np.abs(c_oracle - to_symmetric * phase.states[i]))
-    _write_csv(_out_path(out_dir, cfg, "comparison", "compare.csv"), "t,deviation",
-               zip(oracle.times, devs))
+    _write_csv(paths["comparison"], "t,deviation", zip(oracle.times, devs))
     worst = float(np.max(devs))
     print(f"max deviation = {worst:.6g}")
     if not (worst <= tolerance):
@@ -365,7 +381,7 @@ def _cmd_compare(cfg, out_dir, tolerance, rng):
     return 0
 
 
-def _cmd_limit_scan(cfg, out_dir, tolerance, rng):
+def _cmd_limit_scan(cfg, paths, tolerance, rng):
     scan = cfg.get("scan")
     if not isinstance(scan, dict):
         raise ValueError('config needs a "scan" section')
@@ -374,16 +390,19 @@ def _cmd_limit_scan(cfg, out_dir, tolerance, rng):
         raise ValueError('scan needs "twice_s_values", a non-empty list of integers')
     twice_s_values = [_integer(t, "scan twice_s_values entry") for t in twice_s_values]
     l_test = _integer(scan.get("l_test", 3), "scan l_test")
+    mode = scan.get("mode", "bilinear")
+    if l_test == 0 and mode in ("unitary", "bilinear"):
+        raise ValueError(f"scan l_test = 0 compares nothing in {mode} mode: every generator "
+                         "annihilates shell 0, so the deviation is 0/0; use l_test >= 1")
     sigma = _sigma(cfg)
     expected = _optional(scan.get("expected_slope"), _finite, "scan expected_slope")
     result = dynamics.classical_limit_scan(
-        scan.get("mode", "bilinear"), twice_s_values, sigma, l_test,
+        mode, twice_s_values, sigma, l_test,
         b=_optional(cfg.get("field"), _vector, "field"),
         xi=_optional(cfg.get("xi"), _vector, "xi"),
         gamma=_optional(cfg.get("gamma"), _number, "gamma"),
         temperature=_optional(cfg.get("temperature"), _number, "temperature"))
-    _write_csv(_out_path(out_dir, cfg, "scan", "scan.csv"), "S,deviation",
-               zip(result["s_values"], result["deviations"]))
+    _write_csv(paths["scan"], "S,deviation", zip(result["s_values"], result["deviations"]))
     slope = result["slope"]
     print(f"slope = {slope:.6f}")
     if expected is not None:
@@ -399,12 +418,11 @@ def _cmd_limit_scan(cfg, out_dir, tolerance, rng):
     return 0
 
 
-def _cmd_kernel(cfg, out_dir, tolerance, rng):
+def _cmd_kernel(cfg, paths, tolerance, rng):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     grid = sphere_ops.make_grid(_grid_band(cfg, ctx, 0))
-    _write_csv(_out_path(out_dir, cfg, "kernel", "kernel.csv"),
-               "theta,phi,row,col,value_re,value_im",
+    _write_csv(paths["kernel"], "theta,phi,row,col,value_re,value_im",
                ((th, ph, r, c, v.real, v.imag)
                 for th in grid.thetas for ph in grid.phis
                 for r, row in enumerate(sw_transform.kernel_eval(ctx, sigma, th, ph).tolist())
@@ -412,7 +430,7 @@ def _cmd_kernel(cfg, out_dir, tolerance, rng):
     return 0
 
 
-def _cmd_symbol(cfg, out_dir, tolerance, rng):
+def _cmd_symbol(cfg, paths, tolerance, rng):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     op_spec = cfg.get("operator")
@@ -436,7 +454,7 @@ def _cmd_symbol(cfg, out_dir, tolerance, rng):
     # a self-check of the transform, reported only: the default tolerance is 0
     back = sw_transform.symbol_to_operator(c, sigma, ctx)
     print(f"round-trip residual = {np.max(np.abs(back - mat)):.6g}", file=sys.stderr)
-    _write_grid(_out_path(out_dir, cfg, "grid", "symbol.csv"),
+    _write_grid(paths["grid"],
                 _grid_band(cfg, ctx, ctx.band_limit), c)
     return 0
 
@@ -473,13 +491,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config)
         _validate_keys(cfg, args.command)
-        outputs = cfg.get("outputs", {})
-        if not (isinstance(outputs, dict) and all(isinstance(v, str) for v in outputs.values())):
-            raise ValueError(f'"outputs" must map names to file names, got {outputs!r}')
-        for name in outputs.values():  # each lands directly in --out
-            if name in ("", ".", "..") or Path(name).name != name:
-                raise ValueError(f'"outputs" file names must be plain names with no '
-                                 f'directory part, got {name!r}')
+        paths = _output_paths(cfg, args.command, args.out)
         tolerance = args.tolerance
         if tolerance is None:
             tolerance = _number(cfg.get("tolerance", _DEFAULT_TOLERANCE[args.command]),
@@ -489,14 +501,13 @@ def main(argv=None):
         seed = args.seed
         if seed is None:
             seed = _integer(cfg.get("seed", 0), "seed")
-        out_dir = Path(args.out)
         resolved = dict(cfg)
         resolved["command"] = args.command
         resolved["tolerance"] = tolerance
         resolved["seed"] = seed
         rng = np.random.default_rng(seed)
-        code = _COMMANDS[args.command](cfg, out_dir, tolerance, rng)
-        (out_dir / "resolved_config.json").write_text(
+        code = _COMMANDS[args.command](cfg, paths, tolerance, rng)
+        (Path(args.out) / _RESOLVED_CONFIG).write_text(
             json.dumps(resolved, indent=2, sort_keys=True) + "\n")
         return code
     except ValueError as exc:

@@ -206,22 +206,22 @@ def unvec_density(v):
 
 
 def master_liouvillian(h, f, gamma, temperature):
-    """Matrix of master_rhs on column-stacked rho: vec(A X B) = (B^T k A) vec(X)."""
+    """CSR matrix of master_rhs on column-stacked rho: vec(A X B) = (B^T k A) vec(X),
+    as sparse Kronecker products of the dense n x n products of master_rhs."""
     h = np.asarray(h, dtype=complex)
     f = np.asarray(f, dtype=complex)
-    n = h.shape[0]
-    eye = np.eye(n)
+    eye = sp.identity(h.shape[0], format="csr")
     g = h @ f - f @ h
     ff = f @ f
-    out = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    out = -1j * (sp.kron(eye, h) - sp.kron(h.T, eye))
     out -= gamma * temperature * (
-        np.kron(eye, ff) + np.kron(ff.T, eye) - 2.0 * np.kron(f.T, f)
+        sp.kron(eye, ff) + sp.kron(ff.T, eye) - 2.0 * sp.kron(f.T, f)
     )
     out += 0.5 * gamma * (
-        np.kron(eye, f @ g) - np.kron(f.T, g)
-        - np.kron((g @ f).T, eye) + np.kron(g.T, f)
+        sp.kron(eye, f @ g) - sp.kron(f.T, g)
+        - sp.kron((g @ f).T, eye) + sp.kron(g.T, f)
     )
-    return out
+    return out.tocsr()
 
 
 # --- classical generators -------------------------------------------------

@@ -104,7 +104,7 @@ def cg_weight(ctx, l):
 def master_stationary_state(h, f, gamma, temperature):
     """Null vector of the master generator as a unit-trace Hermitian matrix."""
     liou = dynamics.master_liouvillian(h, f, gamma, temperature)
-    w, v = np.linalg.eig(liou)
+    w, v = np.linalg.eig(liou.toarray())
     rho = dynamics.unvec_density(v[:, np.argmin(np.abs(w))])
     rho = (rho + rho.conj().T) / 2.0
     return rho / np.trace(rho).real

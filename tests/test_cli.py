@@ -399,17 +399,24 @@ def test_exact_runs_at_sigma_one_pass_the_sigma_zero_gates(tmp_path, capsys, com
 @pytest.mark.parametrize("command", ["evolve", "compare"])
 def test_sigma_zero_gates_fail_a_corrupted_top_shell(tmp_path, monkeypatch, capsys, command):
     """A non-real 1e-6 in one top-shell coefficient of the sigma = 0 image of
-    the initial symbol (an operator error of about 1e-6) fails both gates."""
-    integrate = cli.dynamics.integrate
+    the initial symbol (an operator error of about 1e-6) fails both gates.
+    The symbol route is the integration of the generator qfp_generator built."""
+    integrate, qfp_generator = cli.dynamics.integrate, cli.dynamics.qfp_generator
+    symbol_generators = []  # (generator, sigma, ctx) of each qfp_generator call
 
-    def corrupted(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
-                  **kwargs):
-        if kind == "symbol":
-            bump = np.zeros(ctx.symbol_dim, dtype=complex)
-            bump[so.flat_index(ctx.band_limit, 0)] = 1e-6j
-            y0 = y0 + cli.sw_transform.switch_ordering(bump, 0.0, sigma, ctx)
-        return integrate(gen, y0, t_end, dt, method, ctx, sigma, kind, **kwargs)
+    def recorded(h_expr, bath, sigma, ctx):
+        symbol_generators.append((qfp_generator(h_expr, bath, sigma, ctx), sigma, ctx))
+        return symbol_generators[-1][0]
 
+    def corrupted(gen, y0, *args, **kwargs):
+        for symbol_gen, sigma, ctx in symbol_generators:
+            if gen is symbol_gen:
+                bump = np.zeros(ctx.symbol_dim, dtype=complex)
+                bump[so.flat_index(ctx.band_limit, 0)] = 1e-6j
+                y0 = y0 + cli.sw_transform.switch_ordering(bump, 0.0, sigma, ctx)
+        return integrate(gen, y0, *args, **kwargs)
+
+    monkeypatch.setattr(cli.dynamics, "qfp_generator", recorded)
     monkeypatch.setattr(cli.dynamics, "integrate", corrupted)
     assert cli.main([command, "--config", _write(tmp_path, "run.json", _sigma_one_config()),
                      "--out", str(tmp_path / "o")]) == 2
@@ -417,17 +424,41 @@ def test_sigma_zero_gates_fail_a_corrupted_top_shell(tmp_path, monkeypatch, caps
     assert ("conservation violated" if command == "evolve" else "exceeds tolerance") in err
 
 
-def test_compare_rejects_oversized_hilbert_space(tmp_path):
-    cfg = {
-        "spin": {"twice_s": 64},
-        "hamiltonian": {"expression": [[-1.0, [3]]]},
-        "bath": {"coupling": [[1.0, [1]]], "gamma": 0.1, "temperature": 1.0},
-        "initial": {"mixed": True},
-        "time": {"t_end": 1.0, "dt": 0.5},
-    }
-    cfg_path = _write(tmp_path, "cmp.json", cfg)
-    assert cli.main(["compare", "--config", cfg_path,
-                     "--out", str(tmp_path / "o")]) == 1
+def _compare_config(twice_s, sigma, t_end=0.2):
+    """H = -S3 + 0.2 S1 S1 with the README bath, expm, dt 0.05."""
+    return _evolve_config(spin={"twice_s": twice_s}, sigma=sigma,
+                          hamiltonian={"expression": [[-1.0, [3]], [0.2, [1, 1]]]},
+                          time={"t_end": t_end, "dt": 0.05, "method": "expm"})
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 1.0])
+@pytest.mark.parametrize("twice_s", [64, 80])
+def test_compare_verifies_exactness_above_2s_plus_1_of_64(tmp_path, capsys, twice_s, sigma):
+    """The sparse oracle has no size cap: the gap stays at rounding level."""
+    cfg_path = _write(tmp_path, "cmp.json", _compare_config(twice_s, sigma))
+    assert cli.main(["compare", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    assert float(capsys.readouterr().out.split("max deviation = ")[1].split()[0]) <= 1e-13
+
+
+def test_compare_peak_memory_at_2s_40(tmp_path):
+    """The oracle's Liouvillian is sparse: a dense one alone is 45 MB at 2S=40."""
+    cfg_path = _write(tmp_path, "cmp.json", _compare_config(40, 0.5, t_end=1.0))
+    tracemalloc.start()
+    try:
+        assert cli.main(["compare", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_compare_computes_no_symbol_observables(tmp_path, monkeypatch):
+    def unread(*args, **kwargs):
+        raise AssertionError("compare reads only the symbol states")
+
+    monkeypatch.setattr(cli.dynamics, "_symbol_observables", unread)
+    cfg_path = _write(tmp_path, "cmp.json", _compare_config(4, 0.5))
+    assert cli.main(["compare", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_limit_scan_unitary_reports_vanishing_deviation(tmp_path, capsys):
@@ -719,6 +750,46 @@ def test_output_names_must_be_plain_file_names(tmp_path, capsys, name):
     assert cli.main(["evolve", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     assert 'error: "outputs" file names must be plain names' in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["bad.json"]
+
+
+_SCAN_BASE = {"scan": {"mode": "unitary", "twice_s_values": [6, 10]}, "field": [0.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("evolve", {"trajectory": "resolved_config.json"}),
+    ("evolve", {"trajectory": "a.csv", "grid": "a.csv"}),
+    ("evolve", {"grid": "trajectory.csv"}),
+    ("compare", {"comparison": "resolved_config.json"}),
+    ("limit-scan", {"scan": "resolved_config.json"}),
+    ("kernel", {"kernel": "resolved_config.json"}),
+    ("symbol", {"grid": "resolved_config.json"}),
+], ids=["evolve-resolved", "evolve-shared", "evolve-default", "compare-resolved",
+        "scan-resolved", "kernel-resolved", "symbol-resolved"])
+def test_two_output_files_of_one_name_are_refused(tmp_path, capsys, command, outputs):
+    """A file the run writes would overwrite another one of the same name, so
+    the run exits 1 before anything is written."""
+    base = {"evolve": _evolve_config(), "compare": _evolve_config(),
+            "limit-scan": _SCAN_BASE, "kernel": {"spin": {"twice_s": 2}},
+            "symbol": {"spin": {"twice_s": 2}, "operator": {"spin_component": 3}}}[command]
+    cfg_path = _write(tmp_path, "bad.json", {**base, "outputs": outputs})
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert "would overwrite another file of the run" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+@pytest.mark.parametrize("mode", ["unitary", "bilinear"])
+def test_limit_scan_refuses_l_test_zero_where_it_compares_nothing(tmp_path, capsys, mode):
+    """Every generator annihilates shell 0, so at l_test = 0 the compared block
+    is zero and its relative deviation 0/0: exit 1 before anything is written."""
+    cfg = {**_SCAN_BASE, "scan": {"mode": mode, "twice_s_values": [6, 10], "l_test": 0}}
+    cfg_path = _write(tmp_path, "scan.json", cfg)
+    assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert "error: scan l_test = 0 compares nothing" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scan.json"]
+
+    cfg["scan"]["mode"] = "asymptotics"  # compares the l = 0 shell tables
+    cfg_path = _write(tmp_path, "scan.json", cfg)
+    assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("command, path, value, where, keys", [
