@@ -31,7 +31,6 @@ from .dynamics import (
     classical_limit_scan,
     coherent_state,
     integrate,
-    isotropic_bilinear_generator,
     master_rhs,
     qfp_generator,
     quadratic_generator,
@@ -46,7 +45,7 @@ __all__ = [
     "star_product", "s3_star_ylm",
     "QuadraticHamiltonian", "BathSpec",
     "unitary_generator", "quadratic_generator", "qfp_generator",
-    "isotropic_bilinear_generator", "master_rhs", "classical_generators",
+    "master_rhs", "classical_generators",
     "classical_limit_scan", "coherent_state", "integrate",
 ]
 

@@ -79,14 +79,19 @@ def shell_diagonal(band_limit, table):
     return sp.diags(table[l_of]).tocsr()
 
 
-def bopp_operators(ctx, sigma):
-    """(L, M, K, F1, F2, B) at band limit 2S, CSR, built anew on every call:
-    triples over the components, and the shell diagonals F1, F2 of the tables.
-    B_i = M_i F1 + K_i F2 + L_i/2; the shell tables act first."""
+def bopp_operators(ctx, sigma, band=None):
+    """(L, M, K, F1, F2, B) at band limit band (None: 2S), CSR, built anew on
+    every call: triples over the components, and the shell diagonals F1, F2 of
+    the tables' first band + 1 entries.  B_i = M_i F1 + K_i F2 + L_i/2; the
+    shell tables act first.  Below 2S only transitions to shell band + 1 are
+    dropped, so each operator is the l <= band block of its band-2S self."""
+    L = ctx.band_limit if band is None else band
+    if L != int(L) or not 0 <= L <= ctx.band_limit:
+        raise ValueError(f"band must be an integer in [0, 2S = {ctx.band_limit}], got {band!r}")
+    L = int(L)
     coeffs = bopp_coefficients(ctx, sigma)
-    L = ctx.band_limit
-    f1d = shell_diagonal(L, coeffs.f1)
-    f2d = shell_diagonal(L, coeffs.f2)
+    f1d = shell_diagonal(L, coeffs.f1[:L + 1])
+    f2d = shell_diagonal(L, coeffs.f2[:L + 1])
     l_ops = sphere_ops.angular_operators(L)[:3]
     mk_ops = sphere_ops.position_operators(L)
     m_ops, k_ops = mk_ops[:3], mk_ops[3:]
@@ -95,13 +100,13 @@ def bopp_operators(ctx, sigma):
     return l_ops, m_ops, k_ops, f1d, f2d, b_ops
 
 
-def bopp_matrices(ctx, sigma):
-    """(B1, B2, B3) on symbol coefficients at band limit 2S, CSR.
+def bopp_matrices(ctx, sigma, band=None):
+    """(B1, B2, B3) on symbol coefficients at band limit band (None: 2S), CSR.
 
     On the complete band-2S space these reproduce left multiplication by
     S_i exactly for every ordering.
     """
-    return bopp_operators(ctx, sigma)[5]
+    return bopp_operators(ctx, sigma, band)[5]
 
 
 def star_product(c_a, c_b, sigma, ctx):
@@ -151,12 +156,17 @@ def expression_to_matrix(expr, ctx):
                        np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex))
 
 
-def evaluate_expression(expr, sigma, ctx):
-    """Symbol-space matrix of an ordered polynomial: words become products
-    of Bopp matrices in the same order."""
-    n = ctx.symbol_dim
-    return _ordered_sum(validate_expression(expr), bopp_matrices(ctx, sigma),
-                       sp.csr_matrix((n, n), dtype=complex),
+def degree(expr):
+    """Length of the longest word of a validated expression (0 if none)."""
+    return max((len(word) for _, word in expr), default=0)
+
+
+def evaluate_expression(expr, sigma, ctx, band=None):
+    """Symbol-space matrix of an ordered polynomial at band limit band (None:
+    2S): words become products of Bopp matrices in the same order."""
+    mats = bopp_matrices(ctx, sigma, band)
+    n = mats[0].shape[0]
+    return _ordered_sum(validate_expression(expr), mats, sp.csr_matrix((n, n), dtype=complex),
                        sp.identity(n, dtype=complex, format="csr")).tocsr()
 
 

@@ -66,18 +66,28 @@ class BathSpec:
         return self.gamma / (ctx.s * self.temperature)
 
 
-def _require_hermitian_expression(expr, ctx, what):
-    a = bopp.expression_to_matrix(expr, ctx)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
+def _hermitian_hat(expr, sigma, ctx, band, what):
+    """evaluate_expression(expr, sigma, ctx, band), refused unless the symbol of
+    expr, its column 0, is real.  A word of degree k takes the identity up to
+    shell k, so the column is read at band min(2S, k), evaluated again when
+    band is below.  The tolerance is relative to sum |coeff| S^k, a bound on
+    each term, so cancelling terms such as i(S1 S2 - S2 S1) pass at any S."""
+    expr = bopp.validate_expression(expr)
+    hat = bopp.evaluate_expression(expr, sigma, ctx, band)
+    band = sphere_ops.band_limit_of(hat.shape[0])
+    reach = min(ctx.band_limit, bopp.degree(expr))
+    read = hat if band >= reach else bopp.evaluate_expression(expr, sigma, ctx, reach)
+    c = read[:sphere_ops.num_coefficients(reach), [0]].toarray()[:, 0]
+    residual = np.max(np.abs(sphere_ops.conjugation_matrix(reach) @ c.conj() - c))
+    scale = max(1.0, sum(abs(coeff) * ctx.s ** len(word) for coeff, word in expr))
+    if not residual <= 1e-12 * scale:  # NaN-safe
         raise ValueError(f"{what} must be Hermitian")
-    return a
+    return hat
 
 
 def unitary_generator(h_expr, sigma, ctx):
     """Generator 2 Im(H_hat) of d(rho)/dt = -i[H, rho] on symbol coefficients."""
-    _require_hermitian_expression(h_expr, ctx, "Hamiltonian")
-    h_hat = bopp.evaluate_expression(h_expr, sigma, ctx)
+    h_hat = _hermitian_hat(h_expr, sigma, ctx, None, "Hamiltonian")
     return (2.0 * sphere_ops.operator_imag(h_hat, ctx.band_limit)).tocsr()
 
 
@@ -101,13 +111,13 @@ def quadratic_generator(qh, sigma, ctx):
     return gen.tocsr()
 
 
-def qfp_generator(h_expr, bath, sigma, ctx):
-    """Dissipative generator: 2 Im(H) + 4 gamma T Im(F)^2 - 2 gamma Im(F) Im([H,F])."""
-    _require_hermitian_expression(h_expr, ctx, "Hamiltonian")
-    _require_hermitian_expression(bath.coupling, ctx, "coupling operator")
-    L = ctx.band_limit
-    h_hat = bopp.evaluate_expression(h_expr, sigma, ctx)
-    f_hat = bopp.evaluate_expression(bath.coupling, sigma, ctx)
+def qfp_generator(h_expr, bath, sigma, ctx, band=None):
+    """Dissipative generator 2 Im(H) + 4 gamma T Im(F)^2 - 2 gamma Im(F) Im([H,F])
+    at band limit band (None: 2S).  Its l <= l_test block equals the band-2S
+    block from band _block_band(h_expr, bath.coupling, l_test, ctx) on."""
+    h_hat = _hermitian_hat(h_expr, sigma, ctx, band, "Hamiltonian")
+    f_hat = _hermitian_hat(bath.coupling, sigma, ctx, band, "coupling operator")
+    L = sphere_ops.band_limit_of(h_hat.shape[0])
     im_h = sphere_ops.operator_imag(h_hat, L)
     im_f = sphere_ops.operator_imag(f_hat, L)
     im_g = sphere_ops.operator_imag(h_hat @ f_hat - f_hat @ h_hat, L)
@@ -119,62 +129,19 @@ def qfp_generator(h_expr, bath, sigma, ctx):
 
 def bilinear_lambda(ctx, gamma, xi):
     """Diffusion matrix S gamma xi_j xi_k of the isotropic bilinear coupling."""
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise ValueError("gamma must be finite and >= 0")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (3,):
         raise ValueError("xi must be a real 3-vector")
     return ctx.s * gamma * np.outer(xi, xi)
 
 
-def _effective_field_generator(l_ops, m_ops, b_ops, lam, temperature, s):
-    """(drift, generator) of the effective-field form shared by the quantum and
-    the classical generators, for position operators m_a and field operators B_k:
-    drift = (i/S) sum_k L_k B_k and generator = drift
-    - (i/S) sum_kj L_k Lam_kj [(m x B)_j - i T L_j].  Field components with no
-    nonzero entry, and cross products that Lam never reads, are not built."""
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError("temperature must be finite and > 0")
-    zero = sp.csr_matrix(l_ops[0].shape, dtype=complex)
-    live = [b.count_nonzero() > 0 for b in b_ops]
-    read = lam.any(axis=0)
-    cross = [zero] * 3
-    for a, b, c, sign in _EPS:
-        if read[a] and live[c]:
-            cross[a] = cross[a] + sign * (m_ops[b] @ b_ops[c])
-    drift = sum(((1j / s) * (l_ops[k] @ b_ops[k]) for k in range(3) if live[k]), zero)
-    gen = drift
-    for k, j in zip(*np.nonzero(lam)):
-        gen = gen - (1j / s) * lam[k, j] * (l_ops[k] @ (cross[j] - 1j * temperature * l_ops[j]))
-    return drift.tocsr(), gen.tocsr()
-
-
-def _bilinear_operators(b, sigma, ctx, band):
-    """(L, m, m + V, B) at band limit band <= 2S: the sphere's position operators
-    m_a, their Bopp form with the O(1/S) V_a = (M_a (F1 - S) + K_a F2)/S, and
-    the field B = S b; each couples shell l only to l and l +- 1."""
-    coeffs = bopp.bopp_coefficients(ctx, sigma)
-    f1d, f2d = (bopp.shell_diagonal(band, t[:band + 1]) for t in (coeffs.f1, coeffs.f2))
-    eye = sp.identity(sphere_ops.num_coefficients(band), dtype=complex, format="csr")
-    mk_ops = sphere_ops.position_operators(band)
-    m_ops, k_ops, s = mk_ops[:3], mk_ops[3:], ctx.s
-    # V apart from m: the equal (M F1 + K F2)/S rounds twice at the size of m
-    mv_ops = [m_ops[a] + (m_ops[a] @ (f1d - s * eye) + k_ops[a] @ f2d) / s for a in range(3)]
-    return sphere_ops.angular_operators(band)[:3], m_ops, mv_ops, [s * bk * eye for bk in b]
-
-
-def isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx):
-    """Bilinear-coupling generator: the classical Fokker-Planck generator of
-    H = -S b.m plus an O(1/S) term.
-
-    It is the effective-field form (see classical_generators) with the field
-    B = S b, Lam = S gamma xi xi^T and the position operators m + V of
-    _bilinear_operators in place of m.  Equals qfp_generator for H = -b.S,
-    F = xi.S up to rounding.
-    """
-    lam = bilinear_lambda(ctx, gamma, xi)
-    l_ops, _, mv_ops, b_ops = _bilinear_operators(b, sigma, ctx, ctx.band_limit)
-    return _effective_field_generator(l_ops, mv_ops, b_ops, lam, temperature, ctx.s)[1]
+def _block_band(h_expr, coupling, l_test, ctx):
+    """Least band at which qfp_generator's l <= l_test block is the band-2S one:
+    its longest product, Im(F) Im([H, F]), has deg H + 2 deg F Bopp factors,
+    each moving one shell at most, so a path from the block back into it
+    strays at most half of them above it."""
+    degree = bopp.degree(bopp.validate_expression(h_expr)) + 2 * bopp.degree(coupling)
+    return min(ctx.band_limit, l_test + degree // 2)
 
 
 # --- Hilbert-space oracle -------------------------------------------------
@@ -267,19 +234,29 @@ def classical_generators(h_poly, lam, temperature, band_limit, s):
     position operators m: liouville = (i/S) sum_k L_k B_eff,k, and
     fokker_planck adds -(i/S) sum_kj L_k Lam_kj [(m x B_eff)_j - i T L_j].  exp(-H/T) is
     stationary under fokker_planck on the shells the band truncation leaves
-    intact.
+    intact.  qfp_generator for H = -b.S and F = xi.S is this form with B = S b,
+    Lam = S gamma xi xi^T and m replaced by the Bopp (M F1 + K F2)/S = m + O(1/S).
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (3, 3):
         raise ValueError("lam must be 3x3")
     if not (math.isfinite(s) and s > 0):
         raise ValueError("s must be finite and > 0")
-    grads = poly_gradient(h_poly)
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError("temperature must be finite and > 0")
     b_ops = [poly_multiplication_operator([(-c, e) for c, e in g], band_limit)
-             for g in grads]
+             for g in poly_gradient(h_poly)]
     l_ops = sphere_ops.angular_operators(band_limit)[:3]
     m_ops = sphere_ops.position_operators(band_limit)[:3]
-    return _effective_field_generator(l_ops, m_ops, b_ops, lam, temperature, s)
+    zero = sp.csr_matrix(l_ops[0].shape, dtype=complex)
+    cross = [zero] * 3  # m x B_eff
+    for a, b, c, sign in _EPS:
+        cross[a] = cross[a] + sign * (m_ops[b] @ b_ops[c])
+    drift = sum(((1j / s) * (l_ops[k] @ b_ops[k]) for k in range(3)), zero)
+    gen = drift
+    for k, j in zip(*np.nonzero(lam)):
+        gen = gen - (1j / s) * lam[k, j] * (l_ops[k] @ (cross[j] - 1j * temperature * l_ops[j]))
+    return drift.tocsr(), gen.tocsr()
 
 
 # --- states, integration, observables -------------------------------------
@@ -332,43 +309,52 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
               keep_states=True):
     """Propagate dy/dt = G y on the uniform grid of time_steps(t_end, dt).
 
-    dt is adjusted to divide t_end evenly.  The states go into one buffer:
-    every state with keep_states=True; otherwise at most _BLOCK_BYTES of rows
-    that each block reuses, so `states` holds only the initial and final
-    states and memory does not grow with the step count.  "rk4" is classical
-    Runge-Kutta; "expm" applies exp(G dt) as the truncated Taylor series of
-    _taylor_step on the sparse G, with no dense n x n matrix, no random
-    numbers and no size limit.  kind "symbol" attaches, at every step, the
+    dt is adjusted to divide t_end evenly.  The states go into the buffer of
+    lockstep: every state with keep_states=True; otherwise at most
+    _BLOCK_BYTES of rows that each block reuses, so `states` holds only the
+    initial and final states and memory does not grow with the step count.
+    "rk4" is classical Runge-Kutta; "expm" applies exp(G dt) as the truncated
+    Taylor series of _taylor_step on the sparse G, with no dense n x n
+    matrix, no random numbers and no size limit.  kind "symbol" attaches, at every step, the
     spin observables, trace, purity and reality residual max|P conj(c0) - c0|
     of symbol states c, with c0 = switch_ordering(c, sigma, 0) (needs ctx and
     sigma).  A non-finite state aborts, naming its step.
     """
-    n_steps, dt_used = time_steps(t_end, dt)
-    y0 = np.asarray(y0, dtype=complex)
-    if method not in ("rk4", "expm"):
-        raise ValueError(f"unknown method {method!r}")
-    step = (_rk4_step if method == "rk4" else _taylor_step)(gen, dt_used)
     if kind not in (None, "symbol"):
         raise ValueError(f"unknown kind {kind!r}")
     if kind and (ctx is None or sigma is None):
         raise ValueError("symbol observables need ctx and sigma")
+    times, blocks = lockstep([gen], [y0], t_end, dt, method, keep_states)
     observe = kind and _symbol_observables(ctx, sigma)
-
-    rows = n_steps + 1
-    if not keep_states:
-        rows = min(rows, max(1, _BLOCK_BYTES // max(1, y0.nbytes)))
-    buf = np.empty((rows,) + y0.shape, dtype=complex)
-    obs = np.empty((n_steps + 1, 6)) if observe else None
-    for first, block in _blocks(step, y0, n_steps, dt_used, buf):
+    obs = np.empty((times.size, 6)) if observe else None
+    for first, (block,) in blocks:
         if observe:
             observe(block, obs[first:first + len(block)])
-    states = buf if keep_states else np.stack((y0, block[-1]))
+    states = block if keep_states else np.stack((np.asarray(y0, dtype=complex), block[-1]))
 
-    result = EvolutionResult(times=dt_used * np.arange(n_steps + 1), states=states)
+    result = EvolutionResult(times=times, states=states)
     if observe:
         (result.s1, result.s2, result.s3, result.trace, result.purity,
          result.reality) = obs.T
     return result
+
+
+def lockstep(gens, y0s, t_end, dt, method="rk4", keep_states=False):
+    """(times, blocks): each y0 propagated under its generator on the grid of
+    time_steps(t_end, dt), blocks yielding (k, [a block per system]) from step
+    k on.  Every state is one block with keep_states=True; else each buffer
+    holds what _BLOCK_BYTES holds of the largest state and is reused."""
+    n_steps, dt_used = time_steps(t_end, dt)
+    if method not in ("rk4", "expm"):
+        raise ValueError(f"unknown method {method!r}")
+    y0s = [np.asarray(y, dtype=complex) for y in y0s]
+    rows = n_steps + 1 if keep_states else min(
+        n_steps + 1, max(1, _BLOCK_BYTES // max(1, max(y.nbytes for y in y0s))))
+    streams = [_blocks((_rk4_step if method == "rk4" else _taylor_step)(gen, dt_used), y,
+                       n_steps, dt_used, np.empty((rows,) + y.shape, dtype=complex))
+               for gen, y in zip(gens, y0s)]
+    return (dt_used * np.arange(n_steps + 1),
+            ((parts[0][0], [block for _, block in parts]) for parts in zip(*streams)))
 
 
 def _blocks(step, y, n_steps, dt_used, buf):
@@ -476,12 +462,12 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
     s_values, deviations and the fitted log-log slope.
 
     Modes:
-      "unitary": "bilinear" at Lam = 0, where both generators are the drift
-        (i/S) sum_k L_k B_k for B = S b and read no position operator, so
-        the deviation vanishes identically.
-      "bilinear": the isotropic_bilinear_generator form against the classical
-        Fokker-Planck generator on the l <= l_test block (relative operator
-        norm), both built at band l_test + 1; decays like 1/S.
+      "unitary": "bilinear" at gamma = 0 and xi = 0, where both generators
+        are the drift i b.L, so the deviation vanishes to rounding.
+      "bilinear": qfp_generator for H = -b.S and F = xi.S against the
+        classical Fokker-Planck generator of H = -S b.m with
+        Lam = S gamma xi xi^T, on the l <= l_test block (relative operator
+        norm), both built at the band of _block_band; decays like 1/S.
       "asymptotics": relative sup deviation between the exact shell tables
         (f1, f2) and their large-S approximations over l <= l_test.  The
         deviation is measured relative to the exact values (f2 itself is
@@ -496,6 +482,9 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
                          f"got {list(twice_s_values)}")
     if l_test < 0:
         raise ValueError(f"l_test must be >= 0, got {l_test}")
+    if l_test == 0 and mode != "asymptotics":
+        raise ValueError(f"scan l_test = 0 compares nothing in {mode} mode: every generator "
+                         "annihilates shell 0, so the deviation is 0/0; use l_test >= 1")
     if l_test > min(int(t) for t in twice_s_values) - 2:
         raise ValueError(
             f"l_test = {l_test} exceeds min(2S) - 2 = "
@@ -503,6 +492,13 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
             "shells would contaminate the compared block")
     if mode == "unitary":
         xi, gamma, temperature = np.zeros(3), 0.0, 1.0
+    if mode != "asymptotics":
+        if b is None:
+            raise ValueError(f"mode {mode!r} needs a field vector b")
+        if xi is None or gamma is None or temperature is None:
+            raise ValueError("bilinear mode needs xi, gamma, temperature")
+        h_expr = [(-bk, (k + 1,)) for k, bk in enumerate(b)]
+        bath = BathSpec([(x, (k + 1,)) for k, x in enumerate(xi)], gamma, temperature)
     s_values = []
     deviations = []
     for twice_s in twice_s_values:
@@ -516,14 +512,11 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
             rel = np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-300)
             deviations.append(np.max(rel))
             continue
-        if b is None:
-            raise ValueError(f"mode {mode!r} needs a field vector b")
-        if xi is None or gamma is None or temperature is None:
-            raise ValueError("bilinear mode needs xi, gamma, temperature")
-        lam = bilinear_lambda(ctx, gamma, xi)
-        l_ops, m_ops, mv_ops, b_ops = _bilinear_operators(b, sigma, ctx, l_test + 1)
-        q_sub, c_sub = (_submatrix(_effective_field_generator(
-            l_ops, pos, b_ops, lam, temperature, ctx.s)[1], l_test) for pos in (mv_ops, m_ops))
+        band = _block_band(h_expr, bath.coupling, l_test, ctx)
+        q_sub = _submatrix(qfp_generator(h_expr, bath, sigma, ctx, band), l_test)
+        h_poly = [(-ctx.s * bk, tuple(int(i == k) for i in range(3))) for k, bk in enumerate(b)]
+        c_sub = _submatrix(classical_generators(h_poly, bilinear_lambda(ctx, gamma, xi),
+                                                temperature, band, ctx.s)[1], l_test)
         deviations.append(np.linalg.norm(q_sub - c_sub, 2) / np.linalg.norm(c_sub, 2))
     s_values = np.asarray(s_values, dtype=float)
     deviations = np.asarray(deviations, dtype=float)

@@ -108,3 +108,23 @@ def master_stationary_state(h, f, gamma, temperature):
     rho = dynamics.unvec_density(v[:, np.argmin(np.abs(w))])
     rho = (rho + rho.conj().T) / 2.0
     return rho / np.trace(rho).real
+
+
+def bilinear_effective_field_generator(b, xi, gamma, temperature, sigma, ctx):
+    """The quantum bilinear-coupling generator in the paper's effective-field
+    form: (i/S) sum_k L_k B_k - (i/S) sum_kj L_k Lam_kj [(r x B)_j - i T L_j]
+    with the field B = S b, Lam = S gamma xi xi^T and the Bopp position
+    operators r_a = (M_a F1 + K_a F2)/S, which are the sphere's m_a plus O(1/S).
+    Written out term by term from the Bopp set, apart from qfp_generator."""
+    l_ops, m_ops, k_ops, f1d, f2d, _ = bopp.bopp_operators(ctx, sigma)
+    s = ctx.s
+    r_ops = [(m_ops[a] @ f1d + k_ops[a] @ f2d) / s for a in range(3)]
+    field = [s * bk for bk in b]
+    lam = s * gamma * np.outer(xi, xi)
+    gen = sum((1j / s) * field[k] * l_ops[k] for k in range(3))
+    for j in range(3):
+        a, c = (j + 1) % 3, (j + 2) % 3
+        cross = r_ops[a] * field[c] - r_ops[c] * field[a]  # (r x B)_j
+        for k in range(3):
+            gen = gen - (1j / s) * lam[k, j] * (l_ops[k] @ (cross - 1j * temperature * l_ops[j]))
+    return gen.tocsr()

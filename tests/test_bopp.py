@@ -240,6 +240,33 @@ def test_evaluate_expression_builds_ordered_bopp_products():
     assert bopp.evaluate_expression([], sigma, ctx).nnz == 0
 
 
+@pytest.mark.parametrize("sigma", [-1.0, 0.3, 1.0])
+@pytest.mark.parametrize("twice_s", [1, 6, 17])
+def test_bopp_set_at_a_band_is_the_full_band_block(twice_s, sigma):
+    """Below 2S every operator of bopp_operators, and evaluate_expression, is
+    the l <= band block of the band-2S one, bit for bit: the tables are the
+    first band + 1 entries and only transitions out of the block are dropped."""
+    ctx = SpinContext(twice_s)
+    full = bopp.bopp_operators(ctx, sigma)
+    expr = [(2.0, (1, 2)), (1j, (3,)), (0.5, ())]
+    full_expr = bopp.evaluate_expression(expr, sigma, ctx)
+    for band in range(twice_s + 1):
+        n = so.num_coefficients(band)
+        for ops, full_ops in zip(bopp.bopp_operators(ctx, sigma, band), full):
+            ops, full_ops = (ops, full_ops) if isinstance(ops, tuple) else ((ops,), (full_ops,))
+            for op, full_op in zip(ops, full_ops):
+                assert np.array_equal(op.toarray(), full_op[:n, :n].toarray())
+        assert bopp.evaluate_expression(expr, sigma, ctx, band).shape == (n, n)
+    assert np.array_equal(bopp.evaluate_expression(expr, sigma, ctx, twice_s).toarray(),
+                          full_expr.toarray())
+
+
+@pytest.mark.parametrize("band", [-1, 3, 1.5, "2"])
+def test_bopp_set_refuses_a_band_outside_zero_to_2s(band):
+    with pytest.raises(ValueError, match="band must be an integer"):
+        bopp.bopp_matrices(SpinContext(2), 0.0, band)
+
+
 def test_linear_expression_drops_zeros():
     assert oracles.linear_expression([0.0, 2.0, -1.0]) == [
         (2.0 + 0j, (2,)), (-1.0 + 0j, (3,))]

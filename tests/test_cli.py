@@ -280,16 +280,27 @@ def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, where, valu
 
 def test_gates_fail_on_nan_measurements(tmp_path, monkeypatch):
     """A NaN reality residual, deviation or slope fails its gate with exit 2."""
-    integrate = cli.dynamics.integrate
+    integrate, lockstep = cli.dynamics.integrate, cli.dynamics.lockstep
 
-    def nan_final_state(*args, **kwargs):
+    def nan_final_reality(*args, **kwargs):  # read by evolve
         result = integrate(*args, **kwargs)
-        result.states[-1] = np.nan  # read by compare
-        if result.reality is not None:
-            result.reality[-1] = np.nan  # read by evolve
+        result.reality[-1] = np.nan
         return result
 
-    monkeypatch.setattr(cli.dynamics, "integrate", nan_final_state)
+    def nan_final_states(*args, **kwargs):  # read by compare
+        times, blocks = lockstep(*args, **kwargs)
+
+        def corrupted():
+            for first, parts in blocks:
+                if first + len(parts[0]) == times.size:
+                    for block in parts:
+                        block[-1] = np.nan
+                yield first, parts
+
+        return times, corrupted()
+
+    monkeypatch.setattr(cli.dynamics, "integrate", nan_final_reality)
+    monkeypatch.setattr(cli.dynamics, "lockstep", nan_final_states)
     cfg_path = _write(tmp_path, "run.json", _evolve_config())
     assert cli.main(["evolve", "--config", cfg_path,
                      "--out", str(tmp_path / "e")]) == 2
@@ -355,14 +366,14 @@ def test_compare_integrates_with_the_configured_method(tmp_path, capsys, monkeyp
                      "--out", str(out)]) == 1
     assert "rk4 is unstable" in capsys.readouterr().err and not out.exists()
 
-    methods = []
-    integrate = cli.dynamics.integrate
+    methods = []  # one per trajectory
+    lockstep = cli.dynamics.lockstep
 
-    def spy(gen, y0, t_end, dt, method, *args, **kwargs):
-        methods.append(method)
-        return integrate(gen, y0, t_end, dt, method, *args, **kwargs)
+    def spy(gens, y0s, t_end, dt, method, *args, **kwargs):
+        methods.extend([method] * len(gens))
+        return lockstep(gens, y0s, t_end, dt, method, *args, **kwargs)
 
-    monkeypatch.setattr(cli.dynamics, "integrate", spy)
+    monkeypatch.setattr(cli.dynamics, "lockstep", spy)
     cfg["bath"]["gamma"] = 0.1
     assert cli.main(["compare", "--config", _write(tmp_path, "ok.json", cfg),
                      "--out", str(out)]) == 0
@@ -401,23 +412,31 @@ def test_sigma_zero_gates_fail_a_corrupted_top_shell(tmp_path, monkeypatch, caps
     """A non-real 1e-6 in one top-shell coefficient of the sigma = 0 image of
     the initial symbol (an operator error of about 1e-6) fails both gates.
     The symbol route is the integration of the generator qfp_generator built."""
-    integrate, qfp_generator = cli.dynamics.integrate, cli.dynamics.qfp_generator
+    integrate, lockstep = cli.dynamics.integrate, cli.dynamics.lockstep
+    qfp_generator = cli.dynamics.qfp_generator
     symbol_generators = []  # (generator, sigma, ctx) of each qfp_generator call
 
     def recorded(h_expr, bath, sigma, ctx):
         symbol_generators.append((qfp_generator(h_expr, bath, sigma, ctx), sigma, ctx))
         return symbol_generators[-1][0]
 
-    def corrupted(gen, y0, *args, **kwargs):
+    def bumped(gen, y0):
         for symbol_gen, sigma, ctx in symbol_generators:
             if gen is symbol_gen:
                 bump = np.zeros(ctx.symbol_dim, dtype=complex)
                 bump[so.flat_index(ctx.band_limit, 0)] = 1e-6j
                 y0 = y0 + cli.sw_transform.switch_ordering(bump, 0.0, sigma, ctx)
-        return integrate(gen, y0, *args, **kwargs)
+        return y0
+
+    def corrupted(gen, y0, *args, **kwargs):  # evolve
+        return integrate(gen, bumped(gen, y0), *args, **kwargs)
+
+    def corrupted_lockstep(gens, y0s, *args, **kwargs):  # compare
+        return lockstep(gens, [bumped(g, y) for g, y in zip(gens, y0s)], *args, **kwargs)
 
     monkeypatch.setattr(cli.dynamics, "qfp_generator", recorded)
     monkeypatch.setattr(cli.dynamics, "integrate", corrupted)
+    monkeypatch.setattr(cli.dynamics, "lockstep", corrupted_lockstep)
     assert cli.main([command, "--config", _write(tmp_path, "run.json", _sigma_one_config()),
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -450,6 +469,27 @@ def test_compare_peak_memory_at_2s_40(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_compare_memory_does_not_grow_with_the_step_count(tmp_path, monkeypatch):
+    """compare steps both routes in lockstep through reused buffers of 16
+    states: ten times the steps peak within 10% of the one-time run.  Two kept
+    trajectories would grow by 2 x 16 B x (2S+1)^2 per step, 3.5 MB over the
+    400 extra steps here."""
+    monkeypatch.setattr(cli.dynamics, "_BLOCK_BYTES", 16 * 16 * 21 ** 2)
+    peaks = []
+    for t_end in (2.0, 20.0):  # 40 and 400 steps of 0.05
+        cfg_path = _write(tmp_path, f"cmp{t_end}.json", _compare_config(20, 0.5, t_end))
+        tracemalloc.start()
+        try:
+            assert cli.main(["compare", "--config", cfg_path,
+                             "--out", str(tmp_path / f"o{t_end}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows = (tmp_path / f"o{t_end}" / "compare.csv").read_text().splitlines()
+        assert len(rows) == 2 + round(t_end / 0.05)
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_compare_computes_no_symbol_observables(tmp_path, monkeypatch):

@@ -84,6 +84,77 @@ def test_unitary_generator_rejects_non_hermitian_hamiltonian():
         dyn.unitary_generator([(1j, (3,))], 0.0, ctx)
 
 
+def _dense_check_refuses(expr, ctx):
+    """The Hilbert-space Hermiticity check: max|A - A^dag| > 1e-12 max(1, max|A|)."""
+    a = bopp.expression_to_matrix(expr, ctx)
+    return np.max(np.abs(a - a.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(a)))
+
+
+def _refuses(expr, sigma, ctx):
+    bath = dyn.BathSpec(((1.0, (1,)),), 0.1, 1.0)
+    try:
+        dyn.qfp_generator(expr, bath, sigma, ctx, min(ctx.band_limit, 2))
+    except ValueError as exc:
+        assert "Hamiltonian must be Hermitian" in str(exc)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("twice_s", [1, 2, 5, 10])
+def test_symbol_hermiticity_check_agrees_with_the_dense_check(twice_s):
+    """On Hermitian polynomials (some with no Hermitian term), non-Hermitian
+    ones and Hermitian ones perturbed by i 1e-6 or i 1e-9 times a Hermitian
+    term, the symbol check of qfp_generator refuses exactly what the dense
+    (2S+1)^2 check refuses, at a band below the degree too."""
+    ctx = SpinContext(twice_s)
+    rng = np.random.default_rng(twice_s)
+    exprs = [[(1j, (3,))], [(1.0, (1, 2))], [(1j, ())], [(1.0, (3, 3, 1))],
+             [(1j, (1, 2)), (-1j, (2, 1))], [(1.0, (1, 3)), (1.0, (3, 1))],
+             [(1.0, (3,)), (1e-9j, (1, 1))], [(-1.0, (3,)), (1e-6j, (2,))]]
+    for _ in range(12):
+        words = [tuple(int(k) for k in rng.integers(1, 4, size=rng.integers(0, 5)))
+                 for _ in range(3)]
+        coeffs = rng.normal(size=3) + 1j * rng.normal(size=3)
+        expr = [(c, w) for c, w in zip(coeffs, words)]
+        exprs.append(expr)  # non-Hermitian unless the draw is degenerate
+        hermitian = expr + oracles.expression_adjoint(expr)
+        exprs.append(hermitian)
+        exprs.append(hermitian + [(1e-9j, words[0] + words[0][::-1])])
+    verdicts = []
+    for expr in exprs:
+        dense = _dense_check_refuses(expr, ctx)
+        verdicts.append(dense)
+        for sigma in (-1.0, 0.0, 0.5, 1.0):
+            assert _refuses(expr, sigma, ctx) == dense, (expr, sigma)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_hermiticity_check_builds_no_dense_matrix_at_large_spin():
+    """At 2S = 10^5 a dense (2S+1)^2 check would need 160 GB: qfp_generator at
+    band 4 refuses 1j S3 within 16 MiB, and accepts i(S1 S2 - S2 S1) = -S3,
+    which is Hermitian although neither term is: its l <= 2 block is that of
+    -S3 up to the rounding of its cancelling terms."""
+    ctx = SpinContext(10 ** 5)
+    bath = dyn.BathSpec(((1.0, (1,)),), 0.1, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="Hamiltonian must be Hermitian"):
+            dyn.qfp_generator([(1j, (3,))], bath, 0.3, ctx, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    commutator = [(1j, (1, 2)), (-1j, (2, 1))]
+    band = dyn._block_band(commutator, bath.coupling, 2, ctx)
+    assert band == 4
+    for sigma in (-1.0, 0.0, 1.0):
+        block = dyn._submatrix(dyn.qfp_generator(commutator, bath, sigma, ctx, band), 2)
+        field = dyn._submatrix(dyn.qfp_generator([(-1.0, (3,))], bath, sigma, ctx, band), 2)
+        # the O(S^2) terms cancel, leaving rounding of about eps S^2 = 6e-7
+        assert np.max(np.abs(block - field)) <= 16 * np.finfo(float).eps * ctx.s ** 2 * np.max(
+            np.abs(field))
+
+
 @pytest.mark.parametrize("sigma", (-1.0, 0.0))
 def test_quadratic_generator_equals_expression_route(sigma):
     ctx = SpinContext(3)
@@ -171,12 +242,15 @@ def test_master_stationary_state_is_a_fixed_point_and_gibbs_like():
 
 @pytest.mark.parametrize("sigma", (-1.0, 0.0))
 def test_bilinear_generator_equals_general_dissipative_form(sigma):
+    """qfp_generator for H = -b.S and F = xi.S is the effective-field form of
+    the classical Fokker-Planck generator with m replaced by the Bopp
+    position operators (M F1 + K F2)/S."""
     ctx = SpinContext(3)
     b = np.array([0.2, -0.4, 1.0])
     xi = np.array([0.6, 0.3, -0.74])
     gamma, temperature = 0.3, 0.8
-    direct = dyn.isotropic_bilinear_generator(b, xi, gamma, temperature,
-                                              sigma, ctx)
+    direct = oracles.bilinear_effective_field_generator(b, xi, gamma, temperature,
+                                                        sigma, ctx)
     h_expr = oracles.linear_expression(-b)
     bath = dyn.BathSpec(tuple(oracles.linear_expression(xi)), gamma, temperature)
     general = dyn.qfp_generator(h_expr, bath, sigma, ctx)
@@ -557,6 +631,29 @@ def test_integrate_keeps_many_blocks_without_a_second_copy(monkeypatch, method):
     assert peak < 1.25 * res.states.nbytes
 
 
+def test_lockstep_blocks_are_the_integrated_states(monkeypatch):
+    """lockstep hands out the states integrate computes, bit for bit, in
+    blocks of one row count for every system, ending in a partial block."""
+    monkeypatch.setattr(dyn, "_BLOCK_BYTES", 3 * 16 * 9)  # 3 states of (2S+1)^2 = 9
+    ctx = SpinContext(2)
+    gen = dyn.qfp_generator([(-1.0, (3,))], dyn.BathSpec(((1.0, (1,)),), 0.1, 1.0), 0.5, ctx)
+    rho0 = dyn.coherent_state(ctx, 0.9, 0.2)
+    liou = dyn.master_liouvillian(bopp.expression_to_matrix([(-1.0, (3,))], ctx),
+                                  bopp.expression_to_matrix([(1.0, (1,))], ctx), 0.1, 1.0)
+    y0s = [dyn.vec_density(rho0), swt.operator_to_symbol(rho0, 0.5, ctx)]
+    for method in ("rk4", "expm"):
+        whole = [dyn.integrate(g, y, 1.0, 0.1, method).states for g, y in zip([liou, gen], y0s)]
+        times, blocks = dyn.lockstep([liou, gen], y0s, 1.0, 0.1, method)
+        assert np.array_equal(times, dyn.integrate(gen, y0s[1], 1.0, 0.1, method).times)
+        seen = 0
+        for first, parts in blocks:
+            assert first == seen and len({len(p) for p in parts}) == 1 and len(parts[0]) <= 3
+            for states, block in zip(whole, parts):
+                assert np.array_equal(states[first:first + len(block)], block)
+            seen += len(parts[0])
+        assert seen == 11
+
+
 @pytest.mark.parametrize("t_end, dt", [(math.inf, 0.1), (math.nan, 0.1),
                                        (1.0, math.inf), (1.0, math.nan)])
 def test_time_steps_rejects_a_non_finite_grid(t_end, dt):
@@ -691,8 +788,8 @@ def test_bilinear_scan_never_densifies_a_whole_generator():
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
     assert np.all(np.isfinite(out["deviations"]))
-    gen = dyn.isotropic_bilinear_generator([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], 2.0, 0.1,
-                                           -1.0, SpinContext(10))
+    gen = dyn.qfp_generator([(-1.0, (3,))], dyn.BathSpec(((1.0, (1,)),), 2.0, 0.1),
+                            -1.0, SpinContext(10))
     assert np.array_equal(dyn._submatrix(gen, 3), gen.toarray()[:16, :16])
 
 
@@ -713,9 +810,16 @@ _SCAN_FIELD = dict(b=[0.3, -0.2, 1.0], xi=[0.5, 0.7, -0.2], gamma=0.1, temperatu
 @pytest.mark.parametrize("l_test", [0, 3, "2S-2"])
 def test_scan_blocks_equal_the_full_band_generators_bit_for_bit(monkeypatch, twice_s,
                                                                  sigma, l_test):
-    """The blocks a scan compares, built at band l_test + 1, are the l <= l_test
-    blocks of the public band-2S isotropic_bilinear_generator and
-    classical_generators, bit for bit."""
+    """The blocks a scan compares, built at the derived band l_test + 1, are the
+    l <= l_test blocks of the band-2S qfp_generator and classical_generators,
+    bit for bit.  At l_test = 0 there is no block to compare (every generator
+    annihilates shell 0) and the library refuses the scan."""
+    b, xi, gamma, temperature = (_SCAN_FIELD[k] for k in ("b", "xi", "gamma", "temperature"))
+    if l_test == 0:
+        with pytest.raises(ValueError, match="scan l_test = 0 compares nothing"):
+            dyn.classical_limit_scan("bilinear", [twice_s, twice_s + 1], sigma, 0,
+                                     **_SCAN_FIELD)
+        return
     l_test = twice_s - 2 if l_test == "2S-2" else l_test
     blocks = []
     submatrix = dyn._submatrix
@@ -731,8 +835,9 @@ def test_scan_blocks_equal_the_full_band_generators_bit_for_bit(monkeypatch, twi
                                                              [twice_s, twice_s + 1]):
         ctx = SpinContext(twice)
         assert size_q == size_c == so.num_coefficients(l_test + 1)
-        b, xi, gamma, temperature = (_SCAN_FIELD[k] for k in ("b", "xi", "gamma", "temperature"))
-        full_q = dyn.isotropic_bilinear_generator(b, xi, gamma, temperature, sigma, ctx)
+        full_q = dyn.qfp_generator(oracles.linear_expression(-np.asarray(b)),
+                                   dyn.BathSpec(oracles.linear_expression(xi), gamma,
+                                                temperature), sigma, ctx)
         h_poly = [(-ctx.s * b[k], tuple(int(i == k) for i in range(3))) for k in range(3)]
         full_c = dyn.classical_generators(h_poly, dyn.bilinear_lambda(ctx, gamma, xi),
                                           temperature, ctx.band_limit, ctx.s)[1]
@@ -742,20 +847,59 @@ def test_scan_blocks_equal_the_full_band_generators_bit_for_bit(monkeypatch, twi
 
 @pytest.mark.parametrize("mode", ["unitary", "bilinear"])
 def test_scan_builds_no_operator_above_band_l_test_plus_one(monkeypatch, mode):
-    """Every sphere operator a scan builds has band <= l_test + 1, and the
-    band-2S Bopp set is never built."""
+    """Every sphere operator and Bopp set a scan builds has band <= l_test + 1:
+    nothing of size (2S+1)^2 is built."""
     bands = []
     for name in ("angular_operators", "position_operators"):
         original = getattr(so, name)
         monkeypatch.setattr(so, name, lambda band, f=original: bands.append(band) or f(band))
+    bopp_bands = []
+    bopp_operators = bopp.bopp_operators
 
-    def refuse(*args):
-        raise AssertionError("bopp_operators called during a scan")
+    def recorded(ctx, sigma, band=None):
+        bopp_bands.append(ctx.band_limit if band is None else band)
+        return bopp_operators(ctx, sigma, band)
 
-    monkeypatch.setattr(bopp, "bopp_operators", refuse)
+    monkeypatch.setattr(bopp, "bopp_operators", recorded)
     out = dyn.classical_limit_scan(mode, [10, 40, 1000], 1.0, 3, **_SCAN_FIELD)
     assert bands and max(bands) == 4
+    assert bopp_bands and max(bopp_bands) <= 4
     assert np.all(np.isfinite(out["deviations"]))
+
+
+def _cubic_hamiltonian(ctx):
+    """H = -S3 - 0.5 S1 S1 / S + 0.1 S3^3 / S^2: every term O(S)."""
+    s = ctx.s
+    return [(-1.0, (3,)), (-0.5 / s, (1, 1)), (0.1 / s ** 2, (3, 3, 3))]
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 0.3, 1.0])
+@pytest.mark.parametrize("twice_s", [20, 40])
+def test_qfp_block_at_the_derived_band_equals_the_full_band_bit_for_bit(twice_s, sigma):
+    """For a cubic H and F = S1 the longest product has 3 + 2 factors, so the
+    l <= l_test block needs band l_test + 2: there it is the band-2S block bit
+    for bit, and one band lower it is not."""
+    ctx = SpinContext(twice_s)
+    h_expr, bath = _cubic_hamiltonian(ctx), dyn.BathSpec(((1.0, (1,)),), 0.3, 0.7)
+    full = dyn.qfp_generator(h_expr, bath, sigma, ctx)
+    for l_test in (3, 6):
+        band = dyn._block_band(h_expr, bath.coupling, l_test, ctx)
+        assert band == l_test + 2
+        block = dyn._submatrix(full, l_test)
+        assert np.array_equal(
+            dyn._submatrix(dyn.qfp_generator(h_expr, bath, sigma, ctx, band), l_test), block)
+        assert not np.array_equal(
+            dyn._submatrix(dyn.qfp_generator(h_expr, bath, sigma, ctx, band - 1), l_test), block)
+
+
+def test_derived_band_follows_the_expression_degrees():
+    ctx = SpinContext(20)
+    linear = oracles.linear_expression([0.3, 0.0, 1.0])
+    assert dyn._block_band(linear, linear, 3, ctx) == 4      # 1 + 2 factors
+    assert dyn._block_band([(1.0, (1, 2))], (), 3, ctx) == 4  # 2 + 0
+    assert dyn._block_band([(1.0, (1, 2))], linear, 3, ctx) == 5  # 2 + 2
+    assert dyn._block_band(_cubic_hamiltonian(ctx), [(1.0, (3, 3))], 3, ctx) == 6  # 3 + 4
+    assert dyn._block_band(_cubic_hamiltonian(ctx), linear, 18, ctx) == 20  # capped at 2S
 
 
 def test_bilinear_scan_memory_does_not_grow_with_spin():
@@ -779,14 +923,14 @@ def test_bilinear_scan_memory_does_not_grow_with_spin():
     (dict(_SCAN_FIELD, temperature=math.nan), "temperature must be finite and > 0"),
 ])
 def test_bilinear_paths_refuse_bad_gamma_and_temperature(kwargs, message):
-    """The scan, the isotropic generator and the classical generators refuse
+    """The scan, the bath of qfp_generator and the classical generators refuse
     gamma < 0 and T <= 0 (or NaN) with one message each."""
     ctx = SpinContext(6)
     with pytest.raises(ValueError, match=message):
         dyn.classical_limit_scan("bilinear", [6, 8], 0.0, 3, **kwargs)
     with pytest.raises(ValueError, match=message):
-        dyn.isotropic_bilinear_generator(kwargs["b"], kwargs["xi"], kwargs["gamma"],
-                                         kwargs["temperature"], 0.0, ctx)
+        dyn.BathSpec(oracles.linear_expression(kwargs["xi"]), kwargs["gamma"],
+                     kwargs["temperature"])
     if kwargs["gamma"] >= 0:
         with pytest.raises(ValueError, match=message):
             dyn.classical_generators([(-1.0, (0, 0, 1))], np.eye(3), kwargs["temperature"],
