@@ -33,8 +33,6 @@ from .dynamics import (
     integrate,
     master_rhs,
     qfp_generator,
-    quadratic_generator,
-    unitary_generator,
 )
 
 __all__ = [
@@ -43,8 +41,7 @@ __all__ = [
     "operator_to_symbol", "symbol_to_operator", "kernel_eval", "expectation",
     "bopp_coefficients", "bopp_matrices", "evaluate_expression",
     "star_product", "s3_star_ylm",
-    "QuadraticHamiltonian", "BathSpec",
-    "unitary_generator", "quadratic_generator", "qfp_generator",
+    "QuadraticHamiltonian", "BathSpec", "qfp_generator",
     "master_rhs", "classical_generators",
     "classical_limit_scan", "coherent_state", "integrate",
 ]

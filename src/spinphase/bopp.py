@@ -79,12 +79,14 @@ def shell_diagonal(band_limit, table):
     return sp.diags(table[l_of]).tocsr()
 
 
-def bopp_operators(ctx, sigma, band=None):
-    """(L, M, K, F1, F2, B) at band limit band (None: 2S), CSR, built anew on
-    every call: triples over the components, and the shell diagonals F1, F2 of
-    the tables' first band + 1 entries.  B_i = M_i F1 + K_i F2 + L_i/2; the
-    shell tables act first.  Below 2S only transitions to shell band + 1 are
-    dropped, so each operator is the l <= band block of its band-2S self."""
+def bopp_matrices(ctx, sigma, band=None):
+    """(B1, B2, B3) on symbol coefficients at band limit band (None: 2S), CSR,
+    built anew on every call: B_i = M_i F1 + K_i F2 + L_i/2, with F1, F2 the
+    shell diagonals of the tables' first band + 1 entries, which act first.
+    On the complete band-2S space these reproduce left multiplication by S_i
+    exactly for every ordering; below 2S only transitions to shell band + 1
+    are dropped, so each is the l <= band block of its band-2S self.
+    """
     L = ctx.band_limit if band is None else band
     if L != int(L) or not 0 <= L <= ctx.band_limit:
         raise ValueError(f"band must be an integer in [0, 2S = {ctx.band_limit}], got {band!r}")
@@ -95,18 +97,8 @@ def bopp_operators(ctx, sigma, band=None):
     l_ops = sphere_ops.angular_operators(L)[:3]
     mk_ops = sphere_ops.position_operators(L)
     m_ops, k_ops = mk_ops[:3], mk_ops[3:]
-    b_ops = tuple((m_ops[i] @ f1d + k_ops[i] @ f2d + 0.5 * l_ops[i]).tocsr()
-                  for i in range(3))
-    return l_ops, m_ops, k_ops, f1d, f2d, b_ops
-
-
-def bopp_matrices(ctx, sigma, band=None):
-    """(B1, B2, B3) on symbol coefficients at band limit band (None: 2S), CSR.
-
-    On the complete band-2S space these reproduce left multiplication by
-    S_i exactly for every ordering.
-    """
-    return bopp_operators(ctx, sigma, band)[5]
+    return tuple((m_ops[i] @ f1d + k_ops[i] @ f2d + 0.5 * l_ops[i]).tocsr()
+                 for i in range(3))
 
 
 def star_product(c_a, c_b, sigma, ctx):

@@ -310,13 +310,10 @@ def _cmd_evolve(cfg, paths, tolerance, rng):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     bath = _bath(cfg)
-    h_expr = _hamiltonian(cfg)
+    gen = dynamics.qfp_generator(_hamiltonian(cfg), bath, sigma, ctx)
     if bath is not None:
-        gen = dynamics.qfp_generator(h_expr, bath, sigma, ctx)
         print(f"validity ratio gamma/(S T) = {bath.validity_ratio(ctx):.6g}",
               file=sys.stderr)
-    else:
-        gen = dynamics.unitary_generator(h_expr, sigma, ctx)
     rho0 = _initial_density(cfg, ctx)
     c0 = sw_transform.operator_to_symbol(rho0, sigma, ctx)
     t_end, dt, method = _time_block(cfg)
@@ -482,8 +479,18 @@ def build_parser():
     return parser
 
 
+def _twice_s_asked(cfg):
+    """The 2S a config asks for, as written: "spin" twice_s or a scan's values."""
+    for section, key in (("spin", "twice_s"), ("scan", "twice_s_values")):
+        part = cfg.get(section)
+        if isinstance(part, dict) and key in part:
+            return part[key]
+    return None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    cfg = {}
     try:
         cfg = _load_config(args.config)
         _validate_keys(cfg, args.command)
@@ -508,6 +515,10 @@ def main(argv=None):
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: 2S = {_twice_s_asked(cfg)} needs more memory than is available: {exc}",
+              file=sys.stderr)
         return 1
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

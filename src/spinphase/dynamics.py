@@ -85,40 +85,18 @@ def _hermitian_hat(expr, sigma, ctx, band, what):
     return hat
 
 
-def unitary_generator(h_expr, sigma, ctx):
-    """Generator 2 Im(H_hat) of d(rho)/dt = -i[H, rho] on symbol coefficients."""
-    h_hat = _hermitian_hat(h_expr, sigma, ctx, None, "Hamiltonian")
-    return (2.0 * sphere_ops.operator_imag(h_hat, ctx.band_limit)).tocsr()
-
-
-def quadratic_generator(qh, sigma, ctx):
-    """Generator for H = -d_jk S_j S_k - b_j S_j assembled termwise.
-
-    i sum_j b_j L_j + 2i sum_jk d_jk L_j (M_k F1 + K_k F2); agrees with the
-    unitary_generator route to rounding because shell truncation commutes
-    with every L_j commutator.
-    """
-    l_ops, m_ops, k_ops, f1d, f2d, _ = bopp.bopp_operators(ctx, sigma)
-    r_ops = [m_ops[k] @ f1d + k_ops[k] @ f2d for k in range(3)]
-    n = ctx.symbol_dim
-    gen = sp.csr_matrix((n, n), dtype=complex)
-    for j in range(3):
-        if qh.b[j] != 0:
-            gen = gen + 1j * qh.b[j] * l_ops[j]
-        for k in range(3):
-            if qh.d[j, k] != 0:
-                gen = gen + 2j * qh.d[j, k] * (l_ops[j] @ r_ops[k])
-    return gen.tocsr()
-
-
 def qfp_generator(h_expr, bath, sigma, ctx, band=None):
-    """Dissipative generator 2 Im(H) + 4 gamma T Im(F)^2 - 2 gamma Im(F) Im([H,F])
-    at band limit band (None: 2S).  Its l <= l_test block equals the band-2S
-    block from band _block_band(h_expr, bath.coupling, l_test, ctx) on."""
+    """Generator 2 Im(H) + 4 gamma T Im(F)^2 - 2 gamma Im(F) Im([H,F]) of the
+    weak-coupling master equation at band limit band (None: 2S); with bath
+    None it is the unitary 2 Im(H) of d(rho)/dt = -i[H, rho].  Its l <= l_test
+    block equals the band-2S block from band _block_band(h_expr,
+    bath.coupling, l_test, ctx) on."""
     h_hat = _hermitian_hat(h_expr, sigma, ctx, band, "Hamiltonian")
-    f_hat = _hermitian_hat(bath.coupling, sigma, ctx, band, "coupling operator")
     L = sphere_ops.band_limit_of(h_hat.shape[0])
     im_h = sphere_ops.operator_imag(h_hat, L)
+    if bath is None:
+        return (2.0 * im_h).tocsr()
+    f_hat = _hermitian_hat(bath.coupling, sigma, ctx, band, "coupling operator")
     im_f = sphere_ops.operator_imag(f_hat, L)
     im_g = sphere_ops.operator_imag(h_hat @ f_hat - f_hat @ h_hat, L)
     gen = 2.0 * im_h

@@ -4,6 +4,7 @@ no library path calls.
 They live here so the library cannot reuse the code that checks it.  Each
 one either computes a quantity by a route independent of the library's own
 (the harmonics from scipy, the Bopp matrices from the transform pair, the
+termwise generators from the sphere operators and shell tables, the
 symmetric tables from their closed form, the stationary state from a dense
 eigen-solve) or exposes a library quantity for a test to read.
 """
@@ -110,15 +111,39 @@ def master_stationary_state(h, f, gamma, temperature):
     return rho / np.trace(rho).real
 
 
+def _angular_and_bopp_positions(ctx, sigma):
+    """(L_k, M_k F1 + K_k F2) at band 2S, from the sphere operators and the
+    shell tables, apart from the assembly in bopp_matrices."""
+    band = ctx.band_limit
+    coeffs = bopp.bopp_coefficients(ctx, sigma)
+    f1d = bopp.shell_diagonal(band, coeffs.f1)
+    f2d = bopp.shell_diagonal(band, coeffs.f2)
+    mk_ops = sphere_ops.position_operators(band)
+    return (sphere_ops.angular_operators(band)[:3],
+            [mk_ops[k] @ f1d + mk_ops[3 + k] @ f2d for k in range(3)])
+
+
+def quadratic_generator(qh, sigma, ctx):
+    """The generator of H = -d_jk S_j S_k - b_j S_j in the paper's termwise
+    form i sum_j b_j L_j + 2i sum_jk d_jk L_j (M_k F1 + K_k F2), apart from
+    qfp_generator's imaginary part of H_hat."""
+    l_ops, r_ops = _angular_and_bopp_positions(ctx, sigma)
+    gen = sum(1j * qh.b[j] * l_ops[j] for j in range(3))
+    for j in range(3):
+        for k in range(3):
+            gen = gen + 2j * qh.d[j, k] * (l_ops[j] @ r_ops[k])
+    return gen.tocsr()
+
+
 def bilinear_effective_field_generator(b, xi, gamma, temperature, sigma, ctx):
     """The quantum bilinear-coupling generator in the paper's effective-field
     form: (i/S) sum_k L_k B_k - (i/S) sum_kj L_k Lam_kj [(r x B)_j - i T L_j]
     with the field B = S b, Lam = S gamma xi xi^T and the Bopp position
     operators r_a = (M_a F1 + K_a F2)/S, which are the sphere's m_a plus O(1/S).
-    Written out term by term from the Bopp set, apart from qfp_generator."""
-    l_ops, m_ops, k_ops, f1d, f2d, _ = bopp.bopp_operators(ctx, sigma)
+    Written out term by term, apart from qfp_generator."""
+    l_ops, r_ops = _angular_and_bopp_positions(ctx, sigma)
     s = ctx.s
-    r_ops = [(m_ops[a] @ f1d + k_ops[a] @ f2d) / s for a in range(3)]
+    r_ops = [r / s for r in r_ops]
     field = [s * bk for bk in b]
     lam = s * gamma * np.outer(xi, xi)
     gen = sum((1j / s) * field[k] * l_ops[k] for k in range(3))

@@ -149,7 +149,7 @@ def test_criterion_06_linear_hamiltonian_flow_is_classical():
     for twice_s in (2, 3, 4, 5):
         ctx = SpinContext(twice_s)
         qh = dyn.QuadraticHamiltonian(np.zeros((3, 3)), b)
-        quantum = dyn.quadratic_generator(qh, 0.0, ctx).toarray()
+        quantum = dyn.qfp_generator(qh.to_expression(), None, 0.0, ctx).toarray()
         h_poly = [(-ctx.s * b[k], tuple(int(i == k) for i in range(3)))
                   for k in range(3)]
         classical = dyn.classical_generators(
@@ -249,7 +249,7 @@ def test_criterion_10_classical_fokker_planck_physics():
 def test_criterion_11_integrator_order_and_conservation():
     ctx = SpinContext(3)
     sigma, b3 = 0.0, 1.0
-    gen = dyn.unitary_generator([(-b3, (3,))], sigma, ctx)
+    gen = dyn.qfp_generator([(-b3, (3,))], None, sigma, ctx)
     c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, np.pi / 3, 0.4),
                                 sigma, ctx)
     errs = []

@@ -243,19 +243,27 @@ def test_evaluate_expression_builds_ordered_bopp_products():
 @pytest.mark.parametrize("sigma", [-1.0, 0.3, 1.0])
 @pytest.mark.parametrize("twice_s", [1, 6, 17])
 def test_bopp_set_at_a_band_is_the_full_band_block(twice_s, sigma):
-    """Below 2S every operator of bopp_operators, and evaluate_expression, is
-    the l <= band block of the band-2S one, bit for bit: the tables are the
-    first band + 1 entries and only transitions out of the block are dropped."""
+    """Below 2S the Bopp matrices, the sphere operators L, M, K and the shell
+    diagonals of the tables' first band + 1 entries they are built from, and
+    evaluate_expression, are the l <= band block of the band-2S ones, bit for
+    bit: only transitions out of the block are dropped."""
     ctx = SpinContext(twice_s)
-    full = bopp.bopp_operators(ctx, sigma)
+    coeffs = bopp.bopp_coefficients(ctx, sigma)
+
+    def operators(band):
+        return (bopp.bopp_matrices(ctx, sigma, band) + so.angular_operators(band)[:3]
+                + so.position_operators(band)
+                + (bopp.shell_diagonal(band, coeffs.f1[:band + 1]),
+                   bopp.shell_diagonal(band, coeffs.f2[:band + 1])))
+
+    full = operators(twice_s)
+    assert len(full) == 14
     expr = [(2.0, (1, 2)), (1j, (3,)), (0.5, ())]
     full_expr = bopp.evaluate_expression(expr, sigma, ctx)
     for band in range(twice_s + 1):
         n = so.num_coefficients(band)
-        for ops, full_ops in zip(bopp.bopp_operators(ctx, sigma, band), full):
-            ops, full_ops = (ops, full_ops) if isinstance(ops, tuple) else ((ops,), (full_ops,))
-            for op, full_op in zip(ops, full_ops):
-                assert np.array_equal(op.toarray(), full_op[:n, :n].toarray())
+        for op, full_op in zip(operators(band), full):
+            assert np.array_equal(op.toarray(), full_op[:n, :n].toarray())
         assert bopp.evaluate_expression(expr, sigma, ctx, band).shape == (n, n)
     assert np.array_equal(bopp.evaluate_expression(expr, sigma, ctx, twice_s).toarray(),
                           full_expr.toarray())

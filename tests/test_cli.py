@@ -832,6 +832,19 @@ def test_limit_scan_refuses_l_test_zero_where_it_compares_nothing(tmp_path, caps
     assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("command", ["evolve", "kernel"])
+def test_spin_too_large_for_memory_exits_one_with_an_error_line(tmp_path, capsys, command):
+    """At 2S = 10^6 a (2S+1)^2 array needs terabytes: numpy's MemoryError
+    becomes the documented error line naming 2S, exit 1, and no file."""
+    cfg = {"evolve": _evolve_config(), "kernel": {}}[command]
+    cfg_path = _write(tmp_path, "big.json", {**cfg, "spin": {"twice_s": 10 ** 6}})
+    assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2S = 1000000 needs more memory than is available")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["big.json"]
+
+
 @pytest.mark.parametrize("command, path, value, where, keys", [
     ("evolve", "bath", {"coupling": [[1.0, [1]]], "gama": 0.5}, "bath", "gama"),
     ("evolve", "time", {"t_end": 2.0, "dt": 0.05, "metod": "expm"}, "time", "metod"),

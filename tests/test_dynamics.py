@@ -71,7 +71,7 @@ def test_unitary_generator_matches_commutator_oracle(sigma):
     ctx = SpinContext(3)
     h_expr = [(-0.7, (3,)), (0.4, (1,)), (-0.25, (1, 1))]
     h = bopp.expression_to_matrix(h_expr, ctx)
-    gen = dyn.unitary_generator(h_expr, sigma, ctx)
+    gen = dyn.qfp_generator(h_expr, None, sigma, ctx)
     rho = _random_density(ctx, 3)
     lhs = gen @ swt.operator_to_symbol(rho, sigma, ctx)
     rhs = swt.operator_to_symbol(-1j * (h @ rho - rho @ h), sigma, ctx)
@@ -81,7 +81,21 @@ def test_unitary_generator_matches_commutator_oracle(sigma):
 def test_unitary_generator_rejects_non_hermitian_hamiltonian():
     ctx = SpinContext(2)
     with pytest.raises(ValueError):
-        dyn.unitary_generator([(1j, (3,))], 0.0, ctx)
+        dyn.qfp_generator([(1j, (3,))], None, 0.0, ctx)
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+def test_bath_free_generator_is_the_gamma_zero_generator(sigma):
+    """qfp_generator with no bath is 2 Im(H_hat), the generator with a bath
+    at gamma = 0, at band 2S and below."""
+    ctx = SpinContext(6)
+    h_expr = [(-0.7, (3,)), (0.4, (1,)), (-0.25, (1, 1)), (0.1, (3, 3, 3))]
+    bath = dyn.BathSpec(((0.8, (1,)), (0.2, (2, 2))), 0.0, 1.3)
+    for band in (None, 3):
+        free = dyn.qfp_generator(h_expr, None, sigma, ctx, band)
+        zero = dyn.qfp_generator(h_expr, bath, sigma, ctx, band)
+        assert free.shape == zero.shape
+        assert np.max(np.abs((free - zero).toarray())) <= 1e-15
 
 
 def _dense_check_refuses(expr, ctx):
@@ -163,8 +177,8 @@ def test_quadratic_generator_equals_expression_route(sigma):
     d = (d + d.T) / 2.0
     b = rng.normal(size=3)
     qh = dyn.QuadraticHamiltonian(d, b)
-    direct = dyn.quadratic_generator(qh, sigma, ctx)
-    via_expr = dyn.unitary_generator(qh.to_expression(), sigma, ctx)
+    direct = oracles.quadratic_generator(qh, sigma, ctx)
+    via_expr = dyn.qfp_generator(qh.to_expression(), None, sigma, ctx)
     assert np.max(np.abs((direct - via_expr).toarray())) < 1e-12
 
 
@@ -174,7 +188,7 @@ def test_linear_hamiltonian_generator_is_classical_liouville():
     for twice_s in (2, 4, 5):
         ctx = SpinContext(twice_s)
         qh = dyn.QuadraticHamiltonian(np.zeros((3, 3)), b)
-        quantum = dyn.quadratic_generator(qh, 0.0, ctx).toarray()
+        quantum = dyn.qfp_generator(qh.to_expression(), None, 0.0, ctx).toarray()
         h_poly = [(-ctx.s * b[k], tuple(int(i == k) for i in range(3)))
                   for k in range(3)]
         classical = dyn.classical_generators(
@@ -364,7 +378,7 @@ def test_coherent_state_matches_the_dense_rotation(twice_s):
 
 def test_integrate_adjusts_dt_and_attaches_observables():
     ctx = SpinContext(2)
-    gen = dyn.unitary_generator([(-1.0, (3,))], 0.0, ctx)
+    gen = dyn.qfp_generator([(-1.0, (3,))], None, 0.0, ctx)
     c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 1.2, 0.0), 0.0, ctx)
     res = dyn.integrate(gen, c0, 1.0, 0.3, "rk4", ctx=ctx, sigma=0.0,
                         kind="symbol")
@@ -381,7 +395,7 @@ def test_integrate_larmor_rotates_transverse_spin():
     """d<S>/dt = <S> x B for H = -B.S; phases follow exp(-i B3 t)."""
     ctx = SpinContext(3)
     b3 = 1.0
-    gen = dyn.unitary_generator([(-b3, (3,))], 0.0, ctx)
+    gen = dyn.qfp_generator([(-b3, (3,))], None, 0.0, ctx)
     c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 0.8, 0.3), 0.0, ctx)
     res = dyn.integrate(gen, c0, 3.0, 0.01, "expm", ctx=ctx, sigma=0.0,
                         kind="symbol")
@@ -722,7 +736,7 @@ def test_taylor_parameters_at_the_documented_norms():
 
 def test_integrate_rejects_bad_method_and_steps():
     ctx = SpinContext(1)
-    gen = dyn.unitary_generator([(-1.0, (3,))], 0.0, ctx)
+    gen = dyn.qfp_generator([(-1.0, (3,))], None, 0.0, ctx)
     c0 = np.zeros(ctx.symbol_dim, dtype=complex)
     with pytest.raises(ValueError):
         dyn.integrate(gen, c0, 1.0, 0.1, "euler")
@@ -733,7 +747,7 @@ def test_integrate_rejects_bad_method_and_steps():
 def test_evolve_trajectory_csv_layout(tmp_path):
     """The trajectory `evolve` writes holds the library's observables exactly."""
     ctx = SpinContext(2)
-    gen = dyn.unitary_generator([(-1.0, (3,))], 0.0, ctx)
+    gen = dyn.qfp_generator([(-1.0, (3,))], None, 0.0, ctx)
     c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 1.0, 0.0), 0.0, ctx)
     res = dyn.integrate(gen, c0, 1.0, 0.25, "rk4", ctx=ctx, sigma=0.0,
                         kind="symbol")
@@ -854,13 +868,13 @@ def test_scan_builds_no_operator_above_band_l_test_plus_one(monkeypatch, mode):
         original = getattr(so, name)
         monkeypatch.setattr(so, name, lambda band, f=original: bands.append(band) or f(band))
     bopp_bands = []
-    bopp_operators = bopp.bopp_operators
+    bopp_matrices = bopp.bopp_matrices
 
     def recorded(ctx, sigma, band=None):
         bopp_bands.append(ctx.band_limit if band is None else band)
-        return bopp_operators(ctx, sigma, band)
+        return bopp_matrices(ctx, sigma, band)
 
-    monkeypatch.setattr(bopp, "bopp_operators", recorded)
+    monkeypatch.setattr(bopp, "bopp_matrices", recorded)
     out = dyn.classical_limit_scan(mode, [10, 40, 1000], 1.0, 3, **_SCAN_FIELD)
     assert bands and max(bands) == 4
     assert bopp_bands and max(bopp_bands) <= 4

@@ -126,7 +126,7 @@ def test_transforms_do_not_reach_the_racah_sum(monkeypatch):
     delta = swt.kernel_eval(ctx, 0.5, grid.thetas[4], grid.phis[7])
     w = synthesize(swt.operator_to_symbol(a, 0.5, ctx))
     assert np.trace(a @ delta) == pytest.approx(w[4, 7], abs=1e-11)
-    gen = dynamics.unitary_generator([(-1.0, (3,))], 0.0, ctx)
+    gen = dynamics.qfp_generator([(-1.0, (3,))], None, 0.0, ctx)
     c0 = swt.operator_to_symbol(dynamics.coherent_state(ctx, 0.8, 0.2), 0.0, ctx)
     result = dynamics.integrate(gen, c0, 0.1, 0.05, "rk4", ctx, 0.0, "symbol")
     np.testing.assert_allclose(result.trace, 1.0, atol=1e-12)
