@@ -26,7 +26,6 @@ from .bopp import (
 )
 from .dynamics import (
     BathSpec,
-    QuadraticHamiltonian,
     classical_generators,
     classical_limit_scan,
     coherent_state,
@@ -41,7 +40,7 @@ __all__ = [
     "operator_to_symbol", "symbol_to_operator", "kernel_eval", "expectation",
     "bopp_coefficients", "bopp_matrices", "evaluate_expression",
     "star_product", "s3_star_ylm",
-    "QuadraticHamiltonian", "BathSpec", "qfp_generator",
+    "BathSpec", "qfp_generator",
     "master_rhs", "classical_generators",
     "classical_limit_scan", "coherent_state", "integrate",
 ]

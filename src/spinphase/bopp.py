@@ -112,7 +112,8 @@ def validate_expression(expr):
     """Normalize a polynomial spin expression: list of (coeff, word).
 
     A word is a tuple over components {1, 2, 3}; the empty word is the
-    identity.  Words are ordered products, no symmetrization is applied.
+    identity.  Words are ordered products, no symmetrization is applied.  A
+    NaN or infinite coefficient is refused, naming its term.
     """
     out = []
     for item in expr:
@@ -125,7 +126,10 @@ def validate_expression(expr):
         word = tuple(int(k) for k in word)
         if any(k not in (1, 2, 3) for k in word):
             raise ValueError(f"word {word!r} has components outside {{1,2,3}}")
-        out.append((complex(coeff), word))
+        coeff = complex(coeff)
+        if not np.isfinite(coeff):
+            raise ValueError(f"expression term {item!r} has a non-finite coefficient")
+        out.append((coeff, word))
     return out
 
 

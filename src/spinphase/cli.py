@@ -18,23 +18,19 @@ import numpy as np
 from . import bopp, dynamics, sphere_ops, sw_transform
 from .su2_algebra import SpinContext, spin_matrices
 
-_DEFAULT_TOLERANCE = {
-    "evolve": 1e-8,
-    "compare": 1e-8,
-    "limit-scan": 0.2,
-    "kernel": 0.0,
-    "symbol": 0.0,
-}
+# the commands that gate on a tolerance, with its default; only symbol draws
+# random numbers, so only it reads a seed
+_DEFAULT_TOLERANCE = {"evolve": 1e-8, "compare": 1e-8, "limit-scan": 0.2}
 
 _ALLOWED_KEYS = {
     "evolve": {"spin", "sigma", "hamiltonian", "bath", "initial", "time",
-               "grid", "outputs", "tolerance", "seed"},
+               "grid", "outputs", "tolerance"},
     "compare": {"spin", "sigma", "hamiltonian", "bath", "initial", "time",
-                "outputs", "tolerance", "seed"},
+                "outputs", "tolerance"},
     "limit-scan": {"scan", "sigma", "field", "xi", "gamma", "temperature",
-                   "outputs", "tolerance", "seed"},
-    "kernel": {"spin", "sigma", "grid", "outputs", "tolerance", "seed"},
-    "symbol": {"spin", "sigma", "operator", "grid", "outputs", "tolerance", "seed"},
+                   "outputs", "tolerance"},
+    "kernel": {"spin", "sigma", "grid", "outputs"},
+    "symbol": {"spin", "sigma", "operator", "grid", "outputs", "seed"},
 }
 
 # keys of the config sections by dotted path; those of "outputs" by command
@@ -162,7 +158,9 @@ def _parse_expression(obj):
 
 
 def _hamiltonian(cfg):
-    """The Hamiltonian as an expression; a "quadratic" {d, b} is converted."""
+    """The Hamiltonian as an expression; a "quadratic" {d, b} is the expression
+    of H = -sum_jk d_jk S_j S_k - sum_j b_j S_j.  An asymmetric d makes H
+    non-Hermitian, which qfp_generator refuses."""
     h = cfg.get("hamiltonian")
     if not isinstance(h, dict):
         raise ValueError('config needs a "hamiltonian" section')
@@ -174,7 +172,8 @@ def _hamiltonian(cfg):
             raise ValueError(f'hamiltonian "quadratic" must be an object, got {q!r}')
         d = _vector(q.get("d", [[0.0] * 3] * 3), "hamiltonian quadratic d", _vector)
         b = _vector(q.get("b", [0.0] * 3), "hamiltonian quadratic b")
-        return dynamics.QuadraticHamiltonian(d, b).to_expression()
+        return ([(-d[j][k], (j + 1, k + 1)) for j in range(3) for k in range(3) if d[j][k] != 0]
+                + [(-b[j], (j + 1,)) for j in range(3) if b[j] != 0])
     raise ValueError('hamiltonian needs "expression" or "quadratic"')
 
 
@@ -306,7 +305,7 @@ def _check_rk4_step(gen, t_end, dt_used):
                      f"{np.max(np.abs(lam)):.6g} in magnitude); {hint}")
 
 
-def _cmd_evolve(cfg, paths, tolerance, rng):
+def _cmd_evolve(cfg, paths, tolerance):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     bath = _bath(cfg)
@@ -341,7 +340,7 @@ def _cmd_evolve(cfg, paths, tolerance, rng):
     return 0
 
 
-def _cmd_compare(cfg, paths, tolerance, rng):
+def _cmd_compare(cfg, paths, tolerance):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     bath = _bath(cfg)
@@ -378,7 +377,7 @@ def _cmd_compare(cfg, paths, tolerance, rng):
     return 0
 
 
-def _cmd_limit_scan(cfg, paths, tolerance, rng):
+def _cmd_limit_scan(cfg, paths, tolerance):
     scan = cfg.get("scan")
     if not isinstance(scan, dict):
         raise ValueError('config needs a "scan" section')
@@ -411,7 +410,7 @@ def _cmd_limit_scan(cfg, paths, tolerance, rng):
     return 0
 
 
-def _cmd_kernel(cfg, paths, tolerance, rng):
+def _cmd_kernel(cfg, paths):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     grid = sphere_ops.make_grid(_grid_band(cfg, ctx, 0))
@@ -423,7 +422,7 @@ def _cmd_kernel(cfg, paths, tolerance, rng):
     return 0
 
 
-def _cmd_symbol(cfg, paths, tolerance, rng):
+def _cmd_symbol(cfg, paths, rng):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     op_spec = cfg.get("operator")
@@ -444,7 +443,7 @@ def _cmd_symbol(cfg, paths, tolerance, rng):
         raise ValueError(
             'operator needs "spin_component", "expression" or "random_hermitian"')
     c = sw_transform.operator_to_symbol(mat, sigma, ctx)
-    # a self-check of the transform, reported only: the default tolerance is 0
+    # a self-check of the transform, reported only: symbol gates on no tolerance
     back = sw_transform.symbol_to_operator(c, sigma, ctx)
     print(f"round-trip residual = {np.max(np.abs(back - mat)):.6g}", file=sys.stderr)
     _write_grid(paths["grid"],
@@ -472,10 +471,12 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the command's tolerance")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for any randomized inputs")
+        if name in _DEFAULT_TOLERANCE:
+            p.add_argument("--tolerance", type=float, default=None,
+                           help="override the command's tolerance")
+        if name == "symbol":
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for a random_hermitian operator")
     return parser
 
 
@@ -489,27 +490,31 @@ def _twice_s_asked(cfg):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
     cfg = {}
     try:
+        if unread:  # such as --seed to a command that draws no random numbers
+            raise ValueError(f"{args.command} does not take {' '.join(unread)}")
         cfg = _load_config(args.config)
         _validate_keys(cfg, args.command)
         paths = _output_paths(cfg, args.command, args.out)
-        tolerance = args.tolerance
-        if tolerance is None:
-            tolerance = _number(cfg.get("tolerance", _DEFAULT_TOLERANCE[args.command]),
-                                "tolerance")
-        if not (math.isfinite(tolerance) and tolerance >= 0):
-            raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-        seed = args.seed
-        if seed is None:
-            seed = _integer(cfg.get("seed", 0), "seed")
-        resolved = dict(cfg)
-        resolved["command"] = args.command
-        resolved["tolerance"] = tolerance
-        resolved["seed"] = seed
-        rng = np.random.default_rng(seed)
-        code = _COMMANDS[args.command](cfg, paths, tolerance, rng)
+        resolved = dict(cfg, command=args.command)
+        options = {}  # the tolerance or the random generator the command reads
+        if args.command in _DEFAULT_TOLERANCE:
+            tolerance = args.tolerance
+            if tolerance is None:
+                tolerance = _number(cfg.get("tolerance", _DEFAULT_TOLERANCE[args.command]),
+                                    "tolerance")
+            if not (math.isfinite(tolerance) and tolerance >= 0):
+                raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+            resolved["tolerance"] = options["tolerance"] = tolerance
+        if args.command == "symbol":
+            seed = args.seed
+            if seed is None:
+                seed = _integer(cfg.get("seed", 0), "seed")
+            resolved["seed"] = seed
+            options["rng"] = np.random.default_rng(seed)
+        code = _COMMANDS[args.command](cfg, paths, **options)
         (Path(args.out) / _RESOLVED_CONFIG).write_text(
             json.dumps(resolved, indent=2, sort_keys=True) + "\n")
         return code

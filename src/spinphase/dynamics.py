@@ -23,30 +23,6 @@ _EPS = [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
 
 
 @dataclass(frozen=True)
-class QuadraticHamiltonian:
-    """H = -sum_jk d_jk S_j S_k - sum_j b_j S_j with real symmetric d."""
-
-    d: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if d.shape != (3, 3) or b.shape != (3,):
-            raise ValueError("d must be 3x3 and b length 3")
-        if not np.max(np.abs(d - d.T)) <= 1e-14:  # NaN-safe
-            raise ValueError("d must be symmetric to 1e-14")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "b", b)
-
-    def to_expression(self):
-        expr = [(-self.d[j, k], (j + 1, k + 1))
-                for j in range(3) for k in range(3) if self.d[j, k] != 0]
-        expr += [(-self.b[j], (j + 1,)) for j in range(3) if self.b[j] != 0]
-        return expr
-
-
-@dataclass(frozen=True)
 class BathSpec:
     """Coupling operator F (polynomial expression), rate gamma, temperature."""
 
@@ -171,50 +147,23 @@ def master_liouvillian(h, f, gamma, temperature):
 
 # --- classical generators -------------------------------------------------
 
-def _validate_poly(poly):
-    out = []
-    for item in poly:
-        coeff, expo = item
-        expo = tuple(int(e) for e in expo)
-        if len(expo) != 3 or any(e < 0 for e in expo):
-            raise ValueError(f"monomial exponents {expo!r} invalid")
-        out.append((float(coeff), expo))
-    return out
-
-
-def poly_gradient(poly):
-    """Componentwise gradient of a polynomial in (m1, m2, m3)."""
-    poly = _validate_poly(poly)
-    grads = ([], [], [])
-    for coeff, expo in poly:
-        for a in range(3):
-            if expo[a] > 0:
-                lowered = tuple(e - (1 if i == a else 0) for i, e in enumerate(expo))
-                grads[a].append((coeff * expo[a], lowered))
-    return grads
-
-
-def poly_multiplication_operator(poly, band_limit):
-    """Band-limited multiplication operator for a polynomial in m (lossy top shells)."""
-    n = sphere_ops.num_coefficients(band_limit)
-    words = [(coeff, (1,) * e1 + (2,) * e2 + (3,) * e3)
-             for coeff, (e1, e2, e3) in _validate_poly(poly)]
-    return bopp._ordered_sum(words, sphere_ops.position_operators(band_limit)[:3],
-                             sp.csr_matrix((n, n), dtype=complex),
-                             sp.identity(n, dtype=complex, format="csr"))
-
-
-def classical_generators(h_poly, lam, temperature, band_limit, s):
+def classical_generators(h_expr, lam, temperature, band_limit, s):
     """(liouville, fokker_planck) for classical spin dynamics at band limit L.
 
-    The classical Hamiltonian is a polynomial in m; B_eff = -grad H.  They are
-    the drift and the full generator of the effective-field form with the
-    position operators m: liouville = (i/S) sum_k L_k B_eff,k, and
-    fokker_planck adds -(i/S) sum_kj L_k Lam_kj [(m x B_eff)_j - i T L_j].  exp(-H/T) is
+    The classical Hamiltonian h(m) is a word expression, as bopp.validate_expression
+    takes it, in the sphere's position operators m_1, m_2, m_3 (lossy top
+    shells); B_eff = -grad h, where d/dm_a drops the first a of each word and
+    multiplies its coefficient by the number of a's in it.  They are the drift
+    and the full generator of the effective-field form with the position
+    operators m: liouville = (i/S) sum_k L_k B_eff,k, and fokker_planck adds
+    -(i/S) sum_kj L_k Lam_kj [(m x B_eff)_j - i T L_j].  exp(-h/T) is
     stationary under fokker_planck on the shells the band truncation leaves
     intact.  qfp_generator for H = -b.S and F = xi.S is this form with B = S b,
     Lam = S gamma xi xi^T and m replaced by the Bopp (M F1 + K F2)/S = m + O(1/S).
     """
+    h_expr = bopp.validate_expression(h_expr)
+    if any(coeff.imag for coeff, _ in h_expr):
+        raise ValueError("the classical Hamiltonian h(m) takes real coefficients only")
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (3, 3):
         raise ValueError("lam must be 3x3")
@@ -222,11 +171,17 @@ def classical_generators(h_poly, lam, temperature, band_limit, s):
         raise ValueError("s must be finite and > 0")
     if not (math.isfinite(temperature) and temperature > 0):
         raise ValueError("temperature must be finite and > 0")
-    b_ops = [poly_multiplication_operator([(-c, e) for c, e in g], band_limit)
-             for g in poly_gradient(h_poly)]
+    grad = ([], [], [])  # -dh/dm_a, word by word
+    for coeff, word in h_expr:
+        for a in (1, 2, 3):
+            if a in word:
+                i = word.index(a)
+                grad[a - 1].append((-coeff * word.count(a), word[:i] + word[i + 1:]))
     l_ops = sphere_ops.angular_operators(band_limit)[:3]
     m_ops = sphere_ops.position_operators(band_limit)[:3]
     zero = sp.csr_matrix(l_ops[0].shape, dtype=complex)
+    eye = sp.identity(zero.shape[0], dtype=complex, format="csr")
+    b_ops = [bopp._ordered_sum(g, m_ops, zero, eye) for g in grad]
     cross = [zero] * 3  # m x B_eff
     for a, b, c, sign in _EPS:
         cross[a] = cross[a] + sign * (m_ops[b] @ b_ops[c])
@@ -492,8 +447,8 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
             continue
         band = _block_band(h_expr, bath.coupling, l_test, ctx)
         q_sub = _submatrix(qfp_generator(h_expr, bath, sigma, ctx, band), l_test)
-        h_poly = [(-ctx.s * bk, tuple(int(i == k) for i in range(3))) for k, bk in enumerate(b)]
-        c_sub = _submatrix(classical_generators(h_poly, bilinear_lambda(ctx, gamma, xi),
+        c_sub = _submatrix(classical_generators([(ctx.s * c, w) for c, w in h_expr],
+                                                bilinear_lambda(ctx, gamma, xi),
                                                 temperature, band, ctx.s)[1], l_test)
         deviations.append(np.linalg.norm(q_sub - c_sub, 2) / np.linalg.norm(c_sub, 2))
     s_values = np.asarray(s_values, dtype=float)

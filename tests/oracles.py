@@ -123,15 +123,15 @@ def _angular_and_bopp_positions(ctx, sigma):
             [mk_ops[k] @ f1d + mk_ops[3 + k] @ f2d for k in range(3)])
 
 
-def quadratic_generator(qh, sigma, ctx):
+def quadratic_generator(d, b, sigma, ctx):
     """The generator of H = -d_jk S_j S_k - b_j S_j in the paper's termwise
     form i sum_j b_j L_j + 2i sum_jk d_jk L_j (M_k F1 + K_k F2), apart from
     qfp_generator's imaginary part of H_hat."""
     l_ops, r_ops = _angular_and_bopp_positions(ctx, sigma)
-    gen = sum(1j * qh.b[j] * l_ops[j] for j in range(3))
+    gen = sum(1j * b[j] * l_ops[j] for j in range(3))
     for j in range(3):
         for k in range(3):
-            gen = gen + 2j * qh.d[j, k] * (l_ops[j] @ r_ops[k])
+            gen = gen + 2j * d[j, k] * (l_ops[j] @ r_ops[k])
     return gen.tocsr()
 
 

@@ -148,12 +148,11 @@ def test_criterion_06_linear_hamiltonian_flow_is_classical():
     worst = 0.0
     for twice_s in (2, 3, 4, 5):
         ctx = SpinContext(twice_s)
-        qh = dyn.QuadraticHamiltonian(np.zeros((3, 3)), b)
-        quantum = dyn.qfp_generator(qh.to_expression(), None, 0.0, ctx).toarray()
-        h_poly = [(-ctx.s * b[k], tuple(int(i == k) for i in range(3)))
-                  for k in range(3)]
+        h_expr = [(-bk, (k + 1,)) for k, bk in enumerate(b)]
+        quantum = dyn.qfp_generator(h_expr, None, 0.0, ctx).toarray()
         classical = dyn.classical_generators(
-            h_poly, np.zeros((3, 3)), 1.0, ctx.band_limit, ctx.s)[0].toarray()
+            [(ctx.s * c, w) for c, w in h_expr], np.zeros((3, 3)), 1.0, ctx.band_limit,
+            ctx.s)[0].toarray()
         worst = max(worst, float(np.max(np.abs(quantum - classical))))
     ok = worst < 1e-12
     _line(6, "linear flow equals classical rotation", ok,
@@ -222,8 +221,7 @@ def test_criterion_09_shell_table_asymptotics_are_second_order():
 def test_criterion_10_classical_fokker_planck_physics():
     L, s, temperature, b3 = 64, 20.0, 0.25, 1.0
     lam = 0.5 * np.eye(3)
-    _, fp = dyn.classical_generators([(-b3, (0, 0, 1))], lam, temperature,
-                                     L, s)
+    _, fp = dyn.classical_generators([(-b3, (3,))], lam, temperature, L, s)
     grid, _, analyze, _ = so.grid_synthesis_analysis(L)
     vals = np.exp((b3 / temperature) * grid.x)[:, None] * np.ones(
         (1, grid.phis.size))

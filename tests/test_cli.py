@@ -56,7 +56,7 @@ def test_evolve_writes_trajectory_and_sidecar(tmp_path, capsys):
     resolved = json.loads((tmp_path / "o" / "resolved_config.json").read_text())
     assert resolved["command"] == "evolve"
     assert resolved["tolerance"] == 1e-8
-    assert resolved["seed"] == 0
+    assert "seed" not in resolved  # evolve draws no random numbers
 
 
 def test_evolve_outputs_are_byte_identical_across_runs(tmp_path):
@@ -77,6 +77,38 @@ def test_evolve_quadratic_hamiltonian_without_bath(tmp_path):
     cfg_path = _write(tmp_path, "run.json", cfg)
     assert cli.main(["evolve", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 0
+
+
+def test_quadratic_config_runs_as_its_expression_twin(tmp_path):
+    """A "quadratic" Hamiltonian is the expression -d_jk S_j S_k - b_j S_j,
+    term by term in the same order: both configs write the same bytes."""
+    d = [[0.1, 0.05, 0.0], [0.05, -0.2, 0.0], [0.0, 0.0, 0.3]]
+    b = [0.2, 0.0, 1.0]
+    twin = [[-d[j][k], [j + 1, k + 1]] for j in range(3) for k in range(3) if d[j][k]]
+    twin += [[-b[j], [j + 1]] for j in range(3) if b[j]]
+    for name, h in (("quadratic", {"quadratic": {"d": d, "b": b}}), ("expression",
+                                                                     {"expression": twin})):
+        cfg = _evolve_config(hamiltonian=h, sigma=0.3)
+        assert cli.main(["evolve", "--config", _write(tmp_path, f"{name}.json", cfg),
+                         "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "quadratic" / "trajectory.csv").read_bytes() == \
+           (tmp_path / "expression" / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_asymmetric_quadratic_d_exits_one_as_non_hermitian(tmp_path, capsys, command):
+    """d_12 = 1 alone makes H = -S1 S2, which is not Hermitian: the run exits 1
+    before writing anything.  Its symmetric half, d_12 = d_21 = 0.5, runs."""
+    d = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    cfg = _evolve_config(hamiltonian={"quadratic": {"d": d}})
+    assert cli.main([command, "--config", _write(tmp_path, "bad.json", cfg),
+                     "--out", str(tmp_path / "bad")]) == 1
+    assert "error: Hamiltonian must be Hermitian" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    d[0][1] = d[1][0] = 0.5
+    cfg = _evolve_config(hamiltonian={"quadratic": {"d": d}})
+    assert cli.main([command, "--config", _write(tmp_path, "good.json", cfg),
+                     "--out", str(tmp_path / "good")]) == 0
 
 
 def test_evolve_grid_output_and_band_check(tmp_path):
@@ -630,6 +662,33 @@ def test_symbol_random_hermitian_is_seed_deterministic(tmp_path):
            (tmp_path / "c" / "symbol.csv").read_bytes()
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+@pytest.mark.parametrize("command, key", [
+    ("evolve", "seed"), ("compare", "seed"), ("limit-scan", "seed"), ("kernel", "seed"),
+    ("kernel", "tolerance"), ("symbol", "tolerance")])
+def test_commands_refuse_a_seed_or_tolerance_they_do_not_read(tmp_path, capsys, command,
+                                                              key, where):
+    """Only symbol draws random numbers and only evolve, compare and limit-scan
+    gate on a tolerance.  Elsewhere the key or flag exits 1 before any file is
+    written, and the resolved config of a run without it does not echo it."""
+    cfg = {"evolve": _evolve_config(), "compare": _evolve_config(),
+           "limit-scan": json.loads(json.dumps(_SCAN_BASE)), "kernel": {"spin": {"twice_s": 2}},
+           "symbol": {"spin": {"twice_s": 2}, "operator": {"spin_component": 3}}}[command]
+    good = _write(tmp_path, "good.json", cfg)
+    argv = [command, "--out", str(tmp_path / "o")]
+    if where == "flag":
+        argv += [f"--{key}", "3", "--config", good]
+        message = f"error: {command} does not take --{key} 3"
+    else:
+        argv += ["--config", _write(tmp_path, "bad.json", dict(cfg, **{key: 3}))]
+        message = f"error: unknown config keys for {command}: {key}"
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert cli.main([command, "--config", good, "--out", str(tmp_path / "o")]) == 0
+    assert key not in json.loads((tmp_path / "o" / "resolved_config.json").read_text())
+
+
 def test_validation_failures_exit_one(tmp_path, capsys):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text('{"spin": {,}')
@@ -694,7 +753,7 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("evolve", "bath.gamma", None, "bath gamma must be a number"),
     ("evolve", "bath", [], '"bath" must be an object'),
     ("evolve", "outputs", [], '"outputs" must map names'),
-    ("evolve", "seed", 2.7, "seed must be an integer"),
+    ("symbol", "seed", 2.7, "seed must be an integer"),
     ("limit-scan", "scan.l_test", 3.7, "scan l_test must be an integer"),
     ("evolve", "hamiltonian", {"quadratic": []}, 'hamiltonian "quadratic" must be an object'),
     ("symbol", "operator.spin_component", 1.5, "spin_component must be an integer"),
@@ -731,7 +790,7 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("evolve", "hamiltonian", {"quadratic": {"d": [[0, 0, 0], [0, 0], [0, 0, 0]]}},
      "hamiltonian quadratic d must be a list of 3 numbers"),
     ("evolve", "hamiltonian", {"quadratic": {"d": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}},
-     "d must be symmetric"),
+     "Hamiltonian must be Hermitian"),
     ("evolve", "initial.coherent.theta", math.inf, "coherent theta must be finite"),
     ("evolve", "initial.coherent.phi", math.inf, "coherent phi must be finite"),
     ("evolve", "hamiltonian.expression", [[math.nan, [3]]], "coefficient must be finite"),

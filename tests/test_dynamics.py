@@ -30,13 +30,9 @@ def _random_density(ctx, seed):
 
 # --- Hamiltonian containers ---------------------------------------------------
 
-def test_quadratic_hamiltonian_validates_symmetry():
-    d = np.diag([0.1, 0.2, 0.3])
-    qh = dyn.QuadraticHamiltonian(d, np.array([0.0, 0.0, 1.0]))
-    assert qh.d.shape == (3, 3)
-    with pytest.raises(ValueError):
-        dyn.QuadraticHamiltonian(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]),
-                                 np.zeros(3))
+def _quadratic_expression(d, b):
+    """The expression the CLI makes of a "quadratic" {d, b} Hamiltonian."""
+    return cli._hamiltonian({"hamiltonian": {"quadratic": {"d": d.tolist(), "b": b.tolist()}}})
 
 
 def test_quadratic_hamiltonian_expression_matches_matrix():
@@ -45,13 +41,12 @@ def test_quadratic_hamiltonian_expression_matches_matrix():
     d = rng.normal(size=(3, 3))
     d = (d + d.T) / 2.0
     b = rng.normal(size=3)
-    qh = dyn.QuadraticHamiltonian(d, b)
     s_ops = spin_matrices(ctx)
     want = -sum(b[j] * s_ops[j] for j in range(3))
     for j in range(3):
         for k in range(3):
             want = want - d[j, k] * s_ops[j] @ s_ops[k]
-    got = bopp.expression_to_matrix(qh.to_expression(), ctx)
+    got = bopp.expression_to_matrix(_quadratic_expression(d, b), ctx)
     np.testing.assert_allclose(got, want, atol=1e-13)
 
 
@@ -176,9 +171,8 @@ def test_quadratic_generator_equals_expression_route(sigma):
     d = rng.normal(size=(3, 3))
     d = (d + d.T) / 2.0
     b = rng.normal(size=3)
-    qh = dyn.QuadraticHamiltonian(d, b)
-    direct = oracles.quadratic_generator(qh, sigma, ctx)
-    via_expr = dyn.qfp_generator(qh.to_expression(), None, sigma, ctx)
+    direct = oracles.quadratic_generator(d, b, sigma, ctx)
+    via_expr = dyn.qfp_generator(_quadratic_expression(d, b), None, sigma, ctx)
     assert np.max(np.abs((direct - via_expr).toarray())) < 1e-12
 
 
@@ -187,12 +181,11 @@ def test_linear_hamiltonian_generator_is_classical_liouville():
     b = np.array([0.3, -0.8, 0.55])
     for twice_s in (2, 4, 5):
         ctx = SpinContext(twice_s)
-        qh = dyn.QuadraticHamiltonian(np.zeros((3, 3)), b)
-        quantum = dyn.qfp_generator(qh.to_expression(), None, 0.0, ctx).toarray()
-        h_poly = [(-ctx.s * b[k], tuple(int(i == k) for i in range(3)))
-                  for k in range(3)]
+        h_expr = [(-bk, (k + 1,)) for k, bk in enumerate(b)]
+        quantum = dyn.qfp_generator(h_expr, None, 0.0, ctx).toarray()
         classical = dyn.classical_generators(
-            h_poly, np.zeros((3, 3)), 1.0, ctx.band_limit, ctx.s)[0].toarray()
+            [(ctx.s * c, w) for c, w in h_expr], np.zeros((3, 3)), 1.0, ctx.band_limit,
+            ctx.s)[0].toarray()
         np.testing.assert_allclose(quantum, classical, atol=1e-12)
 
 
@@ -280,25 +273,47 @@ def test_bilinear_lambda_is_scaled_outer_product():
 
 # --- classical generators ----------------------------------------------------------
 
-def test_polynomial_helpers():
-    grads = dyn.poly_gradient([(2.0, (1, 0, 2))])
-    assert grads[0] == [(2.0, (0, 0, 2))]
-    assert grads[1] == []
-    assert grads[2] == [(4.0, (1, 0, 1))]
-    with pytest.raises(ValueError):
-        dyn.poly_gradient([(1.0, (1, -1, 0))])
-    L = 6
-    op = dyn.poly_multiplication_operator([(1.0, (0, 0, 2))], L).toarray()
-    m3 = so.position_operators(L)[2].toarray()
+@pytest.mark.parametrize("word", [(1, 3, 3), (3, 3, 1)], ids=["sorted", "m1-last"])
+def test_classical_drift_is_the_word_gradient(word):
+    """For h = 2 m1 m3^2 the drift is (i/S) sum_k L_k B_k with the field
+    B = -grad h = (-2 m3^2, 0, -4 m1 m3), written out from the sphere's
+    operators; the word's order moves only the truncated top shells."""
+    L, s = 8, 3.0
+    l_ops = [op.toarray() for op in so.angular_operators(L)[:3]]
+    m1, _, m3 = (op.toarray() for op in so.position_operators(L)[:3])
+    want = (1j / s) * (l_ops[0] @ (-2.0 * m3 @ m3) + l_ops[2] @ (-4.0 * m1 @ m3))
+    drift, _ = dyn.classical_generators([(2.0, word)], np.zeros((3, 3)), 1.0, L, s)
     n_in = so.num_coefficients(L - 2)
-    np.testing.assert_allclose(op[:n_in, :n_in], (m3 @ m3)[:n_in, :n_in],
-                               atol=1e-13)
+    np.testing.assert_allclose(drift.toarray()[:n_in, :n_in], want[:n_in, :n_in], atol=1e-13)
+    if word == (1, 3, 3):  # the same products in the same order: equal everywhere
+        np.testing.assert_allclose(drift.toarray(), want, atol=1e-13)
+    with pytest.raises(ValueError, match="components outside"):
+        dyn.classical_generators([(1.0, (1, 4))], np.zeros((3, 3)), 1.0, L, s)
+    with pytest.raises(ValueError, match="real coefficients only"):
+        dyn.classical_generators([(1.0, (1,)), (0.5j, (3,))], np.zeros((3, 3)), 1.0, L, s)
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_coefficients_are_refused_at_every_entry_point(coeff):
+    """A NaN or infinite coefficient is refused by name, not turned into NaN
+    entries or a misleading Hermiticity error."""
+    ctx = SpinContext(4)
+    expr = [(-1.0, (3,)), (coeff, (1,))]
+    message = r"expression term \(.*\) has a non-finite coefficient"
+    with pytest.raises(ValueError, match=message):
+        bopp.evaluate_expression(expr, 0.0, ctx)
+    with pytest.raises(ValueError, match=message):
+        dyn.qfp_generator(expr, None, 0.0, ctx)
+    with pytest.raises(ValueError, match=message):
+        dyn.BathSpec(expr, 0.1, 1.0)
+    with pytest.raises(ValueError, match=message):
+        dyn.classical_generators(expr, 0.4 * np.eye(3), 1.0, 6, ctx.s)
 
 
 def test_boltzmann_state_is_stationary_for_linear_hamiltonian():
     L, s, temperature, b3 = 24, 10.0, 0.25, 1.0
     lam = 0.4 * np.eye(3)
-    _, fp = dyn.classical_generators([(-b3, (0, 0, 1))], lam, temperature, L, s)
+    _, fp = dyn.classical_generators([(-b3, (3,))], lam, temperature, L, s)
     grid, _, analyze, _ = so.grid_synthesis_analysis(L)
     vals = np.exp((b3 / temperature) * grid.x)[:, None] * np.ones(
         (1, grid.phis.size))
@@ -312,7 +327,7 @@ def test_boltzmann_state_is_stationary_for_nonlinear_hamiltonian():
     quadratic H as well, on the shells below the truncated top of the band;
     the reversed weight exp(+H/T) is not."""
     L, s, temperature = 24, 10.0, 0.5
-    _, fp = dyn.classical_generators([(-1.0, (0, 0, 2)), (0.3, (1, 0, 0))],
+    _, fp = dyn.classical_generators([(-1.0, (3, 3)), (0.3, (1,))],
                                      0.4 * np.eye(3), temperature, L, s)
     grid, _, analyze, _ = so.grid_synthesis_analysis(L)
     m1 = np.sqrt(1.0 - grid.x ** 2)[:, None] * np.cos(grid.phis)[None, :]
@@ -342,7 +357,7 @@ def test_free_diffusion_spectrum_is_shellwise():
 def test_classical_generators_conserve_total_probability():
     L, s = 10, 5.0
     lam = 0.2 * np.eye(3)
-    liou, fp = dyn.classical_generators([(0.3, (1, 0, 0)), (-1.0, (0, 0, 1))],
+    liou, fp = dyn.classical_generators([(0.3, (1,)), (-1.0, (3,))],
                                         lam, 0.5, L, s)
     # d/dt of the l = 0 coefficient vanishes for every state
     assert np.max(np.abs(liou.toarray()[0])) < 1e-14
@@ -852,8 +867,8 @@ def test_scan_blocks_equal_the_full_band_generators_bit_for_bit(monkeypatch, twi
         full_q = dyn.qfp_generator(oracles.linear_expression(-np.asarray(b)),
                                    dyn.BathSpec(oracles.linear_expression(xi), gamma,
                                                 temperature), sigma, ctx)
-        h_poly = [(-ctx.s * b[k], tuple(int(i == k) for i in range(3))) for k in range(3)]
-        full_c = dyn.classical_generators(h_poly, dyn.bilinear_lambda(ctx, gamma, xi),
+        h_expr = [(-ctx.s * bk, (k + 1,)) for k, bk in enumerate(b)]
+        full_c = dyn.classical_generators(h_expr, dyn.bilinear_lambda(ctx, gamma, xi),
                                           temperature, ctx.band_limit, ctx.s)[1]
         assert np.array_equal(quantum, submatrix(full_q, l_test))
         assert np.array_equal(classical, submatrix(full_c, l_test))
@@ -947,5 +962,5 @@ def test_bilinear_paths_refuse_bad_gamma_and_temperature(kwargs, message):
                      kwargs["temperature"])
     if kwargs["gamma"] >= 0:
         with pytest.raises(ValueError, match=message):
-            dyn.classical_generators([(-1.0, (0, 0, 1))], np.eye(3), kwargs["temperature"],
+            dyn.classical_generators([(-1.0, (3,))], np.eye(3), kwargs["temperature"],
                                      6, ctx.s)

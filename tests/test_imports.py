@@ -110,9 +110,9 @@ def test_only_cli_writes_files():
             assert _file_writes(path.read_text()) == [], path.name
 
 
-def _unreferenced_functions(sources, exported):
-    """"module.name" of each public top-level function in sources (module
-    name -> source) that no module refers to, by name, outside the function's
+def _unreferenced_definitions(sources, exported):
+    """"module.name" of each public top-level function or class in sources
+    (module name -> source) that no module refers to, by name, outside its
     own body, and that exported does not list."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     referenced = set()  # (module of the top-level statement, name it refers to)
@@ -126,7 +126,7 @@ def _unreferenced_functions(sources, exported):
     found = []
     for module, tree in trees.items():
         for top in tree.body:
-            if (isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
                     and top.name not in exported
                     and not any(name == top.name and (where, owner) != (module, top.name)
                                 for where, owner, name in referenced)):
@@ -135,14 +135,16 @@ def _unreferenced_functions(sources, exported):
 
 
 def test_every_public_function_is_used_by_the_package_or_exported():
-    """Helpers that only tests call belong in tests/oracles.py, so that no
-    library path can reuse the code that checks it."""
-    assert _unreferenced_functions({
+    """Helpers and classes that only tests use belong in tests/oracles.py, so
+    that no library path can reuse the code that checks it."""
+    assert _unreferenced_definitions({
         "a": "def used():\n    pass\ndef recursive(n):\n    return recursive(n - 1)\n"
-             "def exported():\n    pass\ndef _private():\n    pass\n",
-        "b": "from .a import used\ndef caller():\n    return a.used()\n",
-    }, {"exported"}) == ["a.recursive", "b.caller"]
+             "def exported():\n    pass\ndef _private():\n    pass\n"
+             "class Built:\n    pass\nclass Unused:\n    def make(self):\n"
+             "        return Unused()\nclass _Hidden:\n    pass\n",
+        "b": "from .a import used\ndef caller():\n    return a.used(), a.Built()\n",
+    }, {"exported"}) == ["a.recursive", "a.Unused", "b.caller"]
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     entry_points = {"cli.main", "cli.build_parser"}
-    assert [name for name in _unreferenced_functions(sources, set(spinphase.__all__))
+    assert [name for name in _unreferenced_definitions(sources, set(spinphase.__all__))
             if name not in entry_points] == []
