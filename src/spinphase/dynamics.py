@@ -81,11 +81,16 @@ def qfp_generator(h_expr, bath, sigma, ctx, band=None):
     return gen.tocsr()
 
 
+def _three_vector(v, name):
+    v = np.asarray(v)
+    if v.shape != (3,) or not np.isrealobj(v):
+        raise ValueError(f"{name} must be a real 3-vector")
+    return v.astype(float)
+
+
 def bilinear_lambda(ctx, gamma, xi):
     """Diffusion matrix S gamma xi_j xi_k of the isotropic bilinear coupling."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (3,):
-        raise ValueError("xi must be a real 3-vector")
+    xi = _three_vector(xi, "xi")
     return ctx.s * gamma * np.outer(xi, xi)
 
 
@@ -383,6 +388,9 @@ def _symbol_observables(ctx, sigma):
 
 # --- classical-limit scans -------------------------------------------------
 
+_ROUNDING = 1e-13  # a scan deviation at or below it is rounding: no slope is fitted
+
+
 def _submatrix(gen, l_test):
     """The l <= l_test corner of a CSR generator, sliced before it is made dense."""
     n = sphere_ops.num_coefficients(l_test)
@@ -395,20 +403,25 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
     s_values, deviations and the fitted log-log slope.
 
     Modes:
-      "unitary": "bilinear" at gamma = 0 and xi = 0, where both generators
-        are the drift i b.L, so the deviation vanishes to rounding.
       "bilinear": qfp_generator for H = -b.S and F = xi.S against the
         classical Fokker-Planck generator of H = -S b.m with
         Lam = S gamma xi xi^T, on the l <= l_test block (relative operator
-        norm), both built at the band of _block_band; decays like 1/S.
+        norm), both built at the band of _block_band; decays like 1/S, and
+        is rounding at gamma = 0, where both are the drift i b.L.  Needs b,
+        xi, gamma and temperature, with b or gamma xi non-zero.
       "asymptotics": relative sup deviation between the exact shell tables
         (f1, f2) and their large-S approximations over l <= l_test.  The
         deviation is measured relative to the exact values (f2 itself is
         O(1/S), so its relative error is the O(1/S^2) quantity of interest).
+        Refuses b, xi, gamma and temperature, which it does not read.
     """
-    if mode not in ("unitary", "bilinear", "asymptotics"):
-        raise ValueError(f'scan mode must be "unitary", "bilinear" or "asymptotics", '
-                         f'got {mode!r}')
+    if mode not in ("bilinear", "asymptotics"):
+        raise ValueError(f'scan mode must be "bilinear" or "asymptotics", got {mode!r}')
+    fields = {"field vector b": b, "xi": xi, "gamma": gamma, "temperature": temperature}
+    wrong = [name for name, v in fields.items() if (v is None) == (mode == "bilinear")]
+    if wrong:  # bilinear reads every one of them, asymptotics none
+        raise ValueError(f"{mode} mode {'needs' if mode == 'bilinear' else 'reads no'} "
+                         f"{', '.join(wrong)}")
     sigma = sw_transform.validate_sigma(sigma)
     if len({int(t) for t in twice_s_values}) < 2:  # one S fits no slope
         raise ValueError(f"twice_s_values needs at least two distinct values, "
@@ -423,15 +436,13 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
             f"l_test = {l_test} exceeds min(2S) - 2 = "
             f"{min(int(t) for t in twice_s_values) - 2}; the truncated top "
             "shells would contaminate the compared block")
-    if mode == "unitary":
-        xi, gamma, temperature = np.zeros(3), 0.0, 1.0
-    if mode != "asymptotics":
-        if b is None:
-            raise ValueError(f"mode {mode!r} needs a field vector b")
-        if xi is None or gamma is None or temperature is None:
-            raise ValueError("bilinear mode needs xi, gamma, temperature")
+    if mode == "bilinear":
+        b, xi = _three_vector(b, "field vector b"), _three_vector(xi, "xi")
         h_expr = [(-bk, (k + 1,)) for k, bk in enumerate(b)]
         bath = BathSpec([(x, (k + 1,)) for k, x in enumerate(xi)], gamma, temperature)
+        if not np.any(b) and not (gamma and np.any(xi)):
+            raise ValueError("a bilinear scan with b = 0 and gamma xi = 0 compares nothing: "
+                             "the classical generator is zero, so the deviation is 0/0")
     s_values = []
     deviations = []
     for twice_s in twice_s_values:
@@ -453,7 +464,7 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
         deviations.append(np.linalg.norm(q_sub - c_sub, 2) / np.linalg.norm(c_sub, 2))
     s_values = np.asarray(s_values, dtype=float)
     deviations = np.asarray(deviations, dtype=float)
-    if np.all(deviations > 1e-13):
+    if np.all(deviations > _ROUNDING):
         slope = float(np.polyfit(np.log(s_values), np.log(deviations), 1)[0])
     else:
         slope = float("nan")  # deviations at rounding level: no scaling law

@@ -256,11 +256,9 @@ def apply_conjugation(c):
 
 
 def conjugated_operator(op, band_limit):
-    """The conjugated operator C O C (linear part: P conj(O) P)."""
+    """The conjugated operator C O C (linear part: P conj(O) P), as op: CSR or array."""
     p = conjugation_matrix(band_limit)
-    if sp.issparse(op):
-        return (p @ op.conj() @ p).tocsr()
-    return np.asarray(p @ np.conj(op) @ p)
+    return p @ op.conj() @ p
 
 
 def operator_imag(op, band_limit):

@@ -349,11 +349,8 @@ def test_gates_fail_on_nan_measurements(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.dynamics, "classical_limit_scan", lambda *a, **k: {
         "s_values": np.array([3.0, 5.0]), "deviations": np.array([np.nan, np.nan]),
         "slope": float("nan")})
-    cfg = {
-        "scan": {"mode": "unitary", "twice_s_values": [6, 10],
-                 "l_test": 3, "expected_slope": -1.0},
-        "field": [0.0, 0.0, 1.0],
-    }
+    cfg = {**_SCAN_BASE, "scan": {"mode": "bilinear", "twice_s_values": [6, 10],
+                                  "l_test": 3, "expected_slope": -1.0}}
     assert cli.main(["limit-scan", "--config", _write(tmp_path, "scan.json", cfg),
                      "--out", str(tmp_path / "s")]) == 2
 
@@ -533,23 +530,26 @@ def test_compare_computes_no_symbol_observables(tmp_path, monkeypatch):
     assert cli.main(["compare", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
 
 
-def test_limit_scan_unitary_reports_vanishing_deviation(tmp_path, capsys):
+def test_limit_scan_bilinear_without_damping_reports_vanishing_deviation(tmp_path, capsys):
+    """At gamma = 0 both generators are the drift i b.L: every deviation is
+    rounding, no slope is fitted, and the gate passes."""
     cfg = {
-        "scan": {"mode": "unitary", "twice_s_values": [6, 10, 14],
+        **_SCAN_BASE,
+        "scan": {"mode": "bilinear", "twice_s_values": [6, 10, 14],
                  "l_test": 3, "expected_slope": -1.0},
         "sigma": 0.0,
-        "field": [0.0, 0.0, 1.0],
+        "field": [0.3, -0.2, 1.0],
     }
     cfg_path = _write(tmp_path, "scan.json", cfg)
     rc = cli.main(["limit-scan", "--config", cfg_path,
                    "--out", str(tmp_path / "o")])
     assert rc == 0
-    assert "slope" in capsys.readouterr().out
+    assert "slope = nan" in capsys.readouterr().out
     with open(tmp_path / "o" / "scan.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["S", "deviation"]
     assert [float(r[0]) for r in rows[1:]] == [3.0, 5.0, 7.0]
-    assert all(float(r[1]) < 1e-12 for r in rows[1:])
+    assert all(float(r[1]) <= cli.dynamics._ROUNDING for r in rows[1:])
 
 
 def test_limit_scan_bilinear_slope_gate(tmp_path):
@@ -761,6 +761,7 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("limit-scan", "scan.twice_s_values", [8, 12.5],
      "scan twice_s_values entry must be an integer"),
     ("limit-scan", "scan.mode", "foo", "scan mode must be"),
+    ("limit-scan", "scan.mode", "unitary", 'scan mode must be "bilinear" or "asymptotics"'),
     ("limit-scan", "field", [0, 0], "field must be a list of 3 numbers"),
     ("limit-scan", "xi", [1.0, 0.0, None], "xi must be a number"),
     ("limit-scan", "scan.expected_slope", [1], "scan expected_slope must be a number"),
@@ -813,6 +814,7 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
 ], ids=["theta-null", "dt-null", "gamma-null", "bath-list", "outputs-list",
         "seed-fractional", "l-test-fractional", "quadratic-list", "spin-component-fractional",
         "twice-s-values-number", "twice-s-values-fractional", "scan-mode-unknown",
+        "scan-mode-unitary",
         "field-short", "xi-null", "expected-slope-list", "temperature-string", "gamma-boolean",
         "word-number", "coupling-word-number", "coeff-null", "coeff-boolean",
         "word-fractional", "sigma-null", "matrix-file-number", "mixed-string",
@@ -851,7 +853,11 @@ def test_output_names_must_be_plain_file_names(tmp_path, capsys, name):
     assert os.listdir(tmp_path) == ["bad.json"]
 
 
-_SCAN_BASE = {"scan": {"mode": "unitary", "twice_s_values": [6, 10]}, "field": [0.0, 0.0, 1.0]}
+# a bilinear scan at gamma = 0, where both generators are the drift i b.L: its
+# deviations are rounding, so it exits 0 whatever slope a test expects
+_SCAN_BASE = {"scan": {"mode": "bilinear", "twice_s_values": [6, 10]},
+              "field": [0.0, 0.0, 1.0], "xi": [1.0, 0.0, 0.0], "gamma": 0.0,
+              "temperature": 1.0}
 
 
 @pytest.mark.parametrize("command, outputs", [
@@ -876,7 +882,7 @@ def test_two_output_files_of_one_name_are_refused(tmp_path, capsys, command, out
     assert os.listdir(tmp_path) == ["bad.json"]
 
 
-@pytest.mark.parametrize("mode", ["unitary", "bilinear"])
+@pytest.mark.parametrize("mode", ["bilinear"])
 def test_limit_scan_refuses_l_test_zero_where_it_compares_nothing(tmp_path, capsys, mode):
     """Every generator annihilates shell 0, so at l_test = 0 the compared block
     is zero and its relative deviation 0/0: exit 1 before anything is written."""
@@ -886,9 +892,57 @@ def test_limit_scan_refuses_l_test_zero_where_it_compares_nothing(tmp_path, caps
     assert "error: scan l_test = 0 compares nothing" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["scan.json"]
 
-    cfg["scan"]["mode"] = "asymptotics"  # compares the l = 0 shell tables
+    # asymptotics compares the l = 0 shell tables
+    cfg = {"scan": {"mode": "asymptotics", "twice_s_values": [6, 10], "l_test": 0}}
     cfg_path = _write(tmp_path, "scan.json", cfg)
     assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("field", [0.0, 0.0, 1.0]), ("xi", [1.0, 0.0, 0.0]), ("gamma", 0.0), ("temperature", 1.0)])
+def test_asymptotics_scan_refuses_each_key_it_does_not_read(tmp_path, capsys, key, value):
+    """An asymptotics scan compares shell tables, which no field or bath enters,
+    so each of those keys exits 1, naming it, before anything is written."""
+    cfg = {"scan": {"mode": "asymptotics", "twice_s_values": [6, 10]}, key: value}
+    cfg_path = _write(tmp_path, "scan.json", cfg)
+    assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: asymptotics mode reads no ") and key in err
+    assert os.listdir(tmp_path) == ["scan.json"]
+
+
+@pytest.mark.parametrize("gamma, xi", [(0.0, [1.0, 0.0, 0.0]), (0.5, [0.0, 0.0, 0.0])],
+                         ids=["gamma-zero", "xi-zero"])
+def test_bilinear_scan_with_no_field_and_no_diffusion_exits_one(tmp_path, capsys, gamma, xi):
+    """With field 0 and gamma xi = 0 the classical generator is zero, so its
+    block has no norm to divide by: exit 1 before anything is written."""
+    cfg = {**_SCAN_BASE, "field": [0.0, 0.0, 0.0], "gamma": gamma, "xi": xi,
+           "scan": {"mode": "bilinear", "twice_s_values": [6, 10], "expected_slope": -1.0}}
+    cfg_path = _write(tmp_path, "scan.json", cfg)
+    assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert "compares nothing" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scan.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--out", "{out}"],
+    ["symbol", "--config", "c.json", "--seed", "x", "--out", "{out}"],
+    ["evolve-all", "--config", "c.json", "--out", "{out}"],
+], ids=["config-missing", "seed-not-an-integer", "unknown-subcommand"])
+def test_usage_errors_exit_one_with_an_error_line(tmp_path, capsys, argv):
+    """argparse would exit 2, the code of a failed tolerance gate; a usage error
+    is a validation error like any other: exit 1, an error: line, no files."""
+    out = tmp_path / "o"
+    assert cli.main([a.format(out=out) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "limit-scan" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["evolve", "kernel"])

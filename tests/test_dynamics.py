@@ -783,13 +783,6 @@ def test_evolve_trajectory_csv_layout(tmp_path):
 
 # --- classical-limit scans ---------------------------------------------------------
 
-def test_unitary_scan_deviation_vanishes():
-    out = dyn.classical_limit_scan("unitary", [6, 10], 0.0, 3,
-                                   b=[0.2, 0.0, 1.0])
-    assert np.all(out["deviations"] < 1e-12)
-    assert math.isnan(out["slope"])
-
-
 def test_bilinear_scan_decays_inversely_with_spin():
     out = dyn.classical_limit_scan("bilinear", [10, 20, 40], -1.0, 3,
                                    b=[0.0, 0.0, 1.0], xi=[1.0, 0.0, 0.0],
@@ -822,16 +815,57 @@ def test_bilinear_scan_never_densifies_a_whole_generator():
     assert np.array_equal(dyn._submatrix(gen, 3), gen.toarray()[:16, :16])
 
 
-def test_scan_rejects_bad_modes_and_contaminated_blocks():
-    with pytest.raises(ValueError):
-        dyn.classical_limit_scan("nonsense", [10, 20], 0.0, 3, b=[0, 0, 1.0])
-    with pytest.raises(ValueError):
-        dyn.classical_limit_scan("unitary", [4, 10], 0.0, 3, b=[0, 0, 1.0])
-    with pytest.raises(ValueError, match="l_test must be >= 0"):
-        dyn.classical_limit_scan("unitary", [4, 10], 0.0, -1, b=[0, 0, 1.0])
-
-
 _SCAN_FIELD = dict(b=[0.3, -0.2, 1.0], xi=[0.5, 0.7, -0.2], gamma=0.1, temperature=1.0)
+
+
+def test_scan_rejects_bad_modes_and_contaminated_blocks():
+    for mode in ("nonsense", "unitary"):
+        with pytest.raises(ValueError, match="scan mode must be"):
+            dyn.classical_limit_scan(mode, [10, 20], 0.0, 3, **_SCAN_FIELD)
+    with pytest.raises(ValueError, match="exceeds min"):
+        dyn.classical_limit_scan("bilinear", [4, 10], 0.0, 3, **_SCAN_FIELD)
+    with pytest.raises(ValueError, match="l_test must be >= 0"):
+        dyn.classical_limit_scan("bilinear", [4, 10], 0.0, -1, **_SCAN_FIELD)
+
+
+@pytest.mark.parametrize("key", ["b", "xi", "gamma", "temperature"])
+def test_scan_modes_refuse_the_inputs_they_do_not_read_and_need_those_they_do(key):
+    """asymptotics compares shell tables, which no field or bath enters, so it
+    refuses each of them; bilinear reads all four, so it needs each of them."""
+    name = {"b": "field vector b"}.get(key, key)
+    with pytest.raises(ValueError, match=f"asymptotics mode reads no {name}$"):
+        dyn.classical_limit_scan("asymptotics", [10, 20], 0.0, 3, **{key: _SCAN_FIELD[key]})
+    rest = {k: v for k, v in _SCAN_FIELD.items() if k != key}
+    with pytest.raises(ValueError, match=f"bilinear mode needs {name}$"):
+        dyn.classical_limit_scan("bilinear", [10, 20], 0.0, 3, **rest)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("b", [0.0, 1.0], "field vector b must be a real 3-vector"),
+    ("b", [0.0, 0.0, 1.0, 0.0], "field vector b must be a real 3-vector"),
+    ("b", [1j, 0.0, 1.0], "field vector b must be a real 3-vector"),
+    ("xi", [1.0, 0.0, 0.0, 0.0], "xi must be a real 3-vector"),
+], ids=["b-short", "b-long", "b-complex", "xi-long"])
+def test_bilinear_scan_refuses_what_is_not_a_real_3_vector(monkeypatch, key, value, message):
+    """A field or coupling vector of another length, or a complex one, is refused
+    by name before any point is computed (a 2-vector field ran silently, a
+    4-vector failed on the word (4,), a complex one raised TypeError)."""
+    monkeypatch.setattr(dyn, "qfp_generator", None)  # no point may be computed
+    with pytest.raises(ValueError, match=message):
+        dyn.classical_limit_scan("bilinear", [10, 20], 0.0, 3, **dict(_SCAN_FIELD, **{key: value}))
+
+
+@pytest.mark.parametrize("gamma, xi", [(0.0, [0.5, 0.7, -0.2]), (0.1, [0.0, 0.0, 0.0])],
+                         ids=["gamma-zero", "xi-zero"])
+def test_bilinear_scan_with_no_field_and_no_diffusion_compares_nothing(gamma, xi):
+    """With b = 0 and gamma xi = 0 the classical generator is zero, and each
+    deviation would be 0/0; a field alone, or a diffusion alone, compares."""
+    kwargs = dict(b=[0.0, 0.0, 0.0], xi=xi, gamma=gamma, temperature=1.0)
+    with pytest.raises(ValueError, match="compares nothing"):
+        dyn.classical_limit_scan("bilinear", [6, 10], 0.0, 3, **kwargs)
+    for runs in (dict(kwargs, b=[0.0, 0.0, 1.0]), dict(_SCAN_FIELD, b=[0.0, 0.0, 0.0])):
+        out = dyn.classical_limit_scan("bilinear", [6, 10], 0.0, 3, **runs)
+        assert np.all(np.isfinite(out["deviations"]))
 
 
 @pytest.mark.parametrize("sigma", [-1.0, -0.5, 0.0, 0.3, 1.0])
@@ -874,7 +908,7 @@ def test_scan_blocks_equal_the_full_band_generators_bit_for_bit(monkeypatch, twi
         assert np.array_equal(classical, submatrix(full_c, l_test))
 
 
-@pytest.mark.parametrize("mode", ["unitary", "bilinear"])
+@pytest.mark.parametrize("mode", ["bilinear"])
 def test_scan_builds_no_operator_above_band_l_test_plus_one(monkeypatch, mode):
     """Every sphere operator and Bopp set a scan builds has band <= l_test + 1:
     nothing of size (2S+1)^2 is built."""

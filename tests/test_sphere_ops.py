@@ -203,6 +203,23 @@ def test_conjugation_matrix_properties():
             so.conjugated_operator(op.toarray(), L), op.toarray(), atol=1e-13)
 
 
+def test_conjugated_operator_keeps_the_format_of_its_operand():
+    """P conj(O) P is CSR for a sparse operator and an array for a dense one,
+    with the same entries: P is a signed permutation, so each is one product."""
+    L = 4
+    n = so.num_coefficients(L)
+    rng = np.random.default_rng(5)
+    op = (sp.random(n, n, density=0.2, format="csr", random_state=rng)
+          + 1j * sp.random(n, n, density=0.2, format="csr", random_state=rng))
+    sparse = so.conjugated_operator(op, L)
+    dense = so.conjugated_operator(op.toarray(), L)
+    assert sp.issparse(sparse) and sparse.format == "csr"
+    assert type(dense) is np.ndarray
+    assert np.array_equal(sparse.toarray(), dense)
+    p = so.conjugation_matrix(L).toarray()
+    assert np.array_equal(dense, p @ op.toarray().conj() @ p)
+
+
 def _reference_operators(L):
     """L1, L2, L3, L^2, M1..K3 and P filled one (l, m) at a time, with the
     couplings written out here: the entry-by-entry oracle for the closed forms."""
