@@ -94,11 +94,9 @@ def bopp_matrices(ctx, sigma, band=None):
     coeffs = bopp_coefficients(ctx, sigma)
     f1d = shell_diagonal(L, coeffs.f1[:L + 1])
     f2d = shell_diagonal(L, coeffs.f2[:L + 1])
-    l_ops = sphere_ops.angular_operators(L)[:3]
-    mk_ops = sphere_ops.position_operators(L)
-    m_ops, k_ops = mk_ops[:3], mk_ops[3:]
-    return tuple((m_ops[i] @ f1d + k_ops[i] @ f2d + 0.5 * l_ops[i]).tocsr()
-                 for i in range(3))
+    l_ops = sphere_ops.angular_operators(L)
+    mk = sphere_ops.position_operators(L)  # M1, M2, M3, K1, K2, K3
+    return tuple((mk[i] @ f1d + mk[i + 3] @ f2d + 0.5 * l_ops[i]).tocsr() for i in range(3))
 
 
 def star_product(c_a, c_b, sigma, ctx):
@@ -157,10 +155,9 @@ def degree(expr):
     return max((len(word) for _, word in expr), default=0)
 
 
-def evaluate_expression(expr, sigma, ctx, band=None):
-    """Symbol-space matrix of an ordered polynomial at band limit band (None:
-    2S): words become products of Bopp matrices in the same order."""
-    mats = bopp_matrices(ctx, sigma, band)
+def evaluate_expression(expr, mats):
+    """Matrix of an ordered polynomial over a triple of matrices, such as the Bopp
+    set of bopp_matrices: words become products of mats in the same order."""
     n = mats[0].shape[0]
     return _ordered_sum(validate_expression(expr), mats, sp.csr_matrix((n, n), dtype=complex),
                        sp.identity(n, dtype=complex, format="csr")).tocsr()

@@ -446,8 +446,7 @@ def _cmd_symbol(cfg, paths, rng):
     # a self-check of the transform, reported only: symbol gates on no tolerance
     back = sw_transform.symbol_to_operator(c, sigma, ctx)
     print(f"round-trip residual = {np.max(np.abs(back - mat)):.6g}", file=sys.stderr)
-    _write_grid(paths["grid"],
-                _grid_band(cfg, ctx, ctx.band_limit), c)
+    _write_grid(paths["grid"], _grid_band(cfg, ctx, ctx.band_limit), c)
     return 0
 
 

@@ -42,19 +42,22 @@ class BathSpec:
         return self.gamma / (ctx.s * self.temperature)
 
 
-def _hermitian_hat(expr, sigma, ctx, band, what):
-    """evaluate_expression(expr, sigma, ctx, band), refused unless the symbol of
-    expr, its column 0, is real.  A word of degree k takes the identity up to
-    shell k, so the column is read at band min(2S, k), evaluated again when
-    band is below.  The tolerance is relative to sum |coeff| S^k, a bound on
+def _hermitian_hat(expr, mats, p, sigma, ctx, what):
+    """evaluate_expression(expr, mats), refused unless the symbol of expr, its
+    column 0, is real.  A degree-k word takes the identity up to shell k, so the
+    column is read at reach = min(2S, k), in the l <= reach corner of hat and of
+    P (P is block-diagonal by shell), or of a second Bopp set and P at reach when
+    mats stop below it.  The tolerance is relative to sum |coeff| S^k, a bound on
     each term, so cancelling terms such as i(S1 S2 - S2 S1) pass at any S."""
     expr = bopp.validate_expression(expr)
-    hat = bopp.evaluate_expression(expr, sigma, ctx, band)
-    band = sphere_ops.band_limit_of(hat.shape[0])
+    hat = read = bopp.evaluate_expression(expr, mats)
     reach = min(ctx.band_limit, bopp.degree(expr))
-    read = hat if band >= reach else bopp.evaluate_expression(expr, sigma, ctx, reach)
-    c = read[:sphere_ops.num_coefficients(reach), [0]].toarray()[:, 0]
-    residual = np.max(np.abs(sphere_ops.conjugation_matrix(reach) @ c.conj() - c))
+    if sphere_ops.band_limit_of(hat.shape[0]) < reach:
+        read = bopp.evaluate_expression(expr, bopp.bopp_matrices(ctx, sigma, reach))
+        p = sphere_ops.conjugation_matrix(reach)
+    k = sphere_ops.num_coefficients(reach)
+    c = read[:k, [0]].toarray()[:, 0]
+    residual = np.max(np.abs(p[:k, :k] @ c.conj() - c))
     scale = max(1.0, sum(abs(coeff) * ctx.s ** len(word) for coeff, word in expr))
     if not residual <= 1e-12 * scale:  # NaN-safe
         raise ValueError(f"{what} must be Hermitian")
@@ -63,21 +66,23 @@ def _hermitian_hat(expr, sigma, ctx, band, what):
 
 def qfp_generator(h_expr, bath, sigma, ctx, band=None):
     """Generator 2 Im(H) + 4 gamma T Im(F)^2 - 2 gamma Im(F) Im([H,F]) of the
-    weak-coupling master equation at band limit band (None: 2S); with bath
-    None it is the unitary 2 Im(H) of d(rho)/dt = -i[H, rho].  Its l <= l_test
-    block equals the band-2S block from band _block_band(h_expr,
-    bath.coupling, l_test, ctx) on."""
-    h_hat = _hermitian_hat(h_expr, sigma, ctx, band, "Hamiltonian")
-    L = sphere_ops.band_limit_of(h_hat.shape[0])
-    im_h = sphere_ops.operator_imag(h_hat, L)
-    if bath is None:
-        return (2.0 * im_h).tocsr()
-    f_hat = _hermitian_hat(bath.coupling, sigma, ctx, band, "coupling operator")
-    im_f = sphere_ops.operator_imag(f_hat, L)
-    im_g = sphere_ops.operator_imag(h_hat @ f_hat - f_hat @ h_hat, L)
-    gen = 2.0 * im_h
-    gen = gen + 4.0 * bath.gamma * bath.temperature * (im_f @ im_f)
-    gen = gen - 2.0 * bath.gamma * (im_f @ im_g)
+    weak-coupling master equation at band limit band (None: 2S), from one Bopp
+    set and one conjugation P: Im(O) = (O - P conj(O) P)/(2i).  With bath None
+    it is the unitary 2 Im(H) of d(rho)/dt = -i[H, rho].  Its l <= l_test block
+    equals the band-2S block from band _block_band(h_expr, coupling, l_test, ctx) on."""
+    mats = bopp.bopp_matrices(ctx, sigma, band)
+    p = sphere_ops.conjugation_matrix(sphere_ops.band_limit_of(mats[0].shape[0]))
+
+    def imag(op):
+        return (op - p @ op.conj() @ p) / 2j
+
+    h_hat = _hermitian_hat(h_expr, mats, p, sigma, ctx, "Hamiltonian")
+    gen = 2.0 * imag(h_hat)
+    if bath is not None:
+        f_hat = _hermitian_hat(bath.coupling, mats, p, sigma, ctx, "coupling operator")
+        im_f = imag(f_hat)
+        gen = gen + 4.0 * bath.gamma * bath.temperature * (im_f @ im_f)
+        gen = gen - 2.0 * bath.gamma * (im_f @ imag(h_hat @ f_hat - f_hat @ h_hat))
     return gen.tocsr()
 
 
@@ -170,8 +175,8 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
     if any(coeff.imag for coeff, _ in h_expr):
         raise ValueError("the classical Hamiltonian h(m) takes real coefficients only")
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (3, 3):
-        raise ValueError("lam must be 3x3")
+    if lam.shape != (3, 3) or not np.all(np.isfinite(lam)):
+        raise ValueError("lam must be a finite 3x3 matrix")
     if not (math.isfinite(s) and s > 0):
         raise ValueError("s must be finite and > 0")
     if not (math.isfinite(temperature) and temperature > 0):
@@ -185,8 +190,7 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
     l_ops = sphere_ops.angular_operators(band_limit)[:3]
     m_ops = sphere_ops.position_operators(band_limit)[:3]
     zero = sp.csr_matrix(l_ops[0].shape, dtype=complex)
-    eye = sp.identity(zero.shape[0], dtype=complex, format="csr")
-    b_ops = [bopp._ordered_sum(g, m_ops, zero, eye) for g in grad]
+    b_ops = [bopp.evaluate_expression(g, m_ops) for g in grad]
     cross = [zero] * 3  # m x B_eff
     for a, b, c, sign in _EPS:
         cross[a] = cross[a] + sign * (m_ops[b] @ b_ops[c])
@@ -256,7 +260,7 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
     matrix, no random numbers and no size limit.  kind "symbol" attaches, at every step, the
     spin observables, trace, purity and reality residual max|P conj(c0) - c0|
     of symbol states c, with c0 = switch_ordering(c, sigma, 0) (needs ctx and
-    sigma).  A non-finite state aborts, naming its step.
+    sigma).  A non-finite y0 is refused; a non-finite state aborts, naming its step.
     """
     if kind not in (None, "symbol"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -278,14 +282,16 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
 
 
 def lockstep(gens, y0s, t_end, dt, method="rk4", keep_states=False):
-    """(times, blocks): each y0 propagated under its generator on the grid of
-    time_steps(t_end, dt), blocks yielding (k, [a block per system]) from step
-    k on.  Every state is one block with keep_states=True; else each buffer
-    holds what _BLOCK_BYTES holds of the largest state and is reused."""
+    """(times, blocks): each y0, refused unless finite, propagated under its
+    generator on the grid of time_steps(t_end, dt), blocks yielding (k, [a block
+    per system]) from step k on.  Every state is one block with keep_states=True;
+    else each buffer holds what _BLOCK_BYTES holds of the largest state and is reused."""
     n_steps, dt_used = time_steps(t_end, dt)
     if method not in ("rk4", "expm"):
         raise ValueError(f"unknown method {method!r}")
     y0s = [np.asarray(y, dtype=complex) for y in y0s]
+    if not all(np.all(np.isfinite(y)) for y in y0s):
+        raise ValueError("non-finite initial state y0 at t = 0, before the first step")
     rows = n_steps + 1 if keep_states else min(
         n_steps + 1, max(1, _BLOCK_BYTES // max(1, max(y.nbytes for y in y0s))))
     streams = [_blocks((_rk4_step if method == "rk4" else _taylor_step)(gen, dt_used), y,

@@ -254,13 +254,3 @@ def apply_conjugation(c):
             out[flat_index(l, m)] = (-1.0) ** m * np.conj(c[flat_index(l, -m)])
     return out
 
-
-def conjugated_operator(op, band_limit):
-    """The conjugated operator C O C (linear part: P conj(O) P), as op: CSR or array."""
-    p = conjugation_matrix(band_limit)
-    return p @ op.conj() @ p
-
-
-def operator_imag(op, band_limit):
-    """Im(O) = (O - C O C)/(2i) as a linear operator on coefficients."""
-    return (op - conjugated_operator(op, band_limit)) / 2j

@@ -19,6 +19,7 @@ from . import sphere_ops, su2_algebra
 SYMMETRIC = 0.0
 NORMAL = 1.0
 ANTINORMAL = -1.0
+_LOG_TINY, _LOG_MAX = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 
 
 def validate_sigma(sigma):
@@ -44,9 +45,14 @@ def _log_weights(twice_s):
 
 def _factors(ctx, sigma):
     # c_lm / Tr(T_lm^dag A) = sqrt(4pi/(2S+1)) w_l^-sigma over the flat index,
-    # through logs: the weights span many decades
-    l_of, _ = sphere_ops.lm_arrays(ctx.band_limit)
+    # through logs: the weights span many decades.  ln w_l falls from 0, so the
+    # factors at l = 0 and 2S bound the rest, and both must be normal doubles
     log_scale = 0.5 * math.log(4.0 * math.pi / (ctx.twice_s + 1))
+    lo, hi = sorted((log_scale, log_scale - sigma * _log_weights(ctx.twice_s)[-1]))
+    if not _LOG_TINY <= lo <= hi <= _LOG_MAX:  # NaN-safe
+        raise ValueError(f"the ordering factors w_l^-sigma at 2S = {ctx.twice_s}, "
+                         f"sigma = {sigma} leave the normal double range")
+    l_of, _ = sphere_ops.lm_arrays(ctx.band_limit)
     return np.exp(log_scale - sigma * _log_weights(ctx.twice_s))[l_of]
 
 
@@ -68,10 +74,11 @@ def operator_to_symbol(a, sigma, ctx):
     a = np.asarray(a, dtype=complex)
     if a.shape != (ctx.hilbert_dim, ctx.hilbert_dim):
         raise ValueError(f"operator shape {a.shape} does not match 2S+1 = {ctx.hilbert_dim}")
+    factors = _factors(ctx, sigma)  # refuses before the tables are built
     c = np.empty(ctx.symbol_dim, dtype=complex)
     for m, idx, _, block in _diagonals(ctx.twice_s):
         c[idx] = block @ np.diagonal(a, m)  # Tr(T_lm^dag a), T_lm real
-    return _factors(ctx, sigma) * c
+    return factors * c
 
 
 def symbol_to_operator(c, sigma, ctx):

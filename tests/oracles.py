@@ -26,9 +26,20 @@ def ylm_eval(l, m, theta, phi):
     return sph_harm_y(l, m, theta, phi)
 
 
+def conjugated_operator(op, band_limit):
+    """The conjugated operator C O C (linear part: P conj(O) P), as op: CSR or array."""
+    p = sphere_ops.conjugation_matrix(band_limit)
+    return p @ op.conj() @ p
+
+
 def operator_real(op, band_limit):
     """Re(O) = (O + C O C)/2."""
-    return (op + sphere_ops.conjugated_operator(op, band_limit)) / 2.0
+    return (op + conjugated_operator(op, band_limit)) / 2.0
+
+
+def operator_imag(op, band_limit):
+    """Im(O) = (O - C O C)/(2i)."""
+    return (op - conjugated_operator(op, band_limit)) / 2j
 
 
 def is_real_symbol(c, tol=1e-12):
@@ -152,4 +163,24 @@ def bilinear_effective_field_generator(b, xi, gamma, temperature, sigma, ctx):
         cross = r_ops[a] * field[c] - r_ops[c] * field[a]  # (r x B)_j
         for k in range(3):
             gen = gen - (1j / s) * lam[k, j] * (l_ops[k] @ (cross - 1j * temperature * l_ops[j]))
+    return gen.tocsr()
+
+
+def two_set_qfp_generator(h_expr, bath, sigma, ctx, band=None):
+    """qfp_generator assembled with a Bopp set for H and another for F, and a
+    conjugation P built anew for each imaginary part; no Hermiticity check."""
+    def hat(expr):
+        return bopp.evaluate_expression(expr, bopp.bopp_matrices(ctx, sigma, band))
+
+    h_hat = hat(h_expr)
+    L = sphere_ops.band_limit_of(h_hat.shape[0])
+    im_h = operator_imag(h_hat, L)
+    if bath is None:
+        return (2.0 * im_h).tocsr()
+    f_hat = hat(bath.coupling)
+    im_f = operator_imag(f_hat, L)
+    im_g = operator_imag(h_hat @ f_hat - f_hat @ h_hat, L)
+    gen = 2.0 * im_h
+    gen = gen + 4.0 * bath.gamma * bath.temperature * (im_f @ im_f)
+    gen = gen - 2.0 * bath.gamma * (im_f @ im_g)
     return gen.tocsr()

@@ -234,10 +234,10 @@ def test_evaluate_expression_builds_ordered_bopp_products():
     ctx = SpinContext(2)
     sigma = 0.0
     b1, b2, b3 = bopp.bopp_matrices(ctx, sigma)
-    got = bopp.evaluate_expression([(2.0, (1, 2)), (1j, (3,))], sigma, ctx)
+    got = bopp.evaluate_expression([(2.0, (1, 2)), (1j, (3,))], (b1, b2, b3))
     want = 2.0 * (b1 @ b2) + 1j * b3
     assert np.max(np.abs((got - want).toarray())) < 1e-14
-    assert bopp.evaluate_expression([], sigma, ctx).nnz == 0
+    assert bopp.evaluate_expression([], (b1, b2, b3)).nnz == 0
 
 
 @pytest.mark.parametrize("sigma", [-1.0, 0.3, 1.0])
@@ -259,14 +259,16 @@ def test_bopp_set_at_a_band_is_the_full_band_block(twice_s, sigma):
     full = operators(twice_s)
     assert len(full) == 14
     expr = [(2.0, (1, 2)), (1j, (3,)), (0.5, ())]
-    full_expr = bopp.evaluate_expression(expr, sigma, ctx)
+    full_expr = bopp.evaluate_expression(expr, full[:3])
     for band in range(twice_s + 1):
         n = so.num_coefficients(band)
-        for op, full_op in zip(operators(band), full):
+        ops = operators(band)
+        for op, full_op in zip(ops, full):
             assert np.array_equal(op.toarray(), full_op[:n, :n].toarray())
-        assert bopp.evaluate_expression(expr, sigma, ctx, band).shape == (n, n)
-    assert np.array_equal(bopp.evaluate_expression(expr, sigma, ctx, twice_s).toarray(),
-                          full_expr.toarray())
+        assert bopp.evaluate_expression(expr, ops[:3]).shape == (n, n)
+    assert np.array_equal(
+        bopp.evaluate_expression(expr, bopp.bopp_matrices(ctx, sigma, twice_s)).toarray(),
+        full_expr.toarray())
 
 
 @pytest.mark.parametrize("band", [-1, 3, 1.5, "2"])

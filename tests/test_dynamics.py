@@ -293,6 +293,31 @@ def test_classical_drift_is_the_word_gradient(word):
         dyn.classical_generators([(1.0, (1,)), (0.5j, (3,))], np.zeros((3, 3)), 1.0, L, s)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_classical_generators_refuse_a_non_finite_lam(entry):
+    """A NaN or infinite diffusion entry is refused, not spread into every
+    entry of the generator."""
+    lam = 0.4 * np.eye(3)
+    lam[1, 2] = entry
+    for bad in (lam, np.full((3, 3), entry)):
+        with pytest.raises(ValueError, match="lam must be a finite 3x3 matrix"):
+            dyn.classical_generators([(-2.0, (3,))], bad, 1.0, 4, 2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
+def test_non_finite_initial_state_is_refused_before_the_first_step(bad):
+    """A non-finite y0 is named as the initial state when lockstep is called,
+    not reported as a non-finite state at step 1."""
+    gen = sp.identity(3, dtype=complex, format="csr")
+    y0 = np.array([1.0, bad, 0.0], dtype=complex)
+    message = r"non-finite initial state y0 at t = 0"
+    for method in ("rk4", "expm"):
+        with pytest.raises(ValueError, match=message):
+            dyn.integrate(gen, y0, 1.0, 0.1, method)
+        with pytest.raises(ValueError, match=message):  # on the call, before any block
+            dyn.lockstep([gen, gen], [np.ones(3), y0], 1.0, 0.1, method)
+
+
 @pytest.mark.parametrize("coeff", [math.nan, math.inf, complex(0.0, -math.inf)])
 def test_non_finite_coefficients_are_refused_at_every_entry_point(coeff):
     """A NaN or infinite coefficient is refused by name, not turned into NaN
@@ -301,7 +326,7 @@ def test_non_finite_coefficients_are_refused_at_every_entry_point(coeff):
     expr = [(-1.0, (3,)), (coeff, (1,))]
     message = r"expression term \(.*\) has a non-finite coefficient"
     with pytest.raises(ValueError, match=message):
-        bopp.evaluate_expression(expr, 0.0, ctx)
+        bopp.evaluate_expression(expr, bopp.bopp_matrices(ctx, 0.0))
     with pytest.raises(ValueError, match=message):
         dyn.qfp_generator(expr, None, 0.0, ctx)
     with pytest.raises(ValueError, match=message):
@@ -953,6 +978,76 @@ def test_qfp_block_at_the_derived_band_equals_the_full_band_bit_for_bit(twice_s,
             dyn._submatrix(dyn.qfp_generator(h_expr, bath, sigma, ctx, band), l_test), block)
         assert not np.array_equal(
             dyn._submatrix(dyn.qfp_generator(h_expr, bath, sigma, ctx, band - 1), l_test), block)
+
+
+_QFP_BATH = dyn.BathSpec(((0.6, (1,)), (0.8, (3,))), 0.3, 1.5)
+
+
+def _record_operator_builds(monkeypatch):
+    """Bands of every Bopp set and conjugation P built next, and the number of
+    evaluate_expression calls, as lists the patched builders append to."""
+    built = {"bopp_matrices": [], "conjugation_matrix": [], "evaluate_expression": []}
+    bopp_matrices, evaluate, conjugation = (bopp.bopp_matrices, bopp.evaluate_expression,
+                                            so.conjugation_matrix)
+
+    def bopp_set(ctx, sigma, band=None):
+        built["bopp_matrices"].append(ctx.band_limit if band is None else band)
+        return bopp_matrices(ctx, sigma, band)
+
+    def words(expr, mats):
+        built["evaluate_expression"].append(mats[0].shape[0])
+        return evaluate(expr, mats)
+
+    monkeypatch.setattr(bopp, "bopp_matrices", bopp_set)
+    monkeypatch.setattr(bopp, "evaluate_expression", words)
+    monkeypatch.setattr(so, "conjugation_matrix",
+                        lambda band: built["conjugation_matrix"].append(band) or conjugation(band))
+    return built
+
+
+@pytest.mark.parametrize("band", [None, 3])
+@pytest.mark.parametrize("bath", [None, _QFP_BATH])
+def test_qfp_generator_builds_one_bopp_set_and_one_conjugation(monkeypatch, bath, band):
+    """At a band reaching the degree of H and F, H and F are words in one Bopp
+    set, and every imaginary part and both Hermiticity checks read one P."""
+    built = _record_operator_builds(monkeypatch)
+    ctx = SpinContext(10)
+    dyn.qfp_generator(_cubic_hamiltonian(ctx), bath, 0.3, ctx, band)
+    want = 10 if band is None else band
+    assert built["bopp_matrices"] == [want]
+    assert built["conjugation_matrix"] == [want]
+    assert len(built["evaluate_expression"]) == (1 if bath is None else 2)
+
+
+def test_qfp_generator_reads_hermiticity_below_the_degree_from_a_second_set(monkeypatch):
+    """At band 2 the column-0 symbol of a cubic H reaches shell 3, so its check
+    takes a second Bopp set and P at band 3; the linear F needs none."""
+    built = _record_operator_builds(monkeypatch)
+    ctx = SpinContext(10)
+    dyn.qfp_generator(_cubic_hamiltonian(ctx), _QFP_BATH, 0.3, ctx, 2)
+    assert built["bopp_matrices"] == [2, 3]
+    assert built["conjugation_matrix"] == [2, 3]
+    assert built["evaluate_expression"] == [9, 16, 9]
+    with pytest.raises(ValueError, match="Hamiltonian must be Hermitian"):
+        dyn.qfp_generator([(1j, (3, 3, 3))], None, 0.3, ctx, 2)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.3, 1.0])
+@pytest.mark.parametrize("twice_s", [6, 20])
+def test_qfp_generator_is_the_two_set_assembly_bit_for_bit(twice_s, sigma):
+    """One Bopp set and one P give the CSR arrays of the assembly with a set for
+    H, another for F and a P per imaginary part, with and without a bath, at
+    band 2S and at band 2, where the cubic H is checked from a second set."""
+    ctx = SpinContext(twice_s)
+    hamiltonians = ([(-1.0, (3,)), (0.3, (1,))], [(-1.0, (3,)), (-0.2, (1, 1))],
+                    _cubic_hamiltonian(ctx))
+    for band in (None, 2):
+        for bath in (None, _QFP_BATH):
+            for h_expr in hamiltonians:
+                got = dyn.qfp_generator(h_expr, bath, sigma, ctx, band)
+                want = oracles.two_set_qfp_generator(h_expr, bath, sigma, ctx, band)
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 def test_derived_band_follows_the_expression_degrees():

@@ -293,3 +293,31 @@ def test_spin_component_symbols_are_linear_harmonics():
             mask = np.zeros(ctx.symbol_dim, dtype=bool)
             mask[so.flat_index(1, -1): so.flat_index(1, 1) + 1] = True
             assert np.max(np.abs(c[~mask])) < 1e-13
+
+
+@pytest.mark.parametrize("twice_s, sigma", [(1000, 1.0), (1000, -1.0), (1100, 0.0),
+                                            (1100, 0.5)])
+def test_ordering_factors_are_normal_doubles_where_accepted(twice_s, sigma):
+    factors = swt._factors(SpinContext(twice_s), sigma)
+    assert np.all(np.isfinite(factors)) and np.min(factors) >= np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("twice_s, sigma", [(1030, 1.0), (1030, -1.0), (1100, 1.0),
+                                            (1100, -1.0)])
+def test_ordering_factors_outside_the_normal_doubles_are_refused_before_any_table(
+        monkeypatch, twice_s, sigma):
+    """Past 2S of about 1020 at |sigma| = 1 the factors w_l^-sigma overflow to
+    inf or fall below the least normal double: each transform refuses, naming
+    2S and sigma, before it builds a T_lm table."""
+    def no_tables(twice_s):
+        raise AssertionError("a T_lm table was built")
+
+    monkeypatch.setattr(swt, "_diagonals", no_tables)
+    ctx = SpinContext(twice_s)
+    message = rf"at 2S = {twice_s}, sigma = {sigma} leave the normal double range"
+    with pytest.raises(ValueError, match=message):
+        swt.operator_to_symbol(np.zeros((ctx.hilbert_dim,) * 2), sigma, ctx)
+    with pytest.raises(ValueError, match=message):
+        swt.symbol_to_operator(np.zeros(ctx.symbol_dim), sigma, ctx)
+    with pytest.raises(ValueError, match=message):
+        swt.switch_ordering(np.zeros(ctx.symbol_dim), 0.0, sigma, ctx)
