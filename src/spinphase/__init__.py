@@ -7,7 +7,7 @@ evolution, star products, and classical (large-S) limits all run in
 coefficient space with controlled exactness.
 """
 
-from .su2_algebra import SpinContext, clebsch_gordan, spin_matrices, tensor_operator
+from .su2_algebra import SpinContext, spin_matrices
 from .sw_transform import (
     ANTINORMAL,
     NORMAL,
@@ -17,31 +17,22 @@ from .sw_transform import (
     operator_to_symbol,
     symbol_to_operator,
 )
-from .bopp import (
-    bopp_coefficients,
-    bopp_matrices,
-    evaluate_expression,
-    s3_star_ylm,
-    star_product,
-)
+from .bopp import bopp_coefficients, bopp_matrices, evaluate_expression
 from .dynamics import (
     BathSpec,
     classical_generators,
     classical_limit_scan,
     coherent_state,
     integrate,
-    master_rhs,
     qfp_generator,
 )
 
 __all__ = [
-    "SpinContext", "clebsch_gordan", "spin_matrices", "tensor_operator",
+    "SpinContext", "spin_matrices",
     "SYMMETRIC", "NORMAL", "ANTINORMAL",
     "operator_to_symbol", "symbol_to_operator", "kernel_eval", "expectation",
     "bopp_coefficients", "bopp_matrices", "evaluate_expression",
-    "star_product", "s3_star_ylm",
-    "BathSpec", "qfp_generator",
-    "master_rhs", "classical_generators",
+    "BathSpec", "qfp_generator", "classical_generators",
     "classical_limit_scan", "coherent_state", "integrate",
 ]
 

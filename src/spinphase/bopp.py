@@ -4,19 +4,19 @@ Left multiplication by S_i on the operator side becomes a band-limited
 matrix B_i on symbol coefficients: B_i = M_i F1 + K_i F2 + L_i/2, with
 shell-diagonal tables f1(l), f2(l) built from ratios of
 F(l) = sqrt((2S+l+1)!(2S-l)!).  Products of the B_i realize star products
-of symbols without ever leaving coefficient space; an independent oracle
-in the tests (conjugating actual left multiplication with the transform
-pair) pins the construction.
+of symbols without ever leaving coefficient space.  Oracles in
+tests/oracles.py pin the construction apart from it: left multiplication
+conjugated with the transform pair, the star product by the operator route
+and the analytic S3 star Y_lm.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import sphere_ops, sw_transform
-from .su2_algebra import log_factorial, spin_matrices
+from .su2_algebra import spin_matrices
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,6 @@ def bopp_matrices(ctx, sigma, band=None):
     return tuple((mk[i] @ f1d + mk[i + 3] @ f2d + 0.5 * l_ops[i]).tocsr() for i in range(3))
 
 
-def star_product(c_a, c_b, sigma, ctx):
-    """Coefficients of W_A star W_B via the exact operator route."""
-    op_a = sw_transform.symbol_to_operator(c_a, sigma, ctx)
-    op_b = sw_transform.symbol_to_operator(c_b, sigma, ctx)
-    return sw_transform.operator_to_symbol(op_a @ op_b, sigma, ctx)
-
-
 def validate_expression(expr):
     """Normalize a polynomial spin expression: list of (coeff, word).
 
@@ -161,53 +154,3 @@ def evaluate_expression(expr, mats):
     n = mats[0].shape[0]
     return _ordered_sum(validate_expression(expr), mats, sp.csr_matrix((n, n), dtype=complex),
                        sp.identity(n, dtype=complex, format="csr")).tocsr()
-
-
-def s3_star_ylm(ctx, sigma, l, m):
-    """Coefficients of (symbol of S3) star Y_lm by the analytic route.
-
-    Assembled literally from the kernel-product expansion: normalization
-    N_S = sqrt(2S+1) F^sigma(0), series weights a_0 = 1/(2S+1)!,
-    a_1 = -a_0/(2S+2), the S3 symbol amplitude
-    kappa = (S/(S+1))^{-sigma/2} sqrt(S(S+1)), and first-order ladder
-    operators acting on cos(theta).  The scalar prefactor
-    N_S a_0 kappa F^{1-sigma}(1) collapses to S+1 for every sigma; it is
-    evaluated in the log domain here rather than substituted.
-    """
-    sigma = sw_transform.validate_sigma(sigma)
-    if l != int(l) or not 0 <= l <= ctx.twice_s:
-        raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
-    if m != int(m) or abs(m) > l:
-        raise ValueError(f"m must be an integer with |m| <= l, got {m!r}")
-    l, m = int(l), int(m)
-    n2 = ctx.twice_s
-    s = ctx.s
-
-    def log_f(k):
-        return 0.5 * (log_factorial(n2 + k + 1) + log_factorial(n2 - k))
-
-    log_kappa = -0.5 * sigma * (math.log(s) - math.log(s + 1)) + 0.5 * (
-        math.log(s) + math.log(s + 1)
-    )
-    log_pref = (
-        0.5 * math.log(n2 + 1)          # sqrt(2S+1)
-        + sigma * log_f(0)              # F^sigma(0)
-        - log_factorial(n2 + 1)         # a_0 = 1/(2S+1)!
-        + log_kappa
-        + (1.0 - sigma) * log_f(1)      # F^{1-sigma}(1) from the S3 factor
-    )
-    pref = math.exp(log_pref)
-    series_ratio = 1.0 / (n2 + 2.0)     # -a_1/a_0
-
-    a1, a2, b1, b2 = sphere_ops.alpha_beta(l, m)
-    out = np.zeros(ctx.symbol_dim, dtype=complex)
-    # j = 1 term contributes -series_ratio * (i d/dphi) on the l shell
-    out[sphere_ops.flat_index(l, m)] = pref * series_ratio * m
-    # F(l)/F(l+1) and F(l)/F(l-1), each to the power 1 - sigma
-    if l + 1 <= n2:
-        rp_pow = ((n2 - l) / (n2 + l + 2)) ** (0.5 * (1.0 - sigma))
-        out[sphere_ops.flat_index(l + 1, m)] = pref * rp_pow * (a1 + series_ratio * b1)
-    if l >= 1 and abs(m) <= l - 1:  # at |m| = l the couplings a2, b2 vanish
-        rm_pow = ((n2 + l + 1) / (n2 - l + 1)) ** (0.5 * (1.0 - sigma))
-        out[sphere_ops.flat_index(l - 1, m)] = pref * rm_pow * (a2 + series_ratio * b2)
-    return out

@@ -110,20 +110,6 @@ def _block_band(h_expr, coupling, l_test, ctx):
 
 # --- Hilbert-space oracle -------------------------------------------------
 
-def master_rhs(rho, h, f, gamma, temperature):
-    """d(rho)/dt of the weak-coupling master equation (matrix in, matrix out).
-
-    -i[H,rho] - gamma T ([F, F rho] + h.c.) + (gamma/2)([F, [H,F] rho] + h.c.)
-    written out term by term; the trace of the result vanishes identically
-    and Hermiticity of rho is preserved.
-    """
-    comm = h @ rho - rho @ h
-    anti = f @ f @ rho + rho @ f @ f - 2.0 * (f @ rho @ f)
-    g = h @ f - f @ h
-    drift = f @ g @ rho - g @ rho @ f - rho @ g @ f + f @ rho @ g
-    return -1j * comm - gamma * temperature * anti + 0.5 * gamma * drift
-
-
 def vec_density(rho):
     """Column-stacked vectorization."""
     return np.asarray(rho, dtype=complex).flatten(order="F")
@@ -137,8 +123,9 @@ def unvec_density(v):
 
 
 def master_liouvillian(h, f, gamma, temperature):
-    """CSR matrix of master_rhs on column-stacked rho: vec(A X B) = (B^T k A) vec(X),
-    as sparse Kronecker products of the dense n x n products of master_rhs."""
+    """CSR matrix, on column-stacked rho, of the weak-coupling master equation
+    d(rho)/dt = -i[H,rho] - gamma T ([F, F rho] + h.c.) + (gamma/2)([F, [H,F] rho] + h.c.),
+    as sparse Kronecker products of dense n x n products: vec(A X B) = (B^T k A) vec(X)."""
     h = np.asarray(h, dtype=complex)
     f = np.asarray(f, dtype=complex)
     eye = sp.identity(h.shape[0], format="csr")

@@ -1,31 +1,16 @@
 """Exact SU(2) representation machinery.
 
-Log-domain factorials, Clebsch-Gordan coefficients (Condon-Shortley; the
-Racah sum, kept as the reference for the tables), spin matrices, the
-diagonals of the orthonormal irreducible tensor operators, and z-axis
-rotations.  Spin labels are carried as doubled integers (twice_s = 2S)
-so half-integer spins never touch floating point.
+Spin matrices, the diagonals of the orthonormal irreducible tensor operators
+(Jacobi eigenvectors, no Clebsch-Gordan sum), and z-axis rotations.  Spin
+labels are carried as doubled integers (twice_s = 2S) so half-integer spins
+never touch floating point.  The Racah-sum Clebsch-Gordan coefficients that
+the tables are checked against live in tests/oracles.py.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# ln(n!) table, grown on demand; entries are exact sums of math.log terms
-# and stay well above 14 significant digits for any n reachable here.
-_LOG_FACT = [0.0, 0.0]
-
-
-def log_factorial(n):
-    """ln(n!) for integer n >= 0."""
-    if n != int(n) or n < 0:
-        raise ValueError(f"log_factorial needs a non-negative integer, got {n!r}")
-    n = int(n)
-    while len(_LOG_FACT) <= n:
-        _LOG_FACT.append(_LOG_FACT[-1] + math.log(len(_LOG_FACT)))
-    return _LOG_FACT[n]
 
 
 @dataclass(frozen=True)
@@ -60,71 +45,6 @@ class SpinContext:
     @property
     def symbol_dim(self):
         return (self.twice_s + 1) ** 2
-
-
-def _check_jm(two_j, two_m, label):
-    if two_j != int(two_j) or two_m != int(two_m):
-        raise ValueError(f"{label}: doubled quantum numbers must be integers")
-    two_j, two_m = int(two_j), int(two_m)
-    if two_j < 0:
-        raise ValueError(f"{label}: negative j")
-    if (two_j + two_m) % 2:
-        raise ValueError(f"{label}: j and m differ by a non-integer")
-    if abs(two_m) > two_j:
-        raise ValueError(f"{label}: |m| exceeds j")
-    return two_j, two_m
-
-
-def clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_j, two_m):
-    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>, Condon-Shortley phase.
-
-    Arguments are doubled (two_j1 = 2*j1, ...).  Returns 0.0 when M != m1+m2
-    or the triangle condition fails; raises ValueError for invalid (j, m)
-    pairs.  Evaluated by the Racah sum with log-domain factorials.
-    """
-    two_j1, two_m1 = _check_jm(two_j1, two_m1, "j1")
-    two_j2, two_m2 = _check_jm(two_j2, two_m2, "j2")
-    two_j, two_m = _check_jm(two_j, two_m, "J")
-
-    if two_m != two_m1 + two_m2:
-        return 0.0
-    if not (abs(two_j1 - two_j2) <= two_j <= two_j1 + two_j2):
-        return 0.0
-    if (two_j1 + two_j2 + two_j) % 2:
-        return 0.0
-
-    def hf(x):  # halve a doubled value that is known to be even
-        return x // 2
-
-    # all factorial arguments below are integers once the parity checks pass
-    jjj = hf(two_j1 + two_j2 - two_j)
-    j1mj2 = hf(two_j1 - two_j2 + two_j)
-    j2mj1 = hf(-two_j1 + two_j2 + two_j)
-    jsum = hf(two_j1 + two_j2 + two_j)
-
-    log_pref = 0.5 * (
-        math.log(two_j + 1)
-        + log_factorial(jjj) + log_factorial(j1mj2) + log_factorial(j2mj1)
-        - log_factorial(jsum + 1)
-        + log_factorial(hf(two_j1 + two_m1)) + log_factorial(hf(two_j1 - two_m1))
-        + log_factorial(hf(two_j2 + two_m2)) + log_factorial(hf(two_j2 - two_m2))
-        + log_factorial(hf(two_j + two_m)) + log_factorial(hf(two_j - two_m))
-    )
-
-    k_min = max(0, hf(two_j2 - two_j - two_m1), hf(two_j1 + two_m2 - two_j))
-    k_max = min(jjj, hf(two_j1 - two_m1), hf(two_j2 + two_m2))
-    terms = []
-    for k in range(k_min, k_max + 1):
-        log_t = -(
-            log_factorial(k)
-            + log_factorial(jjj - k)
-            + log_factorial(hf(two_j1 - two_m1) - k)
-            + log_factorial(hf(two_j2 + two_m2) - k)
-            + log_factorial(hf(two_j - two_j2 + two_m1) + k)
-            + log_factorial(hf(two_j - two_j1 - two_m2) + k)
-        )
-        terms.append((-1.0) ** k * math.exp(log_pref + log_t))
-    return math.fsum(terms)
 
 
 def spin_matrices(ctx):
@@ -172,21 +92,6 @@ def tensor_blocks(twice_s):
         blocks[-m] = ((-1.0) ** l)[:, None] * vec[:, ::-1] if m else vec
         vec.flags.writeable = blocks[-m].flags.writeable = False
     return tuple(blocks[m] for m in range(-twice_s, n))
-
-
-def tensor_operator(ctx, l, m):
-    """Orthonormal irreducible tensor operator T_lm, Tr(T_l'm'^dag T_lm) = delta delta.
-
-    T_lm = sqrt((2l+1)/(2S+1)) sum_m' <S,m'; l,m | S,m'+m> |S,m'+m><S,m'|.
-    Nonzero entries sit on the single diagonal row = col - m; they are read
-    from tensor_blocks.
-    """
-    if l != int(l) or not 0 <= l <= ctx.twice_s:
-        raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
-    if m != int(m) or abs(m) > l:
-        raise ValueError(f"m must be an integer with |m| <= l, got {m!r}")
-    l, m = int(l), int(m)
-    return np.diag(tensor_blocks(ctx.twice_s)[ctx.twice_s + m][l - abs(m)], m).astype(complex)
 
 
 def rotation_z(ctx, angle):

@@ -3,10 +3,12 @@ no library path calls.
 
 They live here so the library cannot reuse the code that checks it.  Each
 one either computes a quantity by a route independent of the library's own
-(the harmonics from scipy, the Bopp matrices from the transform pair, the
-termwise generators from the sphere operators and shell tables, the
-symmetric tables from their closed form, the stationary state from a dense
-eigen-solve) or exposes a library quantity for a test to read.
+(the Clebsch-Gordan coefficients from the Racah sum, the harmonics from
+scipy, the Bopp matrices and the star product from the transform pair,
+S3 star Y_lm from the kernel-product expansion, the master equation term by
+term, the termwise generators from the sphere operators and shell tables,
+the symmetric tables from their closed form, the stationary state from a
+dense eigen-solve) or exposes a library quantity for a test to read.
 """
 
 import math
@@ -14,7 +16,104 @@ import math
 import numpy as np
 from scipy.special import sph_harm_y
 
-from spinphase import bopp, dynamics, sphere_ops, sw_transform
+from spinphase import bopp, dynamics, sphere_ops, su2_algebra, sw_transform
+
+# ln(n!) table, grown on demand; entries are exact sums of math.log terms
+# and stay well above 14 significant digits for any n reachable here.
+_LOG_FACT = [0.0, 0.0]
+
+
+def log_factorial(n):
+    """ln(n!) for integer n >= 0."""
+    if n != int(n) or n < 0:
+        raise ValueError(f"log_factorial needs a non-negative integer, got {n!r}")
+    n = int(n)
+    while len(_LOG_FACT) <= n:
+        _LOG_FACT.append(_LOG_FACT[-1] + math.log(len(_LOG_FACT)))
+    return _LOG_FACT[n]
+
+
+def _check_jm(two_j, two_m, label):
+    if two_j != int(two_j) or two_m != int(two_m):
+        raise ValueError(f"{label}: doubled quantum numbers must be integers")
+    two_j, two_m = int(two_j), int(two_m)
+    if two_j < 0:
+        raise ValueError(f"{label}: negative j")
+    if (two_j + two_m) % 2:
+        raise ValueError(f"{label}: j and m differ by a non-integer")
+    if abs(two_m) > two_j:
+        raise ValueError(f"{label}: |m| exceeds j")
+    return two_j, two_m
+
+
+def clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_j, two_m):
+    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>, Condon-Shortley phase.
+
+    Arguments are doubled (two_j1 = 2*j1, ...).  Returns 0.0 when M != m1+m2
+    or the triangle condition fails; raises ValueError for invalid (j, m)
+    pairs.  Evaluated by the Racah sum with log-domain factorials, the
+    reference for the library's Jacobi-eigenvector tables.
+    """
+    two_j1, two_m1 = _check_jm(two_j1, two_m1, "j1")
+    two_j2, two_m2 = _check_jm(two_j2, two_m2, "j2")
+    two_j, two_m = _check_jm(two_j, two_m, "J")
+
+    if two_m != two_m1 + two_m2:
+        return 0.0
+    if not (abs(two_j1 - two_j2) <= two_j <= two_j1 + two_j2):
+        return 0.0
+    if (two_j1 + two_j2 + two_j) % 2:
+        return 0.0
+
+    def hf(x):  # halve a doubled value that is known to be even
+        return x // 2
+
+    # all factorial arguments below are integers once the parity checks pass
+    jjj = hf(two_j1 + two_j2 - two_j)
+    j1mj2 = hf(two_j1 - two_j2 + two_j)
+    j2mj1 = hf(-two_j1 + two_j2 + two_j)
+    jsum = hf(two_j1 + two_j2 + two_j)
+
+    log_pref = 0.5 * (
+        math.log(two_j + 1)
+        + log_factorial(jjj) + log_factorial(j1mj2) + log_factorial(j2mj1)
+        - log_factorial(jsum + 1)
+        + log_factorial(hf(two_j1 + two_m1)) + log_factorial(hf(two_j1 - two_m1))
+        + log_factorial(hf(two_j2 + two_m2)) + log_factorial(hf(two_j2 - two_m2))
+        + log_factorial(hf(two_j + two_m)) + log_factorial(hf(two_j - two_m))
+    )
+
+    k_min = max(0, hf(two_j2 - two_j - two_m1), hf(two_j1 + two_m2 - two_j))
+    k_max = min(jjj, hf(two_j1 - two_m1), hf(two_j2 + two_m2))
+    terms = []
+    for k in range(k_min, k_max + 1):
+        log_t = -(
+            log_factorial(k)
+            + log_factorial(jjj - k)
+            + log_factorial(hf(two_j1 - two_m1) - k)
+            + log_factorial(hf(two_j2 + two_m2) - k)
+            + log_factorial(hf(two_j - two_j2 + two_m1) + k)
+            + log_factorial(hf(two_j - two_j1 - two_m2) + k)
+        )
+        terms.append((-1.0) ** k * math.exp(log_pref + log_t))
+    return math.fsum(terms)
+
+
+def tensor_operator(ctx, l, m):
+    """Orthonormal irreducible tensor operator T_lm, Tr(T_l'm'^dag T_lm) = delta delta.
+
+    T_lm = sqrt((2l+1)/(2S+1)) sum_m' <S,m'; l,m | S,m'+m> |S,m'+m><S,m'|.
+    Nonzero entries sit on the single diagonal row = col - m; they are read
+    from su2_algebra.tensor_blocks, so the tests can check those tables as
+    matrices.
+    """
+    if l != int(l) or not 0 <= l <= ctx.twice_s:
+        raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
+    if m != int(m) or abs(m) > l:
+        raise ValueError(f"m must be an integer with |m| <= l, got {m!r}")
+    l, m = int(l), int(m)
+    block = su2_algebra.tensor_blocks(ctx.twice_s)[ctx.twice_s + m]
+    return np.diag(block[l - abs(m)], m).astype(complex)
 
 
 def ylm_eval(l, m, theta, phi):
@@ -184,3 +283,80 @@ def two_set_qfp_generator(h_expr, bath, sigma, ctx, band=None):
     gen = gen + 4.0 * bath.gamma * bath.temperature * (im_f @ im_f)
     gen = gen - 2.0 * bath.gamma * (im_f @ im_g)
     return gen.tocsr()
+
+
+def star_product(c_a, c_b, sigma, ctx):
+    """Coefficients of W_A star W_B via the exact operator route."""
+    op_a = sw_transform.symbol_to_operator(c_a, sigma, ctx)
+    op_b = sw_transform.symbol_to_operator(c_b, sigma, ctx)
+    return sw_transform.operator_to_symbol(op_a @ op_b, sigma, ctx)
+
+
+def s3_star_ylm(ctx, sigma, l, m):
+    """Coefficients of (symbol of S3) star Y_lm by the analytic route.
+
+    Assembled literally from the kernel-product expansion: normalization
+    N_S = sqrt(2S+1) F^sigma(0), series weights a_0 = 1/(2S+1)!,
+    a_1 = -a_0/(2S+2), the S3 symbol amplitude
+    kappa = (S/(S+1))^{-sigma/2} sqrt(S(S+1)), and first-order ladder
+    operators acting on cos(theta).  The scalar prefactor
+    N_S a_0 kappa F^{1-sigma}(1) collapses to S+1 for every sigma; it is
+    evaluated in the log domain here rather than substituted.  The ladder
+    couplings are written in closed form,
+      cos(theta) Y_lm = alpha1 Y_{l+1,m} + alpha2 Y_{l-1,m},
+      sin(theta) dY_lm/dtheta = l alpha1 Y_{l+1,m} - (l+1) alpha2 Y_{l-1,m},
+    and the flat index l*l + l + m is formed inline, so nothing is shared
+    with the sphere operators that bopp_matrices is built from.
+    """
+    sigma = sw_transform.validate_sigma(sigma)
+    if l != int(l) or not 0 <= l <= ctx.twice_s:
+        raise ValueError(f"l must be an integer in [0, 2S], got {l!r}")
+    if m != int(m) or abs(m) > l:
+        raise ValueError(f"m must be an integer with |m| <= l, got {m!r}")
+    l, m = int(l), int(m)
+    n2 = ctx.twice_s
+    s = ctx.s
+
+    def log_f(k):
+        return 0.5 * (log_factorial(n2 + k + 1) + log_factorial(n2 - k))
+
+    log_kappa = -0.5 * sigma * (math.log(s) - math.log(s + 1)) + 0.5 * (
+        math.log(s) + math.log(s + 1)
+    )
+    log_pref = (
+        0.5 * math.log(n2 + 1)          # sqrt(2S+1)
+        + sigma * log_f(0)              # F^sigma(0)
+        - log_factorial(n2 + 1)         # a_0 = 1/(2S+1)!
+        + log_kappa
+        + (1.0 - sigma) * log_f(1)      # F^{1-sigma}(1) from the S3 factor
+    )
+    pref = math.exp(log_pref)
+    series_ratio = 1.0 / (n2 + 2.0)     # -a_1/a_0
+
+    out = np.zeros(ctx.symbol_dim, dtype=complex)
+    # j = 1 term contributes -series_ratio * (i d/dphi) on the l shell
+    out[l * l + l + m] = pref * series_ratio * m
+    # F(l)/F(l+1) and F(l)/F(l-1), each to the power 1 - sigma
+    if l + 1 <= n2:
+        alpha1 = math.sqrt((l - m + 1) * (l + m + 1) / ((2 * l + 1) * (2 * l + 3)))
+        rp_pow = ((n2 - l) / (n2 + l + 2)) ** (0.5 * (1.0 - sigma))
+        out[(l + 1) * (l + 2) + m] = pref * rp_pow * (alpha1 + series_ratio * l * alpha1)
+    if abs(m) <= l - 1:  # at |m| = l (and so at l = 0) the l - 1 couplings vanish
+        alpha2 = math.sqrt((l - m) * (l + m) / ((2 * l - 1) * (2 * l + 1)))
+        rm_pow = ((n2 + l + 1) / (n2 - l + 1)) ** (0.5 * (1.0 - sigma))
+        out[(l - 1) * l + m] = pref * rm_pow * (alpha2 - series_ratio * (l + 1) * alpha2)
+    return out
+
+
+def master_rhs(rho, h, f, gamma, temperature):
+    """d(rho)/dt of the weak-coupling master equation (matrix in, matrix out).
+
+    -i[H,rho] - gamma T ([F, F rho] + h.c.) + (gamma/2)([F, [H,F] rho] + h.c.)
+    written out term by term; the trace of the result vanishes identically
+    and Hermiticity of rho is preserved.
+    """
+    comm = h @ rho - rho @ h
+    anti = f @ f @ rho + rho @ f @ f - 2.0 * (f @ rho @ f)
+    g = h @ f - f @ h
+    drift = f @ g @ rho - g @ rho @ f - rho @ g @ f + f @ rho @ g
+    return -1j * comm - gamma * temperature * anti + 0.5 * gamma * drift

@@ -203,7 +203,7 @@ def test_qfp_generator_matches_master_equation_oracle(sigma):
     rho = _random_density(ctx, 11)
     lhs = gen @ swt.operator_to_symbol(rho, sigma, ctx)
     rhs = swt.operator_to_symbol(
-        dyn.master_rhs(rho, h, f, bath.gamma, bath.temperature), sigma, ctx)
+        oracles.master_rhs(rho, h, f, bath.gamma, bath.temperature), sigma, ctx)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -212,7 +212,7 @@ def test_master_rhs_preserves_trace_and_hermiticity():
     h = bopp.expression_to_matrix([(-1.0, (3,)), (0.2, (1, 1))], ctx)
     f = bopp.expression_to_matrix([(1.0, (1,))], ctx)
     rho = _random_density(ctx, 23)
-    out = dyn.master_rhs(rho, h, f, 0.3, 0.9)
+    out = oracles.master_rhs(rho, h, f, 0.3, 0.9)
     assert abs(np.trace(out)) < 1e-14
     np.testing.assert_allclose(out, out.conj().T, atol=1e-13)
 
@@ -223,7 +223,7 @@ def test_master_liouvillian_consistent_with_rhs():
     f = bopp.expression_to_matrix([(0.6, (1,)), (0.4, (2,))], ctx)
     rho = _random_density(ctx, 29)
     liou = dyn.master_liouvillian(h, f, 0.2, 1.1)
-    direct = dyn.master_rhs(rho, h, f, 0.2, 1.1)
+    direct = oracles.master_rhs(rho, h, f, 0.2, 1.1)
     via_vec = dyn.unvec_density(liou @ dyn.vec_density(rho))
     np.testing.assert_allclose(via_vec, direct, atol=1e-13)
 
@@ -238,7 +238,7 @@ def test_master_stationary_state_is_a_fixed_point_and_gibbs_like():
         rho_ss = oracles.master_stationary_state(h, f, gamma, temperature)
         assert np.trace(rho_ss).real == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rho_ss, rho_ss.conj().T, atol=1e-12)
-        resid = dyn.master_rhs(rho_ss, h, f, gamma, temperature)
+        resid = oracles.master_rhs(rho_ss, h, f, gamma, temperature)
         assert np.max(np.abs(resid)) < 1e-12
         gibbs = la.expm(-h / temperature)
         gibbs = gibbs / np.trace(gibbs).real

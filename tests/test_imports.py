@@ -1,7 +1,9 @@
-"""The library and `evolve` paths run on numpy and scipy.sparse alone, and
-only `cli` writes files."""
+"""The library and `evolve` paths run on numpy and scipy.sparse alone, only
+`cli` writes files, every public function has a caller in the package, and
+no module reaches the tests' oracles."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -110,10 +112,10 @@ def test_only_cli_writes_files():
             assert _file_writes(path.read_text()) == [], path.name
 
 
-def _unreferenced_definitions(sources, exported):
+def _unreferenced_definitions(sources):
     """"module.name" of each public top-level function or class in sources
     (module name -> source) that no module refers to, by name, outside its
-    own body, and that exported does not list."""
+    own body.  Being listed in __all__ does not count as a use."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     referenced = set()  # (module of the top-level statement, name it refers to)
     for module, tree in trees.items():
@@ -127,24 +129,70 @@ def _unreferenced_definitions(sources, exported):
     for module, tree in trees.items():
         for top in tree.body:
             if (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
-                    and top.name not in exported
                     and not any(name == top.name and (where, owner) != (module, top.name)
                                 for where, owner, name in referenced)):
                 found.append(f"{module}.{top.name}")
     return found
 
 
-def test_every_public_function_is_used_by_the_package_or_exported():
+def test_every_public_function_is_used_by_the_package():
     """Helpers and classes that only tests use belong in tests/oracles.py, so
-    that no library path can reuse the code that checks it."""
+    that no library path can reuse the code that checks it; only the command
+    line's entry points have no caller inside the package."""
     assert _unreferenced_definitions({
         "a": "def used():\n    pass\ndef recursive(n):\n    return recursive(n - 1)\n"
-             "def exported():\n    pass\ndef _private():\n    pass\n"
+             "def _private():\n    pass\n"
              "class Built:\n    pass\nclass Unused:\n    def make(self):\n"
              "        return Unused()\nclass _Hidden:\n    pass\n",
         "b": "from .a import used\ndef caller():\n    return a.used(), a.Built()\n",
-    }, {"exported"}) == ["a.recursive", "a.Unused", "b.caller"]
+        "__init__": "from .b import caller\n__all__ = ['caller']\n",
+    }) == ["a.recursive", "a.Unused", "b.caller"]
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     entry_points = {"cli.main", "cli.build_parser"}
-    assert [name for name in _unreferenced_definitions(sources, set(spinphase.__all__))
+    assert [name for name in _unreferenced_definitions(sources)
             if name not in entry_points] == []
+
+
+# the oracles that moved out of the library into tests/oracles.py
+MOVED = {"clebsch_gordan", "_check_jm", "log_factorial", "_LOG_FACT", "tensor_operator",
+         "star_product", "s3_star_ylm", "master_rhs"}
+
+
+def _oracle_links(source):
+    """Imports of oracles or of anything under tests in source, and its
+    definitions or imports of the MOVED names, as written."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] in ("oracles", "tests")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] in ("oracles", "tests"):
+                found.append(module)
+            found += [a.name for a in node.names if a.name in MOVED | {"oracles", "tests"}]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in MOVED:
+            found.append(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in MOVED:
+            found.append(node.id)
+    return found
+
+
+def test_no_library_module_reaches_the_moved_oracles():
+    """The Racah-sum CG and the other moved oracles exist only in the tests:
+    no module of spinphase imports them, tests or oracles, or defines them."""
+    assert sorted(_oracle_links(
+        "import oracles\nimport tests.oracles as o\nfrom tests import oracles\n"
+        "from oracles import clebsch_gordan\nfrom . import oracles\n"
+        "from .su2_algebra import log_factorial, spin_matrices\n"
+        "_LOG_FACT = [0.0]\ndef master_rhs():\n    pass\n"
+        "import os\nfrom .bopp import bopp_matrices\nlog_factorial_x = 1\n"
+    )) == ["_LOG_FACT", "clebsch_gordan", "log_factorial", "master_rhs", "oracles",
+           "oracles", "oracles", "oracles", "tests", "tests.oracles"]
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    for path in modules:
+        assert _oracle_links(path.read_text()) == [], path.name
+        module = importlib.import_module(
+            "spinphase" if path.stem == "__init__" else "spinphase." + path.stem)
+        assert sorted(name for name in MOVED if hasattr(module, name)) == [], path.name
+    assert MOVED.isdisjoint(spinphase.__all__)

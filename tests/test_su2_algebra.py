@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import is_hermitian
-from spinphase.su2_algebra import (
-    SpinContext,
-    clebsch_gordan,
-    rotation_z,
-    spin_matrices,
-    tensor_blocks,
-    tensor_operator,
-)
+from oracles import clebsch_gordan, is_hermitian, tensor_operator
+from spinphase.su2_algebra import SpinContext, rotation_z, spin_matrices, tensor_blocks
 
 
 # --- oracle: couple two spins by explicit diagonalization ------------------
