@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bopp, dynamics, sphere_ops, sw_transform
-from .su2_algebra import SpinContext, spin_matrices
+from .su2_algebra import SpinContext
 
 # the commands that gate on a tolerance, with its default; only symbol draws
 # random numbers, so only it reads a seed
@@ -27,22 +27,21 @@ _ALLOWED_KEYS = {
                "grid", "outputs", "tolerance"},
     "compare": {"spin", "sigma", "hamiltonian", "bath", "initial", "time",
                 "outputs", "tolerance"},
-    "limit-scan": {"scan", "sigma", "field", "xi", "gamma", "temperature",
-                   "outputs", "tolerance"},
+    "limit-scan": {"scan", "sigma", "hamiltonian", "bath", "outputs", "tolerance"},
     "kernel": {"spin", "sigma", "grid", "outputs"},
     "symbol": {"spin", "sigma", "operator", "grid", "outputs", "seed"},
 }
 
 # keys of the config sections by dotted path; those of "outputs" by command
 _SECTION_KEYS = {
-    "spin": {"twice_s"}, "hamiltonian": {"expression", "quadratic"},
-    "hamiltonian.quadratic": {"d", "b"}, "bath": {"coupling", "gamma", "temperature"},
+    "spin": {"twice_s"}, "hamiltonian": {"expression"},
+    "bath": {"coupling", "gamma", "temperature"},
     "initial": {"coherent", "mixed", "matrix_file"}, "initial.coherent": {"theta", "phi"},
     "time": {"t_end", "dt", "method"}, "grid": {"band_limit"},
     "scan": {"mode", "twice_s_values", "l_test", "expected_slope"},
-    "operator": {"spin_component", "expression", "random_hermitian"},
+    "operator": {"expression", "random_hermitian"},
 }
-_ONE_OF = {"hamiltonian", "initial", "operator"}  # each key is an alternative to the others
+_ONE_OF = {"initial", "operator"}  # each key is an alternative to the others
 # the keys of "outputs" by command, with each file's default name (None: the
 # file is written only when "outputs" names it); every run also writes this one
 _OUTPUTS = {"evolve": {"trajectory": "trajectory.csv", "grid": None},
@@ -96,19 +95,6 @@ def _flag(value, what):
     return value
 
 
-def _vector(value, what, entry=_finite):
-    """A JSON list of 3 entries, each read by entry: finite numbers by default."""
-    if not (isinstance(value, list) and len(value) == 3):
-        kind = "numbers" if entry is _finite else "rows of 3 numbers"
-        raise ValueError(f"{what} must be a list of 3 {kind}, got {value!r}")
-    return [entry(v, what) for v in value]
-
-
-def _optional(value, parse, what):
-    """parse(value, what), or None for an absent or null field."""
-    return None if value is None else parse(value, what)
-
-
 def _validate_keys(cfg, command):
     """Refuse unknown keys at the top level and in every section that is an
     object (a section of another type is refused where it is read), and a
@@ -158,23 +144,11 @@ def _parse_expression(obj):
 
 
 def _hamiltonian(cfg):
-    """The Hamiltonian as an expression; a "quadratic" {d, b} is the expression
-    of H = -sum_jk d_jk S_j S_k - sum_j b_j S_j.  An asymmetric d makes H
-    non-Hermitian, which qfp_generator refuses."""
+    """The Hamiltonian as an expression."""
     h = cfg.get("hamiltonian")
-    if not isinstance(h, dict):
-        raise ValueError('config needs a "hamiltonian" section')
-    if "expression" in h:
-        return _parse_expression(h["expression"])
-    if "quadratic" in h:
-        q = h["quadratic"]
-        if not isinstance(q, dict):
-            raise ValueError(f'hamiltonian "quadratic" must be an object, got {q!r}')
-        d = _vector(q.get("d", [[0.0] * 3] * 3), "hamiltonian quadratic d", _vector)
-        b = _vector(q.get("b", [0.0] * 3), "hamiltonian quadratic b")
-        return ([(-d[j][k], (j + 1, k + 1)) for j in range(3) for k in range(3) if d[j][k] != 0]
-                + [(-b[j], (j + 1,)) for j in range(3) if b[j] != 0])
-    raise ValueError('hamiltonian needs "expression" or "quadratic"')
+    if not isinstance(h, dict) or "expression" not in h:
+        raise ValueError('config needs "hamiltonian": {"expression": [[coeff, word], ...]}')
+    return _parse_expression(h["expression"])
 
 
 def _bath(cfg):
@@ -387,13 +361,12 @@ def _cmd_limit_scan(cfg, paths, tolerance):
     twice_s_values = [_integer(t, "scan twice_s_values entry") for t in twice_s_values]
     l_test = _integer(scan.get("l_test", 3), "scan l_test")
     sigma = _sigma(cfg)
-    expected = _optional(scan.get("expected_slope"), _finite, "scan expected_slope")
-    result = dynamics.classical_limit_scan(
-        scan.get("mode", "bilinear"), twice_s_values, sigma, l_test,
-        b=_optional(cfg.get("field"), _vector, "field"),
-        xi=_optional(cfg.get("xi"), _vector, "xi"),
-        gamma=_optional(cfg.get("gamma"), _number, "gamma"),
-        temperature=_optional(cfg.get("temperature"), _number, "temperature"))
+    expected = scan.get("expected_slope")
+    if expected is not None:
+        expected = _finite(expected, "scan expected_slope")
+    h = _hamiltonian(cfg) if "hamiltonian" in cfg else None
+    result = dynamics.classical_limit_scan(scan.get("mode", "bilinear"), twice_s_values, sigma,
+                                           l_test, h=h, bath=_bath(cfg))
     _write_csv(paths["scan"], "S,deviation", zip(result["s_values"], result["deviations"]))
     slope = result["slope"]
     print(f"slope = {slope:.6f}")
@@ -428,12 +401,7 @@ def _cmd_symbol(cfg, paths, rng):
     op_spec = cfg.get("operator")
     if not isinstance(op_spec, dict):
         raise ValueError('config needs an "operator" section')
-    if "spin_component" in op_spec:
-        k = _integer(op_spec["spin_component"], "spin_component")
-        if k not in (1, 2, 3):
-            raise ValueError("spin_component must be 1, 2 or 3")
-        mat = spin_matrices(ctx)[k - 1]
-    elif "expression" in op_spec:
+    if "expression" in op_spec:
         mat = bopp.expression_to_matrix(_parse_expression(op_spec["expression"]), ctx)
     elif _flag(op_spec.get("random_hermitian", False), "operator random_hermitian"):
         n = ctx.hilbert_dim
@@ -441,7 +409,7 @@ def _cmd_symbol(cfg, paths, rng):
         mat = (raw + raw.conj().T) / 2.0
     else:
         raise ValueError(
-            'operator needs "spin_component", "expression" or "random_hermitian"')
+            'operator needs "expression" or "random_hermitian"')
     c = sw_transform.operator_to_symbol(mat, sigma, ctx)
     # a self-check of the transform, reported only: symbol gates on no tolerance
     back = sw_transform.symbol_to_operator(c, sigma, ctx)

@@ -86,19 +86,6 @@ def qfp_generator(h_expr, bath, sigma, ctx, band=None):
     return gen.tocsr()
 
 
-def _three_vector(v, name):
-    v = np.asarray(v)
-    if v.shape != (3,) or not np.isrealobj(v):
-        raise ValueError(f"{name} must be a real 3-vector")
-    return v.astype(float)
-
-
-def bilinear_lambda(ctx, gamma, xi):
-    """Diffusion matrix S gamma xi_j xi_k of the isotropic bilinear coupling."""
-    xi = _three_vector(xi, "xi")
-    return ctx.s * gamma * np.outer(xi, xi)
-
-
 def _block_band(h_expr, coupling, l_test, ctx):
     """Least band at which qfp_generator's l <= l_test block is the band-2S one:
     its longest product, Im(F) Im([H, F]), has deg H + 2 deg F Bopp factors,
@@ -390,56 +377,64 @@ def _submatrix(gen, l_test):
     return gen[:n, :n].toarray()
 
 
-def classical_limit_scan(mode, twice_s_values, sigma, l_test,
-                         b=None, xi=None, gamma=None, temperature=None):
+def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None):
     """Deviation-vs-S scan for the classical limit; returns dict with
     s_values, deviations and the fitted log-log slope.
 
     Modes:
-      "bilinear": qfp_generator for H = -b.S and F = xi.S against the
-        classical Fokker-Planck generator of H = -S b.m with
-        Lam = S gamma xi xi^T, on the l <= l_test block (relative operator
-        norm), both built at the band of _block_band; decays like 1/S, and
-        is rounding at gamma = 0, where both are the drift i b.L.  Needs b,
-        xi, gamma and temperature, with b or gamma xi non-zero.
+      "bilinear": the quantum generator against the classical Fokker-Planck
+        generator of a classical Hamiltonian h(m), a word expression with
+        real coefficients, and a BathSpec bath whose coupling F = xi.S is
+        linear with real coefficients.  A word w with coefficient c stands
+        for c S^(1 - len w) S_w on the quantum side, so H = S h(S/S), and for
+        S c m_w on the classical side, with Lam = S gamma xi xi^T.  Each point
+        compares qfp_generator with classical_generators on the l <= l_test
+        block (relative operator norm), both built at the band of
+        _block_band; the deviation decays like 1/S, and is rounding for a
+        linear h at gamma = 0, where both are the same drift.  Needs h and
+        bath, with a non-constant h or gamma xi non-zero.
       "asymptotics": relative sup deviation between the exact shell tables
         (f1, f2) and their large-S approximations over l <= l_test.  The
         deviation is measured relative to the exact values (f2 itself is
         O(1/S), so its relative error is the O(1/S^2) quantity of interest).
-        Refuses b, xi, gamma and temperature, which it does not read.
+        Refuses h and bath, which it does not read.
     """
     if mode not in ("bilinear", "asymptotics"):
         raise ValueError(f'scan mode must be "bilinear" or "asymptotics", got {mode!r}')
-    fields = {"field vector b": b, "xi": xi, "gamma": gamma, "temperature": temperature}
-    wrong = [name for name, v in fields.items() if (v is None) == (mode == "bilinear")]
-    if wrong:  # bilinear reads every one of them, asymptotics none
+    wrong = [name for name, v in (("h", h), ("bath", bath)) if (v is None) == (mode == "bilinear")]
+    if wrong:  # bilinear reads both, asymptotics neither
         raise ValueError(f"{mode} mode {'needs' if mode == 'bilinear' else 'reads no'} "
                          f"{', '.join(wrong)}")
     sigma = sw_transform.validate_sigma(sigma)
     if len({int(t) for t in twice_s_values}) < 2:  # one S fits no slope
         raise ValueError(f"twice_s_values needs at least two distinct values, "
                          f"got {list(twice_s_values)}")
+    contexts = [SpinContext(t) for t in twice_s_values]
     if l_test < 0:
         raise ValueError(f"l_test must be >= 0, got {l_test}")
     if l_test == 0 and mode != "asymptotics":
         raise ValueError(f"scan l_test = 0 compares nothing in {mode} mode: every generator "
                          "annihilates shell 0, so the deviation is 0/0; use l_test >= 1")
-    if l_test > min(int(t) for t in twice_s_values) - 2:
-        raise ValueError(
-            f"l_test = {l_test} exceeds min(2S) - 2 = "
-            f"{min(int(t) for t in twice_s_values) - 2}; the truncated top "
-            "shells would contaminate the compared block")
+    top = min(ctx.band_limit for ctx in contexts) - 2
+    if l_test > top:
+        raise ValueError(f"l_test = {l_test} exceeds min(2S) - 2 = {top}; the truncated top "
+                         "shells would contaminate the compared block")
     if mode == "bilinear":
-        b, xi = _three_vector(b, "field vector b"), _three_vector(xi, "xi")
-        h_expr = [(-bk, (k + 1,)) for k, bk in enumerate(b)]
-        bath = BathSpec([(x, (k + 1,)) for k, x in enumerate(xi)], gamma, temperature)
-        if not np.any(b) and not (gamma and np.any(xi)):
-            raise ValueError("a bilinear scan with b = 0 and gamma xi = 0 compares nothing: "
-                             "the classical generator is zero, so the deviation is 0/0")
+        h = bopp.validate_expression(h)
+        if any(coeff.imag for coeff, _ in h):  # before any point is computed
+            raise ValueError("the scan's h takes real coefficients only")
+        xi = np.zeros(3)
+        for coeff, word in bath.coupling:
+            if len(word) != 1 or coeff.imag:
+                raise ValueError(f"the scan's coupling must be xi.S with real xi, got the "
+                                 f"term {coeff:g} on the word {word}")
+            xi[word[0] - 1] += coeff.real
+        if not any(coeff and word for coeff, word in h) and not (bath.gamma and np.any(xi)):
+            raise ValueError("a bilinear scan with a constant h and gamma xi = 0 compares "
+                             "nothing: the classical generator is zero, so the deviation is 0/0")
     s_values = []
     deviations = []
-    for twice_s in twice_s_values:
-        ctx = SpinContext(twice_s)
+    for ctx in contexts:
         s_values.append(ctx.s)
         if mode == "asymptotics":
             l = np.arange(l_test + 1)
@@ -449,11 +444,12 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test,
             rel = np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-300)
             deviations.append(np.max(rel))
             continue
-        band = _block_band(h_expr, bath.coupling, l_test, ctx)
-        q_sub = _submatrix(qfp_generator(h_expr, bath, sigma, ctx, band), l_test)
-        c_sub = _submatrix(classical_generators([(ctx.s * c, w) for c, w in h_expr],
-                                                bilinear_lambda(ctx, gamma, xi),
-                                                temperature, band, ctx.s)[1], l_test)
+        h_quantum = [(c * ctx.s ** (1 - len(w)), w) for c, w in h]
+        band = _block_band(h_quantum, bath.coupling, l_test, ctx)
+        q_sub = _submatrix(qfp_generator(h_quantum, bath, sigma, ctx, band), l_test)
+        c_sub = _submatrix(classical_generators([(ctx.s * c, w) for c, w in h],
+                                                ctx.s * bath.gamma * np.outer(xi, xi),
+                                                bath.temperature, band, ctx.s)[1], l_test)
         deviations.append(np.linalg.norm(q_sub - c_sub, 2) / np.linalg.norm(c_sub, 2))
     s_values = np.asarray(s_values, dtype=float)
     deviations = np.asarray(deviations, dtype=float)

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import oracles
 from spinphase import bopp
@@ -196,9 +195,8 @@ def test_criterion_07_dissipative_flow_matches_master_equation():
 
 def test_criterion_08_bilinear_generator_converges_to_classical():
     start = time.monotonic()
-    out = dyn.classical_limit_scan("bilinear", [10, 20, 40, 80], -1.0, 3,
-                                   b=[0.0, 0.0, 1.0], xi=[1.0, 0.0, 0.0],
-                                   gamma=2.0, temperature=0.1)
+    out = dyn.classical_limit_scan("bilinear", [10, 20, 40, 80], -1.0, 3, h=[(-1.0, (3,))],
+                                   bath=dyn.BathSpec(((1.0, (1,)),), 2.0, 0.1))
     elapsed = time.monotonic() - start
     slope = out["slope"]
     ok = abs(slope + 1.0) <= 0.2 and elapsed < 60.0
@@ -269,7 +267,7 @@ def test_criterion_11_integrator_order_and_conservation():
     assert ok
 
 
-def test_criterion_12_sign_and_index_regressions():
+def test_criterion_12_sign_and_index_regressions(monkeypatch):
     # square of the S3 symbol at S = 1/2, symmetric ordering: the product
     # rule must return the constant 1/4, which pins the sign under the
     # radical in the symmetric shell table
@@ -281,12 +279,19 @@ def test_criterion_12_sign_and_index_regressions():
     target[0] = 0.25 * math.sqrt(4 * math.pi)
     star_dev = float(np.max(np.abs(out - target)))
 
-    # diffusion matrix of a linear coupling: full outer product xi_j xi_k,
-    # not its diagonal or trace
+    # diffusion matrix of a linear coupling, as the bilinear scan hands it to
+    # the classical generators: full outer product xi_j xi_k, not its diagonal
+    # or trace
     ctx2 = SpinContext(5)
     xi = np.array([0.3, -1.2, 0.5])
     gamma = 0.7
-    lam = dyn.bilinear_lambda(ctx2, gamma, xi)
+    lams = []
+    generators = dyn.classical_generators
+    monkeypatch.setattr(dyn, "classical_generators",
+                        lambda h, lam, *rest: lams.append(lam) or generators(h, lam, *rest))
+    dyn.classical_limit_scan("bilinear", [5, 6], 0.0, 3, h=[(-1.0, (3,))],
+                             bath=dyn.BathSpec(oracles.linear_expression(xi), gamma, 1.0))
+    lam = lams[0]
     lam_dev = float(np.max(np.abs(lam - ctx2.s * gamma * np.outer(xi, xi))))
     off_ok = abs(lam[0, 1] - ctx2.s * gamma * xi[0] * xi[1]) < 1e-15 \
         and lam[0, 1] != 0.0

@@ -5,7 +5,6 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import oracles
 from spinphase import bopp

@@ -70,43 +70,24 @@ def test_evolve_outputs_are_byte_identical_across_runs(tmp_path):
 
 
 def test_evolve_quadratic_hamiltonian_without_bath(tmp_path):
-    cfg = _evolve_config(hamiltonian={"quadratic": {
-        "d": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.2]],
-        "b": [0.0, 0.0, 1.0]}})
+    cfg = _evolve_config(hamiltonian={"expression": [[-0.2, [3, 3]], [-1.0, [3]]]})
     del cfg["bath"]
     cfg_path = _write(tmp_path, "run.json", cfg)
     assert cli.main(["evolve", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 0
 
 
-def test_quadratic_config_runs_as_its_expression_twin(tmp_path):
-    """A "quadratic" Hamiltonian is the expression -d_jk S_j S_k - b_j S_j,
-    term by term in the same order: both configs write the same bytes."""
-    d = [[0.1, 0.05, 0.0], [0.05, -0.2, 0.0], [0.0, 0.0, 0.3]]
-    b = [0.2, 0.0, 1.0]
-    twin = [[-d[j][k], [j + 1, k + 1]] for j in range(3) for k in range(3) if d[j][k]]
-    twin += [[-b[j], [j + 1]] for j in range(3) if b[j]]
-    for name, h in (("quadratic", {"quadratic": {"d": d, "b": b}}), ("expression",
-                                                                     {"expression": twin})):
-        cfg = _evolve_config(hamiltonian=h, sigma=0.3)
-        assert cli.main(["evolve", "--config", _write(tmp_path, f"{name}.json", cfg),
-                         "--out", str(tmp_path / name)]) == 0
-    assert (tmp_path / "quadratic" / "trajectory.csv").read_bytes() == \
-           (tmp_path / "expression" / "trajectory.csv").read_bytes()
-
-
 @pytest.mark.parametrize("command", ["evolve", "compare"])
 def test_asymmetric_quadratic_d_exits_one_as_non_hermitian(tmp_path, capsys, command):
-    """d_12 = 1 alone makes H = -S1 S2, which is not Hermitian: the run exits 1
-    before writing anything.  Its symmetric half, d_12 = d_21 = 0.5, runs."""
-    d = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    cfg = _evolve_config(hamiltonian={"quadratic": {"d": d}})
+    """H = -sum d_jk S_j S_k with d_12 = 1 alone is -S1 S2, which is not
+    Hermitian: the run exits 1 before writing anything.  Its symmetric half,
+    d_12 = d_21 = 0.5, runs."""
+    cfg = _evolve_config(hamiltonian={"expression": [[-1.0, [1, 2]]]})
     assert cli.main([command, "--config", _write(tmp_path, "bad.json", cfg),
                      "--out", str(tmp_path / "bad")]) == 1
     assert "error: Hamiltonian must be Hermitian" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
-    d[0][1] = d[1][0] = 0.5
-    cfg = _evolve_config(hamiltonian={"quadratic": {"d": d}})
+    cfg = _evolve_config(hamiltonian={"expression": [[-0.5, [1, 2]], [-0.5, [2, 1]]]})
     assert cli.main([command, "--config", _write(tmp_path, "good.json", cfg),
                      "--out", str(tmp_path / "good")]) == 0
 
@@ -205,7 +186,8 @@ def test_evolve_rejects_an_unstable_rk4_step_before_writing(
     assert len(rows) == 2 + round(t_end / stable)
 
 
-@pytest.mark.parametrize("hamiltonian", [{"quadratic": {}}, {"expression": [[0.0, [3]]]}],
+# an empty expression is the twin of the removed "quadratic": {}
+@pytest.mark.parametrize("hamiltonian", [{"expression": []}, {"expression": [[0.0, [3]]]}],
                          ids=["empty-quadratic", "zero-coefficient"])
 def test_rk4_preflight_passes_a_zero_generator(tmp_path, hamiltonian):
     """G = 0 has nothing to amplify: rk4 runs it, as expm does."""
@@ -538,7 +520,7 @@ def test_limit_scan_bilinear_without_damping_reports_vanishing_deviation(tmp_pat
         "scan": {"mode": "bilinear", "twice_s_values": [6, 10, 14],
                  "l_test": 3, "expected_slope": -1.0},
         "sigma": 0.0,
-        "field": [0.3, -0.2, 1.0],
+        "hamiltonian": {"expression": [[-0.3, [1]], [0.2, [2]], [-1.0, [3]]]},
     }
     cfg_path = _write(tmp_path, "scan.json", cfg)
     rc = cli.main(["limit-scan", "--config", cfg_path,
@@ -557,10 +539,8 @@ def test_limit_scan_bilinear_slope_gate(tmp_path):
         "scan": {"mode": "bilinear", "twice_s_values": [10, 20, 40],
                  "l_test": 3, "expected_slope": -1.0},
         "sigma": -1.0,
-        "field": [0.0, 0.0, 1.0],
-        "xi": [1.0, 0.0, 0.0],
-        "gamma": 2.0,
-        "temperature": 0.1,
+        "hamiltonian": {"expression": [[-1.0, [3]]]},
+        "bath": {"coupling": [[1.0, [1]]], "gamma": 2.0, "temperature": 0.1},
     }
     cfg_path = _write(tmp_path, "scan.json", cfg)
     assert cli.main(["limit-scan", "--config", cfg_path,
@@ -628,7 +608,7 @@ def test_kernel_streams_its_output(tmp_path):
 
 def test_symbol_spin_component_matches_library(tmp_path):
     cfg = {"spin": {"twice_s": 2}, "sigma": 0.0,
-           "operator": {"spin_component": 3}}
+           "operator": {"expression": [[1.0, [3]]]}}
     cfg_path = _write(tmp_path, "s.json", cfg)
     assert cli.main(["symbol", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 0
@@ -673,7 +653,7 @@ def test_commands_refuse_a_seed_or_tolerance_they_do_not_read(tmp_path, capsys, 
     written, and the resolved config of a run without it does not echo it."""
     cfg = {"evolve": _evolve_config(), "compare": _evolve_config(),
            "limit-scan": json.loads(json.dumps(_SCAN_BASE)), "kernel": {"spin": {"twice_s": 2}},
-           "symbol": {"spin": {"twice_s": 2}, "operator": {"spin_component": 3}}}[command]
+           "symbol": {"spin": {"twice_s": 2}, "operator": {"expression": [[1.0, [3]]]}}}[command]
     good = _write(tmp_path, "good.json", cfg)
     argv = [command, "--out", str(tmp_path / "o")]
     if where == "flag":
@@ -707,7 +687,7 @@ def test_validation_failures_exit_one(tmp_path, capsys):
     assert rc == 1
     assert "unknown config keys" in capsys.readouterr().err
 
-    cfg = {"spin": {"twice_s": 2}, "operator": {"spin_component": 7}}
+    cfg = {"spin": {"twice_s": 2}, "operator": {"expression": [[1.0, [7]]]}}
     cfg_path = _write(tmp_path, "comp.json", cfg)
     assert cli.main(["symbol", "--config", cfg_path,
                      "--out", str(tmp_path / "o")]) == 1
@@ -743,8 +723,8 @@ def _with(cfg, path, value):
 
 
 _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test": 3},
-                "field": [0.0, 0.0, 1.0], "xi": [1.0, 0.0, 0.0], "gamma": 0.1,
-                "temperature": 1.0}
+                "hamiltonian": {"expression": [[-1.0, [3]]]},
+                "bath": {"coupling": [[1.0, [1]]], "gamma": 0.1, "temperature": 1.0}}
 
 
 @pytest.mark.parametrize("command, path, value, message", [
@@ -755,18 +735,21 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("evolve", "outputs", [], '"outputs" must map names'),
     ("symbol", "seed", 2.7, "seed must be an integer"),
     ("limit-scan", "scan.l_test", 3.7, "scan l_test must be an integer"),
-    ("evolve", "hamiltonian", {"quadratic": []}, 'hamiltonian "quadratic" must be an object'),
-    ("symbol", "operator.spin_component", 1.5, "spin_component must be an integer"),
+    # the removed forms: whatever they hold, the key itself is refused
+    ("evolve", "hamiltonian", {"quadratic": []},
+     'unknown config keys in "hamiltonian" for evolve: quadratic'),
+    ("symbol", "operator", {"spin_component": 1.5},
+     'unknown config keys in "operator" for symbol: spin_component'),
     ("limit-scan", "scan.twice_s_values", 5, 'scan needs "twice_s_values"'),
     ("limit-scan", "scan.twice_s_values", [8, 12.5],
      "scan twice_s_values entry must be an integer"),
     ("limit-scan", "scan.mode", "foo", "scan mode must be"),
     ("limit-scan", "scan.mode", "unitary", 'scan mode must be "bilinear" or "asymptotics"'),
-    ("limit-scan", "field", [0, 0], "field must be a list of 3 numbers"),
-    ("limit-scan", "xi", [1.0, 0.0, None], "xi must be a number"),
+    ("limit-scan", "field", [0, 0], "unknown config keys for limit-scan: field"),
+    ("limit-scan", "xi", [1.0, 0.0, None], "unknown config keys for limit-scan: xi"),
     ("limit-scan", "scan.expected_slope", [1], "scan expected_slope must be a number"),
-    ("limit-scan", "temperature", "hot", "temperature must be a number"),
-    ("limit-scan", "gamma", True, "gamma must be a number"),
+    ("limit-scan", "temperature", "hot", "unknown config keys for limit-scan: temperature"),
+    ("limit-scan", "gamma", True, "unknown config keys for limit-scan: gamma"),
     ("evolve", "hamiltonian.expression", [[-1.0, 3]], "expression term [-1.0, 3] is not"),
     ("evolve", "bath.coupling", [[1.0, 1]], "expression term [1.0, 1] is not"),
     ("evolve", "hamiltonian.expression", [[None, [3]]], "coefficient must be a number"),
@@ -782,16 +765,16 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("symbol", "operator", {"expression": [[None, [1]]]}, "coefficient must be a number"),
     ("symbol", "operator", {"random_hermitian": "no"},
      "operator random_hermitian must be true or false"),
+    # the removed "quadratic" form, malformed: refused by its key before its content
     ("evolve", "hamiltonian", {"quadratic": {"d": {}}},
-     "hamiltonian quadratic d must be a list of 3 rows of 3 numbers"),
+     'unknown config keys in "hamiltonian" for evolve: quadratic'),
     ("evolve", "hamiltonian", {"quadratic": {"d": [[0, 0, 0], [0, None, 0], [0, 0, 0]]}},
-     "hamiltonian quadratic d must be a number"),
+     'unknown config keys in "hamiltonian" for evolve: quadratic'),
     ("evolve", "hamiltonian", {"quadratic": {"b": [True, 0, 1]}},
-     "hamiltonian quadratic b must be a number"),
+     'unknown config keys in "hamiltonian" for evolve: quadratic'),
     ("evolve", "hamiltonian", {"quadratic": {"d": [[0, 0, 0], [0, 0], [0, 0, 0]]}},
-     "hamiltonian quadratic d must be a list of 3 numbers"),
-    ("evolve", "hamiltonian", {"quadratic": {"d": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}},
-     "Hamiltonian must be Hermitian"),
+     'unknown config keys in "hamiltonian" for evolve: quadratic'),
+    ("evolve", "hamiltonian.expression", [[-1.0, [1, 2]]], "Hamiltonian must be Hermitian"),
     ("evolve", "initial.coherent.theta", math.inf, "coherent theta must be finite"),
     ("evolve", "initial.coherent.phi", math.inf, "coherent phi must be finite"),
     ("evolve", "hamiltonian.expression", [[math.nan, [3]]], "coefficient must be finite"),
@@ -800,17 +783,25 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("evolve", "bath.coupling", [[math.nan, [1]]], "coefficient must be finite"),
     ("compare", "bath.coupling", [[[1.0, -math.inf], [1]]], "coefficient im must be finite"),
     ("evolve", "hamiltonian", {"quadratic": {"d": [[math.inf, 0, 0], [0, 0, 0], [0, 0, 0]]}},
-     "hamiltonian quadratic d must be finite"),
+     'unknown config keys in "hamiltonian" for evolve: quadratic'),
     ("evolve", "hamiltonian", {"quadratic": {"b": [0, 0, math.nan]}},
-     "hamiltonian quadratic b must be finite"),
-    ("limit-scan", "field", [0, 0, math.nan], "field must be finite"),
-    ("limit-scan", "xi", [math.inf, 0, 0], "xi must be finite"),
+     'unknown config keys in "hamiltonian" for evolve: quadratic'),
+    ("limit-scan", "field", [0, 0, math.nan], "unknown config keys for limit-scan: field"),
+    ("limit-scan", "xi", [math.inf, 0, 0], "unknown config keys for limit-scan: xi"),
     ("limit-scan", "scan.expected_slope", math.nan, "scan expected_slope must be finite"),
     ("limit-scan", "scan.l_test", -1, "l_test must be >= 0"),
     ("limit-scan", "scan.twice_s_values", [40],
      "twice_s_values needs at least two distinct values"),
     ("limit-scan", "scan.twice_s_values", [40, 40],
      "twice_s_values needs at least two distinct values"),
+    ("limit-scan", "scan.twice_s_values", [0, 10], "twice_s must be >= 1"),
+    ("limit-scan", "hamiltonian.expression", [[math.nan, [3]]], "coefficient must be finite"),
+    ("limit-scan", "hamiltonian.expression", [[1.0, [1, 2]]], "Hamiltonian must be Hermitian"),
+    ("limit-scan", "hamiltonian", [], 'config needs "hamiltonian"'),
+    ("limit-scan", "bath.coupling", [[1.0, [1, 2]]], "the scan's coupling must be xi.S"),
+    ("limit-scan", "bath.coupling", [[[1.0, 0.5], [1]]], "the scan's coupling must be xi.S"),
+    ("limit-scan", "bath.temperature", "hot", "bath temperature must be a number"),
+    ("limit-scan", "bath", [], '"bath" must be an object'),
 ], ids=["theta-null", "dt-null", "gamma-null", "bath-list", "outputs-list",
         "seed-fractional", "l-test-fractional", "quadratic-list", "spin-component-fractional",
         "twice-s-values-number", "twice-s-values-fractional", "scan-mode-unknown",
@@ -825,14 +816,16 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
         "coeff-re-infinite", "coupling-coeff-nan", "compare-coeff-im-infinite",
         "quadratic-d-infinite", "quadratic-b-nan", "field-nan", "xi-infinite",
         "expected-slope-nan", "l-test-negative", "twice-s-values-one",
-        "twice-s-values-repeated"])
+        "twice-s-values-repeated", "twice-s-values-zero", "scan-coeff-nan",
+        "scan-h-non-hermitian", "scan-hamiltonian-list", "scan-coupling-word-long",
+        "scan-coupling-complex", "scan-temperature-string", "scan-bath-list"])
 def test_malformed_field_types_exit_one_at_parse(tmp_path, capsys, command, path, value,
                                                   message):
     """A null number, a list where an object belongs or a fractional integer
     is refused with an error line: no traceback, no truncation, no files."""
     base = {"evolve": _evolve_config(), "compare": _evolve_config(),
             "limit-scan": json.loads(json.dumps(_SCAN_CONFIG)),
-            "symbol": {"spin": {"twice_s": 2}, "operator": {"spin_component": 1}}}[command]
+            "symbol": {"spin": {"twice_s": 2}, "operator": {"expression": [[1.0, [1]]]}}}[command]
     cfg = _with(base, path, value)
     out = tmp_path / "o"
     assert cli.main([command, "--config", _write(tmp_path, "bad.json", cfg),
@@ -856,8 +849,8 @@ def test_output_names_must_be_plain_file_names(tmp_path, capsys, name):
 # a bilinear scan at gamma = 0, where both generators are the drift i b.L: its
 # deviations are rounding, so it exits 0 whatever slope a test expects
 _SCAN_BASE = {"scan": {"mode": "bilinear", "twice_s_values": [6, 10]},
-              "field": [0.0, 0.0, 1.0], "xi": [1.0, 0.0, 0.0], "gamma": 0.0,
-              "temperature": 1.0}
+              "hamiltonian": {"expression": [[-1.0, [3]]]},
+              "bath": {"coupling": [[1.0, [1]]], "gamma": 0.0, "temperature": 1.0}}
 
 
 @pytest.mark.parametrize("command, outputs", [
@@ -875,7 +868,7 @@ def test_two_output_files_of_one_name_are_refused(tmp_path, capsys, command, out
     the run exits 1 before anything is written."""
     base = {"evolve": _evolve_config(), "compare": _evolve_config(),
             "limit-scan": _SCAN_BASE, "kernel": {"spin": {"twice_s": 2}},
-            "symbol": {"spin": {"twice_s": 2}, "operator": {"spin_component": 3}}}[command]
+            "symbol": {"spin": {"twice_s": 2}, "operator": {"expression": [[1.0, [3]]]}}}[command]
     cfg_path = _write(tmp_path, "bad.json", {**base, "outputs": outputs})
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     assert "would overwrite another file of the run" in capsys.readouterr().err
@@ -899,28 +892,37 @@ def test_limit_scan_refuses_l_test_zero_where_it_compares_nothing(tmp_path, caps
 
 
 @pytest.mark.parametrize("key, value", [
-    ("field", [0.0, 0.0, 1.0]), ("xi", [1.0, 0.0, 0.0]), ("gamma", 0.0), ("temperature", 1.0)])
+    ("field", [0.0, 0.0, 1.0]), ("xi", [1.0, 0.0, 0.0]), ("gamma", 0.0), ("temperature", 1.0),
+    ("hamiltonian", {"expression": [[-1.0, [3]]]}), ("bath", {"coupling": [[1.0, [1]]]})])
 def test_asymptotics_scan_refuses_each_key_it_does_not_read(tmp_path, capsys, key, value):
-    """An asymptotics scan compares shell tables, which no field or bath enters,
-    so each of those keys exits 1, naming it, before anything is written."""
+    """An asymptotics scan compares shell tables, which no Hamiltonian or bath
+    enters, so each of those sections exits 1, naming it, before anything is
+    written.  The scan keys field, xi, gamma and temperature are gone: a
+    bilinear scan reads them from the hamiltonian and bath sections."""
     cfg = {"scan": {"mode": "asymptotics", "twice_s_values": [6, 10]}, key: value}
     cfg_path = _write(tmp_path, "scan.json", cfg)
     assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: asymptotics mode reads no ") and key in err
+    message = {"hamiltonian": "asymptotics mode reads no h",
+               "bath": "asymptotics mode reads no bath"}.get(
+                   key, f"unknown config keys for limit-scan: {key}")
+    assert err.startswith(f"error: {message}")
     assert os.listdir(tmp_path) == ["scan.json"]
 
 
-@pytest.mark.parametrize("gamma, xi", [(0.0, [1.0, 0.0, 0.0]), (0.5, [0.0, 0.0, 0.0])],
+@pytest.mark.parametrize("gamma, coupling", [(0.0, [[1.0, [1]]]), (0.5, [[0.0, [1]]])],
                          ids=["gamma-zero", "xi-zero"])
-def test_bilinear_scan_with_no_field_and_no_diffusion_exits_one(tmp_path, capsys, gamma, xi):
-    """With field 0 and gamma xi = 0 the classical generator is zero, so its
-    block has no norm to divide by: exit 1 before anything is written."""
-    cfg = {**_SCAN_BASE, "field": [0.0, 0.0, 0.0], "gamma": gamma, "xi": xi,
+def test_bilinear_scan_with_no_field_and_no_diffusion_exits_one(tmp_path, capsys, gamma,
+                                                                coupling):
+    """With a constant h and gamma xi = 0 the classical generator is zero, so
+    its block has no norm to divide by: exit 1 before anything is written."""
+    cfg = {**_SCAN_BASE, "hamiltonian": {"expression": [[0.7, []]]},
+           "bath": {"coupling": coupling, "gamma": gamma},
            "scan": {"mode": "bilinear", "twice_s_values": [6, 10], "expected_slope": -1.0}}
     cfg_path = _write(tmp_path, "scan.json", cfg)
     assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
-    assert "compares nothing" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: a bilinear scan with a constant h and gamma xi = 0 compares nothing" in err
     assert os.listdir(tmp_path) == ["scan.json"]
 
 
@@ -966,22 +968,22 @@ def test_spin_too_large_for_memory_exits_one_with_an_error_line(tmp_path, capsys
     ("evolve", "spin", {"twice_s": 2, "twice": 4}, "spin", "twice"),
     ("evolve", "hamiltonian", {"expression": [[-1.0, [3]]], "quadractic": {}},
      "hamiltonian", "quadractic"),
-    ("evolve", "hamiltonian", {"quadratic": {"b": [0, 0, 1], "bb": [0, 0, 2]}},
-     "hamiltonian.quadratic", "bb"),
+    ("evolve", "hamiltonian", {"quadratic": {"b": [0, 0, 1]}}, "hamiltonian", "quadratic"),
     ("evolve", "initial", {"mixed": True, "mxied": False}, "initial", "mxied"),
     ("evolve", "initial.coherent", {"theta": 1.1, "phy": 0.4}, "initial.coherent", "phy"),
     ("evolve", "grid", {"band_limit": 2, "bandlimit": 3}, "grid", "bandlimit"),
     ("compare", "outputs", {"trajectory": "t.csv"}, "outputs", "trajectory"),
     ("limit-scan", "scan.ltest", 2, "scan", "ltest"),
     ("limit-scan", "outputs", {"scna": "s.csv"}, "outputs", "scna"),
+    ("limit-scan", "bath", {"coupling": [[1.0, [1]]], "gama": 0.5}, "bath", "gama"),
     ("kernel", "grid", {"band_limit": 2, "band": 3}, "grid", "band"),
     ("kernel", "outputs", {"grid": "g.csv"}, "outputs", "grid"),
-    ("symbol", "operator", {"spin_component": 1, "spin_compnent": 2}, "operator",
-     "spin_compnent"),
+    ("symbol", "operator", {"expression": [[1.0, [1]]], "expresion": []}, "operator",
+     "expresion"),
     ("symbol", "outputs", {"symbol": "s.csv"}, "outputs", "symbol"),
 ], ids=["bath-gama", "time-metod", "outputs-typos", "spin", "hamiltonian", "quadratic",
-        "initial", "coherent", "grid", "compare-outputs", "scan", "scan-outputs", "kernel-grid",
-        "kernel-outputs", "operator", "symbol-outputs"])
+        "initial", "coherent", "grid", "compare-outputs", "scan", "scan-outputs", "scan-bath",
+        "kernel-grid", "kernel-outputs", "operator", "symbol-outputs"])
 def test_unknown_section_keys_exit_one_before_any_file(tmp_path, capsys, command, path,
                                                        value, where, keys):
     """A misspelt key inside a section would otherwise run silently with a
@@ -991,7 +993,7 @@ def test_unknown_section_keys_exit_one_before_any_file(tmp_path, capsys, command
     base = {"evolve": _evolve_config(), "compare": _evolve_config(),
             "limit-scan": json.loads(json.dumps(_SCAN_CONFIG)),
             "kernel": {"spin": {"twice_s": 2}},
-            "symbol": {"spin": {"twice_s": 2}, "operator": {"spin_component": 1}}}[command]
+            "symbol": {"spin": {"twice_s": 2}, "operator": {"expression": [[1.0, [1]]]}}}[command]
     cfg_path = _write(tmp_path, "bad.json", _with(base, path, value))
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -1028,7 +1030,7 @@ def test_console_script_entry_point(tmp_path):
     with open(ROOT / "pyproject.toml", "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["spinphase"]
     module, attr = target.split(":")
-    cfg = {"spin": {"twice_s": 1}, "operator": {"spin_component": 1}}
+    cfg = {"spin": {"twice_s": 1}, "operator": {"expression": [[1.0, [1]]]}}
     cfg_path = _write(tmp_path, "s.json", cfg)
 
     src = str(Path(spinphase.__file__).resolve().parents[1])
@@ -1075,10 +1077,10 @@ def test_readme_bilinear_scan_fits_minus_one_up_to_large_spin(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command, path, value, keys", [
+    # hamiltonian has one key now: a second one, the removed "quadratic", is unknown
     ("evolve", "hamiltonian", {"expression": [[-1.0, [3]]], "quadratic": {"b": [5.0, 0, 0]}},
-     "expression, quadratic"),
-    ("compare", "hamiltonian", {"expression": [[-1.0, [3]]], "quadratic": {}},
-     "expression, quadratic"),
+     None),
+    ("compare", "hamiltonian", {"expression": [[-1.0, [3]]], "quadratic": {}}, None),
     ("evolve", "initial", {"coherent": {"theta": 1.1}, "mixed": True}, "coherent, mixed"),
     ("evolve", "initial", {"coherent": {"theta": 1.1}, "mixed": False}, "coherent, mixed"),
     ("evolve", "initial", {"mixed": True, "matrix_file": "rho.npy"}, "matrix_file, mixed"),
@@ -1086,8 +1088,8 @@ def test_readme_bilinear_scan_fits_minus_one_up_to_large_spin(tmp_path, capsys, 
      "coherent, matrix_file"),
     ("evolve", "initial", {"coherent": {"theta": 1.1}, "mixed": True,
                            "matrix_file": "rho.npy"}, "coherent, matrix_file, mixed"),
-    ("symbol", "operator", {"spin_component": 3, "random_hermitian": True},
-     "random_hermitian, spin_component"),
+    ("symbol", "operator", {"expression": [[1.0, [3]]], "random_hermitian": True},
+     "expression, random_hermitian"),
 ], ids=["hamiltonian", "compare-hamiltonian", "coherent-mixed", "coherent-mixed-false",
         "mixed-matrix-file", "compare-coherent-matrix-file", "all-three", "operator"])
 def test_two_alternatives_in_a_section_exit_one_before_any_file(tmp_path, capsys, command,
@@ -1096,8 +1098,10 @@ def test_two_alternatives_in_a_section_exit_one_before_any_file(tmp_path, capsys
     the other without a word; it exits 1, naming the section and the keys,
     and writes nothing."""
     base = {"evolve": _evolve_config(), "compare": _evolve_config(),
-            "symbol": {"spin": {"twice_s": 2}, "operator": {"spin_component": 1}}}[command]
+            "symbol": {"spin": {"twice_s": 2}, "operator": {"expression": [[1.0, [1]]]}}}[command]
     cfg_path = _write(tmp_path, "bad.json", _with(base, path, value))
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
-    assert f'error: "{path}" takes one of its keys, got {keys}' in capsys.readouterr().err
+    message = (f'"{path}" takes one of its keys, got {keys}' if keys else
+               f'unknown config keys in "{path}" for {command}: quadratic')
+    assert f"error: {message}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["bad.json"]

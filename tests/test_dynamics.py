@@ -31,8 +31,9 @@ def _random_density(ctx, seed):
 # --- Hamiltonian containers ---------------------------------------------------
 
 def _quadratic_expression(d, b):
-    """The expression the CLI makes of a "quadratic" {d, b} Hamiltonian."""
-    return cli._hamiltonian({"hamiltonian": {"quadratic": {"d": d.tolist(), "b": b.tolist()}}})
+    """H = -sum_jk d_jk S_j S_k - sum_j b_j S_j as an expression, term by term."""
+    return ([(-d[j, k], (j + 1, k + 1)) for j in range(3) for k in range(3)]
+            + [(-b[j], (j + 1,)) for j in range(3)])
 
 
 def test_quadratic_hamiltonian_expression_matches_matrix():
@@ -264,11 +265,19 @@ def test_bilinear_generator_equals_general_dissipative_form(sigma):
     assert np.max(np.abs((direct - general).toarray())) < 1e-12
 
 
-def test_bilinear_lambda_is_scaled_outer_product():
-    ctx = SpinContext(5)
+def test_bilinear_lambda_is_scaled_outer_product(monkeypatch):
+    """The bilinear scan hands classical_generators Lam = S gamma xi xi^T, the
+    full outer product of the xi it reads from the coupling F = xi.S."""
+    lams = []
+    generators = dyn.classical_generators
+    monkeypatch.setattr(dyn, "classical_generators",
+                        lambda h, lam, *rest: lams.append(lam) or generators(h, lam, *rest))
     xi = np.array([0.3, -1.2, 0.5])
-    np.testing.assert_allclose(dyn.bilinear_lambda(ctx, 0.7, xi),
-                               2.5 * 0.7 * np.outer(xi, xi), atol=0)
+    bath = dyn.BathSpec(oracles.linear_expression(xi), 0.7, 1.0)
+    dyn.classical_limit_scan("bilinear", [5, 6], 0.0, 3, h=[(-1.0, (3,))], bath=bath)
+    assert len(lams) == 2
+    for lam, s in zip(lams, (2.5, 3.0)):
+        np.testing.assert_array_equal(lam, s * 0.7 * np.outer(xi, xi))
 
 
 # --- classical generators ----------------------------------------------------------
@@ -808,10 +817,12 @@ def test_evolve_trajectory_csv_layout(tmp_path):
 
 # --- classical-limit scans ---------------------------------------------------------
 
+# the README's scan: h = -m3, F = S1, gamma 2, T 0.1
+_README_SCAN = dict(h=[(-1.0, (3,))], bath=dyn.BathSpec(((1.0, (1,)),), 2.0, 0.1))
+
+
 def test_bilinear_scan_decays_inversely_with_spin():
-    out = dyn.classical_limit_scan("bilinear", [10, 20, 40], -1.0, 3,
-                                   b=[0.0, 0.0, 1.0], xi=[1.0, 0.0, 0.0],
-                                   gamma=2.0, temperature=0.1)
+    out = dyn.classical_limit_scan("bilinear", [10, 20, 40], -1.0, 3, **_README_SCAN)
     assert -1.3 < out["slope"] < -0.7
     assert np.all(np.diff(out["deviations"]) < 0)
 
@@ -827,9 +838,7 @@ def test_bilinear_scan_never_densifies_a_whole_generator():
     corner is made dense."""
     tracemalloc.start()
     try:
-        out = dyn.classical_limit_scan("bilinear", [10, 20, 40], -1.0, 3,
-                                       b=[0.0, 0.0, 1.0], xi=[1.0, 0.0, 0.0],
-                                       gamma=2.0, temperature=0.1)
+        out = dyn.classical_limit_scan("bilinear", [10, 20, 40], -1.0, 3, **_README_SCAN)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -840,56 +849,69 @@ def test_bilinear_scan_never_densifies_a_whole_generator():
     assert np.array_equal(dyn._submatrix(gen, 3), gen.toarray()[:16, :16])
 
 
-_SCAN_FIELD = dict(b=[0.3, -0.2, 1.0], xi=[0.5, 0.7, -0.2], gamma=0.1, temperature=1.0)
+# h = -b.m with b = (0.3, -0.2, 1) and F = xi.S with xi = (0.5, 0.7, -0.2)
+_SCAN_MODEL = dict(h=oracles.linear_expression([-0.3, 0.2, -1.0]),
+                   bath=dyn.BathSpec(oracles.linear_expression([0.5, 0.7, -0.2]), 0.1, 1.0))
 
 
 def test_scan_rejects_bad_modes_and_contaminated_blocks():
     for mode in ("nonsense", "unitary"):
         with pytest.raises(ValueError, match="scan mode must be"):
-            dyn.classical_limit_scan(mode, [10, 20], 0.0, 3, **_SCAN_FIELD)
+            dyn.classical_limit_scan(mode, [10, 20], 0.0, 3, **_SCAN_MODEL)
     with pytest.raises(ValueError, match="exceeds min"):
-        dyn.classical_limit_scan("bilinear", [4, 10], 0.0, 3, **_SCAN_FIELD)
+        dyn.classical_limit_scan("bilinear", [4, 10], 0.0, 3, **_SCAN_MODEL)
     with pytest.raises(ValueError, match="l_test must be >= 0"):
-        dyn.classical_limit_scan("bilinear", [4, 10], 0.0, -1, **_SCAN_FIELD)
+        dyn.classical_limit_scan("bilinear", [4, 10], 0.0, -1, **_SCAN_MODEL)
+    # every 2S is checked as a spin before the l_test bound reads it
+    with pytest.raises(ValueError, match="twice_s must be >= 1"):
+        dyn.classical_limit_scan("bilinear", [0, 10], 0.0, 3, **_SCAN_MODEL)
+    with pytest.raises(ValueError, match="twice_s must be >= 1"):
+        dyn.classical_limit_scan("asymptotics", [0, 10], 0.0, 0)
 
 
-@pytest.mark.parametrize("key", ["b", "xi", "gamma", "temperature"])
+@pytest.mark.parametrize("key", ["h", "bath"])
 def test_scan_modes_refuse_the_inputs_they_do_not_read_and_need_those_they_do(key):
-    """asymptotics compares shell tables, which no field or bath enters, so it
-    refuses each of them; bilinear reads all four, so it needs each of them."""
-    name = {"b": "field vector b"}.get(key, key)
-    with pytest.raises(ValueError, match=f"asymptotics mode reads no {name}$"):
-        dyn.classical_limit_scan("asymptotics", [10, 20], 0.0, 3, **{key: _SCAN_FIELD[key]})
-    rest = {k: v for k, v in _SCAN_FIELD.items() if k != key}
-    with pytest.raises(ValueError, match=f"bilinear mode needs {name}$"):
+    """asymptotics compares shell tables, which neither h nor a bath enters,
+    so it refuses each of them; bilinear reads both, so it needs each of them."""
+    with pytest.raises(ValueError, match=f"asymptotics mode reads no {key}$"):
+        dyn.classical_limit_scan("asymptotics", [10, 20], 0.0, 3, **{key: _SCAN_MODEL[key]})
+    rest = {k: v for k, v in _SCAN_MODEL.items() if k != key}
+    with pytest.raises(ValueError, match=f"bilinear mode needs {key}$"):
         dyn.classical_limit_scan("bilinear", [10, 20], 0.0, 3, **rest)
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("b", [0.0, 1.0], "field vector b must be a real 3-vector"),
-    ("b", [0.0, 0.0, 1.0, 0.0], "field vector b must be a real 3-vector"),
-    ("b", [1j, 0.0, 1.0], "field vector b must be a real 3-vector"),
-    ("xi", [1.0, 0.0, 0.0, 0.0], "xi must be a real 3-vector"),
-], ids=["b-short", "b-long", "b-complex", "xi-long"])
+    ("h", [(-1.0, (3,)), (0.5, (4,))], r"word \(4,\) has components outside"),
+    ("h", [(-1.0, (3,)), (0.5j, (1, 2)), (-0.5j, (2, 1))], "h takes real coefficients only"),
+    ("bath", ((1.0, (1, 2)),), "coupling must be xi.S with real xi"),
+    ("bath", ((1.0, ()),), "coupling must be xi.S with real xi"),
+    ("bath", ((1.0, (1,)), (0.5j, (3,))), "coupling must be xi.S with real xi"),
+], ids=["b-long", "b-complex", "xi-long", "xi-short", "xi-complex"])
 def test_bilinear_scan_refuses_what_is_not_a_real_3_vector(monkeypatch, key, value, message):
-    """A field or coupling vector of another length, or a complex one, is refused
-    by name before any point is computed (a 2-vector field ran silently, a
-    4-vector failed on the word (4,), a complex one raised TypeError)."""
+    """h, which carries the field, takes the words of S1, S2 and S3 with real
+    coefficients, and the coupling must be xi.S with a real 3-vector xi: a
+    word of another length or a complex coefficient is refused by name before
+    any point is computed.  i(S1 S2 - S2 S1) is Hermitian, but the classical
+    h it stands for is not real."""
     monkeypatch.setattr(dyn, "qfp_generator", None)  # no point may be computed
+    if key == "bath":
+        value = dyn.BathSpec(value, 0.1, 1.0)
     with pytest.raises(ValueError, match=message):
-        dyn.classical_limit_scan("bilinear", [10, 20], 0.0, 3, **dict(_SCAN_FIELD, **{key: value}))
+        dyn.classical_limit_scan("bilinear", [10, 20], 0.0, 3, **dict(_SCAN_MODEL, **{key: value}))
 
 
 @pytest.mark.parametrize("gamma, xi", [(0.0, [0.5, 0.7, -0.2]), (0.1, [0.0, 0.0, 0.0])],
                          ids=["gamma-zero", "xi-zero"])
 def test_bilinear_scan_with_no_field_and_no_diffusion_compares_nothing(gamma, xi):
-    """With b = 0 and gamma xi = 0 the classical generator is zero, and each
-    deviation would be 0/0; a field alone, or a diffusion alone, compares."""
-    kwargs = dict(b=[0.0, 0.0, 0.0], xi=xi, gamma=gamma, temperature=1.0)
-    with pytest.raises(ValueError, match="compares nothing"):
-        dyn.classical_limit_scan("bilinear", [6, 10], 0.0, 3, **kwargs)
-    for runs in (dict(kwargs, b=[0.0, 0.0, 1.0]), dict(_SCAN_FIELD, b=[0.0, 0.0, 0.0])):
-        out = dyn.classical_limit_scan("bilinear", [6, 10], 0.0, 3, **runs)
+    """With a constant h and gamma xi = 0 the classical generator is zero, and
+    each deviation would be 0/0; a field alone, or a diffusion alone, compares."""
+    constant = [(0.7, ())]
+    bath = dyn.BathSpec([(x, (k + 1,)) for k, x in enumerate(xi)], gamma, 1.0)
+    with pytest.raises(ValueError, match="a bilinear scan with a constant h and gamma xi = 0 "
+                                         "compares nothing"):
+        dyn.classical_limit_scan("bilinear", [6, 10], 0.0, 3, h=constant, bath=bath)
+    for h, runs in ((constant + [(-1.0, (3,))], bath), (constant, _SCAN_MODEL["bath"])):
+        out = dyn.classical_limit_scan("bilinear", [6, 10], 0.0, 3, h=h, bath=runs)
         assert np.all(np.isfinite(out["deviations"]))
 
 
@@ -902,11 +924,12 @@ def test_scan_blocks_equal_the_full_band_generators_bit_for_bit(monkeypatch, twi
     l <= l_test blocks of the band-2S qfp_generator and classical_generators,
     bit for bit.  At l_test = 0 there is no block to compare (every generator
     annihilates shell 0) and the library refuses the scan."""
-    b, xi, gamma, temperature = (_SCAN_FIELD[k] for k in ("b", "xi", "gamma", "temperature"))
+    h, bath = _SCAN_MODEL["h"], _SCAN_MODEL["bath"]
+    xi = np.array([0.5, 0.7, -0.2])
     if l_test == 0:
         with pytest.raises(ValueError, match="scan l_test = 0 compares nothing"):
             dyn.classical_limit_scan("bilinear", [twice_s, twice_s + 1], sigma, 0,
-                                     **_SCAN_FIELD)
+                                     **_SCAN_MODEL)
         return
     l_test = twice_s - 2 if l_test == "2S-2" else l_test
     blocks = []
@@ -917,20 +940,65 @@ def test_scan_blocks_equal_the_full_band_generators_bit_for_bit(monkeypatch, twi
         return blocks[-1][1]
 
     monkeypatch.setattr(dyn, "_submatrix", recording)
-    dyn.classical_limit_scan("bilinear", [twice_s, twice_s + 1], sigma, l_test, **_SCAN_FIELD)
+    dyn.classical_limit_scan("bilinear", [twice_s, twice_s + 1], sigma, l_test, **_SCAN_MODEL)
     assert len(blocks) == 4
     for (size_q, quantum), (size_c, classical), twice in zip(blocks[::2], blocks[1::2],
                                                              [twice_s, twice_s + 1]):
         ctx = SpinContext(twice)
         assert size_q == size_c == so.num_coefficients(l_test + 1)
-        full_q = dyn.qfp_generator(oracles.linear_expression(-np.asarray(b)),
-                                   dyn.BathSpec(oracles.linear_expression(xi), gamma,
-                                                temperature), sigma, ctx)
-        h_expr = [(-ctx.s * bk, (k + 1,)) for k, bk in enumerate(b)]
-        full_c = dyn.classical_generators(h_expr, dyn.bilinear_lambda(ctx, gamma, xi),
-                                          temperature, ctx.band_limit, ctx.s)[1]
+        full_q = dyn.qfp_generator(h, bath, sigma, ctx)
+        full_c = dyn.classical_generators([(ctx.s * c, w) for c, w in h],
+                                          ctx.s * bath.gamma * np.outer(xi, xi),
+                                          bath.temperature, ctx.band_limit, ctx.s)[1]
         assert np.array_equal(quantum, submatrix(full_q, l_test))
         assert np.array_equal(classical, submatrix(full_c, l_test))
+
+
+# h = -m3 - 0.5 m1^2 + 0.3 (m1 m2 m3 + m3 m2 m1) and F = S1 + 0.4 S3: words of
+# one, two and three letters, and a coupling with two components
+_CUBIC_H = [(-1.0, (3,)), (-0.5, (1, 1)), (0.3, (1, 2, 3)), (0.3, (3, 2, 1))]
+_TWO_COMPONENT_BATH = dyn.BathSpec(((1.0, (1,)), (0.4, (3,))), 2.0, 0.5)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 0.3])
+@pytest.mark.parametrize("l_test", [3, "2S-2"])
+def test_nonlinear_scan_points_are_the_scaled_generators_bit_for_bit(monkeypatch, sigma,
+                                                                     l_test):
+    """A word w with coefficient c is c S^(1 - len w) S_w on the quantum side
+    and S c m_w on the classical one, with Lam = S gamma xi xi^T: the blocks
+    the scan compares, built at the band _block_band gives a cubic h, are the
+    l <= l_test blocks of those band-2S generators, bit for bit."""
+    blocks = []
+    submatrix = dyn._submatrix
+    monkeypatch.setattr(dyn, "_submatrix",
+                        lambda gen, l: blocks.append(submatrix(gen, l)) or blocks[-1])
+    l_test = 6 if l_test == "2S-2" else l_test
+    dyn.classical_limit_scan("bilinear", [8, 9], sigma, l_test, h=_CUBIC_H,
+                             bath=_TWO_COMPONENT_BATH)
+    xi = np.array([1.0, 0.0, 0.4])
+    for quantum, classical, twice_s in zip(blocks[::2], blocks[1::2], [8, 9]):
+        ctx = SpinContext(twice_s)
+        h_quantum = [(c * ctx.s ** (1 - len(w)), w) for c, w in _CUBIC_H]
+        full_q = dyn.qfp_generator(h_quantum, _TWO_COMPONENT_BATH, sigma, ctx)
+        full_c = dyn.classical_generators([(ctx.s * c, w) for c, w in _CUBIC_H],
+                                          ctx.s * _TWO_COMPONENT_BATH.gamma * np.outer(xi, xi),
+                                          _TWO_COMPONENT_BATH.temperature, ctx.band_limit,
+                                          ctx.s)[1]
+        assert np.array_equal(quantum, submatrix(full_q, l_test))
+        assert np.array_equal(classical, submatrix(full_c, l_test))
+
+
+@pytest.mark.parametrize("sigma", SIGMAS)
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_nonlinear_scan_decays_inversely_with_spin_up_to_large_spin(sigma, gamma):
+    """The classical limit of a nonlinear h, h = -m3 - 0.5 m1^2 with F = S1 and
+    T 0.5: over 2S in {10^3, 10^4, 10^5} the deviation falls like 1/S to 0.01,
+    with and without the bath, at every ordering."""
+    out = dyn.classical_limit_scan("bilinear", [1000, 10000, 100000], sigma, 3,
+                                   h=[(-1.0, (3,)), (-0.5, (1, 1))],
+                                   bath=dyn.BathSpec(((1.0, (1,)),), gamma, 0.5))
+    assert abs(out["slope"] + 1.0) <= 0.01
+    assert np.all(out["deviations"] > dyn._ROUNDING)
 
 
 @pytest.mark.parametrize("mode", ["bilinear"])
@@ -949,7 +1017,7 @@ def test_scan_builds_no_operator_above_band_l_test_plus_one(monkeypatch, mode):
         return bopp_matrices(ctx, sigma, band)
 
     monkeypatch.setattr(bopp, "bopp_matrices", recorded)
-    out = dyn.classical_limit_scan(mode, [10, 40, 1000], 1.0, 3, **_SCAN_FIELD)
+    out = dyn.classical_limit_scan(mode, [10, 40, 1000], 1.0, 3, **_SCAN_MODEL)
     assert bands and max(bands) == 4
     assert bopp_bands and max(bopp_bands) <= 4
     assert np.all(np.isfinite(out["deviations"]))
@@ -1065,9 +1133,7 @@ def test_bilinear_scan_memory_does_not_grow_with_spin():
     (2S+1)^2 is built.  Full-band generators peaked at hundreds of MB here."""
     tracemalloc.start()
     try:
-        out = dyn.classical_limit_scan("bilinear", [320, 322], -1.0, 3,
-                                       b=[0.0, 0.0, 1.0], xi=[1.0, 0.0, 0.0],
-                                       gamma=2.0, temperature=0.1)
+        out = dyn.classical_limit_scan("bilinear", [320, 322], -1.0, 3, **_README_SCAN)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1076,19 +1142,24 @@ def test_bilinear_scan_memory_does_not_grow_with_spin():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(_SCAN_FIELD, gamma=-0.1), "gamma must be finite and >= 0"),
-    (dict(_SCAN_FIELD, temperature=0.0), "temperature must be finite and > 0"),
-    (dict(_SCAN_FIELD, temperature=math.nan), "temperature must be finite and > 0"),
+    (dict(gamma=-0.1, temperature=1.0), "gamma must be finite and >= 0"),
+    (dict(gamma=0.1, temperature=0.0), "temperature must be finite and > 0"),
+    (dict(gamma=0.1, temperature=math.nan), "temperature must be finite and > 0"),
 ])
-def test_bilinear_paths_refuse_bad_gamma_and_temperature(kwargs, message):
-    """The scan, the bath of qfp_generator and the classical generators refuse
-    gamma < 0 and T <= 0 (or NaN) with one message each."""
+def test_bilinear_paths_refuse_bad_gamma_and_temperature(tmp_path, capsys, kwargs, message):
+    """The bath of a limit-scan config, the bath of qfp_generator and the
+    classical generators refuse gamma < 0 and T <= 0 (or NaN) with one
+    message each."""
     ctx = SpinContext(6)
+    cfg = {"scan": {"mode": "bilinear", "twice_s_values": [6, 8]},
+           "hamiltonian": {"expression": [[-1.0, [3]]]},
+           "bath": {"coupling": [[1.0, [1]]], **kwargs}}
+    (tmp_path / "scan.json").write_text(json.dumps(cfg))
+    assert cli.main(["limit-scan", "--config", str(tmp_path / "scan.json"),
+                     "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     with pytest.raises(ValueError, match=message):
-        dyn.classical_limit_scan("bilinear", [6, 8], 0.0, 3, **kwargs)
-    with pytest.raises(ValueError, match=message):
-        dyn.BathSpec(oracles.linear_expression(kwargs["xi"]), kwargs["gamma"],
-                     kwargs["temperature"])
+        dyn.BathSpec(((1.0, (1,)),), **kwargs)
     if kwargs["gamma"] >= 0:
         with pytest.raises(ValueError, match=message):
             dyn.classical_generators([(-1.0, (3,))], np.eye(3), kwargs["temperature"],

@@ -1,5 +1,5 @@
 """The library and `evolve` paths run on numpy and scipy.sparse alone, only
-`cli` writes files, every public function has a caller in the package, and
+`cli` writes files, every top-level function has a caller in the package, and
 no module reaches the tests' oracles."""
 
 import ast
@@ -113,9 +113,10 @@ def test_only_cli_writes_files():
 
 
 def _unreferenced_definitions(sources):
-    """"module.name" of each public top-level function or class in sources
-    (module name -> source) that no module refers to, by name, outside its
-    own body.  Being listed in __all__ does not count as a use."""
+    """"module.name" of each top-level function or class in sources (module
+    name -> source), private ones included, that no module refers to, by
+    name, outside its own body.  Being listed in __all__ does not count as a
+    use."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     referenced = set()  # (module of the top-level statement, name it refers to)
     for module, tree in trees.items():
@@ -128,7 +129,7 @@ def _unreferenced_definitions(sources):
     found = []
     for module, tree in trees.items():
         for top in tree.body:
-            if (isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
                     and not any(name == top.name and (where, owner) != (module, top.name)
                                 for where, owner, name in referenced)):
                 found.append(f"{module}.{top.name}")
@@ -137,8 +138,9 @@ def _unreferenced_definitions(sources):
 
 def test_every_public_function_is_used_by_the_package():
     """Helpers and classes that only tests use belong in tests/oracles.py, so
-    that no library path can reuse the code that checks it; only the command
-    line's entry points have no caller inside the package."""
+    that no library path can reuse the code that checks it, and a private
+    helper that nothing calls any more goes; only the command line's entry
+    points have no caller inside the package."""
     assert _unreferenced_definitions({
         "a": "def used():\n    pass\ndef recursive(n):\n    return recursive(n - 1)\n"
              "def _private():\n    pass\n"
@@ -146,7 +148,7 @@ def test_every_public_function_is_used_by_the_package():
              "        return Unused()\nclass _Hidden:\n    pass\n",
         "b": "from .a import used\ndef caller():\n    return a.used(), a.Built()\n",
         "__init__": "from .b import caller\n__all__ = ['caller']\n",
-    }) == ["a.recursive", "a.Unused", "b.caller"]
+    }) == ["a.recursive", "a._private", "a.Unused", "a._Hidden", "b.caller"]
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     entry_points = {"cli.main", "cli.build_parser"}
     assert [name for name in _unreferenced_definitions(sources)
