@@ -248,10 +248,10 @@ def _write_csv(path, header, rows):
 
 def _write_grid(path, band, c):
     """Values of coefficients c (of band up to `band`) on the grid of `band`, theta-major."""
-    grid, synthesize, _, _ = sphere_ops.grid_synthesis_analysis(band)
-    rows = zip(grid.thetas, synthesize(c).tolist())
+    thetas, phis = sphere_ops.grid_points(band)
+    rows = zip(thetas, sphere_ops.grid_values(band, c).tolist())
     _write_csv(path, "theta,phi,value_re,value_im",
-               ((th, ph, v.real, v.imag) for th, row in rows for ph, v in zip(grid.phis, row)))
+               ((th, ph, v.real, v.imag) for th, row in rows for ph, v in zip(phis, row)))
 
 
 def _check_rk4_step(gen, t_end, dt_used):
@@ -386,10 +386,10 @@ def _cmd_limit_scan(cfg, paths, tolerance):
 def _cmd_kernel(cfg, paths):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
-    grid = sphere_ops.make_grid(_grid_band(cfg, ctx, 0))
+    thetas, phis = sphere_ops.grid_points(_grid_band(cfg, ctx, 0))
     _write_csv(paths["kernel"], "theta,phi,row,col,value_re,value_im",
                ((th, ph, r, c, v.real, v.imag)
-                for th in grid.thetas for ph in grid.phis
+                for th in thetas for ph in phis
                 for r, row in enumerate(sw_transform.kernel_eval(ctx, sigma, th, ph).tolist())
                 for c, v in enumerate(row)))
     return 0

@@ -161,7 +161,7 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
             if a in word:
                 i = word.index(a)
                 grad[a - 1].append((-coeff * word.count(a), word[:i] + word[i + 1:]))
-    l_ops = sphere_ops.angular_operators(band_limit)[:3]
+    l_ops = sphere_ops.angular_operators(band_limit)
     m_ops = sphere_ops.position_operators(band_limit)[:3]
     zero = sp.csr_matrix(l_ops[0].shape, dtype=complex)
     b_ops = [bopp.evaluate_expression(g, m_ops) for g in grad]
@@ -392,12 +392,14 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None)
         block (relative operator norm), both built at the band of
         _block_band; the deviation decays like 1/S, and is rounding for a
         linear h at gamma = 0, where both are the same drift.  Needs h and
-        bath, with a non-constant h or gamma xi non-zero.
+        bath, with a non-constant h or gamma xi non-zero, and refuses a point
+        whose classical block is zero to rounding, such as m1^2 + m2^2 + m3^2
+        at gamma = 0.
       "asymptotics": relative sup deviation between the exact shell tables
         (f1, f2) and their large-S approximations over l <= l_test.  The
         deviation is measured relative to the exact values (f2 itself is
         O(1/S), so its relative error is the O(1/S^2) quantity of interest).
-        Refuses h and bath, which it does not read.
+        Takes l_test up to min(2S), and refuses h and bath, which it does not read.
     """
     if mode not in ("bilinear", "asymptotics"):
         raise ValueError(f'scan mode must be "bilinear" or "asymptotics", got {mode!r}')
@@ -415,10 +417,14 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None)
     if l_test == 0 and mode != "asymptotics":
         raise ValueError(f"scan l_test = 0 compares nothing in {mode} mode: every generator "
                          "annihilates shell 0, so the deviation is 0/0; use l_test >= 1")
-    top = min(ctx.band_limit for ctx in contexts) - 2
+    # a bilinear block keeps 2 shells clear of the truncated top; the exact
+    # shell tables of asymptotics end at l = 2S
+    cut = 2 if mode == "bilinear" else 0
+    top = min(ctx.band_limit for ctx in contexts) - cut
     if l_test > top:
-        raise ValueError(f"l_test = {l_test} exceeds min(2S) - 2 = {top}; the truncated top "
-                         "shells would contaminate the compared block")
+        raise ValueError(f"l_test = {l_test} exceeds min(2S)" + (
+            f" - 2 = {top}; the truncated top shells would contaminate the compared block"
+            if cut else f" = {top}, the last shell of the tables"))
     if mode == "bilinear":
         h = bopp.validate_expression(h)
         if any(coeff.imag for coeff, _ in h):  # before any point is computed
@@ -450,6 +456,15 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None)
         c_sub = _submatrix(classical_generators([(ctx.s * c, w) for c, w in h],
                                                 ctx.s * bath.gamma * np.outer(xi, xi),
                                                 bath.temperature, band, ctx.s)[1], l_test)
+        # a bound on each term of c_sub, from |L_k| <= band, |m_a| <= 1 and the
+        # |coefficients| of -grad h and Lam, as _hermitian_hat bounds its terms
+        grad = sum(abs(c) * len(w) for c, w in h)
+        scale = band * (grad + bath.gamma * np.sum(np.abs(xi)) ** 2
+                        * (2 * ctx.s * grad + bath.temperature * band))
+        if np.max(np.abs(c_sub)) <= 1e-12 * scale:
+            raise ValueError(f"a bilinear scan compares nothing at 2S = {ctx.twice_s}: the "
+                             f"classical l <= {l_test} block is zero to rounding (as for an h "
+                             "constant on the sphere at gamma xi = 0), so the deviation is 0/0")
         deviations.append(np.linalg.norm(q_sub - c_sub, 2) / np.linalg.norm(c_sub, 2))
     s_values = np.asarray(s_values, dtype=float)
     deviations = np.asarray(deviations, dtype=float)

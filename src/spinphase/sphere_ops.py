@@ -1,11 +1,10 @@
-"""Spherical-harmonic coefficient space: grids, quadrature, and band-limited
-operators.
+"""Spherical-harmonic coefficient space: band-limited operators, and the grid
+on which the CLI writes a symbol.
 
 A function W(theta, phi) = sum_{l<=L,|m|<=l} c_lm Y_lm is a flat complex
-vector with index l*l + l + m.  Evolution happens on these vectors; grids
-exist for quadrature, verification and the values the CLI writes.  Quadrature is
-Gauss-Legendre in cos(theta) (L+1 nodes) times a uniform phi grid (2L+2
-points), exact for integrands of spherical-harmonic degree <= 2L.
+vector with index l*l + l + m.  Evolution happens on these vectors; the grid
+(Gauss-Legendre nodes in cos(theta), L+1 of them, times 2L+2 uniform phis)
+only prints them.
 
 Multiplication by the direction components m_i and the combinations
 i(m x L)_i are genuinely band-limited here: products that would leave
@@ -14,7 +13,6 @@ shell L are dropped (documented lossy top shell).
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,75 +92,39 @@ def ylm_point(band_limit, theta, phi):
     return _ylm_rows(band_limit, math.cos(theta))[:, 0] * np.exp(1j * m_of * phi)
 
 
-@dataclass(frozen=True)
-class SphereGrid:
-    """Quadrature grid: Gauss-Legendre in cos(theta) x uniform phi."""
-
-    band_limit: int
-    thetas: np.ndarray   # ascending, length L+1
-    x: np.ndarray        # cos(thetas)
-    weights: np.ndarray  # Gauss-Legendre weights for integral over dx
-    phis: np.ndarray     # uniform, length 2L+2
-
-    @property
-    def n_theta(self):
-        return self.thetas.size
-
-    @property
-    def n_phi(self):
-        return self.phis.size
-
-
-def make_grid(band_limit):
+def _nodes(band_limit):
+    # Gauss-Legendre nodes x = cos(theta) in descending order, so theta ascends,
+    # and the uniform phis.  x is a contiguous copy: numpy's vectorised arccos
+    # rounds a reversed view differently in the last digit.
     if band_limit < 0:
         raise ValueError("band_limit must be >= 0")
-    x, w = np.polynomial.legendre.leggauss(band_limit + 1)
-    order = np.argsort(-x)  # descending x = ascending theta
-    x, w = x[order], w[order]
     n_phi = 2 * band_limit + 2
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    return SphereGrid(band_limit, np.arccos(x), x, w, phis)
+    return (np.polynomial.legendre.leggauss(band_limit + 1)[0][::-1].copy(),
+            2.0 * math.pi * np.arange(n_phi) / n_phi)
 
 
-def grid_synthesis_analysis(band_limit):
-    """(grid, synthesize, analyze, integrate) closures at the given band limit.
+def grid_points(band_limit):
+    """(thetas, phis) of the grid the CLI writes: L+1 ascending thetas at the
+    Gauss-Legendre nodes in cos(theta), and 2L+2 uniform phis from 0."""
+    x, phis = _nodes(band_limit)
+    return np.arccos(x), phis
 
-    synthesize: coefficients (length <= (L+1)^2) -> values on the grid.
-    analyze: values -> coefficients at the grid band limit.
-    integrate: values -> integral over the plain solid angle d(Omega).
-    analyze(synthesize(c)) recovers c exactly (band-limited quadrature).
-    """
-    grid = make_grid(band_limit)
+
+def grid_values(band_limit, c):
+    """Values of coefficients c (of band up to band_limit) at grid_points(band_limit),
+    theta-major: shape (L+1, 2L+2).  The harmonics are evaluated at the nodes x
+    themselves, not at cos(arccos(x))."""
     L = band_limit
-    rows = _ylm_rows(L, grid.x)  # (flat lm, n_theta)
+    x, phis = _nodes(L)
+    c = np.asarray(c, dtype=complex)
+    band = band_limit_of(c.size)
+    if band > L:
+        raise ValueError(f"coefficient band {band} exceeds grid band {L}")
+    rows = _ylm_rows(L, x)  # (flat lm, n_theta)
     _, m_of = lm_arrays(L)
-    phase = np.exp(1j * np.outer(np.arange(-L, L + 1), grid.phis))  # (2L+1, n_phi)
-    dphi = 2.0 * math.pi / grid.n_phi
-
-    def synthesize(c):
-        c = np.asarray(c, dtype=complex)
-        band = band_limit_of(c.size)
-        if band > L:
-            raise ValueError(f"coefficient band {band} exceeds grid band {L}")
-        g = np.zeros((2 * L + 1, grid.n_theta), dtype=complex)
-        np.add.at(g, L + m_of[: c.size], c[:, None] * rows[: c.size])  # in order of l
-        return g.T @ phase
-
-    def analyze(values):
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (grid.n_theta, grid.n_phi):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid "
-                f"({grid.n_theta}, {grid.n_phi})"
-            )
-        h = dphi * (values @ phase.conj().T)  # (n_theta, 2L+1)
-        return np.einsum("kt,t,tk->k", rows, grid.weights, h[:, L + m_of])
-
-    def integrate(values):
-        values = np.asarray(values)
-        return dphi * np.dot(grid.weights, values.sum(axis=1))
-
-    return grid, synthesize, analyze, integrate
+    g = np.zeros((2 * L + 1, x.size), dtype=complex)
+    np.add.at(g, L + m_of[: c.size], c[:, None] * rows[: c.size])  # in order of l
+    return g.T @ np.exp(1j * np.outer(np.arange(-L, L + 1), phis))
 
 
 def alpha_beta(l, m):
@@ -189,7 +151,7 @@ def _csr(data, rows, cols, n):
 
 
 def angular_operators(band_limit):
-    """Angular-momentum differential operators (L1, L2, L3, L^2) on shells l <= L.
+    """Angular-momentum differential operators (L1, L2, L3) on shells l <= L.
 
     Shell-diagonal, hence exact (no truncation loss).  CSR matrices.
     """
@@ -202,8 +164,7 @@ def angular_operators(band_limit):
     l1 = ((lp + lm) / 2.0).astype(complex)
     l2 = ((lp - lm) / 2j).tocsr()
     l3 = sp.diags(m_of.astype(complex)).tocsr()
-    lam2 = sp.diags((l_of * (l_of + 1)).astype(complex)).tocsr()
-    return l1.tocsr(), l2, l3, lam2
+    return l1.tocsr(), l2, l3
 
 
 def position_operators(band_limit):
@@ -216,7 +177,7 @@ def position_operators(band_limit):
     """
     L = band_limit
     n = num_coefficients(L)
-    l1, l2, _, _ = angular_operators(L)
+    l1, l2, _ = angular_operators(L)
     l_of, m_of = lm_arrays(L)
     idx = np.arange(n)
     a1, a2, b1, b2 = alpha_beta(l_of, m_of)

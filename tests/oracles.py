@@ -4,11 +4,12 @@ no library path calls.
 They live here so the library cannot reuse the code that checks it.  Each
 one either computes a quantity by a route independent of the library's own
 (the Clebsch-Gordan coefficients from the Racah sum, the harmonics from
-scipy, the Bopp matrices and the star product from the transform pair,
-S3 star Y_lm from the kernel-product expansion, the master equation term by
-term, the termwise generators from the sphere operators and shell tables,
-the symmetric tables from their closed form, the stationary state from a
-dense eigen-solve) or exposes a library quantity for a test to read.
+scipy and the sphere's synthesis and quadrature on them, the Bopp matrices
+and the star product from the transform pair, S3 star Y_lm from the
+kernel-product expansion, the master equation term by term, the termwise
+generators from the sphere operators and shell tables, the symmetric tables
+from their closed form, the stationary state from a dense eigen-solve) or
+exposes a library quantity for a test to read.
 """
 
 import math
@@ -125,6 +126,48 @@ def ylm_eval(l, m, theta, phi):
     return sph_harm_y(l, m, theta, phi)
 
 
+def quadrature(band_limit):
+    """(thetas, phis, weights) of the product rule that integrates over the
+    solid angle exactly up to spherical-harmonic degree 2L: L+1 ascending
+    thetas at the Gauss-Legendre nodes in cos(theta), 2L+2 uniform phis from
+    0, and weights[i], the weight of each point of theta row i."""
+    x, w = np.polynomial.legendre.leggauss(band_limit + 1)
+    n_phi = 2 * band_limit + 2
+    return (np.arccos(x[::-1]), 2.0 * math.pi * np.arange(n_phi) / n_phi,
+            w[::-1] * (2.0 * math.pi / n_phi))
+
+
+def _harmonic_rows(band_limit, thetas):
+    """(Y_lm(theta, 0) with rows over the flat index l*l + l + m, the m of each row)."""
+    l = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
+    m = np.arange(l.size) - l * (l + 1)
+    return ylm_eval(l[:, None], m[:, None], thetas[None, :], 0.0), m
+
+
+def synthesize(band_limit, c):
+    """Values of coefficients c (of band up to band_limit) at the points of
+    quadrature(band_limit), theta-major: sum_lm c_lm Y_lm(theta, 0) e^{i m phi}."""
+    thetas, phis, _ = quadrature(band_limit)
+    c = np.asarray(c, dtype=complex)
+    rows, m = _harmonic_rows(math.isqrt(c.size) - 1, thetas)
+    return (c[:, None] * rows).T @ np.exp(1j * np.outer(m, phis))
+
+
+def analyze(band_limit, values):
+    """Coefficients, over the flat index, of values at the points of
+    quadrature(band_limit): the integral of conj(Y_lm) values, exact when
+    values has band <= band_limit."""
+    thetas, phis, weights = quadrature(band_limit)
+    rows, m = _harmonic_rows(band_limit, thetas)
+    by_m = np.asarray(values) @ np.exp(-1j * np.outer(m, phis)).T  # the phi sums
+    return np.einsum("kt,t,tk->k", rows.conj(), weights, by_m)
+
+
+def sphere_integral(band_limit, values):
+    """Integral over the solid angle of values at the points of quadrature(band_limit)."""
+    return quadrature(band_limit)[2] @ np.asarray(values).sum(axis=1)
+
+
 def conjugated_operator(op, band_limit):
     """The conjugated operator C O C (linear part: P conj(O) P), as op: CSR or array."""
     p = sphere_ops.conjugation_matrix(band_limit)
@@ -229,7 +272,7 @@ def _angular_and_bopp_positions(ctx, sigma):
     f1d = bopp.shell_diagonal(band, coeffs.f1)
     f2d = bopp.shell_diagonal(band, coeffs.f2)
     mk_ops = sphere_ops.position_operators(band)
-    return (sphere_ops.angular_operators(band)[:3],
+    return (sphere_ops.angular_operators(band),
             [mk_ops[k] @ f1d + mk_ops[3 + k] @ f2d for k in range(3)])
 
 

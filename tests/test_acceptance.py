@@ -41,20 +41,17 @@ def test_criterion_01_symbol_postulates():
         b = _random_hermitian(n, 200 + twice_s)
         mu0 = swt.measure_constant(ctx)
         L = 2 * ctx.band_limit
-        _, synthesize, _, integrate = so.grid_synthesis_analysis(L)
-        pad = np.zeros(so.num_coefficients(L), dtype=complex)
         ang = 0.83
         u = rotation_z(ctx, ang)
         _, ms = so.lm_arrays(ctx.band_limit)
         for sigma in SIGMAS:
             c_a = swt.operator_to_symbol(a, sigma, ctx)
-            wa = synthesize(_pad(c_a, pad.copy()))
+            wa = oracles.synthesize(L, c_a)
             worst_exact = max(worst_exact, float(np.max(np.abs(wa.imag))))
-            std = mu0 * integrate(wa).real - np.trace(a).real
+            std = mu0 * oracles.sphere_integral(L, wa).real - np.trace(a).real
             worst_quad = max(worst_quad, abs(std))
-            wb = synthesize(_pad(swt.operator_to_symbol(b, -sigma, ctx),
-                                 pad.copy()))
-            trc = mu0 * integrate(wa * wb).real - np.trace(a @ b).real
+            wb = oracles.synthesize(L, swt.operator_to_symbol(b, -sigma, ctx))
+            trc = mu0 * oracles.sphere_integral(L, wa * wb).real - np.trace(a @ b).real
             worst_quad = max(worst_quad, abs(trc))
             c_rot = swt.operator_to_symbol(u @ a @ u.conj().T, sigma, ctx)
             cov = np.max(np.abs(c_rot - np.exp(-1j * ms * ang) * c_a))
@@ -64,11 +61,6 @@ def test_criterion_01_symbol_postulates():
           f"quadrature residual {worst_quad:.2e} < 1e-10, "
           f"reality/covariance {worst_exact:.2e} < 1e-12")
     assert ok
-
-
-def _pad(c, out):
-    out[: c.size] = c
-    return out
 
 
 def test_criterion_02_multiplication_operators_match_transform_oracle():
@@ -220,10 +212,9 @@ def test_criterion_10_classical_fokker_planck_physics():
     L, s, temperature, b3 = 64, 20.0, 0.25, 1.0
     lam = 0.5 * np.eye(3)
     _, fp = dyn.classical_generators([(-b3, (3,))], lam, temperature, L, s)
-    grid, _, analyze, _ = so.grid_synthesis_analysis(L)
-    vals = np.exp((b3 / temperature) * grid.x)[:, None] * np.ones(
-        (1, grid.phis.size))
-    c = analyze(vals.astype(complex))
+    thetas, phis, _ = oracles.quadrature(L)
+    vals = np.exp((b3 / temperature) * np.cos(thetas))[:, None] * np.ones((1, phis.size))
+    c = oracles.analyze(L, vals.astype(complex))
     c = c / c[0]
     residual = float(np.linalg.norm(fp @ c) / np.linalg.norm(c))
 

@@ -250,7 +250,7 @@ def test_bopp_set_at_a_band_is_the_full_band_block(twice_s, sigma):
     coeffs = bopp.bopp_coefficients(ctx, sigma)
 
     def operators(band):
-        return (bopp.bopp_matrices(ctx, sigma, band) + so.angular_operators(band)[:3]
+        return (bopp.bopp_matrices(ctx, sigma, band) + so.angular_operators(band)
                 + so.position_operators(band)
                 + (bopp.shell_diagonal(band, coeffs.f1[:band + 1]),
                    bopp.shell_diagonal(band, coeffs.f2[:band + 1])))
@@ -298,12 +298,12 @@ def test_s3_star_ylm_matches_bopp_columns(twice_s, sigma):
 # --- classical limit of the star commutator ------------------------------------
 
 def _function_coefficients(fn, band_limit):
-    grid, _, analyze, _ = so.grid_synthesis_analysis(band_limit)
-    sth = np.sqrt(1.0 - grid.x**2)[:, None]
-    m1 = sth * np.cos(grid.phis)[None, :]
-    m2 = sth * np.sin(grid.phis)[None, :]
-    m3 = grid.x[:, None] * np.ones_like(m1)
-    return analyze(fn(m1, m2, m3).astype(complex))
+    thetas, phis, _ = oracles.quadrature(band_limit)
+    sth = np.sin(thetas)[:, None]
+    m1 = sth * np.cos(phis)[None, :]
+    m2 = sth * np.sin(phis)[None, :]
+    m3 = np.cos(thetas)[:, None] * np.ones_like(m1)
+    return oracles.analyze(band_limit, fn(m1, m2, m3).astype(complex))
 
 
 def test_star_commutator_approaches_poisson_bracket():

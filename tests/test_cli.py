@@ -614,14 +614,13 @@ def test_symbol_spin_component_matches_library(tmp_path):
                      "--out", str(tmp_path / "o")]) == 0
     with open(tmp_path / "o" / "symbol.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    grid = so.make_grid(2)
     # S3 symbols are l = 1 harmonics: proportional to cos(theta), phase-free
     vals = {}
     for r in rows[1:]:
         vals.setdefault(float(r[0]), []).append(float(r[2]))
         assert abs(float(r[3])) < 1e-12
     by_theta = np.array([np.mean(vals[t]) for t in sorted(vals)])
-    ct = np.cos(grid.thetas)
+    ct = np.cos(so.grid_points(2)[0])
     scale = np.dot(by_theta, ct) / np.dot(ct, ct)
     assert scale > 0
     np.testing.assert_allclose(by_theta, scale * ct, atol=1e-10)
@@ -885,10 +884,13 @@ def test_limit_scan_refuses_l_test_zero_where_it_compares_nothing(tmp_path, caps
     assert "error: scan l_test = 0 compares nothing" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["scan.json"]
 
-    # asymptotics compares the l = 0 shell tables
-    cfg = {"scan": {"mode": "asymptotics", "twice_s_values": [6, 10], "l_test": 0}}
-    cfg_path = _write(tmp_path, "scan.json", cfg)
-    assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    # asymptotics compares the l = 0 shell tables, which 2S = 1 has too
+    for twice_s_values in ([6, 10], [1, 10]):
+        cfg = {"scan": {"mode": "asymptotics", "twice_s_values": twice_s_values, "l_test": 0}}
+        cfg_path = _write(tmp_path, "scan.json", cfg)
+        assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "scan.csv", newline="") as fh:
+        assert [r[0] for r in csv.reader(fh)] == ["S", "0.5", "5"]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -923,6 +925,19 @@ def test_bilinear_scan_with_no_field_and_no_diffusion_exits_one(tmp_path, capsys
     assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "error: a bilinear scan with a constant h and gamma xi = 0 compares nothing" in err
+    assert os.listdir(tmp_path) == ["scan.json"]
+
+
+def test_bilinear_scan_of_an_h_constant_on_the_sphere_exits_one(tmp_path, capsys):
+    """h = m1^2 + m2^2 + m3^2 at gamma = 0 passes the up-front refusals (h is
+    not constant as written) but its classical block is zero to rounding at
+    the first 2S: exit 1, naming that 2S, before anything is written."""
+    cfg = {**_SCAN_BASE, "hamiltonian": {"expression": [[1.0, [1, 1]], [1.0, [2, 2]],
+                                                        [1.0, [3, 3]]]},
+           "scan": {"mode": "bilinear", "twice_s_values": [10, 20], "expected_slope": -1.0}}
+    cfg_path = _write(tmp_path, "scan.json", cfg)
+    assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    assert "error: a bilinear scan compares nothing at 2S = 10" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["scan.json"]
 
 

@@ -288,7 +288,7 @@ def test_classical_drift_is_the_word_gradient(word):
     B = -grad h = (-2 m3^2, 0, -4 m1 m3), written out from the sphere's
     operators; the word's order moves only the truncated top shells."""
     L, s = 8, 3.0
-    l_ops = [op.toarray() for op in so.angular_operators(L)[:3]]
+    l_ops = [op.toarray() for op in so.angular_operators(L)]
     m1, _, m3 = (op.toarray() for op in so.position_operators(L)[:3])
     want = (1j / s) * (l_ops[0] @ (-2.0 * m3 @ m3) + l_ops[2] @ (-4.0 * m1 @ m3))
     drift, _ = dyn.classical_generators([(2.0, word)], np.zeros((3, 3)), 1.0, L, s)
@@ -348,10 +348,9 @@ def test_boltzmann_state_is_stationary_for_linear_hamiltonian():
     L, s, temperature, b3 = 24, 10.0, 0.25, 1.0
     lam = 0.4 * np.eye(3)
     _, fp = dyn.classical_generators([(-b3, (3,))], lam, temperature, L, s)
-    grid, _, analyze, _ = so.grid_synthesis_analysis(L)
-    vals = np.exp((b3 / temperature) * grid.x)[:, None] * np.ones(
-        (1, grid.phis.size))
-    c = analyze(vals.astype(complex))
+    thetas, phis, _ = oracles.quadrature(L)
+    vals = np.exp((b3 / temperature) * np.cos(thetas))[:, None] * np.ones((1, phis.size))
+    c = oracles.analyze(L, vals.astype(complex))
     c = c / c[0]
     assert np.linalg.norm(fp @ c) / np.linalg.norm(c) < 1e-10
 
@@ -363,13 +362,13 @@ def test_boltzmann_state_is_stationary_for_nonlinear_hamiltonian():
     L, s, temperature = 24, 10.0, 0.5
     _, fp = dyn.classical_generators([(-1.0, (3, 3)), (0.3, (1,))],
                                      0.4 * np.eye(3), temperature, L, s)
-    grid, _, analyze, _ = so.grid_synthesis_analysis(L)
-    m1 = np.sqrt(1.0 - grid.x ** 2)[:, None] * np.cos(grid.phis)[None, :]
-    h = -(grid.x ** 2)[:, None] + 0.3 * m1
+    thetas, phis, _ = oracles.quadrature(L)
+    m1 = np.sin(thetas)[:, None] * np.cos(phis)[None, :]
+    h = -(np.cos(thetas) ** 2)[:, None] + 0.3 * m1
     interior = so.num_coefficients(20)
 
     def residual(sign):
-        c = analyze(np.exp(sign * h / temperature).astype(complex))
+        c = oracles.analyze(L, np.exp(sign * h / temperature).astype(complex))
         return np.linalg.norm((fp @ c)[:interior]) / np.linalg.norm(c)
 
     assert residual(-1.0) < 1e-12
@@ -858,8 +857,14 @@ def test_scan_rejects_bad_modes_and_contaminated_blocks():
     for mode in ("nonsense", "unitary"):
         with pytest.raises(ValueError, match="scan mode must be"):
             dyn.classical_limit_scan(mode, [10, 20], 0.0, 3, **_SCAN_MODEL)
-    with pytest.raises(ValueError, match="exceeds min"):
+    with pytest.raises(ValueError, match=r"l_test = 3 exceeds min\(2S\) - 2 = 2; the truncated"):
         dyn.classical_limit_scan("bilinear", [4, 10], 0.0, 3, **_SCAN_MODEL)
+    # the exact shell tables have no truncated top shell: asymptotics reads up to min(2S)
+    for twice_s_values, l_test in (([1, 10], 0), ([4, 10], 4)):
+        out = dyn.classical_limit_scan("asymptotics", twice_s_values, 0.0, l_test)
+        assert np.all(np.isfinite(out["deviations"]))
+    with pytest.raises(ValueError, match=r"l_test = 5 exceeds min\(2S\) = 4, the last shell"):
+        dyn.classical_limit_scan("asymptotics", [4, 10], 0.0, 5)
     with pytest.raises(ValueError, match="l_test must be >= 0"):
         dyn.classical_limit_scan("bilinear", [4, 10], 0.0, -1, **_SCAN_MODEL)
     # every 2S is checked as a spin before the l_test bound reads it
@@ -913,6 +918,21 @@ def test_bilinear_scan_with_no_field_and_no_diffusion_compares_nothing(gamma, xi
     for h, runs in ((constant + [(-1.0, (3,))], bath), (constant, _SCAN_MODEL["bath"])):
         out = dyn.classical_limit_scan("bilinear", [6, 10], 0.0, 3, h=h, bath=runs)
         assert np.all(np.isfinite(out["deviations"]))
+
+
+def test_bilinear_scan_refuses_an_h_constant_on_the_sphere_at_gamma_zero():
+    """h = m1^2 + m2^2 + m3^2 is 1 on the sphere: at gamma = 0 both compared
+    blocks are rounding, and their ratio is no deviation.  The scan names the
+    2S at which the classical block is zero to rounding; a small real field
+    on top of it still compares."""
+    sphere = [(1.0, (1, 1)), (1.0, (2, 2)), (1.0, (3, 3))]
+    bath = dyn.BathSpec(((1.0, (1,)),), 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"compares nothing at 2S = 10: the classical "
+                                         r"l <= 3 block is zero to rounding"):
+        dyn.classical_limit_scan("bilinear", [10, 20], 0.0, 3, h=sphere, bath=bath)
+    out = dyn.classical_limit_scan("bilinear", [10, 20], 0.0, 3,
+                                   h=sphere + [(-1e-6, (3,))], bath=bath)
+    assert np.all(np.isfinite(out["deviations"]))
 
 
 @pytest.mark.parametrize("sigma", [-1.0, -0.5, 0.0, 0.3, 1.0])

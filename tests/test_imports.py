@@ -155,9 +155,11 @@ def test_every_public_function_is_used_by_the_package():
             if name not in entry_points] == []
 
 
-# the oracles that moved out of the library into tests/oracles.py
+# the oracles that moved out of the library into tests/oracles.py, and the
+# grid classes and closures that the library's grid_points and grid_values replace
 MOVED = {"clebsch_gordan", "_check_jm", "log_factorial", "_LOG_FACT", "tensor_operator",
-         "star_product", "s3_star_ylm", "master_rhs"}
+         "star_product", "s3_star_ylm", "master_rhs", "SphereGrid", "make_grid",
+         "grid_synthesis_analysis", "quadrature", "analyze", "sphere_integral"}
 
 
 def _oracle_links(source):
@@ -180,7 +182,8 @@ def _oracle_links(source):
 
 
 def test_no_library_module_reaches_the_moved_oracles():
-    """The Racah-sum CG and the other moved oracles exist only in the tests:
+    """The Racah-sum CG, the sphere quadrature and the other moved oracles, and
+    the grid helpers they replace, exist only in the tests or nowhere:
     no module of spinphase imports them, tests or oracles, or defines them."""
     assert sorted(_oracle_links(
         "import oracles\nimport tests.oracles as o\nfrom tests import oracles\n"
@@ -188,8 +191,10 @@ def test_no_library_module_reaches_the_moved_oracles():
         "from .su2_algebra import log_factorial, spin_matrices\n"
         "_LOG_FACT = [0.0]\ndef master_rhs():\n    pass\n"
         "import os\nfrom .bopp import bopp_matrices\nlog_factorial_x = 1\n"
-    )) == ["_LOG_FACT", "clebsch_gordan", "log_factorial", "master_rhs", "oracles",
-           "oracles", "oracles", "oracles", "tests", "tests.oracles"]
+        "from .sphere_ops import grid_points, make_grid\n"
+        "@dataclass\nclass SphereGrid:\n    pass\n"
+    )) == ["SphereGrid", "_LOG_FACT", "clebsch_gordan", "log_factorial", "make_grid",
+           "master_rhs", "oracles", "oracles", "oracles", "oracles", "tests", "tests.oracles"]
     modules = sorted(SRC.glob("*.py"))
     assert modules
     for path in modules:

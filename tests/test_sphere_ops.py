@@ -1,4 +1,4 @@
-"""Spherical-harmonic grid machinery and coefficient-space operators."""
+"""The sphere grid the CLI writes on, and the coefficient-space operators."""
 
 import csv
 import json
@@ -78,59 +78,91 @@ def test_num_coefficients_and_band_limit_of():
         so.band_limit_of(5)  # not a perfect square
 
 
-# --- quadrature and transforms ----------------------------------------------
+# --- the grid and its quadrature oracle -------------------------------------
 
 def test_grid_weights_and_node_layout():
-    grid = so.make_grid(6)
-    assert grid.thetas.shape == (7,)
-    assert grid.phis.shape == (14,)
-    assert np.all(np.diff(grid.thetas) > 0)
-    assert np.sum(grid.weights) == pytest.approx(2.0, abs=1e-14)
-    _, _, _, integrate = so.grid_synthesis_analysis(6)
+    """The oracle's quadrature sits on the points the library writes, and its
+    weights add up to the solid angle."""
+    thetas, phis = so.grid_points(6)
+    ref_thetas, ref_phis, weights = oracles.quadrature(6)
+    np.testing.assert_allclose(thetas, ref_thetas, rtol=0, atol=1e-15)
+    assert np.array_equal(phis, ref_phis)
+    assert np.sum(weights) * phis.size == pytest.approx(4 * math.pi, abs=1e-13)
     ones = np.ones((7, 14))
-    assert integrate(ones) == pytest.approx(4 * math.pi, abs=1e-13)
+    assert oracles.sphere_integral(6, ones) == pytest.approx(4 * math.pi, abs=1e-13)
+
+
+@pytest.mark.parametrize("band", [0, 1, 7, 20])
+def test_grid_points_are_gauss_legendre_thetas_and_uniform_phis(band):
+    """L+1 ascending thetas whose cosines are the Gauss-Legendre nodes, and
+    2L+2 phis 2 pi k / (2L+2) from 0."""
+    thetas, phis = so.grid_points(band)
+    assert thetas.shape == (band + 1,) and phis.shape == (2 * band + 2,)
+    assert np.all(np.diff(thetas) > 0) and np.all((thetas > 0) & (thetas < math.pi))
+    nodes = np.polynomial.legendre.leggauss(band + 1)[0]
+    np.testing.assert_allclose(np.cos(thetas), nodes[::-1], rtol=0, atol=1e-15)
+    assert phis[0] == 0.0
+    np.testing.assert_allclose(phis, 2 * math.pi * np.arange(phis.size) / phis.size,
+                               rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("band", [0, 1, 7, 20])
+def test_grid_values_match_the_scipy_synthesis(band):
+    """grid_values, from the library's Legendre recurrence, against the sum of
+    c_lm Y_lm from scipy's harmonics, for coefficients of the full band and of
+    a lower one."""
+    rng = np.random.default_rng(band)
+    for n in {so.num_coefficients(band), so.num_coefficients(band // 2)}:
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = so.grid_values(band, c)
+        assert got.shape == (band + 1, 2 * band + 2)
+        np.testing.assert_allclose(got, oracles.synthesize(band, c), rtol=0, atol=1e-13)
 
 
 def test_quadrature_orthonormality_of_harmonics():
     L = 6
-    grid, _, _, integrate = so.grid_synthesis_analysis(L)
-    th = grid.thetas[:, None]
-    ph = grid.phis[None, :]
+    thetas, phis, _ = oracles.quadrature(L)
+    th = thetas[:, None]
+    ph = phis[None, :]
     for la, ma in [(0, 0), (1, 1), (2, -1), (3, 2), (5, -4), (6, 6)]:
         ya = oracles.ylm_eval(la, ma, th, ph)
         for lb, mb in [(0, 0), (1, 1), (2, -1), (4, 0), (6, 6)]:
             yb = oracles.ylm_eval(lb, mb, th, ph)
             want = 1.0 if (la, ma) == (lb, mb) else 0.0
-            assert integrate(np.conj(ya) * yb) == pytest.approx(want,
-                                                                abs=1e-12)
+            assert oracles.sphere_integral(L, np.conj(ya) * yb) == pytest.approx(want,
+                                                                                  abs=1e-12)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(2, 9), st.integers(0, 2**31 - 1))
 def test_analysis_inverts_synthesis(L, seed):
+    """The scipy quadrature recovers the coefficients from grid_values."""
     rng = np.random.default_rng(seed)
     n = so.num_coefficients(L)
     c = rng.normal(size=n) + 1j * rng.normal(size=n)
-    grid, synthesize, analyze, _ = so.grid_synthesis_analysis(L)
-    np.testing.assert_allclose(analyze(synthesize(c)), c, atol=1e-11)
+    np.testing.assert_allclose(oracles.analyze(L, so.grid_values(L, c)), c, atol=1e-11)
 
 
 def test_synthesize_rejects_coefficients_beyond_band():
-    _, synthesize, _, _ = so.grid_synthesis_analysis(3)
-    with pytest.raises(ValueError):
-        synthesize(np.zeros(so.num_coefficients(4), dtype=complex))
+    with pytest.raises(ValueError, match="coefficient band 4 exceeds grid band 3"):
+        so.grid_values(3, np.zeros(so.num_coefficients(4), dtype=complex))
+    with pytest.raises(ValueError, match="not a square"):
+        so.grid_values(3, np.zeros(5, dtype=complex))
+    for band in (-1, -2):
+        with pytest.raises(ValueError, match="band_limit must be >= 0"):
+            so.grid_points(band)
 
 
 # --- coefficient-space operators ---------------------------------------------
 
 def test_angular_operators_su2_algebra():
     L = 7
-    l1, l2, l3, lam2 = (op.toarray() for op in so.angular_operators(L))
+    l1, l2, l3 = (op.toarray() for op in so.angular_operators(L))
     np.testing.assert_allclose(l1 @ l2 - l2 @ l1, 1j * l3, atol=1e-13)
     np.testing.assert_allclose(l2 @ l3 - l3 @ l2, 1j * l1, atol=1e-13)
-    np.testing.assert_allclose(l1 @ l1 + l2 @ l2 + l3 @ l3, lam2, atol=1e-12)
     ls, ms = so.lm_arrays(L)
-    np.testing.assert_allclose(np.diag(lam2), ls * (ls + 1), atol=1e-12)
+    np.testing.assert_allclose(l1 @ l1 + l2 @ l2 + l3 @ l3, np.diag(ls * (ls + 1.0)),
+                               atol=1e-12)
     np.testing.assert_allclose(np.diag(l3), ms, atol=1e-14)
     for op in (l1, l2, l3):
         np.testing.assert_allclose(op, op.conj().T, atol=1e-13)
@@ -140,15 +172,15 @@ def test_position_operator_m3_matches_quadrature_oracle():
     """Entries of the cos(theta) multiplication operator from raw integrals."""
     L = 5
     m3 = so.position_operators(L)[2].toarray()
-    grid, _, _, integrate = so.grid_synthesis_analysis(L + 1)
-    th = grid.thetas[:, None]
-    ph = grid.phis[None, :]
+    thetas, phis, _ = oracles.quadrature(L + 1)
+    th = thetas[:, None]
+    ph = phis[None, :]
     for la in range(L + 1):
         for lb in range(L + 1):
             for m in range(-min(la, lb), min(la, lb) + 1):
                 ya = oracles.ylm_eval(la, m, th, ph)
                 yb = oracles.ylm_eval(lb, m, th, ph)
-                ref = integrate(np.conj(ya) * grid.x[:, None] * yb)
+                ref = oracles.sphere_integral(L + 1, np.conj(ya) * np.cos(th) * yb)
                 if max(la, lb) == L and min(la, lb) == L:
                     continue  # top-shell to top-shell entries are truncated
                 got = m3[so.flat_index(la, m), so.flat_index(lb, m)]
@@ -170,7 +202,7 @@ def test_position_operators_commute_and_sum_to_identity_in_interior():
 def test_position_operators_are_vector_under_rotations():
     L = 8
     m_ops = [op.toarray() for op in so.position_operators(L)[:3]]
-    l_ops = [op.toarray() for op in so.angular_operators(L)[:3]]
+    l_ops = [op.toarray() for op in so.angular_operators(L)]
     n_in = so.num_coefficients(L - 1)
     eps = {(0, 1): 2, (1, 2): 0, (2, 0): 1}
     for (a, b), c in eps.items():
@@ -182,7 +214,7 @@ def test_position_operators_are_vector_under_rotations():
 def test_k_operators_equal_m_cross_l():
     L = 7
     m1, m2, m3, k1, k2, k3 = (op.toarray() for op in so.position_operators(L))
-    l1, l2, l3, _ = (op.toarray() for op in so.angular_operators(L))
+    l1, l2, l3 = (op.toarray() for op in so.angular_operators(L))
     np.testing.assert_allclose(k1, 1j * (m2 @ l3 - m3 @ l2), atol=1e-13)
     np.testing.assert_allclose(k2, 1j * (m3 @ l1 - m1 @ l3), atol=1e-13)
     np.testing.assert_allclose(k3, 1j * (m1 @ l2 - m2 @ l1), atol=1e-13)
@@ -193,7 +225,7 @@ def test_conjugation_matrix_properties():
     p = so.conjugation_matrix(L)
     n = so.num_coefficients(L)
     np.testing.assert_allclose((p @ p).toarray(), np.eye(n), atol=0)
-    l1, l2, l3, _ = so.angular_operators(L)
+    l1, l2, l3 = so.angular_operators(L)
     m_ops = so.position_operators(L)
     for op in (l1, l2, l3):
         np.testing.assert_allclose(
@@ -221,7 +253,7 @@ def test_conjugated_operator_keeps_the_format_of_its_operand():
 
 
 def _reference_operators(L):
-    """L1, L2, L3, L^2, M1..K3 and P filled one (l, m) at a time, with the
+    """L1, L2, L3, M1..K3 and P filled one (l, m) at a time, with the
     couplings written out here: the entry-by-entry oracle for the closed forms."""
     n = so.num_coefficients(L)
 
@@ -247,15 +279,13 @@ def _reference_operators(L):
     l1 = ((lp + lm) / 2.0).astype(complex).tocsr()
     l2 = ((lp - lm) / 2j).tocsr()
     ms = np.array([m for l in range(L + 1) for m in range(-l, l + 1)])
-    ls = np.array([l for l in range(L + 1) for m in range(-l, l + 1)])
     l3 = sp.diags(ms.astype(complex)).tocsr()
-    lam2 = sp.diags((ls * (ls + 1)).astype(complex)).tocsr()
     m3 = m3.tocsr().astype(complex)
     k3 = k3.tocsr().astype(complex)
     mk = []
     for op in (m3, k3):
         mk += [(1j * (op @ l2 - l2 @ op)).tocsr(), (-1j * (op @ l1 - l1 @ op)).tocsr(), op]
-    return (l1, l2, l3, lam2), tuple(mk), p.tocsr().astype(complex)
+    return (l1, l2, l3), tuple(mk), p.tocsr().astype(complex)
 
 
 def _assert_same_entries(got, ref):
@@ -306,9 +336,9 @@ def test_operator_real_imag_split_reassembles():
 
 def test_real_symbols_detected_from_real_grid_functions():
     L = 5
-    grid, _, analyze, _ = so.grid_synthesis_analysis(L)
-    vals = np.cos(grid.thetas)[:, None] * np.sin(grid.phis)[None, :] ** 2
-    c = analyze(vals.astype(complex))
+    thetas, phis, _ = oracles.quadrature(L)
+    vals = np.cos(thetas)[:, None] * np.sin(phis)[None, :] ** 2
+    c = oracles.analyze(L, vals.astype(complex))
     assert oracles.is_real_symbol(c, 1e-12)
     c[so.flat_index(2, 1)] += 0.1
     assert not oracles.is_real_symbol(c, 1e-12)
@@ -319,9 +349,8 @@ def test_apply_conjugation_matches_pointwise_conjugate():
     rng = np.random.default_rng(8)
     n = so.num_coefficients(L)
     c = rng.normal(size=n) + 1j * rng.normal(size=n)
-    grid, synthesize, analyze, _ = so.grid_synthesis_analysis(L)
-    np.testing.assert_allclose(synthesize(so.apply_conjugation(c)),
-                               np.conj(synthesize(c)), atol=1e-12)
+    np.testing.assert_allclose(so.grid_values(L, so.apply_conjugation(c)),
+                               np.conj(so.grid_values(L, c)), atol=1e-12)
 
 
 # --- CSV output ---------------------------------------------------------------
@@ -330,11 +359,11 @@ def test_symbol_grid_csv_round_trips_values(tmp_path):
     """`symbol` writes the synthesized values of S+ = S1 + i S2 (complex, with
     coefficients up to l = 2S = 3) on a grid of a higher band, exactly."""
     L = 5
-    grid, synthesize, _, _ = so.grid_synthesis_analysis(L)
+    thetas, phis = so.grid_points(L)
     expr = [[1.0, [1]], [[0.0, 1.0], [2]]]
     ctx = SpinContext(3)
     mat = bopp.expression_to_matrix([(1.0, (1,)), (1j, (2,))], ctx)
-    vals = synthesize(swt.operator_to_symbol(mat, 0.0, ctx))
+    vals = so.grid_values(L, swt.operator_to_symbol(mat, 0.0, ctx))
     cfg = {"spin": {"twice_s": 3}, "operator": {"expression": expr},
            "grid": {"band_limit": L}, "outputs": {"grid": "grid.csv"}}
     (tmp_path / "s.json").write_text(json.dumps(cfg))
@@ -343,11 +372,12 @@ def test_symbol_grid_csv_round_trips_values(tmp_path):
     with open(tmp_path / "grid.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["theta", "phi", "value_re", "value_im"]
-    assert len(rows) == 1 + grid.thetas.size * grid.phis.size
+    assert len(rows) == 1 + thetas.size * phis.size
     k = 1
-    for i in range(grid.thetas.size):
-        for j in range(grid.phis.size):
-            assert float(rows[k][0]) == grid.thetas[i]
+    for i in range(thetas.size):
+        for j in range(phis.size):
+            assert float(rows[k][0]) == thetas[i]
+            assert float(rows[k][1]) == phis[j]
             assert float(rows[k][2]) == vals[i, j].real
             assert float(rows[k][3]) == vals[i, j].imag
             k += 1

@@ -117,10 +117,9 @@ def test_transforms_kernel_and_integration_run_from_cold_table_caches():
     for sigma in SIGMAS:
         c = swt.operator_to_symbol(a, sigma, ctx)
         np.testing.assert_allclose(swt.symbol_to_operator(c, sigma, ctx), a, atol=1e-12)
-    _, synthesize, _, _ = so.grid_synthesis_analysis(ctx.band_limit)
-    grid = so.make_grid(ctx.band_limit)
-    delta = swt.kernel_eval(ctx, 0.5, grid.thetas[4], grid.phis[7])
-    w = synthesize(swt.operator_to_symbol(a, 0.5, ctx))
+    thetas, phis = so.grid_points(ctx.band_limit)
+    delta = swt.kernel_eval(ctx, 0.5, thetas[4], phis[7])
+    w = so.grid_values(ctx.band_limit, swt.operator_to_symbol(a, 0.5, ctx))
     assert np.trace(a @ delta) == pytest.approx(w[4, 7], abs=1e-11)
     gen = dynamics.qfp_generator([(-1.0, (3,))], None, 0.0, ctx)
     c0 = swt.operator_to_symbol(dynamics.coherent_state(ctx, 0.8, 0.2), 0.0, ctx)
@@ -152,8 +151,8 @@ def test_standardization_integral_equals_trace(twice_s, sigma):
     ctx = SpinContext(twice_s)
     a = _random_hermitian(ctx.hilbert_dim, twice_s + 19)
     c = swt.operator_to_symbol(a, sigma, ctx)
-    _, synthesize, _, integrate = so.grid_synthesis_analysis(ctx.band_limit)
-    val = swt.measure_constant(ctx) * integrate(synthesize(c))
+    val = swt.measure_constant(ctx) * oracles.sphere_integral(
+        ctx.band_limit, oracles.synthesize(ctx.band_limit, c))
     assert val == pytest.approx(np.trace(a).real, abs=1e-11)
     assert swt.symbol_trace(c, ctx) == pytest.approx(np.trace(a).real,
                                                      abs=1e-12)
@@ -168,17 +167,10 @@ def test_traciality_pairs_dual_orderings(twice_s, sigma):
     ca = swt.operator_to_symbol(a, sigma, ctx)
     cb = swt.operator_to_symbol(b, -sigma, ctx)
     L = 2 * ctx.band_limit  # product of two band-2S symbols
-    _, synthesize, _, integrate = so.grid_synthesis_analysis(L)
-    pad = np.zeros(so.num_coefficients(L), dtype=complex)
-    wa = synthesize(_padded(ca, pad.copy()))
-    wb = synthesize(_padded(cb, pad.copy()))
-    val = swt.measure_constant(ctx) * integrate(wa * wb)
+    wa = oracles.synthesize(L, ca)
+    wb = oracles.synthesize(L, cb)
+    val = swt.measure_constant(ctx) * oracles.sphere_integral(L, wa * wb)
     assert val == pytest.approx(np.trace(a @ b).real, abs=1e-10)
-
-
-def _padded(c, out):
-    out[: c.size] = c
-    return out
 
 
 def test_expectation_matches_hilbert_space_pairing():
@@ -236,11 +228,10 @@ def test_kernel_is_hermitian_unit_trace_and_reproduces_symbols():
     a = _random_hermitian(ctx.hilbert_dim, 13)
     for sigma in SIGMAS:
         c = swt.operator_to_symbol(a, sigma, ctx)
-        _, synthesize, _, _ = so.grid_synthesis_analysis(ctx.band_limit)
-        w = synthesize(c)
-        grid = so.make_grid(ctx.band_limit)
+        w = oracles.synthesize(ctx.band_limit, c)
+        thetas, phis, _ = oracles.quadrature(ctx.band_limit)
         for i, j in [(0, 0), (1, 3), (2, 1)]:
-            delta = swt.kernel_eval(ctx, sigma, grid.thetas[i], grid.phis[j])
+            delta = swt.kernel_eval(ctx, sigma, thetas[i], phis[j])
             np.testing.assert_allclose(delta, delta.conj().T, atol=1e-12)
             assert np.trace(delta).real == pytest.approx(1.0, abs=1e-12)
             assert np.trace(a @ delta) == pytest.approx(w[i, j], abs=1e-11)
@@ -248,16 +239,14 @@ def test_kernel_is_hermitian_unit_trace_and_reproduces_symbols():
 
 def test_kernel_integrates_to_identity():
     ctx = SpinContext(3)
-    grid = so.make_grid(ctx.band_limit)
-    dphi = 2 * math.pi / grid.phis.size
+    thetas, phis, weights = oracles.quadrature(ctx.band_limit)
     for sigma in SIGMAS:
-        stack = np.empty((grid.thetas.size, grid.phis.size,
+        stack = np.empty((thetas.size, phis.size,
                           ctx.hilbert_dim, ctx.hilbert_dim), dtype=complex)
-        for i, th in enumerate(grid.thetas):
-            for j, ph in enumerate(grid.phis):
+        for i, th in enumerate(thetas):
+            for j, ph in enumerate(phis):
                 stack[i, j] = swt.kernel_eval(ctx, sigma, th, ph)
-        total = swt.measure_constant(ctx) * dphi * np.einsum(
-            "i,ijab->ab", grid.weights, stack)
+        total = swt.measure_constant(ctx) * np.einsum("i,ijab->ab", weights, stack)
         np.testing.assert_allclose(total, np.eye(ctx.hilbert_dim), atol=1e-11)
 
 
