@@ -70,19 +70,10 @@ def asymptotic_coefficients(ctx, sigma, l):
     return f1, f2
 
 
-def shell_diagonal(band_limit, table):
-    """Sparse diagonal applying a per-shell table over the flat index."""
-    table = np.asarray(table, dtype=complex)
-    if table.size != band_limit + 1:
-        raise ValueError("table length must be band_limit + 1")
-    l_of, _ = sphere_ops.lm_arrays(band_limit)
-    return sp.diags(table[l_of]).tocsr()
-
-
 def bopp_matrices(ctx, sigma, band=None):
     """(B1, B2, B3) on symbol coefficients at band limit band (None: 2S), CSR,
-    built anew on every call: B_i = M_i F1 + K_i F2 + L_i/2, with F1, F2 the
-    shell diagonals of the tables' first band + 1 entries, which act first.
+    built anew on every call: B_i = M_i F1 + K_i F2 + L_i/2, where F1 and F2
+    scale the column of flat index (l, m) by the tables' f1(l) and f2(l).
     On the complete band-2S space these reproduce left multiplication by S_i
     exactly for every ordering; below 2S only transitions to shell band + 1
     are dropped, so each is the l <= band block of its band-2S self.
@@ -92,11 +83,12 @@ def bopp_matrices(ctx, sigma, band=None):
         raise ValueError(f"band must be an integer in [0, 2S = {ctx.band_limit}], got {band!r}")
     L = int(L)
     coeffs = bopp_coefficients(ctx, sigma)
-    f1d = shell_diagonal(L, coeffs.f1[:L + 1])
-    f2d = shell_diagonal(L, coeffs.f2[:L + 1])
+    l_of, _ = sphere_ops.lm_arrays(L)
+    f1, f2 = coeffs.f1[l_of], coeffs.f2[l_of]
     l_ops = sphere_ops.angular_operators(L)
     mk = sphere_ops.position_operators(L)  # M1, M2, M3, K1, K2, K3
-    return tuple((mk[i] @ f1d + mk[i + 3] @ f2d + 0.5 * l_ops[i]).tocsr() for i in range(3))
+    return tuple((mk[i].multiply(f1) + mk[i + 3].multiply(f2) + 0.5 * l_ops[i]).tocsr()
+                 for i in range(3))
 
 
 def validate_expression(expr):

@@ -178,7 +178,10 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
 # --- states, integration, observables -------------------------------------
 
 def coherent_state(ctx, theta0, phi0):
-    """Density matrix of the spin coherent state at (theta0, phi0)."""
+    """Density matrix of the spin coherent state at (theta0, phi0); non-finite
+    angles are refused."""
+    if not (math.isfinite(theta0) and math.isfinite(phi0)):
+        raise ValueError(f"coherent-state angles must be finite, got {theta0}, {phi0}")
     _, s2, _ = spin_matrices(ctx)
     w, v = np.linalg.eigh(s2)
     # rotated highest-weight state: column 0 of Rz(phi0) exp(-i theta0 S2)
@@ -234,12 +237,16 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
     matrix, no random numbers and no size limit.  kind "symbol" attaches, at every step, the
     spin observables, trace, purity and reality residual max|P conj(c0) - c0|
     of symbol states c, with c0 = switch_ordering(c, sigma, 0) (needs ctx and
-    sigma).  A non-finite y0 is refused; a non-finite state aborts, naming its step.
+    sigma, and a y0 of length ctx.symbol_dim).  A non-finite y0 is refused; a
+    non-finite state aborts, naming its step.
     """
     if kind not in (None, "symbol"):
         raise ValueError(f"unknown kind {kind!r}")
     if kind and (ctx is None or sigma is None):
         raise ValueError("symbol observables need ctx and sigma")
+    if kind and np.size(y0) != ctx.symbol_dim:
+        raise ValueError(f"y0 has {np.size(y0)} coefficients, but ctx (2S = {ctx.twice_s}) "
+                         f"has symbol_dim {ctx.symbol_dim}")
     times, blocks = lockstep([gen], [y0], t_end, dt, method, keep_states)
     observe = kind and _symbol_observables(ctx, sigma)
     obs = np.empty((times.size, 6)) if observe else None

@@ -46,44 +46,34 @@ def lm_arrays(band_limit):
     return l_of, m_of
 
 
-def _half_index(l, m):
-    # packed index over 0 <= m <= l
-    return l * (l + 1) // 2 + m
+def _ylm_rows(band_limit, x):
+    """Y_lm(theta, phi = 0) over the flat index (rows) at x = cos(theta) (columns).
 
-
-def _legendre_table(band_limit, x):
-    """Fully normalized associated Legendre values P_lm(x) for 0 <= m <= l <= L.
-
-    Normalization (including 1/sqrt(4pi) and the Condon-Shortley phase) is
-    such that Y_lm = P_l|m| * e^{i m phi} for m >= 0.  Standard stable
-    recurrences: diagonal, first off-diagonal, then upward in l at fixed m.
+    Fully normalized associated Legendre values P_l|m|(x), with 1/sqrt(4pi), the
+    Condon-Shortley phase and (-1)^m for m < 0, by the standard stable
+    recurrences: the diagonal l = |m|, the first off-diagonal l = |m| + 1, then
+    upward in l at every m of shell l from rows idx - 2l (shell l - 1) and
+    idx - 4l + 2 (shell l - 2).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    L = band_limit
-    table = np.zeros((_half_index(L, L) + 1, x.size))
+    _, m_of = lm_arrays(band_limit)
+    rows = np.empty((m_of.size, x.size))
+    m = np.arange(band_limit + 1)
     sx = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    table[0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, L + 1):
-        table[_half_index(m, m)] = (
-            -math.sqrt((2 * m + 1) / (2.0 * m)) * sx * table[_half_index(m - 1, m - 1)]
-        )
-    for m in range(L):
-        table[_half_index(m + 1, m)] = math.sqrt(2 * m + 3) * x * table[_half_index(m, m)]
-    for m in range(L + 1):
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
-            b = math.sqrt(((l - 1) ** 2 - m * m) / (4.0 * (l - 1) ** 2 - 1))
-            table[_half_index(l, m)] = a * (
-                x * table[_half_index(l - 1, m)] - b * table[_half_index(l - 2, m)]
-            )
-    return table
-
-
-def _ylm_rows(band_limit, x):
-    # Y_lm(theta, phi = 0) over the flat index (rows) at x = cos(theta) (columns)
-    l_of, m_of = lm_arrays(band_limit)
-    sign = (-1.0) ** np.minimum(m_of, 0)
-    return sign[:, None] * _legendre_table(band_limit, x)[_half_index(l_of, np.abs(m_of))]
+    diag = np.cumprod(np.vstack([np.full((1, x.size), 1.0 / math.sqrt(4.0 * math.pi)),
+                                 -np.sqrt((2 * m[1:] + 1) / (2.0 * m[1:]))[:, None] * sx]),
+                      axis=0)
+    rows[m * m] = rows[m * m + 2 * m] = diag  # (m, -m) and (m, m)
+    m = m[:-1]
+    rows[m * m + 2 * m + 2] = rows[m * m + 4 * m + 2] = (  # (m + 1, -m) and (m + 1, m)
+        np.sqrt(2 * m + 3)[:, None] * x * diag[:-1])
+    for l in range(2, band_limit + 1):
+        idx = np.arange(l * l + 2, l * l + 2 * l - 1)  # m = 2 - l .. l - 2
+        m2 = ((idx - l * l - l) ** 2)[:, None]
+        a = np.sqrt((4 * l * l - 1) / (l * l - m2))
+        b = np.sqrt(((l - 1) ** 2 - m2) / (4.0 * (l - 1) ** 2 - 1))
+        rows[idx] = a * (x * rows[idx - 2 * l] - b * rows[idx - 4 * l + 2])
+    return (-1.0) ** np.minimum(m_of, 0)[:, None] * rows
 
 
 def ylm_point(band_limit, theta, phi):

@@ -111,9 +111,12 @@ def switch_ordering(c, sigma_from, sigma_to, ctx):
 def kernel_eval(ctx, sigma, theta, phi):
     """Phase-space kernel Delta^(sigma)(theta, phi) as a Hermitian matrix.
 
-    Tr(A Delta^(sigma)(x)) reproduces the symbol of A at x.
+    Tr(A Delta^(sigma)(x)) reproduces the symbol of A at x.  Non-finite angles
+    are refused.
     """
     sigma = validate_sigma(sigma)
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"kernel angles must be finite, got {theta}, {phi}")
     y = sphere_ops.ylm_point(ctx.band_limit, theta, phi)
     # the operator whose symbol at ordering -sigma is the delta function at x
     return symbol_to_operator(np.conj(y) / measure_constant(ctx), -sigma, ctx)

@@ -15,6 +15,7 @@ exposes a library quantity for a test to read.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import sph_harm_y
 
 from spinphase import bopp, dynamics, sphere_ops, su2_algebra, sw_transform
@@ -269,8 +270,8 @@ def _angular_and_bopp_positions(ctx, sigma):
     shell tables, apart from the assembly in bopp_matrices."""
     band = ctx.band_limit
     coeffs = bopp.bopp_coefficients(ctx, sigma)
-    f1d = bopp.shell_diagonal(band, coeffs.f1)
-    f2d = bopp.shell_diagonal(band, coeffs.f2)
+    l_of, _ = sphere_ops.lm_arrays(band)
+    f1d, f2d = sp.diags(coeffs.f1[l_of]), sp.diags(coeffs.f2[l_of])
     mk_ops = sphere_ops.position_operators(band)
     return (sphere_ops.angular_operators(band),
             [mk_ops[k] @ f1d + mk_ops[3 + k] @ f2d for k in range(3)])

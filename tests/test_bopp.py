@@ -127,13 +127,6 @@ def test_asymptotic_coefficients_broadcast_over_shells():
         assert (f1[k], f2[k]) == (a1, a2)
 
 
-def test_shell_diagonal_layout():
-    d = bopp.shell_diagonal(2, [1.0, 2.0, 3.0]).toarray()
-    np.testing.assert_allclose(np.diag(d), [1, 2, 2, 2, 3, 3, 3, 3, 3])
-    with pytest.raises(ValueError):
-        bopp.shell_diagonal(2, [1.0, 2.0])
-
-
 # --- multiplication operators against the transform oracle -------------------
 
 @pytest.mark.parametrize("twice_s", [1, 2, 3, 4])
@@ -242,21 +235,17 @@ def test_evaluate_expression_builds_ordered_bopp_products():
 @pytest.mark.parametrize("sigma", [-1.0, 0.3, 1.0])
 @pytest.mark.parametrize("twice_s", [1, 6, 17])
 def test_bopp_set_at_a_band_is_the_full_band_block(twice_s, sigma):
-    """Below 2S the Bopp matrices, the sphere operators L, M, K and the shell
-    diagonals of the tables' first band + 1 entries they are built from, and
-    evaluate_expression, are the l <= band block of the band-2S ones, bit for
-    bit: only transitions out of the block are dropped."""
+    """Below 2S the Bopp matrices, the sphere operators L, M, K they are built
+    from, and evaluate_expression, are the l <= band block of the band-2S ones,
+    bit for bit: only transitions out of the block are dropped."""
     ctx = SpinContext(twice_s)
-    coeffs = bopp.bopp_coefficients(ctx, sigma)
 
     def operators(band):
         return (bopp.bopp_matrices(ctx, sigma, band) + so.angular_operators(band)
-                + so.position_operators(band)
-                + (bopp.shell_diagonal(band, coeffs.f1[:band + 1]),
-                   bopp.shell_diagonal(band, coeffs.f2[:band + 1])))
+                + so.position_operators(band))
 
     full = operators(twice_s)
-    assert len(full) == 14
+    assert len(full) == 12
     expr = [(2.0, (1, 2)), (1j, (3,)), (0.5, ())]
     full_expr = bopp.evaluate_expression(expr, full[:3])
     for band in range(twice_s + 1):

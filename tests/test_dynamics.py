@@ -424,6 +424,12 @@ def test_coherent_state_matches_the_dense_rotation(twice_s):
                                    np.outer(ket, ket.conj()), rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("angles", [(math.nan, 0.0), (0.3, math.nan), (0.3, math.inf)])
+def test_coherent_state_refuses_non_finite_angles(angles):
+    with pytest.raises(ValueError, match="angles must be finite"):
+        dyn.coherent_state(SpinContext(4), *angles)
+
+
 def test_integrate_adjusts_dt_and_attaches_observables():
     ctx = SpinContext(2)
     gen = dyn.qfp_generator([(-1.0, (3,))], None, 0.0, ctx)
@@ -474,6 +480,26 @@ def test_integrate_density_matches_symbol_route():
     for a, b in ((sym.s1, s1), (sym.s2, s2), (sym.s3, s3),
                  (sym.trace, trace), (sym.purity, purity)):
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+def test_integrate_refuses_a_state_of_another_spin_than_ctx_before_stepping(
+        monkeypatch, method):
+    """A 2S=20 generator and state with a 2S=10 ctx are refused before any step:
+    the stubbed steppers fail on any call."""
+    def no_stepper(gen, dt_used):
+        def step(y):
+            raise AssertionError("stepped before checking y0 against ctx")
+        return step
+
+    monkeypatch.setattr(dyn, "_rk4_step", no_stepper)
+    monkeypatch.setattr(dyn, "_taylor_step", no_stepper)
+    ctx = SpinContext(20)
+    gen = dyn.qfp_generator([(-1.0, (3,))], None, 0.0, ctx)
+    c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 1.2, 0.0), 0.0, ctx)
+    with pytest.raises(ValueError, match="y0 has 441 coefficients.*symbol_dim 121"):
+        dyn.integrate(gen, c0, 50.0, 0.01, method, ctx=SpinContext(10), sigma=0.0,
+                      kind="symbol")
 
 
 def test_integrate_refuses_density_observables():

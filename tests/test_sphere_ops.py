@@ -119,6 +119,19 @@ def test_grid_values_match_the_scipy_synthesis(band):
         np.testing.assert_allclose(got, oracles.synthesize(band, c), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("band", [0, 1, 7, 40])
+def test_ylm_point_matches_the_scipy_harmonics(band):
+    """ylm_point, from the library's recurrence on the flat index, against
+    scipy's harmonics at both poles and at random points."""
+    l, m = np.array([(l, m) for l in range(band + 1) for m in range(-l, l + 1)]).T
+    rng = np.random.default_rng(band)
+    points = [(0.0, 0.7), (math.pi, 2.1)] + list(
+        zip(rng.uniform(0, math.pi, 5), rng.uniform(0, 2 * math.pi, 5)))
+    for theta, phi in points:
+        np.testing.assert_allclose(so.ylm_point(band, theta, phi),
+                                   oracles.ylm_eval(l, m, theta, phi), rtol=0, atol=1e-13)
+
+
 def test_quadrature_orthonormality_of_harmonics():
     L = 6
     thetas, phis, _ = oracles.quadrature(L)

@@ -237,6 +237,12 @@ def test_kernel_is_hermitian_unit_trace_and_reproduces_symbols():
             assert np.trace(a @ delta) == pytest.approx(w[i, j], abs=1e-11)
 
 
+@pytest.mark.parametrize("angles", [(math.nan, 0.0), (0.3, math.nan), (0.3, math.inf)])
+def test_kernel_refuses_non_finite_angles(angles):
+    with pytest.raises(ValueError, match="angles must be finite"):
+        swt.kernel_eval(SpinContext(3), 0.0, *angles)
+
+
 def test_kernel_integrates_to_identity():
     ctx = SpinContext(3)
     thetas, phis, weights = oracles.quadrature(ctx.band_limit)
