@@ -1,13 +1,15 @@
 """Differential-operator representation of spin components on symbols.
 
 Left multiplication by S_i on the operator side becomes a band-limited
-matrix B_i on symbol coefficients: B_i = M_i F1 + K_i F2 + L_i/2, with
-shell-diagonal tables f1(l), f2(l) built from ratios of
-F(l) = sqrt((2S+l+1)!(2S-l)!).  Products of the B_i realize star products
-of symbols without ever leaving coefficient space.  Oracles in
-tests/oracles.py pin the construction apart from it: left multiplication
-conjugated with the transform pair, the star product by the operator route
-and the analytic S3 star Y_lm.
+matrix B_i on symbol coefficients: B_i = (up M_i(up) + down M_i(down) + L_i)/2,
+the steps l -> l+-1 of multiplication by m_i weighted at the shell l they
+leave by ratios of F(l) = sqrt((2S+l+1)!(2S-l)!).  It is the paper's
+M_i F1 + K_i F2 + L_i/2, as K_i = i(m x L)_i = [L^2, M_i]/2 - M_i.
+Products of the B_i realize star products of symbols without ever leaving
+coefficient space.  Oracles in tests/oracles.py pin the construction apart
+from it: left multiplication conjugated with the transform pair, the
+termwise form, the star product by the operator route and the analytic S3
+star Y_lm.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sphere_ops, sw_transform
-from .su2_algebra import spin_matrices
+from .su2_algebra import is_integer, spin_matrices
 
 
 @dataclass(frozen=True)
@@ -72,23 +74,29 @@ def asymptotic_coefficients(ctx, sigma, l):
 
 def bopp_matrices(ctx, sigma, band=None):
     """(B1, B2, B3) on symbol coefficients at band limit band (None: 2S), CSR,
-    built anew on every call: B_i = M_i F1 + K_i F2 + L_i/2, where F1 and F2
-    scale the column of flat index (l, m) by the tables' f1(l) and f2(l).
+    built anew on every call: B_i = (up M_i(up) + down M_i(down) + L_i)/2, the
+    steps l -> l+-1 of M_i weighted at the column's shell by up/2 = f1 + l f2
+    and down/2 = f1 - (l+1) f2 from the tables of bopp_coefficients.
     On the complete band-2S space these reproduce left multiplication by S_i
     exactly for every ordering; below 2S only transitions to shell band + 1
     are dropped, so each is the l <= band block of its band-2S self.
     """
     L = ctx.band_limit if band is None else band
-    if L != int(L) or not 0 <= L <= ctx.band_limit:
+    if not (is_integer(L) and 0 <= L <= ctx.band_limit):
         raise ValueError(f"band must be an integer in [0, 2S = {ctx.band_limit}], got {band!r}")
     L = int(L)
     coeffs = bopp_coefficients(ctx, sigma)
     l_of, _ = sphere_ops.lm_arrays(L)
     f1, f2 = coeffs.f1[l_of], coeffs.f2[l_of]
-    l_ops = sphere_ops.angular_operators(L)
-    mk = sphere_ops.position_operators(L)  # M1, M2, M3, K1, K2, K3
-    return tuple((mk[i].multiply(f1) + mk[i + 3].multiply(f2) + 0.5 * l_ops[i]).tocsr()
-                 for i in range(3))
+    half_up, half_down = f1 + l_of * f2, f1 - (l_of + 1) * f2
+    out = []
+    for m_op, l_op in zip(sphere_ops.position_operators(L), sphere_ops.angular_operators(L)):
+        # an entry below the diagonal (row > column) is a step l -> l+1
+        rows = np.repeat(np.arange(m_op.shape[0]), np.diff(m_op.indptr))
+        cols = m_op.indices
+        m_op.data *= np.where(rows > cols, half_up[cols], half_down[cols])
+        out.append(m_op + 0.5 * l_op)
+    return tuple(out)
 
 
 def validate_expression(expr):

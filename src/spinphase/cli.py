@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bopp, dynamics, sphere_ops, sw_transform
-from .su2_algebra import SpinContext
+from .su2_algebra import SpinContext, is_integer
 
 # the commands that gate on a tolerance, with its default; only symbol draws
 # random numbers, so only it reads a seed
@@ -83,7 +83,7 @@ def _finite(value, what):
 
 def _integer(value, what):
     """A JSON integer (or integral float) as an int; anything else is refused."""
-    if not (type(value) is int or isinstance(value, float) and value.is_integer()):
+    if not is_integer(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import bopp, sphere_ops, sw_transform
-from .su2_algebra import SpinContext, rotation_z, spin_matrices
+from .su2_algebra import SpinContext, is_integer, rotation_z, spin_matrices
 
 _EPS = [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
         (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0)]
@@ -143,7 +143,9 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
     -(i/S) sum_kj L_k Lam_kj [(m x B_eff)_j - i T L_j].  exp(-h/T) is
     stationary under fokker_planck on the shells the band truncation leaves
     intact.  qfp_generator for H = -b.S and F = xi.S is this form with B = S b,
-    Lam = S gamma xi xi^T and m replaced by the Bopp (M F1 + K F2)/S = m + O(1/S).
+    Lam = S gamma xi xi^T and m_i replaced by the Bopp position operator
+    (up M_i(up) + down M_i(down))/(2S) = m_i + O(1/S) of bopp_matrices.  A
+    band_limit that is not an integer >= 0 is refused.
     """
     h_expr = bopp.validate_expression(h_expr)
     if any(coeff.imag for coeff, _ in h_expr):
@@ -155,6 +157,9 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
         raise ValueError("s must be finite and > 0")
     if not (math.isfinite(temperature) and temperature > 0):
         raise ValueError("temperature must be finite and > 0")
+    if not (is_integer(band_limit) and band_limit >= 0):
+        raise ValueError(f"band_limit must be an integer >= 0, got {band_limit!r}")
+    band_limit = int(band_limit)
     grad = ([], [], [])  # -dh/dm_a, word by word
     for coeff, word in h_expr:
         for a in (1, 2, 3):
@@ -162,7 +167,7 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
                 i = word.index(a)
                 grad[a - 1].append((-coeff * word.count(a), word[:i] + word[i + 1:]))
     l_ops = sphere_ops.angular_operators(band_limit)
-    m_ops = sphere_ops.position_operators(band_limit)[:3]
+    m_ops = sphere_ops.position_operators(band_limit)
     zero = sp.csr_matrix(l_ops[0].shape, dtype=complex)
     b_ops = [bopp.evaluate_expression(g, m_ops) for g in grad]
     cross = [zero] * 3  # m x B_eff
@@ -415,10 +420,12 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None)
         raise ValueError(f"{mode} mode {'needs' if mode == 'bilinear' else 'reads no'} "
                          f"{', '.join(wrong)}")
     sigma = sw_transform.validate_sigma(sigma)
-    if len({int(t) for t in twice_s_values}) < 2:  # one S fits no slope
+    contexts = [SpinContext(t) for t in twice_s_values]
+    if len({ctx.twice_s for ctx in contexts}) < 2:  # one S fits no slope
         raise ValueError(f"twice_s_values needs at least two distinct values, "
                          f"got {list(twice_s_values)}")
-    contexts = [SpinContext(t) for t in twice_s_values]
+    if not is_integer(l_test):
+        raise ValueError(f"l_test must be an integer, got {l_test!r}")
     if l_test < 0:
         raise ValueError(f"l_test must be >= 0, got {l_test}")
     if l_test == 0 and mode != "asymptotics":

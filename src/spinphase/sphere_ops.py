@@ -6,9 +6,9 @@ vector with index l*l + l + m.  Evolution happens on these vectors; the grid
 (Gauss-Legendre nodes in cos(theta), L+1 of them, times 2L+2 uniform phis)
 only prints them.
 
-Multiplication by the direction components m_i and the combinations
-i(m x L)_i are genuinely band-limited here: products that would leave
-shell L are dropped (documented lossy top shell).
+Multiplication by the direction components m_i is genuinely band-limited
+here: products that would leave shell L are dropped (documented lossy top
+shell).
 """
 
 import functools
@@ -117,23 +117,6 @@ def grid_values(band_limit, c):
     return g.T @ np.exp(1j * np.outer(np.arange(-L, L + 1), phis))
 
 
-def alpha_beta(l, m):
-    """Couplings (alpha1, alpha2, beta1, beta2) for shell transitions l -> l+-1.
-
-    cos(theta) Y_lm = alpha1 Y_{l+1,m} + alpha2 Y_{l-1,m}
-    sin(theta) dY_lm/dtheta = beta1 Y_{l+1,m} + beta2 Y_{l-1,m}
-    with beta1 = l*alpha1 and beta2 = -(l+1)*alpha2.  Broadcasts over
-    integer arrays l, m; alpha2 = 0 at l = 0.
-    """
-    l, m = np.asarray(l), np.asarray(m)
-    if np.any((l < 0) | (np.abs(m) > l)):
-        raise ValueError(f"invalid (l, m) = ({l}, {m})")
-    alpha1 = np.sqrt((l - m + 1) * (l + m + 1) / ((2 * l + 1) * (2 * l + 3)))
-    alpha2 = np.where(l == 0, 0.0,
-                      np.sqrt((l - m) * (l + m) / ((2 * l - 1) * (2 * l + 1))))
-    return alpha1, alpha2, l * alpha1, -(l + 1) * alpha2
-
-
 def _csr(data, rows, cols, n):
     # n x n CSR matrix with sorted indices; zero entries are not stored
     keep = data != 0
@@ -158,30 +141,30 @@ def angular_operators(band_limit):
 
 
 def position_operators(band_limit):
-    """Multiplication operators M_i (by m_i) and K_i (by i(m x L)_i), band-limited.
+    """Multiplication operators (M1, M2, M3) by m_i, band-limited.
 
-    M3/K3 couple (l, m) -> (l+-1, m), flat index idx + 2l + 2 and idx - 2l;
-    components 1 and 2 follow from the commutators M1 = i[M3, L2],
-    M2 = -i[M3, L1] (same for K).  Transitions to shell L+1 are dropped:
-    products of top-shell content are lossy.
+    M3 couples (l, m) -> (l+-1, m), flat index idx + 2l + 2 and idx - 2l, by
+    cos(theta) Y_lm = alpha1 Y_{l+1,m} + alpha2 Y_{l-1,m}; M1 = i[M3, L2] and
+    M2 = -i[M3, L1], so entries below the diagonal are the steps l -> l+1.
+    Transitions to shell L+1 are dropped: products of top-shell content are
+    lossy.
     """
     L = band_limit
     n = num_coefficients(L)
     l1, l2, _ = angular_operators(L)
     l_of, m_of = lm_arrays(L)
     idx = np.arange(n)
-    a1, a2, b1, b2 = alpha_beta(l_of, m_of)
     up = l_of < L
     down = np.abs(m_of) < l_of
-    rows = np.concatenate([idx[up] + 2 * l_of[up] + 2, idx[down] - 2 * l_of[down]])
+    lu, mu, ld, md = l_of[up], m_of[up], l_of[down], m_of[down]
+    alpha1 = np.sqrt((lu - mu + 1) * (lu + mu + 1) / ((2 * lu + 1) * (2 * lu + 3)))
+    alpha2 = np.sqrt((ld - md) * (ld + md) / ((2 * ld - 1) * (2 * ld + 1)))
+    rows = np.concatenate([idx[up] + 2 * lu + 2, idx[down] - 2 * ld])
     cols = np.concatenate([idx[up], idx[down]])
-    m3 = _csr(np.concatenate([a1[up], a2[down]]), rows, cols, n).astype(complex)
-    k3 = _csr(np.concatenate([b1[up], b2[down]]), rows, cols, n).astype(complex)
+    m3 = _csr(np.concatenate([alpha1, alpha2]), rows, cols, n).astype(complex)
     m1 = (1j * (m3 @ l2 - l2 @ m3)).tocsr()
     m2 = (-1j * (m3 @ l1 - l1 @ m3)).tocsr()
-    k1 = (1j * (k3 @ l2 - l2 @ k3)).tocsr()
-    k2 = (-1j * (k3 @ l1 - l1 @ k3)).tocsr()
-    return m1, m2, m3, k1, k2, k3
+    return m1, m2, m3
 
 
 def conjugation_matrix(band_limit):

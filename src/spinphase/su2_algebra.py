@@ -13,6 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def is_integer(value):
+    """True for an integral number such as 3 or 3.0; False for a bool, NaN, an
+    infinity, a string or anything else int() refuses or changes."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class SpinContext:
     """Spin S stored as twice_s = 2S; everything downstream derives from it.
@@ -24,7 +33,7 @@ class SpinContext:
     twice_s: int
 
     def __post_init__(self):
-        if isinstance(self.twice_s, bool) or self.twice_s != int(self.twice_s):
+        if not is_integer(self.twice_s):
             raise ValueError(f"twice_s must be an integer, got {self.twice_s!r}")
         object.__setattr__(self, "twice_s", int(self.twice_s))
         if self.twice_s < 1:

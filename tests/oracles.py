@@ -6,8 +6,10 @@ one either computes a quantity by a route independent of the library's own
 (the Clebsch-Gordan coefficients from the Racah sum, the harmonics from
 scipy and the sphere's synthesis and quadrature on them, the Bopp matrices
 and the star product from the transform pair, S3 star Y_lm from the
-kernel-product expansion, the master equation term by term, the termwise
-generators from the sphere operators and shell tables, the symmetric tables
+kernel-product expansion, the master equation term by term, the K
+operators i(m x L)_i from their sin(theta) d/dtheta couplings, the Bopp
+position operators M F1 + K F2 and the termwise generators built on them
+from the sphere operators and shell tables, the symmetric tables
 from their closed form, the stationary state from a dense eigen-solve) or
 exposes a library quantity for a test to read.
 """
@@ -265,16 +267,42 @@ def master_stationary_state(h, f, gamma, temperature):
     return rho / np.trace(rho).real
 
 
+def k_operators(band):
+    """(K1, K2, K3), multiplication by i(m x L)_i, band-limited, with the
+    couplings written out here.  K3 = sin(theta) d/dtheta takes Y_lm to
+    l alpha1 Y_{l+1,m} - (l+1) alpha2 Y_{l-1,m}, where alpha1, alpha2 are the
+    cos(theta) couplings; K1 = i[K3, L2] and K2 = -i[K3, L1].  Transitions to
+    shell band + 1 are dropped, as for M."""
+    n = (band + 1) ** 2
+    rows, cols, vals = [], [], []
+    for l in range(band + 1):
+        for m in range(-l, l + 1):
+            if l < band:
+                alpha1 = math.sqrt((l - m + 1) * (l + m + 1) / ((2 * l + 1) * (2 * l + 3)))
+                rows.append((l + 1) ** 2 + l + 1 + m)
+                cols.append(l * l + l + m)
+                vals.append(l * alpha1)
+            if abs(m) < l:
+                alpha2 = math.sqrt((l - m) * (l + m) / ((2 * l - 1) * (2 * l + 1)))
+                rows.append((l - 1) ** 2 + l - 1 + m)
+                cols.append(l * l + l + m)
+                vals.append(-(l + 1) * alpha2)
+    k3 = sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
+    l1, l2, _ = sphere_ops.angular_operators(band)
+    return ((1j * (k3 @ l2 - l2 @ k3)).tocsr(), (-1j * (k3 @ l1 - l1 @ k3)).tocsr(), k3)
+
+
 def _angular_and_bopp_positions(ctx, sigma):
-    """(L_k, M_k F1 + K_k F2) at band 2S, from the sphere operators and the
-    shell tables, apart from the assembly in bopp_matrices."""
+    """(L_k, M_k F1 + K_k F2) at band 2S, the paper's termwise form: F1 and F2
+    scale the column of shell l by the tables' f1(l) and f2(l), and K_k comes
+    from k_operators, apart from the shell-step weights of bopp_matrices."""
     band = ctx.band_limit
     coeffs = bopp.bopp_coefficients(ctx, sigma)
     l_of, _ = sphere_ops.lm_arrays(band)
     f1d, f2d = sp.diags(coeffs.f1[l_of]), sp.diags(coeffs.f2[l_of])
-    mk_ops = sphere_ops.position_operators(band)
+    m_ops, k_ops = sphere_ops.position_operators(band), k_operators(band)
     return (sphere_ops.angular_operators(band),
-            [mk_ops[k] @ f1d + mk_ops[3 + k] @ f2d for k in range(3)])
+            [m_ops[k] @ f1d + k_ops[k] @ f2d for k in range(3)])
 
 
 def quadratic_generator(d, b, sigma, ctx):

@@ -139,6 +139,25 @@ def test_bopp_matrices_match_left_multiplication(twice_s, sigma):
         assert np.max(np.abs(mat.toarray() - oracle)) < 1e-12
 
 
+@pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.3, 1.0])
+@pytest.mark.parametrize("twice_s", [1, 6, 17, 80])
+def test_bopp_matrices_equal_the_termwise_form(twice_s, sigma):
+    """The shell-step weights up/2, down/2 of bopp_matrices give the paper's
+    termwise M_i F1 + K_i F2 + L_i/2, with K from the oracle, to rounding; and
+    the weights go to the right entries: each stored entry of M_i below the
+    diagonal is a step l -> l+1, each above it a step l -> l-1."""
+    ctx = SpinContext(twice_s)
+    l_ops, r_ops = oracles._angular_and_bopp_positions(ctx, sigma)
+    for got, r_op, l_op in zip(bopp.bopp_matrices(ctx, sigma), r_ops, l_ops, strict=True):
+        want = r_op + 0.5 * l_op
+        assert abs(got - want).max() <= 1e-13 * abs(want).max()
+    l_of, _ = so.lm_arrays(twice_s)
+    for m_op in so.position_operators(twice_s):
+        m_op = m_op.tocoo()
+        below = m_op.row > m_op.col
+        assert np.array_equal(l_of[m_op.row] - l_of[m_op.col], np.where(below, 1, -1))
+
+
 @pytest.mark.parametrize("twice_s", [41, 80, 160])
 def test_bopp_matrices_are_exact_at_large_spin(twice_s):
     """B_i W_A is the symbol of S_i A to rounding on a random Hermitian A,
@@ -235,7 +254,7 @@ def test_evaluate_expression_builds_ordered_bopp_products():
 @pytest.mark.parametrize("sigma", [-1.0, 0.3, 1.0])
 @pytest.mark.parametrize("twice_s", [1, 6, 17])
 def test_bopp_set_at_a_band_is_the_full_band_block(twice_s, sigma):
-    """Below 2S the Bopp matrices, the sphere operators L, M, K they are built
+    """Below 2S the Bopp matrices, the sphere operators L, M they are built
     from, and evaluate_expression, are the l <= band block of the band-2S ones,
     bit for bit: only transitions out of the block are dropped."""
     ctx = SpinContext(twice_s)
@@ -245,7 +264,7 @@ def test_bopp_set_at_a_band_is_the_full_band_block(twice_s, sigma):
                 + so.position_operators(band))
 
     full = operators(twice_s)
-    assert len(full) == 12
+    assert len(full) == 9
     expr = [(2.0, (1, 2)), (1j, (3,)), (0.5, ())]
     full_expr = bopp.evaluate_expression(expr, full[:3])
     for band in range(twice_s + 1):
@@ -259,7 +278,7 @@ def test_bopp_set_at_a_band_is_the_full_band_block(twice_s, sigma):
         full_expr.toarray())
 
 
-@pytest.mark.parametrize("band", [-1, 3, 1.5, "2"])
+@pytest.mark.parametrize("band", [-1, 3, 1.5, "2", True, False, math.inf, math.nan])
 def test_bopp_set_refuses_a_band_outside_zero_to_2s(band):
     with pytest.raises(ValueError, match="band must be an integer"):
         bopp.bopp_matrices(SpinContext(2), 0.0, band)

@@ -313,6 +313,16 @@ def test_classical_generators_refuse_a_non_finite_lam(entry):
             dyn.classical_generators([(-2.0, (3,))], bad, 1.0, 4, 2.0)
 
 
+@pytest.mark.parametrize("band_limit", [-1, 2.5, True, math.inf, math.nan, "4"])
+def test_classical_generators_refuse_a_bad_band_limit(band_limit):
+    """A band limit that is not an integer >= 0 is named, not built as a 0x0
+    generator at -1 or passed to numpy at 2.5; an integral float is its int."""
+    with pytest.raises(ValueError, match="band_limit must be an integer >= 0"):
+        dyn.classical_generators([(-2.0, (3,))], 0.4 * np.eye(3), 1.0, band_limit, 2.0)
+    drift, fp = dyn.classical_generators([(-2.0, (3,))], 0.4 * np.eye(3), 1.0, 4.0, 2.0)
+    assert drift.shape == fp.shape == (25, 25)
+
+
 @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
 def test_non_finite_initial_state_is_refused_before_the_first_step(bad):
     """A non-finite y0 is named as the initial state when lockstep is called,
@@ -898,6 +908,20 @@ def test_scan_rejects_bad_modes_and_contaminated_blocks():
         dyn.classical_limit_scan("bilinear", [0, 10], 0.0, 3, **_SCAN_MODEL)
     with pytest.raises(ValueError, match="twice_s must be >= 1"):
         dyn.classical_limit_scan("asymptotics", [0, 10], 0.0, 0)
+
+
+@pytest.mark.parametrize("twice_s_values, l_test, message", [
+    ([math.inf, 10], 0, "twice_s must be an integer"),
+    ([math.nan, 10], 0, "twice_s must be an integer"),
+    ([4, 10], 2.5, "l_test must be an integer"),
+    ([4, 10], True, "l_test must be an integer"),
+    ([4, 10], math.nan, "l_test must be an integer"),
+])
+def test_scan_refuses_a_non_integer_spin_or_l_test_by_name(twice_s_values, l_test, message):
+    """An infinite or NaN 2S is refused as a spin, not by int()'s OverflowError,
+    and a fractional or boolean l_test by name, not by numpy's IndexError."""
+    with pytest.raises(ValueError, match=message):
+        dyn.classical_limit_scan("asymptotics", twice_s_values, 0.0, l_test)
 
 
 @pytest.mark.parametrize("key", ["h", "bath"])

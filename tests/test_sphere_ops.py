@@ -225,12 +225,21 @@ def test_position_operators_are_vector_under_rotations():
 
 
 def test_k_operators_equal_m_cross_l():
+    """The oracle's K_i, from the sin(theta) d/dtheta couplings, is i(m x L)_i
+    over the sphere's M and L, and equals (1/2)[L^2, M_i] - M_i: it weights the
+    step l -> l+1 of M_i by l and the step l -> l-1 by -(l+1), which is the
+    form bopp_matrices folds into its shell-step weights."""
     L = 7
-    m1, m2, m3, k1, k2, k3 = (op.toarray() for op in so.position_operators(L))
+    m1, m2, m3 = (op.toarray() for op in so.position_operators(L))
+    k1, k2, k3 = (op.toarray() for op in oracles.k_operators(L))
     l1, l2, l3 = (op.toarray() for op in so.angular_operators(L))
     np.testing.assert_allclose(k1, 1j * (m2 @ l3 - m3 @ l2), atol=1e-13)
     np.testing.assert_allclose(k2, 1j * (m3 @ l1 - m1 @ l3), atol=1e-13)
     np.testing.assert_allclose(k3, 1j * (m1 @ l2 - m2 @ l1), atol=1e-13)
+    casimir = l1 @ l1 + l2 @ l2 + l3 @ l3
+    for m_op, k_op in zip((m1, m2, m3), (k1, k2, k3)):
+        np.testing.assert_allclose(k_op, 0.5 * (casimir @ m_op - m_op @ casimir) - m_op,
+                                   atol=1e-12)
 
 
 def test_conjugation_matrix_properties():
@@ -266,14 +275,14 @@ def test_conjugated_operator_keeps_the_format_of_its_operand():
 
 
 def _reference_operators(L):
-    """L1, L2, L3, M1..K3 and P filled one (l, m) at a time, with the
+    """L1, L2, L3, M1..M3 and P filled one (l, m) at a time, with the
     couplings written out here: the entry-by-entry oracle for the closed forms."""
     n = so.num_coefficients(L)
 
     def idx(l, m):
         return l * l + l + m
 
-    lp, m3, k3, p = (sp.lil_matrix((n, n)) for _ in range(4))
+    lp, m3, p = (sp.lil_matrix((n, n)) for _ in range(3))
     for l in range(L + 1):
         for m in range(-l, l + 1):
             p[idx(l, m), idx(l, -m)] = (-1.0) ** m
@@ -282,11 +291,9 @@ def _reference_operators(L):
             if l + 1 <= L:
                 a1 = math.sqrt((l - m + 1) * (l + m + 1) / ((2 * l + 1) * (2 * l + 3)))
                 m3[idx(l + 1, m), idx(l, m)] = a1
-                k3[idx(l + 1, m), idx(l, m)] = l * a1  # lil stores no zero at l = 0
             if abs(m) <= l - 1:
                 a2 = math.sqrt((l - m) * (l + m) / ((2 * l - 1) * (2 * l + 1)))
                 m3[idx(l - 1, m), idx(l, m)] = a2
-                k3[idx(l - 1, m), idx(l, m)] = -(l + 1) * a2
     lp = lp.tocsr()
     lm = lp.T.tocsr()
     l1 = ((lp + lm) / 2.0).astype(complex).tocsr()
@@ -294,11 +301,8 @@ def _reference_operators(L):
     ms = np.array([m for l in range(L + 1) for m in range(-l, l + 1)])
     l3 = sp.diags(ms.astype(complex)).tocsr()
     m3 = m3.tocsr().astype(complex)
-    k3 = k3.tocsr().astype(complex)
-    mk = []
-    for op in (m3, k3):
-        mk += [(1j * (op @ l2 - l2 @ op)).tocsr(), (-1j * (op @ l1 - l1 @ op)).tocsr(), op]
-    return (l1, l2, l3), tuple(mk), p.tocsr().astype(complex)
+    m_ops = ((1j * (m3 @ l2 - l2 @ m3)).tocsr(), (-1j * (m3 @ l1 - l1 @ m3)).tocsr(), m3)
+    return (l1, l2, l3), m_ops, p.tocsr().astype(complex)
 
 
 def _assert_same_entries(got, ref):
@@ -311,26 +315,12 @@ def _assert_same_entries(got, ref):
 
 @pytest.mark.parametrize("twice_s", [1, 2, 7, 16])
 def test_closed_form_operators_match_the_per_entry_reference(twice_s):
-    ref_l, ref_mk, ref_p = _reference_operators(twice_s)
+    ref_l, ref_m, ref_p = _reference_operators(twice_s)
     for got, ref in zip(so.angular_operators(twice_s), ref_l):
         _assert_same_entries(got, ref)
-    for got, ref in zip(so.position_operators(twice_s), ref_mk):
+    for got, ref in zip(so.position_operators(twice_s), ref_m, strict=True):
         _assert_same_entries(got, ref)
     _assert_same_entries(so.conjugation_matrix(twice_s), ref_p)
-
-
-def test_alpha_beta_on_arrays_equals_its_scalar_calls():
-    ls, ms = so.lm_arrays(16)
-    arrays = so.alpha_beta(ls, ms)
-    for k, (l, m) in enumerate(zip(ls.tolist(), ms.tolist())):
-        scalar = so.alpha_beta(l, m)
-        assert [float(a[k]) for a in arrays] == [float(x) for x in scalar]
-    assert math.copysign(1.0, so.alpha_beta(0, 0)[1]) == 1.0  # alpha2 = +0.0 at l = 0
-    for l, m in ((-1, 0), (2, 3), (2, -3)):
-        with pytest.raises(ValueError):
-            so.alpha_beta(l, m)
-    with pytest.raises(ValueError):
-        so.alpha_beta(np.array([1, 2]), np.array([0, 3]))
 
 
 def test_operator_real_imag_split_reassembles():

@@ -150,6 +150,15 @@ def test_spin_context_validates_and_exposes_dimensions():
             SpinContext(bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("nan"), True,
+                                 np.True_, 2 + 0j, None, "3"])
+def test_spin_context_refuses_a_non_integer_with_its_own_error(bad):
+    """An infinite or NaN twice_s is named by SpinContext, not left to int()'s
+    OverflowError or NaN message; so are bools, complex numbers and strings."""
+    with pytest.raises(ValueError, match="twice_s must be an integer"):
+        SpinContext(bad)
+
+
 @pytest.mark.parametrize("twice_s", [1, 2, 3, 5, 8, 20])
 def test_spin_matrices_algebra(twice_s):
     ctx = SpinContext(twice_s)
