@@ -1,6 +1,7 @@
 """Command-line interface: batch runs driven by a JSON config file.
 
-Subcommands: evolve, compare, limit-scan, kernel, symbol.  A run writes
+Subcommands: evolve, compare, limit-scan, kernel, symbol.  evolve and compare
+propagate with the exact expm step; time.method may only name it.  A run writes
 deterministic CSV files (17 significant digits), so identical configs give
 byte-identical outputs, and on exit 0 or 2 echoes its resolved
 configuration to <out>/resolved_config.json.  Exit codes: 0 success,
@@ -200,10 +201,10 @@ def _time_block(cfg):
         raise ValueError('config needs a "time" section')
     t_end = _number(t.get("t_end", 1.0), "time t_end")
     dt = _number(t.get("dt", 0.01), "time dt")
-    method = t.get("method", "rk4")
-    if method not in ("rk4", "expm"):
-        raise ValueError(f'time method must be "rk4" or "expm", got {method!r}')
-    return t_end, dynamics.time_steps(t_end, dt)[1], method  # the step integrate takes
+    method = t.get("method", "expm")
+    if method != "expm":
+        raise ValueError(f'time method must be "expm", the only one the CLI runs, got {method!r}')
+    return t_end, dynamics.time_steps(t_end, dt)[1]  # the step integrate takes
 
 
 def _grid_band(cfg, ctx, minimum):
@@ -254,31 +255,6 @@ def _write_grid(path, band, c):
                ((th, ph, v.real, v.imag) for th, row in rows for ph, v in zip(phis, row)))
 
 
-def _check_rk4_step(gen, t_end, dt_used):
-    """Reject (exit 1) an rk4 step that amplifies one of the eigenvalues of gen
-    of largest magnitude (ARPACK, fixed start vector), naming the largest dt
-    on the same time grid that keeps them inside the rk4 stability region."""
-    if not np.any(gen.data):  # G = 0 amplifies nothing, and ARPACK's start
-        return                # vector would map to zero
-    from scipy.sparse.linalg import eigs  # slow import, rk4 runs only
-
-    n = gen.shape[0]
-    lam = eigs(gen, k=min(6, n - 2), which="LM", v0=np.ones(n), return_eigenvectors=False)
-
-    def stable(h):  # |R(h lam)| <= 1 up to rounding, R(z) = sum_{k<=4} z^k / k!
-        z = h * lam
-        return np.max(np.abs(1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4))))) <= 1 + 1e-9
-
-    if stable(dt_used):
-        return
-    lo, hi = 0.0, dt_used  # bisect for the step limit
-    for _ in range(60):
-        lo, hi = ((lo + hi) / 2, hi) if stable((lo + hi) / 2) else (lo, (lo + hi) / 2)
-    hint = f"use dt <= {t_end / math.ceil(t_end / lo):.6g}" if lo > 0 else "no dt is stable"
-    raise ValueError(f"rk4 is unstable at dt = {dt_used:.6g} (generator eigenvalues up to "
-                     f"{np.max(np.abs(lam)):.6g} in magnitude); {hint}")
-
-
 def _cmd_evolve(cfg, paths, tolerance):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
@@ -289,11 +265,9 @@ def _cmd_evolve(cfg, paths, tolerance):
               file=sys.stderr)
     rho0 = _initial_density(cfg, ctx)
     c0 = sw_transform.operator_to_symbol(rho0, sigma, ctx)
-    t_end, dt, method = _time_block(cfg)
+    t_end, dt = _time_block(cfg)
     band = _grid_band(cfg, ctx, ctx.band_limit)  # reject bad bands up front
-    if method == "rk4":
-        _check_rk4_step(gen, t_end, dt)
-    result = dynamics.integrate(gen, c0, t_end, dt, method, ctx, sigma, "symbol",
+    result = dynamics.integrate(gen, c0, t_end, dt, "expm", ctx, sigma, "symbol",
                                 keep_states=False)
     _write_csv(paths["trajectory"], "t,Sx,Sy,Sz,trace,purity",
                zip(result.times, result.s1, result.s2, result.s3, result.trace,
@@ -324,10 +298,8 @@ def _cmd_compare(cfg, paths, tolerance):
     h_mat = bopp.expression_to_matrix(h_expr, ctx)
     f_mat = bopp.expression_to_matrix(bath.coupling, ctx)
     rho0 = _initial_density(cfg, ctx)
-    t_end, dt, method = _time_block(cfg)
+    t_end, dt = _time_block(cfg)
     gen = dynamics.qfp_generator(h_expr, bath, sigma, ctx)
-    if method == "rk4":  # the oracle's Liouvillian has the same spectrum
-        _check_rk4_step(gen, t_end, dt)
     liou = dynamics.master_liouvillian(h_mat, f_mat, bath.gamma, bath.temperature)
     c0 = sw_transform.operator_to_symbol(rho0, sigma, ctx)
     # the gap is read on sigma = 0 coefficients, where it is an operator error
@@ -335,7 +307,7 @@ def _cmd_compare(cfg, paths, tolerance):
     # factors are exactly 1 at sigma = 0, so that gap is the one read at sigma
     to_symmetric = sw_transform.switch_ordering(np.ones(ctx.symbol_dim), sigma, 0.0, ctx).real
     times, blocks = dynamics.lockstep([liou, gen], [dynamics.vec_density(rho0), c0],
-                                      t_end, dt, method)
+                                      t_end, dt, "expm")
     devs = np.empty(times.size)
     for first, (rhos, cs) in blocks:  # the two routes step by step, block by block
         for i, (rho, c) in enumerate(zip(rhos, cs), first):

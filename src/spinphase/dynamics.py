@@ -229,7 +229,7 @@ def time_steps(t_end, dt):
     return n_steps, t_end / n_steps
 
 
-def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
+def integrate(gen, y0, t_end, dt, method="expm", ctx=None, sigma=None, kind=None,
               keep_states=True):
     """Propagate dy/dt = G y on the uniform grid of time_steps(t_end, dt).
 
@@ -237,9 +237,11 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
     lockstep: every state with keep_states=True; otherwise at most
     _BLOCK_BYTES of rows that each block reuses, so `states` holds only the
     initial and final states and memory does not grow with the step count.
-    "rk4" is classical Runge-Kutta; "expm" applies exp(G dt) as the truncated
-    Taylor series of _taylor_step on the sparse G, with no dense n x n
-    matrix, no random numbers and no size limit.  kind "symbol" attaches, at every step, the
+    "expm", the default and the CLI's only method, applies exp(G dt) as the
+    truncated Taylor series of _taylor_step on the sparse G, with no dense
+    n x n matrix, no random numbers and no size limit.  "rk4" is classical
+    Runge-Kutta, inexact at any dt; it stays for the benchmark's rk4 sweep
+    and goes with ROADMAP direction 11.  kind "symbol" attaches, at every step, the
     spin observables, trace, purity and reality residual max|P conj(c0) - c0|
     of symbol states c, with c0 = switch_ordering(c, sigma, 0) (needs ctx and
     sigma, and a y0 of length ctx.symbol_dim).  A non-finite y0 is refused; a
@@ -267,14 +269,17 @@ def integrate(gen, y0, t_end, dt, method="rk4", ctx=None, sigma=None, kind=None,
     return result
 
 
-def lockstep(gens, y0s, t_end, dt, method="rk4", keep_states=False):
+def lockstep(gens, y0s, t_end, dt, method="expm", keep_states=False):
     """(times, blocks): each y0, refused unless finite, propagated under its
-    generator on the grid of time_steps(t_end, dt), blocks yielding (k, [a block
-    per system]) from step k on.  Every state is one block with keep_states=True;
-    else each buffer holds what _BLOCK_BYTES holds of the largest state and is reused."""
+    generator (one per y0) with method as in integrate on the grid of
+    time_steps(t_end, dt), blocks yielding (k, [a block per system]) from step k
+    on.  Every state is one block with keep_states=True; else each buffer holds
+    what _BLOCK_BYTES holds of the largest state and is reused."""
     n_steps, dt_used = time_steps(t_end, dt)
     if method not in ("rk4", "expm"):
         raise ValueError(f"unknown method {method!r}")
+    if len(gens) != len(y0s):
+        raise ValueError(f"{len(gens)} generators for {len(y0s)} initial states")
     y0s = [np.asarray(y, dtype=complex) for y in y0s]
     if not all(np.all(np.isfinite(y)) for y in y0s):
         raise ValueError("non-finite initial state y0 at t = 0, before the first step")

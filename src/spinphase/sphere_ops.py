@@ -17,6 +17,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from .su2_algebra import is_integer
+
 
 def num_coefficients(band_limit):
     return (band_limit + 1) ** 2
@@ -37,9 +39,13 @@ def band_limit_of(n):
     return band
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)  # typed: a cached 1.0 must not answer True
 def lm_arrays(band_limit):
-    """Arrays l_of[idx], m_of[idx] over the flat index; read-only and shared."""
+    """Arrays l_of[idx], m_of[idx] over the flat index; read-only and shared.
+    A band_limit that is not an integer >= 0 is refused."""
+    if not (is_integer(band_limit) and band_limit >= 0):
+        raise ValueError(f"band_limit must be an integer >= 0, got {band_limit!r}")
+    band_limit = int(band_limit)
     l_of = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
     m_of = np.arange(l_of.size) - l_of * (l_of + 1)
     l_of.flags.writeable = m_of.flags.writeable = False
@@ -128,8 +134,8 @@ def angular_operators(band_limit):
 
     Shell-diagonal, hence exact (no truncation loss).  CSR matrices.
     """
-    n = num_coefficients(band_limit)
     l_of, m_of = lm_arrays(band_limit)
+    n = l_of.size
     idx = np.arange(n)
     # L+ maps (l, m - 1) -> (l, m) with sqrt(l(l+1) - (m-1)m), which is 0 at m = -l
     lp = _csr(np.sqrt(l_of * (l_of + 1) - (m_of - 1) * m_of), idx, idx - 1, n)
@@ -150,9 +156,9 @@ def position_operators(band_limit):
     lossy.
     """
     L = band_limit
-    n = num_coefficients(L)
     l1, l2, _ = angular_operators(L)
     l_of, m_of = lm_arrays(L)
+    n = l_of.size
     idx = np.arange(n)
     up = l_of < L
     down = np.abs(m_of) < l_of

@@ -141,64 +141,67 @@ def test_evolve_refuses_a_matrix_file_with_a_nan(tmp_path, capsys, entry):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_evolve_classifies_instability_and_divergence(tmp_path, monkeypatch):
-    """The gates after integration, for an unstable step that gets past the
-    rk4 pre-flight (switched off here; its own test is below)."""
-    monkeypatch.setattr(cli, "_check_rk4_step", lambda *args: None)
-    stiff = _evolve_config(
-        spin={"twice_s": 4},
-        bath={"coupling": [[1.0, [1]]], "gamma": 60.0, "temperature": 10.0},
-        time={"t_end": 5.0, "dt": 0.5, "method": "rk4"})
-    cfg_path = _write(tmp_path, "stiff.json", stiff)
-    assert cli.main(["evolve", "--config", cfg_path,
-                     "--out", str(tmp_path / "o")]) == 2
+def test_evolve_classifies_instability_and_divergence(tmp_path, capsys, monkeypatch):
+    """The gates after integration, on an integrator whose generator is shifted
+    by s I: s = 1e-3 lets the trace drift past the tolerance (exit 2, with the
+    resolved config), s = 1e4 overflows to a non-finite state (exit 3, no
+    resolved config)."""
+    integrate = cli.dynamics.integrate
+    shift = {}
 
-    worse = _evolve_config(
-        spin={"twice_s": 4},
-        bath={"coupling": [[1.0, [1]]], "gamma": 600.0, "temperature": 100.0},
-        time={"t_end": 20.0, "dt": 0.5, "method": "rk4"})
-    cfg_path = _write(tmp_path, "worse.json", worse)
-    assert cli.main(["evolve", "--config", cfg_path,
-                     "--out", str(tmp_path / "o2")]) == 3
+    def shifted(gen, *args, **kwargs):
+        return integrate(gen + shift["s"] * sp.identity(gen.shape[0], format="csr"),
+                         *args, **kwargs)
 
-
-@pytest.mark.parametrize("twice_s, gamma, temperature, dt, t_end", [
-    (4, 60.0, 10.0, 0.01, 0.05),
-    (20, 0.1, 1.0, 0.1, 2.0),
-])
-def test_evolve_rejects_an_unstable_rk4_step_before_writing(
-        tmp_path, capsys, twice_s, gamma, temperature, dt, t_end):
-    """exit 1 with no files, and the dt it names runs and passes the gates."""
-    bath = {"coupling": [[1.0, [1]]], "gamma": gamma, "temperature": temperature}
-    cfg = _evolve_config(spin={"twice_s": twice_s}, bath=bath,
-                         time={"t_end": t_end, "dt": dt, "method": "rk4"})
-    out = tmp_path / "o"
-    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
-                     "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "rk4 is unstable" in err and not out.exists()
-    stable = float(err.rsplit("use dt <= ", 1)[1].split()[0])
-    assert stable < dt
-    cfg["time"]["dt"] = stable
-    assert cli.main(["evolve", "--config", _write(tmp_path, "ok.json", cfg),
-                     "--out", str(out)]) == 0
-    rows = (out / "trajectory.csv").read_text().splitlines()
-    assert len(rows) == 2 + round(t_end / stable)
+    monkeypatch.setattr(cli.dynamics, "integrate", shifted)
+    cfg_path = _write(tmp_path, "run.json", _evolve_config(spin={"twice_s": 4}))
+    for s, code, message in ((1e-3, 2, "conservation violated"),
+                             (1e4, 3, "numerical failure: non-finite state")):
+        shift["s"] = s
+        out = tmp_path / f"o{code}"
+        assert cli.main(["evolve", "--config", cfg_path, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert (out / "resolved_config.json").exists() == (code == 2)
 
 
 # an empty expression is the twin of the removed "quadratic": {}
 @pytest.mark.parametrize("hamiltonian", [{"expression": []}, {"expression": [[0.0, [3]]]}],
                          ids=["empty-quadratic", "zero-coefficient"])
-def test_rk4_preflight_passes_a_zero_generator(tmp_path, hamiltonian):
-    """G = 0 has nothing to amplify: rk4 runs it, as expm does."""
-    cfg = _evolve_config(hamiltonian=hamiltonian, time={"t_end": 1.0, "dt": 0.1,
-                                                        "method": "rk4"})
+def test_evolve_keeps_the_state_under_a_zero_generator(tmp_path, hamiltonian):
+    """G = 0 leaves every row of the trajectory at the initial one."""
+    cfg = _evolve_config(hamiltonian=hamiltonian, time={"t_end": 1.0, "dt": 0.1})
     del cfg["bath"]
     out = tmp_path / "o"
     assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
                      "--out", str(out)]) == 0
     rows = [row.split(",") for row in (out / "trajectory.csv").read_text().splitlines()]
-    assert rows[1][1:] == rows[-1][1:]
+    assert len(rows) == 12 and all(row[1:] == rows[1][1:] for row in rows[2:])
+
+
+def test_evolve_without_a_method_writes_the_bytes_of_expm(tmp_path, capsys):
+    """time.method defaults to expm: a config without it and its "method":
+    "expm" twin write the same files.  Any other method, such as rk4, exits 1,
+    naming it, before anything is written."""
+    cfg = _evolve_config(spin={"twice_s": 6}, grid={"band_limit": 6},
+                         outputs={"grid": "grid.csv"})
+    outputs = []
+    for name in ("expm", "omitted"):
+        if name == "omitted":
+            del cfg["time"]["method"]
+        out = tmp_path / name
+        assert cli.main(["evolve", "--config", _write(tmp_path, f"{name}.json", cfg),
+                         "--out", str(out)]) == 0
+        outputs.append({f: (out / f).read_bytes() for f in ("trajectory.csv", "grid.csv")})
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+    for method in ("rk4", "euler", None):
+        cfg["time"]["method"] = method
+        out = tmp_path / "refused"
+        assert cli.main(["evolve", "--config", _write(tmp_path, "bad.json", cfg),
+                         "--out", str(out)]) == 1
+        assert (f'error: time method must be "expm", the only one the CLI runs, '
+                f"got {method!r}") in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_evolve_checks_reality_over_the_whole_trajectory(tmp_path, monkeypatch):
@@ -363,19 +366,21 @@ def test_compare_agrees_and_honors_tolerance(tmp_path, capsys):
 
 
 def test_compare_integrates_with_the_configured_method(tmp_path, capsys, monkeypatch):
-    """An unstable rk4 step exits 1 before anything is written; a stable one
-    runs both trajectories with rk4, which agree to rounding."""
+    """An rk4 config exits 1, naming the value, before anything is written;
+    an expm one runs both trajectories with expm, which agree to rounding."""
     cfg = {
         "spin": {"twice_s": 4},
         "hamiltonian": {"expression": [[-1.0, [3]]]},
-        "bath": {"coupling": [[1.0, [1]]], "gamma": 60.0, "temperature": 10.0},
+        "bath": {"coupling": [[1.0, [1]]], "gamma": 0.1, "temperature": 10.0},
         "initial": {"coherent": {"theta": 0.9, "phi": 0.0}},
         "time": {"t_end": 0.05, "dt": 0.01, "method": "rk4"},
     }
     out = tmp_path / "o"
-    assert cli.main(["compare", "--config", _write(tmp_path, "bad.json", cfg),
+    assert cli.main(["compare", "--config", _write(tmp_path, "rk4.json", cfg),
                      "--out", str(out)]) == 1
-    assert "rk4 is unstable" in capsys.readouterr().err and not out.exists()
+    err = capsys.readouterr().err
+    assert "error: time method must be \"expm\"" in err and "'rk4'" in err
+    assert not out.exists()
 
     methods = []  # one per trajectory
     lockstep = cli.dynamics.lockstep
@@ -385,10 +390,10 @@ def test_compare_integrates_with_the_configured_method(tmp_path, capsys, monkeyp
         return lockstep(gens, y0s, t_end, dt, method, *args, **kwargs)
 
     monkeypatch.setattr(cli.dynamics, "lockstep", spy)
-    cfg["bath"]["gamma"] = 0.1
+    cfg["time"]["method"] = "expm"
     assert cli.main(["compare", "--config", _write(tmp_path, "ok.json", cfg),
                      "--out", str(out)]) == 0
-    assert methods == ["rk4", "rk4"]
+    assert methods == ["expm", "expm"]
     with open(out / "compare.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert len(rows) == 6 and max(float(r[1]) for r in rows) < 1e-10
@@ -1002,7 +1007,7 @@ def test_spin_too_large_for_memory_exits_one_with_an_error_line(tmp_path, capsys
 def test_unknown_section_keys_exit_one_before_any_file(tmp_path, capsys, command, path,
                                                        value, where, keys):
     """A misspelt key inside a section would otherwise run silently with a
-    default (gamma 0, rk4, the default file names); it exits 1, naming the
+    default (gamma 0, dt 0.01, the default file names); it exits 1, naming the
     section and the key, and writes nothing.  An output key of another
     command is unknown too."""
     base = {"evolve": _evolve_config(), "compare": _evolve_config(),

@@ -752,6 +752,20 @@ def test_lockstep_blocks_are_the_integrated_states(monkeypatch):
         assert seen == 11
 
 
+@pytest.mark.parametrize("n_gens, n_y0s", [(2, 1), (1, 2), (0, 1)])
+def test_lockstep_refuses_unequal_generators_and_states(monkeypatch, n_gens, n_y0s):
+    """zip would drop the unpaired systems silently; the call is refused
+    before any stepper or buffer is built."""
+    def no_stepper(*args):
+        raise AssertionError("a stepper was built")
+
+    monkeypatch.setattr(dyn, "_taylor_step", no_stepper)
+    monkeypatch.setattr(dyn, "_rk4_step", no_stepper)
+    gen = sp.identity(3, dtype=complex, format="csr")
+    with pytest.raises(ValueError, match=f"{n_gens} generators for {n_y0s} initial states"):
+        dyn.lockstep([gen] * n_gens, [np.ones(3)] * n_y0s, 1.0, 0.5, "expm")
+
+
 @pytest.mark.parametrize("t_end, dt", [(math.inf, 0.1), (math.nan, 0.1),
                                        (1.0, math.inf), (1.0, math.nan)])
 def test_time_steps_rejects_a_non_finite_grid(t_end, dt):
@@ -833,11 +847,11 @@ def test_evolve_trajectory_csv_layout(tmp_path):
     ctx = SpinContext(2)
     gen = dyn.qfp_generator([(-1.0, (3,))], None, 0.0, ctx)
     c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 1.0, 0.0), 0.0, ctx)
-    res = dyn.integrate(gen, c0, 1.0, 0.25, "rk4", ctx=ctx, sigma=0.0,
+    res = dyn.integrate(gen, c0, 1.0, 0.25, "expm", ctx=ctx, sigma=0.0,
                         kind="symbol")
     cfg = {"spin": {"twice_s": 2}, "sigma": 0.0, "hamiltonian": {"expression": [[-1.0, [3]]]},
            "initial": {"coherent": {"theta": 1.0, "phi": 0.0}},
-           "time": {"t_end": 1.0, "dt": 0.25, "method": "rk4"},
+           "time": {"t_end": 1.0, "dt": 0.25, "method": "expm"},
            "outputs": {"trajectory": "traj.csv"}}
     (tmp_path / "run.json").write_text(json.dumps(cfg))
     assert cli.main(["evolve", "--config", str(tmp_path / "run.json"),

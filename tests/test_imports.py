@@ -1,5 +1,6 @@
-"""The library and `evolve` paths run on numpy and scipy.sparse alone, only
-`cli` writes files, every top-level function has a caller in the package, and
+"""The library and the `evolve` and `compare` paths run on numpy and
+scipy.sparse alone, no module imports scipy.linalg or scipy.sparse.linalg,
+only `cli` writes files, every top-level function has a caller in the package, and
 no module reaches the tests' oracles."""
 
 import ast
@@ -26,7 +27,8 @@ gen = dyn.qfp_generator([(-1.0, (3,))], bath, 0.0, ctx)
 c0 = spinphase.operator_to_symbol(dyn.coherent_state(ctx, 1.1, 0.3), 0.0, ctx)
 for method in ("rk4", "expm"):
     dyn.integrate(gen, c0, 1.0, 0.05, method, ctx=ctx, sigma=0.0, kind="symbol")
-code = cli.main(["evolve", "--config", sys.argv[1], "--out", sys.argv[2]])
+code = max(cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2] + command])
+           for command in ("evolve", "compare"))
 loaded = sorted(m for m in sys.modules
                 if m.split(".")[:2] == ["scipy", "linalg"]
                 or m.split(".")[:3] == ["scipy", "sparse", "linalg"])
@@ -35,6 +37,8 @@ print(json.dumps({"code": code, "loaded": loaded}))
 
 
 def test_library_and_evolve_never_import_scipy_linalg(tmp_path):
+    """Neither module is loaded by the library, both integrators, or a CLI
+    evolve and compare of one config."""
     cfg = {"spin": {"twice_s": 6}, "hamiltonian": {"expression": [[-1.0, [3]]]},
            "bath": {"coupling": [[1.0, [1]]], "gamma": 0.1, "temperature": 1.0},
            "initial": {"coherent": {"theta": 1.1, "phi": 0.3}},
@@ -51,20 +55,23 @@ def test_library_and_evolve_never_import_scipy_linalg(tmp_path):
     assert report == {"code": 0, "loaded": []}
 
 
-def _private_scipy_imports(source):
-    """Names of private scipy modules (a component starting with "_") that
-    the source imports, as written."""
+def _imports(source):
+    """Every absolute import of the source, at any depth, as written: a module
+    name, or "module.name" for a from-import."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            found += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
-        else:
-            continue
-        found += [name for name in names if name.split(".")[0] == "scipy"
-                  and any(part.startswith("_") for part in name.split("."))]
+            found += [f"{node.module}.{alias.name}" for alias in node.names]
     return found
+
+
+def _private_scipy_imports(source):
+    """Names of private scipy modules (a component starting with "_") that
+    the source imports, as written."""
+    return [name for name in _imports(source) if name.split(".")[0] == "scipy"
+            and any(part.startswith("_") for part in name.split("."))]
 
 
 def test_no_module_imports_a_private_scipy_module():
@@ -79,6 +86,29 @@ def test_no_module_imports_a_private_scipy_module():
     assert modules
     for path in modules:
         assert _private_scipy_imports(path.read_text()) == [], path.name
+
+
+def _linalg_imports(source):
+    """Names of scipy.linalg and scipy.sparse.linalg (or their submodules) that
+    the source imports, as written."""
+    return [name for name in _imports(source) if name.split(".")[:2] == ["scipy", "linalg"]
+            or name.split(".")[:3] == ["scipy", "sparse", "linalg"]]
+
+
+def test_no_module_imports_scipy_linalg():
+    """The package's dense algebra is numpy.linalg, and its propagator is its
+    own Taylor step: no module imports either linalg package, even lazily."""
+    assert _linalg_imports(
+        "import scipy.sparse as sp\nimport scipy.linalg as la\n"
+        "from scipy import linalg\nfrom scipy.sparse import linalg as sla\n"
+        "def f():\n    from scipy.sparse.linalg import eigs\n"
+        "    from scipy.linalg import expm\n    import numpy.linalg\n"
+    ) == ["scipy.linalg", "scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.linalg.eigs",
+          "scipy.linalg.expm"]
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    for path in modules:
+        assert _linalg_imports(path.read_text()) == [], path.name
 
 
 def _file_writes(source):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,17 @@ def test_synthesize_rejects_coefficients_beyond_band():
 
 
 # --- coefficient-space operators ---------------------------------------------
+
+@pytest.mark.parametrize("build", [so.angular_operators, so.position_operators,
+                                   so.conjugation_matrix])
+@pytest.mark.parametrize("band", [-1, True, 2.5])
+def test_operator_builders_refuse_a_band_that_is_not_an_integer_at_least_zero(build, band):
+    """-1 gave 0x0 matrices, True band-1 operators and 2.5 numpy's TypeError;
+    lm_arrays, which every builder reads, refuses each by name."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"band_limit must be an integer >= 0, got {band!r}")):
+        build(band)
+
 
 def test_angular_operators_su2_algebra():
     L = 7
