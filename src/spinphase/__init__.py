@@ -17,7 +17,7 @@ from .sw_transform import (
     operator_to_symbol,
     symbol_to_operator,
 )
-from .bopp import bopp_coefficients, bopp_matrices, evaluate_expression
+from .bopp import bopp_coefficients, bopp_matrices, evaluate_expression, expression_symbol
 from .dynamics import (
     BathSpec,
     classical_generators,
@@ -31,7 +31,7 @@ __all__ = [
     "SpinContext", "spin_matrices",
     "SYMMETRIC", "NORMAL", "ANTINORMAL",
     "operator_to_symbol", "symbol_to_operator", "kernel_eval", "expectation",
-    "bopp_coefficients", "bopp_matrices", "evaluate_expression",
+    "bopp_coefficients", "bopp_matrices", "evaluate_expression", "expression_symbol",
     "BathSpec", "qfp_generator", "classical_generators",
     "classical_limit_scan", "coherent_state", "integrate",
 ]

@@ -154,3 +154,12 @@ def evaluate_expression(expr, mats):
     n = mats[0].shape[0]
     return _ordered_sum(validate_expression(expr), mats, sp.csr_matrix((n, n), dtype=complex),
                        sp.identity(n, dtype=complex, format="csr")).tocsr()
+
+
+def expression_symbol(expr, sigma, ctx):
+    """Symbol coefficients at ordering sigma of an ordered polynomial in the spin
+    components on shells l <= min(2S, degree), exact at every sigma: its words of
+    Bopp matrices applied to the identity's symbol sqrt(4pi) Y_00 (column 0)."""
+    expr = validate_expression(expr)
+    mats = bopp_matrices(ctx, sigma, min(ctx.band_limit, degree(expr)))
+    return np.sqrt(4.0 * np.pi) * evaluate_expression(expr, mats)[:, [0]].toarray()[:, 0]

@@ -165,7 +165,9 @@ def _bath(cfg):
     )
 
 
-def _initial_density(cfg, ctx):
+def _initial_state(cfg, ctx, sigma):
+    """(rho0, its symbol at sigma): the mixed state's is the empty word's over 2S+1,
+    exact at every sigma; a coherent or matrix_file state's is the transform's."""
     init = cfg.get("initial")
     if not isinstance(init, dict):
         raise ValueError('config needs an "initial" section')
@@ -173,11 +175,13 @@ def _initial_density(cfg, ctx):
         c = init["coherent"]
         if not isinstance(c, dict) or "theta" not in c:
             raise ValueError('initial "coherent" needs {"theta": <angle>}')
-        return dynamics.coherent_state(ctx, _finite(c["theta"], "coherent theta"),
-                                       _finite(c.get("phi", 0.0), "coherent phi"))
-    if _flag(init.get("mixed", False), "initial mixed"):
-        return np.eye(ctx.hilbert_dim, dtype=complex) / ctx.hilbert_dim
-    if "matrix_file" in init:
+        rho = dynamics.coherent_state(ctx, _finite(c["theta"], "coherent theta"),
+                                      _finite(c.get("phi", 0.0), "coherent phi"))
+    elif _flag(init.get("mixed", False), "initial mixed"):
+        n = ctx.hilbert_dim
+        c0 = bopp.expression_symbol([(1.0 / n, ())], sigma, ctx)
+        return np.eye(n, dtype=complex) / n, np.pad(c0, (0, ctx.symbol_dim - 1))
+    elif "matrix_file" in init:
         path = init["matrix_file"]
         if not isinstance(path, str):
             raise ValueError(f'initial "matrix_file" must be a path, got {path!r}')
@@ -191,8 +195,9 @@ def _initial_density(cfg, ctx):
             raise ValueError("initial matrix must be Hermitian")
         if not abs(np.trace(rho).real - 1.0) <= 1e-8:
             raise ValueError("initial matrix must have unit trace")
-        return rho
-    raise ValueError('initial needs "coherent", "mixed" or "matrix_file"')
+    else:
+        raise ValueError('initial needs "coherent", "mixed" or "matrix_file"')
+    return rho, sw_transform.operator_to_symbol(rho, sigma, ctx)
 
 
 def _time_block(cfg):
@@ -250,7 +255,11 @@ def _write_csv(path, header, rows):
 def _write_grid(path, band, c):
     """Values of coefficients c (of band up to `band`) on the grid of `band`, theta-major."""
     thetas, phis = sphere_ops.grid_points(band)
-    rows = zip(thetas, sphere_ops.grid_values(band, c).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused before the file is opened
+        values = sphere_ops.grid_values(band, c)
+    if not np.all(np.isfinite(values)):
+        raise RuntimeError(f"{np.sum(~np.isfinite(values))} grid values are not finite")
+    rows = zip(thetas, values.tolist())
     _write_csv(path, "theta,phi,value_re,value_im",
                ((th, ph, v.real, v.imag) for th, row in rows for ph, v in zip(phis, row)))
 
@@ -263,8 +272,7 @@ def _cmd_evolve(cfg, paths, tolerance):
     if bath is not None:
         print(f"validity ratio gamma/(S T) = {bath.validity_ratio(ctx):.6g}",
               file=sys.stderr)
-    rho0 = _initial_density(cfg, ctx)
-    c0 = sw_transform.operator_to_symbol(rho0, sigma, ctx)
+    _, c0 = _initial_state(cfg, ctx, sigma)
     t_end, dt = _time_block(cfg)
     band = _grid_band(cfg, ctx, ctx.band_limit)  # reject bad bands up front
     result = dynamics.integrate(gen, c0, t_end, dt, "expm", ctx, sigma, "symbol",
@@ -297,11 +305,10 @@ def _cmd_compare(cfg, paths, tolerance):
     h_expr = _hamiltonian(cfg)
     h_mat = bopp.expression_to_matrix(h_expr, ctx)
     f_mat = bopp.expression_to_matrix(bath.coupling, ctx)
-    rho0 = _initial_density(cfg, ctx)
+    rho0, c0 = _initial_state(cfg, ctx, sigma)
     t_end, dt = _time_block(cfg)
     gen = dynamics.qfp_generator(h_expr, bath, sigma, ctx)
     liou = dynamics.master_liouvillian(h_mat, f_mat, bath.gamma, bath.temperature)
-    c0 = sw_transform.operator_to_symbol(rho0, sigma, ctx)
     # the gap is read on sigma = 0 coefficients, where it is an operator error
     # in the orthonormal T_lm basis (see dynamics._symbol_observables); the
     # factors are exactly 1 at sigma = 0, so that gap is the one read at sigma
@@ -373,19 +380,22 @@ def _cmd_symbol(cfg, paths, rng):
     op_spec = cfg.get("operator")
     if not isinstance(op_spec, dict):
         raise ValueError('config needs an "operator" section')
-    if "expression" in op_spec:
-        mat = bopp.expression_to_matrix(_parse_expression(op_spec["expression"]), ctx)
-    elif _flag(op_spec.get("random_hermitian", False), "operator random_hermitian"):
-        n = ctx.hilbert_dim
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        mat = (raw + raw.conj().T) / 2.0
-    else:
-        raise ValueError(
-            'operator needs "expression" or "random_hermitian"')
-    c = sw_transform.operator_to_symbol(mat, sigma, ctx)
-    # a self-check of the transform, reported only: symbol gates on no tolerance
-    back = sw_transform.symbol_to_operator(c, sigma, ctx)
-    print(f"round-trip residual = {np.max(np.abs(back - mat)):.6g}", file=sys.stderr)
+    with np.errstate(over="ignore", invalid="ignore"):  # _write_grid refuses a non-finite c
+        if "expression" in op_spec:  # by the Bopp route, exact at every sigma
+            expr = _parse_expression(op_spec["expression"])
+            mat = bopp.expression_to_matrix(expr, ctx)
+            c = bopp.expression_symbol(expr, sigma, ctx)
+            c = np.pad(c, (0, ctx.symbol_dim - c.size))
+        elif _flag(op_spec.get("random_hermitian", False), "operator random_hermitian"):
+            n = ctx.hilbert_dim
+            raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            mat = (raw + raw.conj().T) / 2.0
+            c = sw_transform.operator_to_symbol(mat, sigma, ctx)
+        else:
+            raise ValueError('operator needs "expression" or "random_hermitian"')
+        # a self-check against the matrix, reported only: symbol gates on no tolerance
+        residual = np.max(np.abs(sw_transform.symbol_to_operator(c, sigma, ctx) - mat))
+    print(f"round-trip residual = {residual:.6g}", file=sys.stderr)
     _write_grid(paths["grid"], _grid_band(cfg, ctx, ctx.band_limit), c)
     return 0
 

@@ -42,47 +42,41 @@ class BathSpec:
         return self.gamma / (ctx.s * self.temperature)
 
 
-def _hermitian_hat(expr, mats, p, sigma, ctx, what):
-    """evaluate_expression(expr, mats), refused unless the symbol of expr, its
-    column 0, is real.  A degree-k word takes the identity up to shell k, so the
-    column is read at reach = min(2S, k), in the l <= reach corner of hat and of
-    P (P is block-diagonal by shell), or of a second Bopp set and P at reach when
-    mats stop below it.  The tolerance is relative to sum |coeff| S^k, a bound on
-    each term, so cancelling terms such as i(S1 S2 - S2 S1) pass at any S."""
-    expr = bopp.validate_expression(expr)
-    hat = read = bopp.evaluate_expression(expr, mats)
-    reach = min(ctx.band_limit, bopp.degree(expr))
-    if sphere_ops.band_limit_of(hat.shape[0]) < reach:
-        read = bopp.evaluate_expression(expr, bopp.bopp_matrices(ctx, sigma, reach))
-        p = sphere_ops.conjugation_matrix(reach)
-    k = sphere_ops.num_coefficients(reach)
-    c = read[:k, [0]].toarray()[:, 0]
-    residual = np.max(np.abs(p[:k, :k] @ c.conj() - c))
+def _refuse_non_hermitian(expr, sigma, ctx, what):
+    """Refuse expr unless its symbol c = bopp.expression_symbol(expr, sigma, ctx) is
+    real, P conj(c) = c, to 1e-12 sum |coeff| S^k on c/sqrt(4pi): a bound on each
+    term, so cancelling terms such as i(S1 S2 - S2 S1) pass at any S."""
+    c = bopp.expression_symbol(expr, sigma, ctx)  # validates expr
+    residual = np.max(np.abs(sphere_ops.conjugation_matrix(
+        sphere_ops.band_limit_of(c.size)) @ c.conj() - c))
     scale = max(1.0, sum(abs(coeff) * ctx.s ** len(word) for coeff, word in expr))
-    if not residual <= 1e-12 * scale:  # NaN-safe
+    if not residual <= 1e-12 * math.sqrt(4.0 * math.pi) * scale:  # NaN-safe
         raise ValueError(f"{what} must be Hermitian")
-    return hat
 
 
 def qfp_generator(h_expr, bath, sigma, ctx, band=None):
     """Generator 2 Im(H) + 4 gamma T Im(F)^2 - 2 gamma Im(F) Im([H,F]) of the
     weak-coupling master equation at band limit band (None: 2S), from one Bopp
     set and one conjugation P: Im(O) = (O - P conj(O) P)/(2i).  With bath None
-    it is the unitary 2 Im(H) of d(rho)/dt = -i[H, rho].  Its l <= l_test block
-    equals the band-2S block from band _block_band(h_expr, coupling, l_test, ctx) on."""
+    it is the unitary 2 Im(H) of d(rho)/dt = -i[H, rho].  A non-Hermitian H or F
+    is refused.  Its l <= l_test block equals the band-2S one from band _block_band on."""
+    _refuse_non_hermitian(h_expr, sigma, ctx, "Hamiltonian")
+    if bath is not None:
+        _refuse_non_hermitian(bath.coupling, sigma, ctx, "coupling operator")
     mats = bopp.bopp_matrices(ctx, sigma, band)
     p = sphere_ops.conjugation_matrix(sphere_ops.band_limit_of(mats[0].shape[0]))
 
     def imag(op):
         return (op - p @ op.conj() @ p) / 2j
 
-    h_hat = _hermitian_hat(h_expr, mats, p, sigma, ctx, "Hamiltonian")
-    gen = 2.0 * imag(h_hat)
-    if bath is not None:
-        f_hat = _hermitian_hat(bath.coupling, mats, p, sigma, ctx, "coupling operator")
-        im_f = imag(f_hat)
-        gen = gen + 4.0 * bath.gamma * bath.temperature * (im_f @ im_f)
-        gen = gen - 2.0 * bath.gamma * (im_f @ imag(h_hat @ f_hat - f_hat @ h_hat))
+    with np.errstate(over="ignore", invalid="ignore"):  # integrate refuses a non-finite G
+        h_hat = bopp.evaluate_expression(h_expr, mats)
+        gen = 2.0 * imag(h_hat)
+        if bath is not None:
+            f_hat = bopp.evaluate_expression(bath.coupling, mats)
+            im_f = imag(f_hat)
+            gen = gen + 4.0 * bath.gamma * bath.temperature * (im_f @ im_f)
+            gen = gen - 2.0 * bath.gamma * (im_f @ imag(h_hat @ f_hat - f_hat @ h_hat))
     return gen.tocsr()
 
 
@@ -333,9 +327,14 @@ def _taylor_step(gen, dt_used):
     mu = trace(G)/n, each cut once its last two terms sum below tol max|partial sum|."""
     gen = sp.csr_matrix(gen)
     n = gen.shape[0]
-    mu = gen.diagonal().sum() / n
-    a = (gen - mu * sp.identity(n, format="csr")) * dt_used
-    m, s = _taylor_parameters(abs(a).sum(axis=0).max())  # exact 1-norm: column sums
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        mu = gen.diagonal().sum() / n
+        a = (gen - mu * sp.identity(n, format="csr")) * dt_used
+        norm = float(abs(a).sum(axis=0).max())  # exact 1-norm: column sums
+    if not math.isfinite(norm / min(_THETA.values())):  # each s = ceil(||A||_1 / theta_m)
+        raise RuntimeError(f"||A||_1 = {norm:.6g} of A = (G - mu I) dt at dt = {dt_used:.6g} "
+                           f"leaves no finite count of Taylor substeps")
+    m, s = _taylor_parameters(norm)
     a = a / s
     eta = np.exp(mu * dt_used / s)
     tol = 2.0 ** -53  # unit roundoff
@@ -366,7 +365,9 @@ def _symbol_observables(ctx, sigma):
     sigma > 0 the factors w_l^-sigma magnify rounding in the top shell by
     about 2^(2S sigma), which is no error of the operator."""
     sigma = sw_transform.validate_sigma(sigma)
-    duals = [sw_transform.operator_to_symbol(sm, -sigma, ctx) for sm in spin_matrices(ctx)]
+    # S1, S2, S3 at -sigma as bopp.expression_symbol has them, from one band-1 Bopp set
+    duals = [np.pad(math.sqrt(4.0 * math.pi) * b[:, [0]].toarray()[:, 0], (0, ctx.symbol_dim - 4))
+             for b in bopp.bopp_matrices(ctx, -sigma, 1)]
     conj = sphere_ops.conjugation_matrix(ctx.band_limit)
     to_symmetric = sw_transform.switch_ordering(np.ones(ctx.symbol_dim), sigma, 0.0, ctx).real
 
@@ -476,7 +477,7 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None)
                                                 ctx.s * bath.gamma * np.outer(xi, xi),
                                                 bath.temperature, band, ctx.s)[1], l_test)
         # a bound on each term of c_sub, from |L_k| <= band, |m_a| <= 1 and the
-        # |coefficients| of -grad h and Lam, as _hermitian_hat bounds its terms
+        # |coefficients| of -grad h and Lam, as _refuse_non_hermitian bounds its terms
         grad = sum(abs(c) * len(w) for c, w in h)
         scale = band * (grad + bath.gamma * np.sum(np.abs(xi)) ** 2
                         * (2 * ctx.s * grad + bath.temperature * band))

@@ -1,5 +1,6 @@
 """Phase-space multiplication operators and their shell tables."""
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -276,6 +277,26 @@ def test_bopp_set_at_a_band_is_the_full_band_block(twice_s, sigma):
     assert np.array_equal(
         bopp.evaluate_expression(expr, bopp.bopp_matrices(ctx, sigma, twice_s)).toarray(),
         full_expr.toarray())
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("twice_s", [1, 2, 7, 16])
+def test_expression_symbol_is_the_transform_of_the_matrix(twice_s, sigma):
+    """For every word up to length 3, expression_symbol gives the transform of
+    the word's matrix on the shells l <= min(2S, length), and zero above them,
+    to 1e-13 of the largest coefficient, or of S^length where the operator is
+    zero (S_a S_b S_a at S = 1), compared in the sigma = 0 frame, where the
+    transform's factors w_l^-sigma magnify no rounding."""
+    ctx = SpinContext(twice_s)
+    for word in itertools.chain.from_iterable(
+            itertools.product((1, 2, 3), repeat=k) for k in range(4)):
+        got = bopp.expression_symbol([(1.0, word)], sigma, ctx)
+        assert got.size == so.num_coefficients(min(twice_s, len(word)))
+        got = swt.switch_ordering(np.pad(got, (0, ctx.symbol_dim - got.size)), sigma, 0.0, ctx)
+        want = swt.operator_to_symbol(bopp.expression_to_matrix([(1.0, word)], ctx), sigma, ctx)
+        want = swt.switch_ordering(want, sigma, 0.0, ctx)
+        scale = max(np.max(np.abs(want)), ctx.s ** len(word))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, word
 
 
 @pytest.mark.parametrize("band", [-1, 3, 1.5, "2", True, False, math.inf, math.nan])

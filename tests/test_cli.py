@@ -646,6 +646,91 @@ def test_symbol_random_hermitian_is_seed_deterministic(tmp_path):
            (tmp_path / "c" / "symbol.csv").read_bytes()
 
 
+def _grid_columns(path):
+    """(theta, phi, value_re, value_im) columns of a grid CSV."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+
+
+def test_symbol_of_s3_is_exact_at_sigma_one_and_2s_80(tmp_path):
+    """The sigma = 1 symbol of S3 is (S+1) cos(theta): at 2S = 80 every written
+    value is within 1e-12 (S+1) of it, with a zero imaginary part.  Through
+    the transform's factors w_l^-1 the values reached 5.4e8."""
+    cfg = {"spin": {"twice_s": 80}, "sigma": 1.0, "operator": {"expression": [[1.0, [3]]]}}
+    assert cli.main(["symbol", "--config", _write(tmp_path, "s.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    theta, _, re_, im = _grid_columns(tmp_path / "o" / "symbol.csv")
+    assert theta.size == 81 * 162
+    assert np.max(np.abs(re_ - 41.0 * np.cos(theta))) <= 1e-12 * 41.0
+    assert np.all(im == 0.0)
+
+
+def test_evolve_from_the_mixed_state_stays_uniform_at_sigma_one_and_2s_80(tmp_path):
+    """The mixed state's symbol is the constant 1/(2S+1), and H = -S3 keeps it:
+    at 2S = 80, sigma = 1 the final grid is 1/81 to 1e-15, where the mixed
+    state's transform wrote values up to 1.9e6."""
+    cfg = {"spin": {"twice_s": 80}, "sigma": 1.0,
+           "hamiltonian": {"expression": [[-1.0, [3]]]}, "initial": {"mixed": True},
+           "time": {"t_end": 0.1, "dt": 0.05}, "outputs": {"grid": "grid.csv"}}
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    _, _, re_, im = _grid_columns(tmp_path / "o" / "grid.csv")
+    assert re_.size == 81 * 162
+    assert np.max(np.abs(re_ - 1.0 / 81)) <= 1e-15
+    assert np.all(im == 0.0)
+
+
+def test_polynomials_reach_their_symbols_without_the_transform(tmp_path, monkeypatch):
+    """symbol of an expression, and evolve from the mixed state with its
+    Hermiticity checks and observables, never call operator_to_symbol."""
+    def unread(*args):
+        raise AssertionError("operator_to_symbol called")
+
+    monkeypatch.setattr(cli.sw_transform, "operator_to_symbol", unread)
+    sym = {"spin": {"twice_s": 6}, "sigma": 0.5,
+           "operator": {"expression": [[1.0, [1, 2]], [1.0, [2, 1]]]}}
+    assert cli.main(["symbol", "--config", _write(tmp_path, "s.json", sym),
+                     "--out", str(tmp_path / "s")]) == 0
+    cfg = _evolve_config(initial={"mixed": True}, sigma=0.5, time={"t_end": 0.2, "dt": 0.1})
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(tmp_path / "e")]) == 0
+
+
+@pytest.mark.parametrize("hamiltonian, bath", [
+    ([[1e306, [3]]], None),
+    ([[1e200, [3, 3]]], {"coupling": [[1e200, [1]]], "gamma": 1.0}),
+], ids=["substeps-overflow", "generator-nan"])
+def test_evolve_refuses_a_generator_without_finite_taylor_parameters(tmp_path, capsys,
+                                                                    hamiltonian, bath):
+    """H = 1e306 S3 overflows the Taylor substep count, and 1e200 S3S3 with
+    F = 1e200 S1 a NaN generator: each exits 3 before the first step and
+    writes no file, where it raised an OverflowError or exited 1."""
+    cfg = {"spin": {"twice_s": 4}, "hamiltonian": {"expression": hamiltonian},
+           "initial": {"mixed": True}, "time": {"t_end": 1.0, "dt": 0.5}}
+    if bath is not None:
+        cfg["bath"] = bath
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(out)]) == 3
+    assert "numerical failure: ||A||_1 = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_symbol_refuses_non_finite_grid_values(tmp_path, capsys):
+    """1e308 S3S3 overflows its symbol: symbol exits 3 and writes no file,
+    where it wrote 50 NaN rows and exited 0.  The grid writer refuses before
+    it opens the file."""
+    cfg = {"spin": {"twice_s": 4}, "sigma": 1.0,
+           "operator": {"expression": [[1e308, [3, 3]]]}}
+    out = tmp_path / "o"
+    assert cli.main(["symbol", "--config", _write(tmp_path, "s.json", cfg),
+                     "--out", str(out)]) == 3
+    assert "numerical failure: 50 grid values are not finite" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(RuntimeError, match="grid values are not finite"):
+        cli._write_grid(tmp_path / "g.csv", 4, np.full(25, 1e308))
+    assert not (tmp_path / "g.csv").exists()
+
+
 @pytest.mark.parametrize("where", ["config", "flag"])
 @pytest.mark.parametrize("command, key", [
     ("evolve", "seed"), ("compare", "seed"), ("limit-scan", "seed"), ("kernel", "seed"),

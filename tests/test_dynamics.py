@@ -569,6 +569,30 @@ def test_integrate_expm_flags_overflow_step():
             dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
 
 
+@pytest.mark.parametrize("sigma", [-1.0, -0.5, 0.0, 1.0])
+@pytest.mark.parametrize("twice_s", [1, 2, 10, 40, 80, 160])
+def test_observables_pair_states_with_the_closed_form_spin_symbols(monkeypatch, twice_s,
+                                                                   sigma):
+    """integrate's S1, S2, S3 pair a state at sigma with the symbols of S_k at
+    tau = -sigma: sqrt(S(S+1)) ((S+1)/S)^(tau/2) m_k on shell 1 and zero on
+    every other shell, to 1e-13 of the largest.  The transform's symbols at
+    tau = +1 were off by up to 3.6e-3 at 2S = 40 and 3.6e9 at 2S = 80."""
+    ctx = SpinContext(twice_s)
+    s = ctx.s
+    paired, expectation = [], swt.expectation
+    monkeypatch.setattr(swt, "expectation",
+                        lambda c_a, c_rho, ctx: paired.append(c_a) or expectation(c_a, c_rho, ctx))
+    state = np.zeros((1, ctx.symbol_dim), dtype=complex)
+    state[0, 0] = math.sqrt(4.0 * math.pi) / ctx.hilbert_dim  # the mixed state
+    dyn._symbol_observables(ctx, sigma)(state, np.empty((1, 6)))
+    scale = math.sqrt(s * (s + 1)) * ((s + 1) / s) ** (-sigma / 2)
+    m_k = math.sqrt(2 * math.pi / 3) * np.array([[1, 0, -1], [1j, 0, 1j], [0, math.sqrt(2), 0]])
+    for dual, m in zip(paired[:3], m_k, strict=True):
+        want = np.zeros(ctx.symbol_dim, dtype=complex)
+        want[1:4] = scale * m
+        assert np.max(np.abs(dual - want)) <= 1e-13 * scale
+
+
 def _block_rows(monkeypatch, rows, n):
     """Make integrate propagate in blocks of `rows` states of length n."""
     monkeypatch.setattr(dyn, "_BLOCK_BYTES", rows * 16 * n)
@@ -1160,28 +1184,36 @@ def _record_operator_builds(monkeypatch):
 @pytest.mark.parametrize("band", [None, 3])
 @pytest.mark.parametrize("bath", [None, _QFP_BATH])
 def test_qfp_generator_builds_one_bopp_set_and_one_conjugation(monkeypatch, bath, band):
-    """At a band reaching the degree of H and F, H and F are words in one Bopp
-    set, and every imaginary part and both Hermiticity checks read one P."""
+    """H and F are words in one Bopp set at the generator's band, and every
+    imaginary part reads one P there; before it, each Hermiticity check reads
+    a set and P of its own at min(2S, degree): 3 for the cubic H, 1 for F."""
     built = _record_operator_builds(monkeypatch)
     ctx = SpinContext(10)
     dyn.qfp_generator(_cubic_hamiltonian(ctx), bath, 0.3, ctx, band)
     want = 10 if band is None else band
-    assert built["bopp_matrices"] == [want]
-    assert built["conjugation_matrix"] == [want]
-    assert len(built["evaluate_expression"]) == (1 if bath is None else 2)
+    checks = [3] if bath is None else [3, 1]
+    assert built["bopp_matrices"] == checks + [want]
+    assert built["conjugation_matrix"] == checks + [want]
+    n = so.num_coefficients(want)
+    assert built["evaluate_expression"] == (
+        [16, n] if bath is None else [16, 4, n, n])
 
 
 def test_qfp_generator_reads_hermiticity_below_the_degree_from_a_second_set(monkeypatch):
-    """At band 2 the column-0 symbol of a cubic H reaches shell 3, so its check
-    takes a second Bopp set and P at band 3; the linear F needs none."""
+    """At band 2 the symbol of a cubic H reaches shell 3, so its check reads a
+    set and P at band 3 apart from the generator's band-2 set; the linear F is
+    read at band 1.  At 2S = 2 the cubic H is read at band 2S = 2."""
     built = _record_operator_builds(monkeypatch)
     ctx = SpinContext(10)
     dyn.qfp_generator(_cubic_hamiltonian(ctx), _QFP_BATH, 0.3, ctx, 2)
-    assert built["bopp_matrices"] == [2, 3]
-    assert built["conjugation_matrix"] == [2, 3]
-    assert built["evaluate_expression"] == [9, 16, 9]
+    assert built["bopp_matrices"] == [3, 1, 2]
+    assert built["conjugation_matrix"] == [3, 1, 2]
+    assert built["evaluate_expression"] == [16, 4, 9, 9]
     with pytest.raises(ValueError, match="Hamiltonian must be Hermitian"):
         dyn.qfp_generator([(1j, (3, 3, 3))], None, 0.3, ctx, 2)
+    built["bopp_matrices"].clear()
+    dyn.qfp_generator(_cubic_hamiltonian(SpinContext(2)), None, 0.3, SpinContext(2), 1)
+    assert built["bopp_matrices"] == [2, 1]
 
 
 @pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.3, 1.0])
@@ -1189,7 +1221,7 @@ def test_qfp_generator_reads_hermiticity_below_the_degree_from_a_second_set(monk
 def test_qfp_generator_is_the_two_set_assembly_bit_for_bit(twice_s, sigma):
     """One Bopp set and one P give the CSR arrays of the assembly with a set for
     H, another for F and a P per imaginary part, with and without a bath, at
-    band 2S and at band 2, where the cubic H is checked from a second set."""
+    band 2S and at band 2, below the degree of the cubic H."""
     ctx = SpinContext(twice_s)
     hamiltonians = ([(-1.0, (3,)), (0.3, (1,))], [(-1.0, (3,)), (-0.2, (1, 1))],
                     _cubic_hamiltonian(ctx))

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from spinphase import bopp, cli
 from spinphase import sphere_ops as so
-from spinphase import sw_transform as swt
 from spinphase.su2_algebra import SpinContext
 
 
@@ -372,13 +371,12 @@ def test_apply_conjugation_matches_pointwise_conjugate():
 
 def test_symbol_grid_csv_round_trips_values(tmp_path):
     """`symbol` writes the synthesized values of S+ = S1 + i S2 (complex, with
-    coefficients up to l = 2S = 3) on a grid of a higher band, exactly."""
+    coefficients on l <= 1, by the Bopp route) on a grid of a higher band, exactly."""
     L = 5
     thetas, phis = so.grid_points(L)
     expr = [[1.0, [1]], [[0.0, 1.0], [2]]]
     ctx = SpinContext(3)
-    mat = bopp.expression_to_matrix([(1.0, (1,)), (1j, (2,))], ctx)
-    vals = so.grid_values(L, swt.operator_to_symbol(mat, 0.0, ctx))
+    vals = so.grid_values(L, bopp.expression_symbol([(1.0, (1,)), (1j, (2,))], 0.0, ctx))
     cfg = {"spin": {"twice_s": 3}, "operator": {"expression": expr},
            "grid": {"band_limit": L}, "outputs": {"grid": "grid.csv"}}
     (tmp_path / "s.json").write_text(json.dumps(cfg))
