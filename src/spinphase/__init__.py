@@ -8,15 +8,7 @@ coefficient space with controlled exactness.
 """
 
 from .su2_algebra import SpinContext, spin_matrices
-from .sw_transform import (
-    ANTINORMAL,
-    NORMAL,
-    SYMMETRIC,
-    expectation,
-    kernel_eval,
-    operator_to_symbol,
-    symbol_to_operator,
-)
+from .sw_transform import expectation, kernel_eval, operator_to_symbol, symbol_to_operator
 from .bopp import bopp_coefficients, bopp_matrices, evaluate_expression, expression_symbol
 from .dynamics import (
     BathSpec,
@@ -29,7 +21,6 @@ from .dynamics import (
 
 __all__ = [
     "SpinContext", "spin_matrices",
-    "SYMMETRIC", "NORMAL", "ANTINORMAL",
     "operator_to_symbol", "symbol_to_operator", "kernel_eval", "expectation",
     "bopp_coefficients", "bopp_matrices", "evaluate_expression", "expression_symbol",
     "BathSpec", "qfp_generator", "classical_generators",

@@ -12,8 +12,6 @@ termwise form, the star product by the operator route and the analytic S3
 star Y_lm.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -21,18 +19,8 @@ from . import sphere_ops, sw_transform
 from .su2_algebra import is_integer, spin_matrices
 
 
-@dataclass(frozen=True)
-class BoppCoefficients:
-    """Shell tables f1(l), f2(l) for l = 0..2S at a fixed ordering."""
-
-    twice_s: int
-    sigma: float
-    f1: np.ndarray
-    f2: np.ndarray
-
-
 def bopp_coefficients(ctx, sigma):
-    """Tables f1(l), f2(l) for l = 0..2S, exact to rounding at every S.
+    """Tables (f1, f2) over l = 0..2S, exact to rounding at every S.
 
     With N = 2S, e = 1 - sigma and F(l) = sqrt((N+l+1)!(N-l)!),
       up   = (F(l)/F(l+1))^e (N+l+2) = (N-l)^(e/2) (N+l+2)^(1-e/2),
@@ -55,7 +43,7 @@ def bopp_coefficients(ctx, sigma):
             q = q + half_e * np.log1p(-two_l1 / ((n2 + 1) ** 2 - l * l))
     f1 = down * ((l + 1) * np.exp(q) + l) / (2.0 * two_l1)
     f2 = down * np.expm1(q) / (2.0 * two_l1)
-    return BoppCoefficients(n2, sigma, f1, f2)
+    return f1, f2
 
 
 def asymptotic_coefficients(ctx, sigma, l):
@@ -85,9 +73,8 @@ def bopp_matrices(ctx, sigma, band=None):
     if not (is_integer(L) and 0 <= L <= ctx.band_limit):
         raise ValueError(f"band must be an integer in [0, 2S = {ctx.band_limit}], got {band!r}")
     L = int(L)
-    coeffs = bopp_coefficients(ctx, sigma)
     l_of, _ = sphere_ops.lm_arrays(L)
-    f1, f2 = coeffs.f1[l_of], coeffs.f2[l_of]
+    f1, f2 = (f[l_of] for f in bopp_coefficients(ctx, sigma))
     half_up, half_down = f1 + l_of * f2, f1 - (l_of + 1) * f2
     out = []
     for m_op, l_op in zip(sphere_ops.position_operators(L), sphere_ops.angular_operators(L)):

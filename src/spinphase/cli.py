@@ -265,6 +265,8 @@ def _write_grid(path, band, c):
 
 
 def _cmd_evolve(cfg, paths, tolerance):
+    if "grid" in cfg and "grid" not in paths:
+        raise ValueError('"grid" is read only with "outputs": {"grid": <file name>}')
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     bath = _bath(cfg)
@@ -343,6 +345,8 @@ def _cmd_limit_scan(cfg, paths, tolerance):
     expected = scan.get("expected_slope")
     if expected is not None:
         expected = _finite(expected, "scan expected_slope")
+    elif "tolerance" in cfg:
+        raise ValueError('"tolerance" is read only with "scan": {"expected_slope": <slope>}')
     h = _hamiltonian(cfg) if "hamiltonian" in cfg else None
     result = dynamics.classical_limit_scan(scan.get("mode", "bilinear"), twice_s_values, sigma,
                                            l_test, h=h, bath=_bath(cfg))
@@ -427,12 +431,6 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        if name in _DEFAULT_TOLERANCE:
-            p.add_argument("--tolerance", type=float, default=None,
-                           help="override the command's tolerance")
-        if name == "symbol":
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed for a random_hermitian operator")
     return parser
 
 
@@ -448,28 +446,21 @@ def _twice_s_asked(cfg):
 def main(argv=None):
     cfg = {}
     try:
-        args, unread = build_parser().parse_known_args(argv)
-        if unread:  # such as --seed to a command that draws no random numbers
-            raise ValueError(f"{args.command} does not take {' '.join(unread)}")
+        args = build_parser().parse_args(argv)
         cfg = _load_config(args.config)
         _validate_keys(cfg, args.command)
         paths = _output_paths(cfg, args.command, args.out)
         resolved = dict(cfg, command=args.command)
         options = {}  # the tolerance or the random generator the command reads
         if args.command in _DEFAULT_TOLERANCE:
-            tolerance = args.tolerance
-            if tolerance is None:
-                tolerance = _number(cfg.get("tolerance", _DEFAULT_TOLERANCE[args.command]),
-                                    "tolerance")
+            tolerance = _number(cfg.get("tolerance", _DEFAULT_TOLERANCE[args.command]),
+                                "tolerance")
             if not (math.isfinite(tolerance) and tolerance >= 0):
                 raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
             resolved["tolerance"] = options["tolerance"] = tolerance
         if args.command == "symbol":
-            seed = args.seed
-            if seed is None:
-                seed = _integer(cfg.get("seed", 0), "seed")
-            resolved["seed"] = seed
-            options["rng"] = np.random.default_rng(seed)
+            resolved["seed"] = _integer(cfg.get("seed", 0), "seed")
+            options["rng"] = np.random.default_rng(resolved["seed"])
         code = _COMMANDS[args.command](cfg, paths, **options)
         (Path(args.out) / _RESOLVED_CONFIG).write_text(
             json.dumps(resolved, indent=2, sort_keys=True) + "\n")

@@ -45,8 +45,12 @@ class BathSpec:
 def _refuse_non_hermitian(expr, sigma, ctx, what):
     """Refuse expr unless its symbol c = bopp.expression_symbol(expr, sigma, ctx) is
     real, P conj(c) = c, to 1e-12 sum |coeff| S^k on c/sqrt(4pi): a bound on each
-    term, so cancelling terms such as i(S1 S2 - S2 S1) pass at any S."""
-    c = bopp.expression_symbol(expr, sigma, ctx)  # validates expr
+    term, so cancelling terms such as i(S1 S2 - S2 S1) pass at any S.  A symbol
+    that is not finite is a RuntimeError: an overflow, not a non-Hermitian expr."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        c = bopp.expression_symbol(expr, sigma, ctx)  # validates expr
+    if not np.all(np.isfinite(c)):
+        raise RuntimeError(f"the symbol of the {what} overflows")
     residual = np.max(np.abs(sphere_ops.conjugation_matrix(
         sphere_ops.band_limit_of(c.size)) @ c.conj() - c))
     scale = max(1.0, sum(abs(coeff) * ctx.s ** len(word) for coeff, word in expr))
@@ -126,16 +130,16 @@ def master_liouvillian(h, f, gamma, temperature):
 # --- classical generators -------------------------------------------------
 
 def classical_generators(h_expr, lam, temperature, band_limit, s):
-    """(liouville, fokker_planck) for classical spin dynamics at band limit L.
+    """The Fokker-Planck generator of classical spin dynamics at band limit L.
 
     The classical Hamiltonian h(m) is a word expression, as bopp.validate_expression
     takes it, in the sphere's position operators m_1, m_2, m_3 (lossy top
     shells); B_eff = -grad h, where d/dm_a drops the first a of each word and
-    multiplies its coefficient by the number of a's in it.  They are the drift
-    and the full generator of the effective-field form with the position
-    operators m: liouville = (i/S) sum_k L_k B_eff,k, and fokker_planck adds
-    -(i/S) sum_kj L_k Lam_kj [(m x B_eff)_j - i T L_j].  exp(-h/T) is
-    stationary under fokker_planck on the shells the band truncation leaves
+    multiplies its coefficient by the number of a's in it.  It is the
+    effective-field form with the position operators m: the Liouville drift
+    (i/S) sum_k L_k B_eff,k plus -(i/S) sum_kj L_k Lam_kj [(m x B_eff)_j - i T L_j],
+    so at Lam = 0 it is the drift itself.  exp(-h/T) is
+    stationary under it on the shells the band truncation leaves
     intact.  qfp_generator for H = -b.S and F = xi.S is this form with B = S b,
     Lam = S gamma xi xi^T and m_i replaced by the Bopp position operator
     (up M_i(up) + down M_i(down))/(2S) = m_i + O(1/S) of bopp_matrices.  A
@@ -167,11 +171,10 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
     cross = [zero] * 3  # m x B_eff
     for a, b, c, sign in _EPS:
         cross[a] = cross[a] + sign * (m_ops[b] @ b_ops[c])
-    drift = sum(((1j / s) * (l_ops[k] @ b_ops[k]) for k in range(3)), zero)
-    gen = drift
+    gen = sum(((1j / s) * (l_ops[k] @ b_ops[k]) for k in range(3)), zero)  # the drift
     for k, j in zip(*np.nonzero(lam)):
         gen = gen - (1j / s) * lam[k, j] * (l_ops[k] @ (cross[j] - 1j * temperature * l_ops[j]))
-    return drift.tocsr(), gen.tocsr()
+    return gen.tocsr()
 
 
 # --- states, integration, observables -------------------------------------
@@ -203,7 +206,8 @@ class EvolutionResult:
 # bytes of the state buffer that integrate reuses when it keeps no states: 77
 # rows at 2S=40, and the 201 rows of a 200-step run at 2S=20 still fit in one
 _BLOCK_BYTES = 2 << 20
-# the most steps one time grid may have: a larger count is a typo, not a run
+# the most steps one time grid, or Taylor substeps one step, may have: a larger
+# count is a typo or an overflow, not a run
 MAX_STEPS = 10 ** 7
 # theta_m for double precision (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
 # 488 (2011), Table 3.1): the degree-m Taylor series of exp(A) meets unit
@@ -324,17 +328,19 @@ def _taylor_parameters(norm):
 
 def _taylor_step(gen, dt_used):
     """y -> exp(G dt_used) y: s substeps of exp(mu dt/s) T_m(A/s), A = (G - mu I) dt,
-    mu = trace(G)/n, each cut once its last two terms sum below tol max|partial sum|."""
+    mu = trace(G)/n, each cut once its last two terms sum below tol max|partial sum|.
+    An s above MAX_STEPS, or none at all for a non-finite ||A||_1, is refused."""
     gen = sp.csr_matrix(gen)
     n = gen.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         mu = gen.diagonal().sum() / n
         a = (gen - mu * sp.identity(n, format="csr")) * dt_used
         norm = float(abs(a).sum(axis=0).max())  # exact 1-norm: column sums
-    if not math.isfinite(norm / min(_THETA.values())):  # each s = ceil(||A||_1 / theta_m)
+    m, s = (_taylor_parameters(norm) if math.isfinite(norm / min(_THETA.values()))
+            else (0, math.inf))  # each s = ceil(||A||_1 / theta_m)
+    if not s <= MAX_STEPS:
         raise RuntimeError(f"||A||_1 = {norm:.6g} of A = (G - mu I) dt at dt = {dt_used:.6g} "
-                           f"leaves no finite count of Taylor substeps")
-    m, s = _taylor_parameters(norm)
+                           f"needs s = {s:.6g} Taylor substeps, above MAX_STEPS = {MAX_STEPS}")
     a = a / s
     eta = np.exp(mu * dt_used / s)
     tol = 2.0 ** -53  # unit roundoff
@@ -391,7 +397,7 @@ _ROUNDING = 1e-13  # a scan deviation at or below it is rounding: no slope is fi
 
 def _submatrix(gen, l_test):
     """The l <= l_test corner of a CSR generator, sliced before it is made dense."""
-    n = sphere_ops.num_coefficients(l_test)
+    n = (l_test + 1) ** 2
     return gen[:n, :n].toarray()
 
 
@@ -464,8 +470,7 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None)
         s_values.append(ctx.s)
         if mode == "asymptotics":
             l = np.arange(l_test + 1)
-            coeffs = bopp.bopp_coefficients(ctx, sigma)
-            exact = np.stack([coeffs.f1[l], coeffs.f2[l]])
+            exact = np.stack(bopp.bopp_coefficients(ctx, sigma))[:, l]
             approx = np.stack(bopp.asymptotic_coefficients(ctx, sigma, l))
             rel = np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-300)
             deviations.append(np.max(rel))
@@ -475,7 +480,7 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None)
         q_sub = _submatrix(qfp_generator(h_quantum, bath, sigma, ctx, band), l_test)
         c_sub = _submatrix(classical_generators([(ctx.s * c, w) for c, w in h],
                                                 ctx.s * bath.gamma * np.outer(xi, xi),
-                                                bath.temperature, band, ctx.s)[1], l_test)
+                                                bath.temperature, band, ctx.s), l_test)
         # a bound on each term of c_sub, from |L_k| <= band, |m_a| <= 1 and the
         # |coefficients| of -grad h and Lam, as _refuse_non_hermitian bounds its terms
         grad = sum(abs(c) * len(w) for c, w in h)

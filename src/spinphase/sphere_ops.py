@@ -20,10 +20,6 @@ import scipy.sparse as sp
 from .su2_algebra import is_integer
 
 
-def num_coefficients(band_limit):
-    return (band_limit + 1) ** 2
-
-
 def flat_index(l, m):
     """Flat coefficient index l*l + l + m."""
     if l < 0 or abs(m) > l:
@@ -92,8 +88,9 @@ def _nodes(band_limit):
     # Gauss-Legendre nodes x = cos(theta) in descending order, so theta ascends,
     # and the uniform phis.  x is a contiguous copy: numpy's vectorised arccos
     # rounds a reversed view differently in the last digit.
-    if band_limit < 0:
-        raise ValueError("band_limit must be >= 0")
+    if not (is_integer(band_limit) and band_limit >= 0):
+        raise ValueError(f"band_limit must be an integer >= 0, got {band_limit!r}")
+    band_limit = int(band_limit)
     n_phi = 2 * band_limit + 2
     return (np.polynomial.legendre.leggauss(band_limit + 1)[0][::-1].copy(),
             2.0 * math.pi * np.arange(n_phi) / n_phi)

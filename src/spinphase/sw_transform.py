@@ -16,9 +16,6 @@ import numpy as np
 
 from . import sphere_ops, su2_algebra
 
-SYMMETRIC = 0.0
-NORMAL = 1.0
-ANTINORMAL = -1.0
 _LOG_TINY, _LOG_MAX = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 
 

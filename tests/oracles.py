@@ -297,9 +297,8 @@ def _angular_and_bopp_positions(ctx, sigma):
     scale the column of shell l by the tables' f1(l) and f2(l), and K_k comes
     from k_operators, apart from the shell-step weights of bopp_matrices."""
     band = ctx.band_limit
-    coeffs = bopp.bopp_coefficients(ctx, sigma)
     l_of, _ = sphere_ops.lm_arrays(band)
-    f1d, f2d = sp.diags(coeffs.f1[l_of]), sp.diags(coeffs.f2[l_of])
+    f1d, f2d = (sp.diags(f[l_of]) for f in bopp.bopp_coefficients(ctx, sigma))
     m_ops, k_ops = sphere_ops.position_operators(band), k_operators(band)
     return (sphere_ops.angular_operators(band),
             [m_ops[k] @ f1d + k_ops[k] @ f2d for k in range(3)])

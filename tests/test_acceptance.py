@@ -104,13 +104,13 @@ def test_criterion_04_extreme_orderings_have_constant_tables():
     worst = 0.0
     for twice_s in range(1, 21):
         ctx = SpinContext(twice_s)
-        anti = bopp.bopp_coefficients(ctx, -1.0)
-        normal = bopp.bopp_coefficients(ctx, 1.0)
+        anti_f1, anti_f2 = bopp.bopp_coefficients(ctx, -1.0)
+        normal_f1, normal_f2 = bopp.bopp_coefficients(ctx, 1.0)
         worst = max(worst,
-                    float(np.max(np.abs(anti.f1 - ctx.s))),
-                    float(np.max(np.abs(anti.f2 + 0.5))),
-                    float(np.max(np.abs(normal.f1 - (ctx.s + 1)))),
-                    float(np.max(np.abs(normal.f2 - 0.5))))
+                    float(np.max(np.abs(anti_f1 - ctx.s))),
+                    float(np.max(np.abs(anti_f2 + 0.5))),
+                    float(np.max(np.abs(normal_f1 - (ctx.s + 1)))),
+                    float(np.max(np.abs(normal_f2 - 0.5))))
     ok = worst < 1e-13
     _line(4, "constant shell tables at extreme orderings", ok,
           f"max table deviation {worst:.2e} < 1e-13 for all l, S <= 10")
@@ -143,7 +143,7 @@ def test_criterion_06_linear_hamiltonian_flow_is_classical():
         quantum = dyn.qfp_generator(h_expr, None, 0.0, ctx).toarray()
         classical = dyn.classical_generators(
             [(ctx.s * c, w) for c, w in h_expr], np.zeros((3, 3)), 1.0, ctx.band_limit,
-            ctx.s)[0].toarray()
+            ctx.s).toarray()
         worst = max(worst, float(np.max(np.abs(quantum - classical))))
     ok = worst < 1e-12
     _line(6, "linear flow equals classical rotation", ok,
@@ -211,7 +211,7 @@ def test_criterion_09_shell_table_asymptotics_are_second_order():
 def test_criterion_10_classical_fokker_planck_physics():
     L, s, temperature, b3 = 64, 20.0, 0.25, 1.0
     lam = 0.5 * np.eye(3)
-    _, fp = dyn.classical_generators([(-b3, (3,))], lam, temperature, L, s)
+    fp = dyn.classical_generators([(-b3, (3,))], lam, temperature, L, s)
     thetas, phis, _ = oracles.quadrature(L)
     vals = np.exp((b3 / temperature) * np.cos(thetas))[:, None] * np.ones((1, phis.size))
     c = oracles.analyze(L, vals.astype(complex))
@@ -219,7 +219,7 @@ def test_criterion_10_classical_fokker_planck_physics():
     residual = float(np.linalg.norm(fp @ c) / np.linalg.norm(c))
 
     lam_val, s2, t2, L2 = 0.3, 4.0, 0.7, 16
-    _, fp0 = dyn.classical_generators([], lam_val * np.eye(3), t2, L2, s2)
+    fp0 = dyn.classical_generators([], lam_val * np.eye(3), t2, L2, s2)
     fp0 = fp0.toarray()
     ls, _ = so.lm_arrays(L2)
     spec_dev = float(np.max(np.abs(

@@ -103,7 +103,7 @@ def test_evolve_grid_output_and_band_check(tmp_path):
     assert rows[0] == ["theta", "phi", "value_re", "value_im"]
     assert len(rows) == 1 + 5 * 10  # band 4: 5 x 10 nodes
 
-    bad = _evolve_config(grid={"band_limit": 1})
+    bad = _evolve_config(grid={"band_limit": 1}, outputs={"grid": "final.csv"})
     cfg_path = _write(tmp_path, "bad.json", bad)
     assert cli.main(["evolve", "--config", cfg_path,
                      "--out", str(tmp_path / "o2")]) == 1
@@ -283,15 +283,19 @@ def test_evolve_memory_does_not_grow_with_the_step_count(tmp_path, monkeypatch):
 @pytest.mark.parametrize("where", ("flag", "config"))
 @pytest.mark.parametrize("value", ("nan", "-1"))
 def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, where, value):
+    """The config key is the tolerance's only channel: a --tolerance flag exits 1
+    as an unknown argument whatever its value."""
     cfg = _evolve_config()
     argv = ["evolve", "--out", str(tmp_path / "o")]
     if where == "flag":
         argv += ["--tolerance", value]
+        message = f"error: unrecognized arguments: --tolerance {value}"
     else:
         cfg["tolerance"] = float(value)
+        message = "error: tolerance must be finite and >= 0"
     argv += ["--config", _write(tmp_path, "run.json", cfg)]
     assert cli.main(argv) == 1
-    assert "tolerance" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o" / "resolved_config.json").exists()
 
 
@@ -360,8 +364,8 @@ def test_compare_agrees_and_honors_tolerance(tmp_path, capsys):
     assert rows[0] == ["t", "deviation"]
     assert max(float(r[1]) for r in rows[1:]) < 1e-10
 
-    rc = cli.main(["compare", "--config", cfg_path, "--out",
-                   str(tmp_path / "o2"), "--tolerance", "1e-30"])
+    tight = _write(tmp_path, "tight.json", dict(cfg, tolerance=1e-30))
+    rc = cli.main(["compare", "--config", tight, "--out", str(tmp_path / "o2")])
     assert rc == 2
 
 
@@ -640,7 +644,7 @@ def test_symbol_random_hermitian_is_seed_deterministic(tmp_path):
                          "--out", str(tmp_path / d)]) == 0
     assert (tmp_path / "a" / "symbol.csv").read_bytes() == \
            (tmp_path / "b" / "symbol.csv").read_bytes()
-    assert cli.main(["symbol", "--config", cfg_path, "--seed", "12",
+    assert cli.main(["symbol", "--config", _write(tmp_path, "s12.json", dict(cfg, seed=12)),
                      "--out", str(tmp_path / "c")]) == 0
     assert (tmp_path / "a" / "symbol.csv").read_bytes() != \
            (tmp_path / "c" / "symbol.csv").read_bytes()
@@ -698,12 +702,14 @@ def test_polynomials_reach_their_symbols_without_the_transform(tmp_path, monkeyp
 @pytest.mark.parametrize("hamiltonian, bath", [
     ([[1e306, [3]]], None),
     ([[1e200, [3, 3]]], {"coupling": [[1e200, [1]]], "gamma": 1.0}),
-], ids=["substeps-overflow", "generator-nan"])
+    ([[1e300, [3]]], None),
+], ids=["substeps-overflow", "generator-nan", "substeps-above-max-steps"])
 def test_evolve_refuses_a_generator_without_finite_taylor_parameters(tmp_path, capsys,
                                                                     hamiltonian, bath):
-    """H = 1e306 S3 overflows the Taylor substep count, and 1e200 S3S3 with
-    F = 1e200 S1 a NaN generator: each exits 3 before the first step and
-    writes no file, where it raised an OverflowError or exited 1."""
+    """H = 1e306 S3 overflows the Taylor substep count, 1e200 S3S3 with
+    F = 1e200 S1 gives a NaN generator, and 1e300 S3 would take 2.0e299
+    substeps a step: each exits 3 before the first step and writes no file,
+    where it raised an OverflowError, exited 1 or ran for ever."""
     cfg = {"spin": {"twice_s": 4}, "hamiltonian": {"expression": hamiltonian},
            "initial": {"mixed": True}, "time": {"t_end": 1.0, "dt": 0.5}}
     if bath is not None:
@@ -712,6 +718,19 @@ def test_evolve_refuses_a_generator_without_finite_taylor_parameters(tmp_path, c
     assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
                      "--out", str(out)]) == 3
     assert "numerical failure: ||A||_1 = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evolve_refuses_an_overflowing_hamiltonian_with_exit_three(tmp_path, capsys):
+    """1e308 S3S3 is Hermitian, but its symbol overflows: evolve exits 3 and
+    writes no file, where it exited 1 as if H were non-Hermitian."""
+    cfg = {"spin": {"twice_s": 4}, "hamiltonian": {"expression": [[1e308, [3, 3]]]},
+           "initial": {"mixed": True}, "time": {"t_end": 1.0, "dt": 0.5}}
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(out)]) == 3
+    assert ("numerical failure: the symbol of the Hamiltonian overflows"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -738,8 +757,9 @@ def test_symbol_refuses_non_finite_grid_values(tmp_path, capsys):
 def test_commands_refuse_a_seed_or_tolerance_they_do_not_read(tmp_path, capsys, command,
                                                               key, where):
     """Only symbol draws random numbers and only evolve, compare and limit-scan
-    gate on a tolerance.  Elsewhere the key or flag exits 1 before any file is
-    written, and the resolved config of a run without it does not echo it."""
+    gate on a tolerance.  Elsewhere the key exits 1 before any file is written,
+    as does the flag, which no command takes, and the resolved config of a run
+    without it does not echo it."""
     cfg = {"evolve": _evolve_config(), "compare": _evolve_config(),
            "limit-scan": json.loads(json.dumps(_SCAN_BASE)), "kernel": {"spin": {"twice_s": 2}},
            "symbol": {"spin": {"twice_s": 2}, "operator": {"expression": [[1.0, [3]]]}}}[command]
@@ -747,7 +767,7 @@ def test_commands_refuse_a_seed_or_tolerance_they_do_not_read(tmp_path, capsys, 
     argv = [command, "--out", str(tmp_path / "o")]
     if where == "flag":
         argv += [f"--{key}", "3", "--config", good]
-        message = f"error: {command} does not take --{key} 3"
+        message = f"error: unrecognized arguments: --{key} 3"
     else:
         argv += ["--config", _write(tmp_path, "bad.json", dict(cfg, **{key: 3}))]
         message = f"error: unknown config keys for {command}: {key}"
@@ -756,6 +776,40 @@ def test_commands_refuse_a_seed_or_tolerance_they_do_not_read(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
     assert cli.main([command, "--config", good, "--out", str(tmp_path / "o")]) == 0
     assert key not in json.loads((tmp_path / "o" / "resolved_config.json").read_text())
+
+
+@pytest.mark.parametrize("command, key, missing", [
+    ("evolve", "grid", '"outputs": {"grid": <file name>}'),
+    ("limit-scan", "tolerance", '"scan": {"expected_slope": <slope>}')],
+    ids=["evolve-grid", "limit-scan-tolerance"])
+def test_a_setting_left_unread_by_another_exits_one(tmp_path, capsys, command, key, missing):
+    """evolve reads "grid" only to write outputs.grid, and limit-scan reads its
+    tolerance only to gate scan.expected_slope.  Without the other key the
+    setting would be ignored, and a scan would echo a tolerance it never used,
+    so the run exits 1 before any file is written, naming the missing key."""
+    if command == "evolve":
+        cfg = _evolve_config(grid={"band_limit": 50})
+    else:
+        cfg = dict(json.loads(json.dumps(_SCAN_BASE)), tolerance=1e-9)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", _write(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == 1
+    assert f'error: "{key}" is read only with {missing}' in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("evolve", "--tolerance"), ("compare", "--tolerance"), ("limit-scan", "--tolerance"),
+    ("symbol", "--seed")])
+def test_the_config_is_the_only_channel_for_tolerance_and_seed(tmp_path, capsys, command,
+                                                               flag):
+    """The flags that once set a command's tolerance or seed are gone: each
+    exits 1 naming itself and creates no output directory."""
+    cfg_path = _write(tmp_path, "c.json", {"spin": {"twice_s": 2}})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg_path, "--out", str(out), flag, "1"]) == 1
+    assert f"error: unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validation_failures_exit_one(tmp_path, capsys):

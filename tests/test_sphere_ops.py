@@ -69,11 +69,9 @@ def test_flat_index_round_trip(l, data):
     assert (ls[idx], ms[idx]) == (l, m)
 
 
-def test_num_coefficients_and_band_limit_of():
+def test_band_limit_of():
     for L in range(0, 12):
-        n = so.num_coefficients(L)
-        assert n == (L + 1) ** 2
-        assert so.band_limit_of(n) == L
+        assert so.band_limit_of((L + 1) ** 2) == L
     with pytest.raises(ValueError):
         so.band_limit_of(5)  # not a perfect square
 
@@ -112,7 +110,7 @@ def test_grid_values_match_the_scipy_synthesis(band):
     c_lm Y_lm from scipy's harmonics, for coefficients of the full band and of
     a lower one."""
     rng = np.random.default_rng(band)
-    for n in {so.num_coefficients(band), so.num_coefficients(band // 2)}:
+    for n in {(band + 1) ** 2, (band // 2 + 1) ** 2}:
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         got = so.grid_values(band, c)
         assert got.shape == (band + 1, 2 * band + 2)
@@ -151,19 +149,24 @@ def test_quadrature_orthonormality_of_harmonics():
 def test_analysis_inverts_synthesis(L, seed):
     """The scipy quadrature recovers the coefficients from grid_values."""
     rng = np.random.default_rng(seed)
-    n = so.num_coefficients(L)
+    n = (L + 1) ** 2
     c = rng.normal(size=n) + 1j * rng.normal(size=n)
     np.testing.assert_allclose(oracles.analyze(L, so.grid_values(L, c)), c, atol=1e-11)
 
 
 def test_synthesize_rejects_coefficients_beyond_band():
     with pytest.raises(ValueError, match="coefficient band 4 exceeds grid band 3"):
-        so.grid_values(3, np.zeros(so.num_coefficients(4), dtype=complex))
+        so.grid_values(3, np.zeros(25, dtype=complex))
     with pytest.raises(ValueError, match="not a square"):
         so.grid_values(3, np.zeros(5, dtype=complex))
-    for band in (-1, -2):
-        with pytest.raises(ValueError, match="band_limit must be >= 0"):
-            so.grid_points(band)
+    # grid_points shares lm_arrays' integer check and message: True is no band-1
+    # grid, and 2.5 does not reach numpy's Gauss-Legendre call
+    for band in (-1, -2, True, 2.5):
+        for build in (so.grid_points, so.lm_arrays):
+            with pytest.raises(ValueError, match=f"band_limit must be an integer >= 0, got {band}"):
+                build(band)
+    for got, want in zip(so.grid_points(3.0), so.grid_points(3)):  # an integral float is its int
+        assert np.array_equal(got, want)
 
 
 # --- coefficient-space operators ---------------------------------------------
@@ -214,7 +217,7 @@ def test_position_operator_m3_matches_quadrature_oracle():
 def test_position_operators_commute_and_sum_to_identity_in_interior():
     L = 8
     ops = [op.toarray() for op in so.position_operators(L)[:3]]
-    n_in = so.num_coefficients(L - 2)
+    n_in = (L - 1) ** 2
     total = sum(op @ op for op in ops)[:n_in, :n_in]
     np.testing.assert_allclose(total, np.eye(n_in), atol=1e-12)
     for a in range(3):
@@ -227,7 +230,7 @@ def test_position_operators_are_vector_under_rotations():
     L = 8
     m_ops = [op.toarray() for op in so.position_operators(L)[:3]]
     l_ops = [op.toarray() for op in so.angular_operators(L)]
-    n_in = so.num_coefficients(L - 1)
+    n_in = L ** 2
     eps = {(0, 1): 2, (1, 2): 0, (2, 0): 1}
     for (a, b), c in eps.items():
         comm = (l_ops[a] @ m_ops[b] - m_ops[b] @ l_ops[a])[:n_in, :n_in]
@@ -256,7 +259,7 @@ def test_k_operators_equal_m_cross_l():
 def test_conjugation_matrix_properties():
     L = 6
     p = so.conjugation_matrix(L)
-    n = so.num_coefficients(L)
+    n = (L + 1) ** 2
     np.testing.assert_allclose((p @ p).toarray(), np.eye(n), atol=0)
     l1, l2, l3 = so.angular_operators(L)
     m_ops = so.position_operators(L)
@@ -272,7 +275,7 @@ def test_conjugated_operator_keeps_the_format_of_its_operand():
     """P conj(O) P is CSR for a sparse operator and an array for a dense one,
     with the same entries: P is a signed permutation, so each is one product."""
     L = 4
-    n = so.num_coefficients(L)
+    n = (L + 1) ** 2
     rng = np.random.default_rng(5)
     op = (sp.random(n, n, density=0.2, format="csr", random_state=rng)
           + 1j * sp.random(n, n, density=0.2, format="csr", random_state=rng))
@@ -288,7 +291,7 @@ def test_conjugated_operator_keeps_the_format_of_its_operand():
 def _reference_operators(L):
     """L1, L2, L3, M1..M3 and P filled one (l, m) at a time, with the
     couplings written out here: the entry-by-entry oracle for the closed forms."""
-    n = so.num_coefficients(L)
+    n = (L + 1) ** 2
 
     def idx(l, m):
         return l * l + l + m
@@ -337,7 +340,7 @@ def test_closed_form_operators_match_the_per_entry_reference(twice_s):
 def test_operator_real_imag_split_reassembles():
     rng = np.random.default_rng(3)
     L = 4
-    n = so.num_coefficients(L)
+    n = (L + 1) ** 2
     op = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     re = oracles.operator_real(op, L)
     im = oracles.operator_imag(op, L)
@@ -361,7 +364,7 @@ def test_real_symbols_detected_from_real_grid_functions():
 def test_apply_conjugation_matches_pointwise_conjugate():
     L = 4
     rng = np.random.default_rng(8)
-    n = so.num_coefficients(L)
+    n = (L + 1) ** 2
     c = rng.normal(size=n) + 1j * rng.normal(size=n)
     np.testing.assert_allclose(so.grid_values(L, so.apply_conjugation(c)),
                                np.conj(so.grid_values(L, c)), atol=1e-12)

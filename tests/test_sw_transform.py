@@ -14,7 +14,7 @@ from spinphase import su2_algebra
 from spinphase import sw_transform as swt
 from spinphase.su2_algebra import SpinContext, rotation_z, spin_matrices
 
-SIGMAS = (swt.ANTINORMAL, swt.SYMMETRIC, swt.NORMAL)
+SIGMAS = (-1.0, 0.0, 1.0)  # antinormal, symmetric, normal
 
 
 def _random_hermitian(n, seed):
