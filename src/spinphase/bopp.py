@@ -91,23 +91,24 @@ def validate_expression(expr):
 
     A word is a tuple over components {1, 2, 3}; the empty word is the
     identity.  Words are ordered products, no symmetrization is applied.  A
-    NaN or infinite coefficient is refused, naming its term.
+    component that is not an integer in {1, 2, 3}, and a bool, string, NaN or
+    infinite coefficient, are refused, naming the word or the term.
     """
     out = []
     for item in expr:
         try:
             coeff, word = item
+            word = tuple(word)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"expression term {item!r} is not (coeff, word)") from exc
-        if isinstance(word, str):
-            raise ValueError(f"word must be a tuple of components, got {word!r}")
-        word = tuple(int(k) for k in word)
-        if any(k not in (1, 2, 3) for k in word):
+        if not all(is_integer(k) and k in (1, 2, 3) for k in word):
             raise ValueError(f"word {word!r} has components outside {{1,2,3}}")
+        if isinstance(coeff, (bool, np.bool_, str)):
+            raise ValueError(f"expression term {item!r} has a coefficient that is not a number")
         coeff = complex(coeff)
         if not np.isfinite(coeff):
             raise ValueError(f"expression term {item!r} has a non-finite coefficient")
-        out.append((coeff, word))
+        out.append((coeff, tuple(int(k) for k in word)))
     return out
 
 

@@ -19,21 +19,8 @@ import numpy as np
 from . import bopp, dynamics, sphere_ops, sw_transform
 from .su2_algebra import SpinContext, is_integer
 
-# the commands that gate on a tolerance, with its default; only symbol draws
-# random numbers, so only it reads a seed
-_DEFAULT_TOLERANCE = {"evolve": 1e-8, "compare": 1e-8, "limit-scan": 0.2}
-
-_ALLOWED_KEYS = {
-    "evolve": {"spin", "sigma", "hamiltonian", "bath", "initial", "time",
-               "grid", "outputs", "tolerance"},
-    "compare": {"spin", "sigma", "hamiltonian", "bath", "initial", "time",
-                "outputs", "tolerance"},
-    "limit-scan": {"scan", "sigma", "hamiltonian", "bath", "outputs", "tolerance"},
-    "kernel": {"spin", "sigma", "grid", "outputs"},
-    "symbol": {"spin", "sigma", "operator", "grid", "outputs", "seed"},
-}
-
-# keys of the config sections by dotted path; those of "outputs" by command
+# keys of the config sections by dotted path; the top level's and those of
+# "outputs" are a command's, in _COMMANDS
 _SECTION_KEYS = {
     "spin": {"twice_s"}, "hamiltonian": {"expression"},
     "bath": {"coupling", "gamma", "temperature"},
@@ -43,11 +30,6 @@ _SECTION_KEYS = {
     "operator": {"expression", "random_hermitian"},
 }
 _ONE_OF = {"initial", "operator"}  # each key is an alternative to the others
-# the keys of "outputs" by command, with each file's default name (None: the
-# file is written only when "outputs" names it); every run also writes this one
-_OUTPUTS = {"evolve": {"trajectory": "trajectory.csv", "grid": None},
-            "compare": {"comparison": "compare.csv"}, "limit-scan": {"scan": "scan.csv"},
-            "kernel": {"kernel": "kernel.csv"}, "symbol": {"grid": "symbol.csv"}}
 _RESOLVED_CONFIG = "resolved_config.json"
 
 
@@ -100,7 +82,8 @@ def _validate_keys(cfg, command):
     """Refuse unknown keys at the top level and in every section that is an
     object (a section of another type is refused where it is read), and a
     second alternative in a section of _ONE_OF, which would go unread."""
-    sections = {"": _ALLOWED_KEYS[command], **_SECTION_KEYS, "outputs": set(_OUTPUTS[command])}
+    _, keys, outputs, _ = _COMMANDS[command]
+    sections = {"": {*keys, "outputs"}, **_SECTION_KEYS, "outputs": set(outputs)}
     for path, allowed in sections.items():
         section = cfg
         for name in filter(None, path.split(".")):
@@ -234,7 +217,7 @@ def _output_paths(cfg, command, out_dir):
         if name in ("", ".", "..") or Path(name).name != name:
             raise ValueError(f'"outputs" file names must be plain names with no '
                              f'directory part, got {name!r}')
-    names = {key: outputs.get(key, default) for key, default in _OUTPUTS[command].items()}
+    names = {key: outputs.get(key, default) for key, default in _COMMANDS[command][2].items()}
     names = {key: name for key, name in names.items() if name is not None}
     for key, name in names.items():
         if name == _RESOLVED_CONFIG or list(names.values()).count(name) > 1:
@@ -305,23 +288,22 @@ def _cmd_compare(cfg, paths, tolerance):
     if bath is None:
         raise ValueError('compare needs a "bath" section')
     h_expr = _hamiltonian(cfg)
-    h_mat = bopp.expression_to_matrix(h_expr, ctx)
-    f_mat = bopp.expression_to_matrix(bath.coupling, ctx)
     rho0, c0 = _initial_state(cfg, ctx, sigma)
     t_end, dt = _time_block(cfg)
-    gen = dynamics.qfp_generator(h_expr, bath, sigma, ctx)
-    liou = dynamics.master_liouvillian(h_mat, f_mat, bath.gamma, bath.temperature)
-    # the gap is read on sigma = 0 coefficients, where it is an operator error
-    # in the orthonormal T_lm basis (see dynamics._symbol_observables); the
-    # factors are exactly 1 at sigma = 0, so that gap is the one read at sigma
-    to_symmetric = sw_transform.switch_ordering(np.ones(ctx.symbol_dim), sigma, 0.0, ctx).real
+    gen = dynamics.qfp_generator(h_expr, bath, sigma, ctx)  # refuses H before any matrix
+    liou = dynamics.master_liouvillian(bopp.expression_to_matrix(h_expr, ctx),
+                                       bopp.expression_to_matrix(bath.coupling, ctx),
+                                       bath.gamma, bath.temperature)
     times, blocks = dynamics.lockstep([liou, gen], [dynamics.vec_density(rho0), c0],
                                       t_end, dt, "expm")
     devs = np.empty(times.size)
     for first, (rhos, cs) in blocks:  # the two routes step by step, block by block
         for i, (rho, c) in enumerate(zip(rhos, cs), first):
-            c_oracle = sw_transform.operator_to_symbol(dynamics.unvec_density(rho), 0.0, ctx)
-            devs[i] = np.max(np.abs(c_oracle - to_symmetric * c))
+            # read at sigma = 0, an operator error in the orthonormal T_lm basis
+            # (see dynamics._symbol_observables)
+            devs[i] = np.max(np.abs(
+                sw_transform.operator_to_symbol(dynamics.unvec_density(rho), 0.0, ctx)
+                - sw_transform.switch_ordering(c, sigma, 0.0, ctx)))
     _write_csv(paths["comparison"], "t,deviation", zip(times, devs))
     worst = float(np.max(devs))
     print(f"max deviation = {worst:.6g}")
@@ -404,12 +386,20 @@ def _cmd_symbol(cfg, paths, rng):
     return 0
 
 
+# per command: its function, the top-level keys it reads besides "outputs", its
+# files by "outputs" key with their default names (None: written only when
+# "outputs" names it; every run also writes _RESOLVED_CONFIG) and its gate's
+# default tolerance (None: no gate); only symbol draws random numbers
 _COMMANDS = {
-    "evolve": _cmd_evolve,
-    "compare": _cmd_compare,
-    "limit-scan": _cmd_limit_scan,
-    "kernel": _cmd_kernel,
-    "symbol": _cmd_symbol,
+    "evolve": (_cmd_evolve, {"spin", "sigma", "hamiltonian", "bath", "initial", "time", "grid",
+                             "tolerance"}, {"trajectory": "trajectory.csv", "grid": None}, 1e-8),
+    "compare": (_cmd_compare, {"spin", "sigma", "hamiltonian", "bath", "initial", "time",
+                               "tolerance"}, {"comparison": "compare.csv"}, 1e-8),
+    "limit-scan": (_cmd_limit_scan, {"scan", "sigma", "hamiltonian", "bath", "tolerance"},
+                   {"scan": "scan.csv"}, 0.2),
+    "kernel": (_cmd_kernel, {"spin", "sigma", "grid"}, {"kernel": "kernel.csv"}, None),
+    "symbol": (_cmd_symbol, {"spin", "sigma", "operator", "grid", "seed"},
+               {"grid": "symbol.csv"}, None),
 }
 
 
@@ -451,17 +441,17 @@ def main(argv=None):
         _validate_keys(cfg, args.command)
         paths = _output_paths(cfg, args.command, args.out)
         resolved = dict(cfg, command=args.command)
+        run, keys, _, default = _COMMANDS[args.command]
         options = {}  # the tolerance or the random generator the command reads
-        if args.command in _DEFAULT_TOLERANCE:
-            tolerance = _number(cfg.get("tolerance", _DEFAULT_TOLERANCE[args.command]),
-                                "tolerance")
+        if default is not None:
+            tolerance = _number(cfg.get("tolerance", default), "tolerance")
             if not (math.isfinite(tolerance) and tolerance >= 0):
                 raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
             resolved["tolerance"] = options["tolerance"] = tolerance
-        if args.command == "symbol":
+        if "seed" in keys:
             resolved["seed"] = _integer(cfg.get("seed", 0), "seed")
             options["rng"] = np.random.default_rng(resolved["seed"])
-        code = _COMMANDS[args.command](cfg, paths, **options)
+        code = run(cfg, paths, **options)
         (Path(args.out) / _RESOLVED_CONFIG).write_text(
             json.dumps(resolved, indent=2, sort_keys=True) + "\n")
         return code

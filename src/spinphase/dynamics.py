@@ -155,9 +155,6 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
         raise ValueError("s must be finite and > 0")
     if not (math.isfinite(temperature) and temperature > 0):
         raise ValueError("temperature must be finite and > 0")
-    if not (is_integer(band_limit) and band_limit >= 0):
-        raise ValueError(f"band_limit must be an integer >= 0, got {band_limit!r}")
-    band_limit = int(band_limit)
     grad = ([], [], [])  # -dh/dm_a, word by word
     for coeff, word in h_expr:
         for a in (1, 2, 3):

@@ -88,9 +88,7 @@ def _nodes(band_limit):
     # Gauss-Legendre nodes x = cos(theta) in descending order, so theta ascends,
     # and the uniform phis.  x is a contiguous copy: numpy's vectorised arccos
     # rounds a reversed view differently in the last digit.
-    if not (is_integer(band_limit) and band_limit >= 0):
-        raise ValueError(f"band_limit must be an integer >= 0, got {band_limit!r}")
-    band_limit = int(band_limit)
+    band_limit = int(lm_arrays(band_limit)[0][-1])  # lm_arrays refuses a bad band
     n_phi = 2 * band_limit + 2
     return (np.polynomial.legendre.leggauss(band_limit + 1)[0][::-1].copy(),
             2.0 * math.pi * np.arange(n_phi) / n_phi)

@@ -65,6 +65,14 @@ def _diagonals(twice_s):
     return tuple(out)
 
 
+def _coefficients(c, ctx):
+    """c as a complex array, refused unless it has (2S+1)^2 entries."""
+    c = np.asarray(c, dtype=complex)
+    if c.size != ctx.symbol_dim:
+        raise ValueError(f"coefficient length {c.size} does not match (2S+1)^2 = {ctx.symbol_dim}")
+    return c
+
+
 def operator_to_symbol(a, sigma, ctx):
     """Symbol coefficients of operator a at ordering sigma."""
     sigma = validate_sigma(sigma)
@@ -81,12 +89,7 @@ def operator_to_symbol(a, sigma, ctx):
 def symbol_to_operator(c, sigma, ctx):
     """Operator with symbol coefficients c at ordering sigma (exact inverse)."""
     sigma = validate_sigma(sigma)
-    c = np.asarray(c, dtype=complex)
-    if c.size != ctx.symbol_dim:
-        raise ValueError(
-            f"coefficient length {c.size} does not match (2S+1)^2 = {ctx.symbol_dim}"
-        )
-    b = c / _factors(ctx, sigma)
+    b = _coefficients(c, ctx) / _factors(ctx, sigma)
     a = np.zeros((ctx.hilbert_dim, ctx.hilbert_dim), dtype=complex)
     for _, idx, pos, block in _diagonals(ctx.twice_s):
         a[pos] = b[idx] @ block  # sum_l b_lm T_lm on the diagonal m
@@ -99,10 +102,7 @@ def switch_ordering(c, sigma_from, sigma_to, ctx):
     The factor is formed first, so equal orderings return c unchanged."""
     sigma_from = validate_sigma(sigma_from)
     sigma_to = validate_sigma(sigma_to)
-    c = np.asarray(c, dtype=complex)
-    if c.size != ctx.symbol_dim:
-        raise ValueError("coefficient length does not match context")
-    return c * (_factors(ctx, sigma_to) / _factors(ctx, sigma_from))
+    return _coefficients(c, ctx) * (_factors(ctx, sigma_to) / _factors(ctx, sigma_from))
 
 
 def kernel_eval(ctx, sigma, theta, phi):
@@ -124,16 +124,11 @@ def expectation(c_a, c_rho, ctx):
 
     (2S+1)/(4pi) sum_lm (-1)^m c_A,lm c_rho,l,-m; exact for dual orderings.
     """
-    c_a = np.asarray(c_a, dtype=complex)
-    c_rho = np.asarray(c_rho, dtype=complex)
-    if c_a.size != ctx.symbol_dim or c_rho.size != ctx.symbol_dim:
-        raise ValueError("coefficient length does not match context")
-    return measure_constant(ctx) * np.vdot(sphere_ops.apply_conjugation(c_rho), c_a)
+    c_a = _coefficients(c_a, ctx)
+    return measure_constant(ctx) * np.vdot(sphere_ops.apply_conjugation(
+        _coefficients(c_rho, ctx)), c_a)
 
 
 def symbol_trace(c, ctx):
     """Tr(A) from any-ordering coefficients: (2S+1) c_00 / sqrt(4pi)."""
-    c = np.asarray(c, dtype=complex)
-    if c.size != ctx.symbol_dim:
-        raise ValueError("coefficient length does not match context")
-    return (ctx.twice_s + 1) * c[0] / math.sqrt(4.0 * math.pi)
+    return (ctx.twice_s + 1) * _coefficients(c, ctx)[0] / math.sqrt(4.0 * math.pi)

@@ -220,6 +220,24 @@ def test_validate_expression_normalizes_and_rejects():
             bopp.validate_expression(bad)
 
 
+@pytest.mark.parametrize("term, message", [
+    ((1.0, (1.7,)), r"word \(1\.7,\) has components outside \{1,2,3\}"),
+    ((1.0, (True, 3.9)), r"word \(True, 3\.9\) has components outside"),
+    ((1.0, "12"), r"word \('1', '2'\) has components outside"),
+    (("2", (1,)), r"expression term \('2', \(1,\)\) has a coefficient that is not a number"),
+    ((True, (3,)), r"expression term \(True, \(3,\)\) has a coefficient that is not"),
+    ((np.True_, (3,)), "has a coefficient that is not a number"),
+    ((1.0,), r"expression term \(1\.0,\) is not \(coeff, word\)"),
+    ((1.0, 3), r"expression term \(1\.0, 3\) is not \(coeff, word\)"),
+], ids=["component-fractional", "component-bool", "word-string", "coeff-string",
+        "coeff-bool", "coeff-numpy-bool", "term-single", "word-number"])
+def test_validate_expression_refuses_what_int_or_complex_would_change(term, message):
+    """int() cut 1.7 to 1 and True to 1, and complex() read "2" and True as
+    numbers, so such a term ran as another polynomial; each is refused by name."""
+    with pytest.raises(ValueError, match=message):
+        bopp.validate_expression([(-1.0, (3,)), term])
+
+
 def test_expression_adjoint_reverses_words():
     expr = [(2.0 + 1j, (1, 2, 3)), (0.5, (2,))]
     adj = oracles.expression_adjoint(expr)

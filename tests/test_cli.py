@@ -734,6 +734,21 @@ def test_evolve_refuses_an_overflowing_hamiltonian_with_exit_three(tmp_path, cap
     assert not out.exists()
 
 
+def test_compare_refuses_an_overflowing_hamiltonian_before_any_matrix(tmp_path, capsys):
+    """compare checks H through qfp_generator before it builds the
+    Hilbert-space matrices, whose products of 1e308 S3S3 overflow with a
+    RuntimeWarning (an uncaught error under the suite's warning filter)."""
+    cfg = {"spin": {"twice_s": 4}, "hamiltonian": {"expression": [[1e308, [3, 3]]]},
+           "bath": {"coupling": [[1.0, [1]]]}, "initial": {"mixed": True},
+           "time": {"t_end": 1.0, "dt": 0.5}}
+    out = tmp_path / "o"
+    assert cli.main(["compare", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(out)]) == 3
+    assert ("numerical failure: the symbol of the Hamiltonian overflows"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_symbol_refuses_non_finite_grid_values(tmp_path, capsys):
     """1e308 S3S3 overflows its symbol: symbol exits 3 and writes no file,
     where it wrote 50 NaN rows and exited 0.  The grid writer refuses before
@@ -836,6 +851,11 @@ def test_validation_failures_exit_one(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 1
 
 
+def _saved(tmp_path, rho):
+    np.save(tmp_path / "rho.npy", rho)
+    return str(tmp_path / "rho.npy")
+
+
 @pytest.mark.parametrize("make_config", [
     lambda tmp: _evolve_config(initial={"coherent": {"phi": 0.4}}),
     lambda tmp: _evolve_config(initial={"matrix_file": str(tmp / "absent.npy")}),
@@ -843,8 +863,12 @@ def test_validation_failures_exit_one(tmp_path, capsys):
     lambda tmp: _evolve_config(grid={"band_limit": None}),
     lambda tmp: _evolve_config(grid={"band_limit": 6.5}),
     lambda tmp: {"spin": {"twice_s": 1}, "grid": {"band_limit": 6.5}},
+    lambda tmp: [],
+    lambda tmp: _evolve_config(initial={"matrix_file": _saved(tmp, np.eye(2) / 2)}),
+    lambda tmp: _evolve_config(initial={"matrix_file": _saved(tmp, np.eye(3))}),
 ], ids=["coherent-without-theta", "missing-matrix-file", "band-limit-string",
-        "band-limit-null", "band-limit-fractional", "kernel-band-limit-fractional"])
+        "band-limit-null", "band-limit-fractional", "kernel-band-limit-fractional",
+        "root-list", "matrix-file-shape", "matrix-file-trace"])
 def test_malformed_config_fields_exit_one(tmp_path, capsys, make_config):
     cfg = make_config(tmp_path)
     command = "evolve" if "time" in cfg else "kernel"
@@ -945,6 +969,19 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("limit-scan", "bath.coupling", [[[1.0, 0.5], [1]]], "the scan's coupling must be xi.S"),
     ("limit-scan", "bath.temperature", "hot", "bath temperature must be a number"),
     ("limit-scan", "bath", [], '"bath" must be an object'),
+    # a missing section, a malformed expression, a section with no alternative
+    ("evolve", "spin", None, 'config needs "spin": {"twice_s": <int>}'),
+    ("evolve", "initial", None, 'config needs an "initial" section'),
+    ("evolve", "time", None, 'config needs a "time" section'),
+    ("limit-scan", "scan", None, 'config needs a "scan" section'),
+    ("symbol", "operator", None, 'config needs an "operator" section'),
+    ("compare", "bath", None, 'compare needs a "bath" section'),
+    ("evolve", "hamiltonian.expression", [[[1.0], [3]]],
+     "complex coefficient must be [re, im], got [1.0]"),
+    ("evolve", "hamiltonian.expression", 3, "expression must be a list of [coeff, word] pairs"),
+    ("evolve", "initial", {}, 'initial needs "coherent", "mixed" or "matrix_file"'),
+    ("symbol", "operator", {}, 'operator needs "expression" or "random_hermitian"'),
+    ("symbol", "grid", [], '"grid" must be an object'),
 ], ids=["theta-null", "dt-null", "gamma-null", "bath-list", "outputs-list",
         "seed-fractional", "l-test-fractional", "quadratic-list", "spin-component-fractional",
         "twice-s-values-number", "twice-s-values-fractional", "scan-mode-unknown",
@@ -961,7 +998,10 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
         "expected-slope-nan", "l-test-negative", "twice-s-values-one",
         "twice-s-values-repeated", "twice-s-values-zero", "scan-coeff-nan",
         "scan-h-non-hermitian", "scan-hamiltonian-list", "scan-coupling-word-long",
-        "scan-coupling-complex", "scan-temperature-string", "scan-bath-list"])
+        "scan-coupling-complex", "scan-temperature-string", "scan-bath-list",
+        "spin-missing", "initial-missing", "time-missing", "scan-missing",
+        "operator-missing", "compare-bath-missing", "coeff-pair-short", "expression-number",
+        "initial-empty", "operator-empty", "symbol-grid-list"])
 def test_malformed_field_types_exit_one_at_parse(tmp_path, capsys, command, path, value,
                                                   message):
     """A null number, a list where an object belongs or a fractional integer

@@ -229,6 +229,11 @@ def test_master_liouvillian_consistent_with_rhs():
     np.testing.assert_allclose(via_vec, direct, atol=1e-13)
 
 
+def test_unvec_density_refuses_a_length_that_is_not_a_square():
+    with pytest.raises(ValueError, match="vector length is not a perfect square"):
+        dyn.unvec_density(np.zeros(8))
+
+
 def test_master_stationary_state_is_a_fixed_point_and_gibbs_like():
     ctx = SpinContext(2)
     h = bopp.expression_to_matrix([(-1.0, (3,))], ctx)
@@ -311,6 +316,12 @@ def test_classical_generators_refuse_a_non_finite_lam(entry):
     for bad in (lam, np.full((3, 3), entry)):
         with pytest.raises(ValueError, match="lam must be a finite 3x3 matrix"):
             dyn.classical_generators([(-2.0, (3,))], bad, 1.0, 4, 2.0)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+def test_classical_generators_refuse_a_bad_s(s):
+    with pytest.raises(ValueError, match="s must be finite and > 0"):
+        dyn.classical_generators([(-2.0, (3,))], 0.4 * np.eye(3), 1.0, 4, s)
 
 
 @pytest.mark.parametrize("band_limit", [-1, 2.5, True, math.inf, math.nan, "4"])
@@ -517,6 +528,9 @@ def test_integrate_refuses_density_observables():
     with pytest.raises(ValueError, match="unknown kind"):
         dyn.integrate(np.zeros((4, 4)), np.eye(2).ravel(), 1.0, 0.5, "expm",
                       ctx=SpinContext(1), kind="density")
+    for ctx, sigma in ((None, 0.0), (SpinContext(1), None)):
+        with pytest.raises(ValueError, match="symbol observables need ctx and sigma"):
+            dyn.integrate(np.zeros((4, 4)), np.zeros(4), 1.0, 0.5, "expm", ctx, sigma, "symbol")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

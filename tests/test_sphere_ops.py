@@ -69,6 +69,12 @@ def test_flat_index_round_trip(l, data):
     assert (ls[idx], ms[idx]) == (l, m)
 
 
+@pytest.mark.parametrize("l, m", [(-1, 0), (2, 3), (2, -3)])
+def test_flat_index_refuses_an_invalid_pair(l, m):
+    with pytest.raises(ValueError, match=re.escape(f"invalid (l, m) = ({l}, {m})")):
+        so.flat_index(l, m)
+
+
 def test_band_limit_of():
     for L in range(0, 12):
         assert so.band_limit_of((L + 1) ** 2) == L

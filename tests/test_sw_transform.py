@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,25 @@ def test_spin_component_symbols_are_linear_harmonics():
 def test_ordering_factors_are_normal_doubles_where_accepted(twice_s, sigma):
     factors = swt._factors(SpinContext(twice_s), sigma)
     assert np.all(np.isfinite(factors)) and np.min(factors) >= np.finfo(float).tiny
+
+
+_LENGTH_16 = "coefficient length 16 does not match (2S+1)^2 = 9"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ctx: swt.symbol_to_operator(np.zeros(16), 0.0, ctx), _LENGTH_16),
+    (lambda ctx: swt.switch_ordering(np.zeros(16), 0.0, 0.5, ctx), _LENGTH_16),
+    (lambda ctx: swt.expectation(np.zeros(16), np.zeros(9), ctx), _LENGTH_16),
+    (lambda ctx: swt.expectation(np.zeros(9), np.zeros(4), ctx),
+     "coefficient length 4 does not match (2S+1)^2 = 9"),
+    (lambda ctx: swt.symbol_trace(np.zeros(16), ctx), _LENGTH_16),
+    (lambda ctx: swt.operator_to_symbol(np.zeros((4, 4)), 0.0, ctx),
+     "operator shape (4, 4) does not match 2S+1 = 3"),
+], ids=["symbol-to-operator", "switch-ordering", "expectation-a", "expectation-rho",
+        "symbol-trace", "operator-to-symbol"])
+def test_a_symbol_or_operator_of_another_size_is_refused_naming_both(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(SpinContext(2))
 
 
 @pytest.mark.parametrize("twice_s, sigma", [(1030, 1.0), (1030, -1.0), (1100, 1.0),
