@@ -91,8 +91,9 @@ def validate_expression(expr):
 
     A word is a tuple over components {1, 2, 3}; the empty word is the
     identity.  Words are ordered products, no symmetrization is applied.  A
-    component that is not an integer in {1, 2, 3}, and a bool, string, NaN or
-    infinite coefficient, are refused, naming the word or the term.
+    component that is not an integer in {1, 2, 3}, and a coefficient that is a
+    bool, a string, anything else complex() refuses, NaN or infinite, are
+    refused, naming the word or the term.
     """
     out = []
     for item in expr:
@@ -103,9 +104,13 @@ def validate_expression(expr):
             raise ValueError(f"expression term {item!r} is not (coeff, word)") from exc
         if not all(is_integer(k) and k in (1, 2, 3) for k in word):
             raise ValueError(f"word {word!r} has components outside {{1,2,3}}")
-        if isinstance(coeff, (bool, np.bool_, str)):
-            raise ValueError(f"expression term {item!r} has a coefficient that is not a number")
-        coeff = complex(coeff)
+        try:
+            if isinstance(coeff, (bool, np.bool_, str)):
+                raise TypeError(f"a {type(coeff).__name__} is not a number")
+            coeff = complex(coeff)
+        except TypeError as exc:
+            raise ValueError(
+                f"expression term {item!r} has a coefficient that is not a number") from exc
         if not np.isfinite(coeff):
             raise ValueError(f"expression term {item!r} has a non-finite coefficient")
         out.append((coeff, tuple(int(k) for k in word)))

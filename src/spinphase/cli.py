@@ -24,12 +24,12 @@ from .su2_algebra import SpinContext, is_integer
 _SECTION_KEYS = {
     "spin": {"twice_s"}, "hamiltonian": {"expression"},
     "bath": {"coupling", "gamma", "temperature"},
-    "initial": {"coherent", "mixed", "matrix_file"}, "initial.coherent": {"theta", "phi"},
+    "initial": {"coherent", "expression"}, "initial.coherent": {"theta", "phi"},
     "time": {"t_end", "dt", "method"}, "grid": {"band_limit"},
     "scan": {"mode", "twice_s_values", "l_test", "expected_slope"},
-    "operator": {"expression", "random_hermitian"},
+    "operator": {"expression"},
 }
-_ONE_OF = {"initial", "operator"}  # each key is an alternative to the others
+_ONE_OF = {"initial"}  # each key is an alternative to the others
 _RESOLVED_CONFIG = "resolved_config.json"
 
 
@@ -69,13 +69,6 @@ def _integer(value, what):
     if not is_integer(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
-
-
-def _flag(value, what):
-    """A JSON boolean; anything else is refused."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{what} must be true or false, got {value!r}")
-    return value
 
 
 def _validate_keys(cfg, command):
@@ -127,12 +120,12 @@ def _parse_expression(obj):
     return bopp.validate_expression(expr)
 
 
-def _hamiltonian(cfg):
-    """The Hamiltonian as an expression."""
-    h = cfg.get("hamiltonian")
-    if not isinstance(h, dict) or "expression" not in h:
-        raise ValueError('config needs "hamiltonian": {"expression": [[coeff, word], ...]}')
-    return _parse_expression(h["expression"])
+def _expression(cfg, section):
+    """The expression of a section whose only key is "expression"."""
+    part = cfg.get(section)
+    if not isinstance(part, dict) or "expression" not in part:
+        raise ValueError(f'config needs "{section}": {{"expression": [[coeff, word], ...]}}')
+    return _parse_expression(part["expression"])
 
 
 def _bath(cfg):
@@ -149,8 +142,9 @@ def _bath(cfg):
 
 
 def _initial_state(cfg, ctx, sigma):
-    """(rho0, its symbol at sigma): the mixed state's is the empty word's over 2S+1,
-    exact at every sigma; a coherent or matrix_file state's is the transform's."""
+    """(rho0, its symbol at sigma).  An expression is divided by its trace, and its
+    symbol is its Bopp words', exact at every sigma; a coherent state's is the
+    transform's."""
     init = cfg.get("initial")
     if not isinstance(init, dict):
         raise ValueError('config needs an "initial" section')
@@ -160,27 +154,25 @@ def _initial_state(cfg, ctx, sigma):
             raise ValueError('initial "coherent" needs {"theta": <angle>}')
         rho = dynamics.coherent_state(ctx, _finite(c["theta"], "coherent theta"),
                                       _finite(c.get("phi", 0.0), "coherent phi"))
-    elif _flag(init.get("mixed", False), "initial mixed"):
-        n = ctx.hilbert_dim
-        c0 = bopp.expression_symbol([(1.0 / n, ())], sigma, ctx)
-        return np.eye(n, dtype=complex) / n, np.pad(c0, (0, ctx.symbol_dim - 1))
-    elif "matrix_file" in init:
-        path = init["matrix_file"]
-        if not isinstance(path, str):
-            raise ValueError(f'initial "matrix_file" must be a path, got {path!r}')
-        try:
-            rho = np.asarray(np.load(path), dtype=complex)
-        except OSError as exc:
-            raise ValueError(f"cannot read initial matrix_file: {exc}") from exc
-        if rho.shape != (ctx.hilbert_dim, ctx.hilbert_dim):
-            raise ValueError(f"initial matrix shape {rho.shape} does not match 2S+1")
-        if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:  # NaN-safe
-            raise ValueError("initial matrix must be Hermitian")
-        if not abs(np.trace(rho).real - 1.0) <= 1e-8:
-            raise ValueError("initial matrix must have unit trace")
-    else:
-        raise ValueError('initial needs "coherent", "mixed" or "matrix_file"')
-    return rho, sw_transform.operator_to_symbol(rho, sigma, ctx)
+        return rho, sw_transform.operator_to_symbol(rho, sigma, ctx)
+    if "expression" not in init:
+        raise ValueError('initial needs "coherent" or "expression"')
+    expr = _parse_expression(init["expression"])
+    dynamics._refuse_non_hermitian(expr, sigma, ctx, "initial expression")
+    with np.errstate(all="ignore"):  # refused just below
+        mat = bopp.expression_to_matrix(expr, ctx)
+        trace = np.trace(mat).real
+        rho = mat / trace
+    if math.isfinite(trace) and not trace > 0:
+        raise ValueError(f"initial expression must have a positive trace, got {trace:.6g}")
+    if not (math.isfinite(trace) and np.all(np.isfinite(rho))):
+        raise RuntimeError("the matrix of the initial expression overflows")
+    lowest = np.linalg.eigvalsh(rho)[0]
+    if not lowest >= -1e-12:  # rounding of a unit-trace spectrum
+        raise ValueError(f"initial expression must be positive semidefinite: divided by "
+                         f"its trace, its lowest eigenvalue is {lowest:.6g}")
+    c0 = bopp.expression_symbol([(coeff / trace, word) for coeff, word in expr], sigma, ctx)
+    return rho, np.pad(c0, (0, ctx.symbol_dim - c0.size))
 
 
 def _time_block(cfg):
@@ -253,7 +245,7 @@ def _cmd_evolve(cfg, paths, tolerance):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     bath = _bath(cfg)
-    gen = dynamics.qfp_generator(_hamiltonian(cfg), bath, sigma, ctx)
+    gen = dynamics.qfp_generator(_expression(cfg, "hamiltonian"), bath, sigma, ctx)
     if bath is not None:
         print(f"validity ratio gamma/(S T) = {bath.validity_ratio(ctx):.6g}",
               file=sys.stderr)
@@ -287,7 +279,7 @@ def _cmd_compare(cfg, paths, tolerance):
     bath = _bath(cfg)
     if bath is None:
         raise ValueError('compare needs a "bath" section')
-    h_expr = _hamiltonian(cfg)
+    h_expr = _expression(cfg, "hamiltonian")
     rho0, c0 = _initial_state(cfg, ctx, sigma)
     t_end, dt = _time_block(cfg)
     gen = dynamics.qfp_generator(h_expr, bath, sigma, ctx)  # refuses H before any matrix
@@ -329,7 +321,7 @@ def _cmd_limit_scan(cfg, paths, tolerance):
         expected = _finite(expected, "scan expected_slope")
     elif "tolerance" in cfg:
         raise ValueError('"tolerance" is read only with "scan": {"expected_slope": <slope>}')
-    h = _hamiltonian(cfg) if "hamiltonian" in cfg else None
+    h = _expression(cfg, "hamiltonian") if "hamiltonian" in cfg else None
     result = dynamics.classical_limit_scan(scan.get("mode", "bilinear"), twice_s_values, sigma,
                                            l_test, h=h, bath=_bath(cfg))
     _write_csv(paths["scan"], "S,deviation", zip(result["s_values"], result["deviations"]))
@@ -360,25 +352,14 @@ def _cmd_kernel(cfg, paths):
     return 0
 
 
-def _cmd_symbol(cfg, paths, rng):
+def _cmd_symbol(cfg, paths):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
-    op_spec = cfg.get("operator")
-    if not isinstance(op_spec, dict):
-        raise ValueError('config needs an "operator" section')
+    expr = _expression(cfg, "operator")
     with np.errstate(over="ignore", invalid="ignore"):  # _write_grid refuses a non-finite c
-        if "expression" in op_spec:  # by the Bopp route, exact at every sigma
-            expr = _parse_expression(op_spec["expression"])
-            mat = bopp.expression_to_matrix(expr, ctx)
-            c = bopp.expression_symbol(expr, sigma, ctx)
-            c = np.pad(c, (0, ctx.symbol_dim - c.size))
-        elif _flag(op_spec.get("random_hermitian", False), "operator random_hermitian"):
-            n = ctx.hilbert_dim
-            raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            mat = (raw + raw.conj().T) / 2.0
-            c = sw_transform.operator_to_symbol(mat, sigma, ctx)
-        else:
-            raise ValueError('operator needs "expression" or "random_hermitian"')
+        mat = bopp.expression_to_matrix(expr, ctx)
+        c = bopp.expression_symbol(expr, sigma, ctx)  # by the Bopp route, exact at every sigma
+        c = np.pad(c, (0, ctx.symbol_dim - c.size))
         # a self-check against the matrix, reported only: symbol gates on no tolerance
         residual = np.max(np.abs(sw_transform.symbol_to_operator(c, sigma, ctx) - mat))
     print(f"round-trip residual = {residual:.6g}", file=sys.stderr)
@@ -389,7 +370,7 @@ def _cmd_symbol(cfg, paths, rng):
 # per command: its function, the top-level keys it reads besides "outputs", its
 # files by "outputs" key with their default names (None: written only when
 # "outputs" names it; every run also writes _RESOLVED_CONFIG) and its gate's
-# default tolerance (None: no gate); only symbol draws random numbers
+# default tolerance (None: no gate)
 _COMMANDS = {
     "evolve": (_cmd_evolve, {"spin", "sigma", "hamiltonian", "bath", "initial", "time", "grid",
                              "tolerance"}, {"trajectory": "trajectory.csv", "grid": None}, 1e-8),
@@ -398,7 +379,7 @@ _COMMANDS = {
     "limit-scan": (_cmd_limit_scan, {"scan", "sigma", "hamiltonian", "bath", "tolerance"},
                    {"scan": "scan.csv"}, 0.2),
     "kernel": (_cmd_kernel, {"spin", "sigma", "grid"}, {"kernel": "kernel.csv"}, None),
-    "symbol": (_cmd_symbol, {"spin", "sigma", "operator", "grid", "seed"},
+    "symbol": (_cmd_symbol, {"spin", "sigma", "operator", "grid"},
                {"grid": "symbol.csv"}, None),
 }
 
@@ -441,17 +422,15 @@ def main(argv=None):
         _validate_keys(cfg, args.command)
         paths = _output_paths(cfg, args.command, args.out)
         resolved = dict(cfg, command=args.command)
-        run, keys, _, default = _COMMANDS[args.command]
-        options = {}  # the tolerance or the random generator the command reads
+        run, _, _, default = _COMMANDS[args.command]
+        gate = ()  # the tolerance of a command that gates on one
         if default is not None:
             tolerance = _number(cfg.get("tolerance", default), "tolerance")
             if not (math.isfinite(tolerance) and tolerance >= 0):
                 raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-            resolved["tolerance"] = options["tolerance"] = tolerance
-        if "seed" in keys:
-            resolved["seed"] = _integer(cfg.get("seed", 0), "seed")
-            options["rng"] = np.random.default_rng(resolved["seed"])
-        code = run(cfg, paths, **options)
+            resolved["tolerance"] = tolerance
+            gate = (tolerance,)
+        code = run(cfg, paths, *gate)
         (Path(args.out) / _RESOLVED_CONFIG).write_text(
             json.dumps(resolved, indent=2, sort_keys=True) + "\n")
         return code

@@ -48,6 +48,11 @@ def lm_arrays(band_limit):
     return l_of, m_of
 
 
+def _band(band_limit):
+    """band_limit as the int that lm_arrays accepts it as (3.0 is 3)."""
+    return int(lm_arrays(band_limit)[0][-1])
+
+
 def _ylm_rows(band_limit, x):
     """Y_lm(theta, phi = 0) over the flat index (rows) at x = cos(theta) (columns).
 
@@ -58,6 +63,7 @@ def _ylm_rows(band_limit, x):
     idx - 4l + 2 (shell l - 2).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    band_limit = _band(band_limit)
     _, m_of = lm_arrays(band_limit)
     rows = np.empty((m_of.size, x.size))
     m = np.arange(band_limit + 1)
@@ -88,7 +94,7 @@ def _nodes(band_limit):
     # Gauss-Legendre nodes x = cos(theta) in descending order, so theta ascends,
     # and the uniform phis.  x is a contiguous copy: numpy's vectorised arccos
     # rounds a reversed view differently in the last digit.
-    band_limit = int(lm_arrays(band_limit)[0][-1])  # lm_arrays refuses a bad band
+    band_limit = _band(band_limit)
     n_phi = 2 * band_limit + 2
     return (np.polynomial.legendre.leggauss(band_limit + 1)[0][::-1].copy(),
             2.0 * math.pi * np.arange(n_phi) / n_phi)
@@ -105,7 +111,7 @@ def grid_values(band_limit, c):
     """Values of coefficients c (of band up to band_limit) at grid_points(band_limit),
     theta-major: shape (L+1, 2L+2).  The harmonics are evaluated at the nodes x
     themselves, not at cos(arccos(x))."""
-    L = band_limit
+    L = _band(band_limit)
     x, phis = _nodes(L)
     c = np.asarray(c, dtype=complex)
     band = band_limit_of(c.size)

@@ -229,11 +229,16 @@ def test_validate_expression_normalizes_and_rejects():
     ((np.True_, (3,)), "has a coefficient that is not a number"),
     ((1.0,), r"expression term \(1\.0,\) is not \(coeff, word\)"),
     ((1.0, 3), r"expression term \(1\.0, 3\) is not \(coeff, word\)"),
+    ((None, (1,)), r"expression term \(None, \(1,\)\) has a coefficient that is not"),
+    (([1, 2], (1,)), r"expression term \(\[1, 2\], \(1,\)\) has a coefficient that is not"),
+    (({}, (1,)), r"expression term \(\{\}, \(1,\)\) has a coefficient that is not"),
 ], ids=["component-fractional", "component-bool", "word-string", "coeff-string",
-        "coeff-bool", "coeff-numpy-bool", "term-single", "word-number"])
+        "coeff-bool", "coeff-numpy-bool", "term-single", "word-number", "coeff-none",
+        "coeff-list", "coeff-dict"])
 def test_validate_expression_refuses_what_int_or_complex_would_change(term, message):
     """int() cut 1.7 to 1 and True to 1, and complex() read "2" and True as
-    numbers, so such a term ran as another polynomial; each is refused by name."""
+    numbers, so such a term ran as another polynomial; each is refused by name,
+    as is a coefficient complex() refuses with a TypeError, such as None."""
     with pytest.raises(ValueError, match=message):
         bopp.validate_expression([(-1.0, (3,)), term])
 

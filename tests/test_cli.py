@@ -56,7 +56,6 @@ def test_evolve_writes_trajectory_and_sidecar(tmp_path, capsys):
     resolved = json.loads((tmp_path / "o" / "resolved_config.json").read_text())
     assert resolved["command"] == "evolve"
     assert resolved["tolerance"] == 1e-8
-    assert "seed" not in resolved  # evolve draws no random numbers
 
 
 def test_evolve_outputs_are_byte_identical_across_runs(tmp_path):
@@ -109,34 +108,45 @@ def test_evolve_grid_output_and_band_check(tmp_path):
                      "--out", str(tmp_path / "o2")]) == 1
 
 
-def test_evolve_matrix_file_initial_state(tmp_path):
-    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
-    np.save(tmp_path / "rho.npy", rho)
-    cfg = _evolve_config(initial={"matrix_file": str(tmp_path / "rho.npy")})
-    cfg_path = _write(tmp_path, "run.json", cfg)
-    assert cli.main(["evolve", "--config", cfg_path,
-                     "--out", str(tmp_path / "o")]) == 0
+def test_evolve_from_an_expression_initial_state(tmp_path):
+    """0.3 + 0.15 S3 + 0.05 S3 S3 at 2S = 2 is rho = diag(0.5, 0.3, 0.2): the first
+    row holds its Sz, trace and purity, and ten times the expression, divided
+    by its trace, is the same state."""
+    expr = [[0.3, []], [0.15, [3]], [0.05, [3, 3]]]
+    rows = []
+    for scale in (1, 10):
+        cfg = _evolve_config(initial={"expression": [[scale * c, w] for c, w in expr]})
+        out = tmp_path / f"x{scale}"
+        assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                         "--out", str(out)]) == 0
+        rows.append(np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1))
+    np.testing.assert_allclose(rows[0][0], [0.0, 0.0, 0.0, 0.3, 1.0, 0.38], atol=1e-14)
+    np.testing.assert_allclose(rows[1], rows[0], rtol=0, atol=1e-14)
 
-    np.save(tmp_path / "bad.npy", rho + 1j * np.eye(3))
-    cfg = _evolve_config(initial={"matrix_file": str(tmp_path / "bad.npy")})
-    cfg_path = _write(tmp_path, "bad.json", cfg)
-    assert cli.main(["evolve", "--config", cfg_path,
-                     "--out", str(tmp_path / "o2")]) == 1
 
-
-@pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
-def test_evolve_refuses_a_matrix_file_with_a_nan(tmp_path, capsys, entry):
-    """A NaN fails the Hermiticity and trace gates at parse time (exit 1),
-    instead of reaching the integrator."""
-    rho = np.eye(3, dtype=complex) / 3
-    rho[entry] = np.nan
-    np.save(tmp_path / "rho.npy", rho)
-    cfg = _evolve_config(initial={"matrix_file": str(tmp_path / "rho.npy")})
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+@pytest.mark.parametrize("twice_s, expression, code, message", [
+    (2, [[1.0, [3]]], 1, "error: initial expression must have a positive trace, got 0"),
+    (2, [[1.0, []], [2.0, [3]]], 1, "error: initial expression must be positive "
+                                    "semidefinite: divided by its trace, its lowest "
+                                    "eigenvalue is -0.333333"),
+    (2, [[[0.0, 1.0], [3]]], 1, "error: initial expression must be Hermitian"),
+    (2, [[1e308, [3, 3]]], 3,
+     "numerical failure: the symbol of the initial expression overflows"),
+    (4, [[5e307, []]], 3, "numerical failure: the matrix of the initial expression overflows"),
+], ids=["traceless", "not-positive", "not-hermitian", "symbol-overflow", "trace-overflow"])
+def test_an_initial_expression_that_is_no_state_is_refused(tmp_path, capsys, command, twice_s,
+                                                           expression, code, message):
+    """S3 has trace 0, 1 + 2 S3 (S = 1) has the eigenvalue -1 and i S3 is not
+    Hermitian: each exits 1.  The symbol of 1e308 S3 S3 overflows, and so does
+    the trace 2.5e308 of 5e307 at 2S = 4 (its symbol, 1.8e308, does not): each
+    exits 3, not with a RuntimeWarning traceback.  None writes a file."""
+    cfg = _evolve_config(spin={"twice_s": twice_s}, initial={"expression": expression})
     out = tmp_path / "o"
-    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
-                     "--out", str(out)]) == 1
-    assert "error: initial matrix must be" in capsys.readouterr().err
-    assert not (out / "resolved_config.json").exists()
+    assert cli.main([command, "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -635,21 +645,6 @@ def test_symbol_spin_component_matches_library(tmp_path):
     np.testing.assert_allclose(by_theta, scale * ct, atol=1e-10)
 
 
-def test_symbol_random_hermitian_is_seed_deterministic(tmp_path):
-    cfg = {"spin": {"twice_s": 3}, "operator": {"random_hermitian": True},
-           "seed": 11}
-    cfg_path = _write(tmp_path, "s.json", cfg)
-    for d in ("a", "b"):
-        assert cli.main(["symbol", "--config", cfg_path,
-                         "--out", str(tmp_path / d)]) == 0
-    assert (tmp_path / "a" / "symbol.csv").read_bytes() == \
-           (tmp_path / "b" / "symbol.csv").read_bytes()
-    assert cli.main(["symbol", "--config", _write(tmp_path, "s12.json", dict(cfg, seed=12)),
-                     "--out", str(tmp_path / "c")]) == 0
-    assert (tmp_path / "a" / "symbol.csv").read_bytes() != \
-           (tmp_path / "c" / "symbol.csv").read_bytes()
-
-
 def _grid_columns(path):
     """(theta, phi, value_re, value_im) columns of a grid CSV."""
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
@@ -669,11 +664,11 @@ def test_symbol_of_s3_is_exact_at_sigma_one_and_2s_80(tmp_path):
 
 
 def test_evolve_from_the_mixed_state_stays_uniform_at_sigma_one_and_2s_80(tmp_path):
-    """The mixed state's symbol is the constant 1/(2S+1), and H = -S3 keeps it:
-    at 2S = 80, sigma = 1 the final grid is 1/81 to 1e-15, where the mixed
-    state's transform wrote values up to 1.9e6."""
+    """The mixed state, the expression 1 over its trace, has the constant symbol
+    1/(2S+1), and H = -S3 keeps it: at 2S = 80, sigma = 1 the final grid is 1/81
+    to 1e-15, where the mixed state's transform wrote values up to 1.9e6."""
     cfg = {"spin": {"twice_s": 80}, "sigma": 1.0,
-           "hamiltonian": {"expression": [[-1.0, [3]]]}, "initial": {"mixed": True},
+           "hamiltonian": {"expression": [[-1.0, [3]]]}, "initial": {"expression": [[1, []]]},
            "time": {"t_end": 0.1, "dt": 0.05}, "outputs": {"grid": "grid.csv"}}
     assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
                      "--out", str(tmp_path / "o")]) == 0
@@ -683,8 +678,36 @@ def test_evolve_from_the_mixed_state_stays_uniform_at_sigma_one_and_2s_80(tmp_pa
     assert np.all(im == 0.0)
 
 
+def _tilted_state(twice_s):
+    """rho = (1 + 0.9 n.S/S)/(2S+1), n at (theta, phi) = (1.1, 0.4), as an
+    initial expression, and the bound (1 + 0.9 (S+1)/S)/(2S+1) on its sigma = 1
+    symbol (1 + 0.9 (S+1)/S n.m)/(2S+1): the sigma = 1 symbol of S_k is (S+1) m_k."""
+    s = twice_s / 2
+    n = (math.sin(1.1) * math.cos(0.4), math.sin(1.1) * math.sin(0.4), math.cos(1.1))
+    return ([[1.0, []]] + [[0.9 * n_k / s, [k]] for k, n_k in enumerate(n, 1)],
+            (1 + 0.9 * (s + 1) / s) / (twice_s + 1))
+
+
+@pytest.mark.parametrize("twice_s", [80, 160])
+def test_evolve_from_an_expression_stays_within_its_p_symbol(tmp_path, twice_s):
+    """H = -S3 rotates the tilted state's sigma = 1 symbol, so every value of
+    the final grid stays within the symbol's bound (0.0237 at 2S = 80, 0.0119
+    at 160) and is real to 1e-15.  The same state read from a matrix through
+    the transform wrote values up to 3.0e6 at 2S = 80."""
+    expr, bound = _tilted_state(twice_s)
+    cfg = {"spin": {"twice_s": twice_s}, "sigma": 1.0,
+           "hamiltonian": {"expression": [[-1.0, [3]]]}, "initial": {"expression": expr},
+           "time": {"t_end": 0.1, "dt": 0.05}, "outputs": {"grid": "grid.csv"}}
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    _, _, re_, im = _grid_columns(tmp_path / "o" / "grid.csv")
+    assert re_.size == (twice_s + 1) * (2 * twice_s + 2)
+    assert 0.999 * bound <= np.max(np.abs(re_)) <= bound * (1 + 1e-12)
+    assert np.max(np.abs(im)) <= 1e-15
+
+
 def test_polynomials_reach_their_symbols_without_the_transform(tmp_path, monkeypatch):
-    """symbol of an expression, and evolve from the mixed state with its
+    """symbol of an expression, and evolve from an initial expression with its
     Hermiticity checks and observables, never call operator_to_symbol."""
     def unread(*args):
         raise AssertionError("operator_to_symbol called")
@@ -694,7 +717,8 @@ def test_polynomials_reach_their_symbols_without_the_transform(tmp_path, monkeyp
            "operator": {"expression": [[1.0, [1, 2]], [1.0, [2, 1]]]}}
     assert cli.main(["symbol", "--config", _write(tmp_path, "s.json", sym),
                      "--out", str(tmp_path / "s")]) == 0
-    cfg = _evolve_config(initial={"mixed": True}, sigma=0.5, time={"t_end": 0.2, "dt": 0.1})
+    cfg = _evolve_config(initial={"expression": _tilted_state(6)[0]}, sigma=0.5,
+                         time={"t_end": 0.2, "dt": 0.1})
     assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
                      "--out", str(tmp_path / "e")]) == 0
 
@@ -711,7 +735,7 @@ def test_evolve_refuses_a_generator_without_finite_taylor_parameters(tmp_path, c
     substeps a step: each exits 3 before the first step and writes no file,
     where it raised an OverflowError, exited 1 or ran for ever."""
     cfg = {"spin": {"twice_s": 4}, "hamiltonian": {"expression": hamiltonian},
-           "initial": {"mixed": True}, "time": {"t_end": 1.0, "dt": 0.5}}
+           "initial": {"expression": [[1, []]]}, "time": {"t_end": 1.0, "dt": 0.5}}
     if bath is not None:
         cfg["bath"] = bath
     out = tmp_path / "o"
@@ -725,7 +749,7 @@ def test_evolve_refuses_an_overflowing_hamiltonian_with_exit_three(tmp_path, cap
     """1e308 S3S3 is Hermitian, but its symbol overflows: evolve exits 3 and
     writes no file, where it exited 1 as if H were non-Hermitian."""
     cfg = {"spin": {"twice_s": 4}, "hamiltonian": {"expression": [[1e308, [3, 3]]]},
-           "initial": {"mixed": True}, "time": {"t_end": 1.0, "dt": 0.5}}
+           "initial": {"expression": [[1, []]]}, "time": {"t_end": 1.0, "dt": 0.5}}
     out = tmp_path / "o"
     assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
                      "--out", str(out)]) == 3
@@ -739,7 +763,7 @@ def test_compare_refuses_an_overflowing_hamiltonian_before_any_matrix(tmp_path, 
     Hilbert-space matrices, whose products of 1e308 S3S3 overflow with a
     RuntimeWarning (an uncaught error under the suite's warning filter)."""
     cfg = {"spin": {"twice_s": 4}, "hamiltonian": {"expression": [[1e308, [3, 3]]]},
-           "bath": {"coupling": [[1.0, [1]]]}, "initial": {"mixed": True},
+           "bath": {"coupling": [[1.0, [1]]]}, "initial": {"expression": [[1, []]]},
            "time": {"t_end": 1.0, "dt": 0.5}}
     out = tmp_path / "o"
     assert cli.main(["compare", "--config", _write(tmp_path, "run.json", cfg),
@@ -768,11 +792,11 @@ def test_symbol_refuses_non_finite_grid_values(tmp_path, capsys):
 @pytest.mark.parametrize("where", ["config", "flag"])
 @pytest.mark.parametrize("command, key", [
     ("evolve", "seed"), ("compare", "seed"), ("limit-scan", "seed"), ("kernel", "seed"),
-    ("kernel", "tolerance"), ("symbol", "tolerance")])
+    ("symbol", "seed"), ("kernel", "tolerance"), ("symbol", "tolerance")])
 def test_commands_refuse_a_seed_or_tolerance_they_do_not_read(tmp_path, capsys, command,
                                                               key, where):
-    """Only symbol draws random numbers and only evolve, compare and limit-scan
-    gate on a tolerance.  Elsewhere the key exits 1 before any file is written,
+    """No command reads a seed, and only evolve, compare and limit-scan gate on
+    a tolerance.  Elsewhere the key exits 1 before any file is written,
     as does the flag, which no command takes, and the resolved config of a run
     without it does not echo it."""
     cfg = {"evolve": _evolve_config(), "compare": _evolve_config(),
@@ -851,11 +875,6 @@ def test_validation_failures_exit_one(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 1
 
 
-def _saved(tmp_path, rho):
-    np.save(tmp_path / "rho.npy", rho)
-    return str(tmp_path / "rho.npy")
-
-
 @pytest.mark.parametrize("make_config", [
     lambda tmp: _evolve_config(initial={"coherent": {"phi": 0.4}}),
     lambda tmp: _evolve_config(initial={"matrix_file": str(tmp / "absent.npy")}),
@@ -864,11 +883,9 @@ def _saved(tmp_path, rho):
     lambda tmp: _evolve_config(grid={"band_limit": 6.5}),
     lambda tmp: {"spin": {"twice_s": 1}, "grid": {"band_limit": 6.5}},
     lambda tmp: [],
-    lambda tmp: _evolve_config(initial={"matrix_file": _saved(tmp, np.eye(2) / 2)}),
-    lambda tmp: _evolve_config(initial={"matrix_file": _saved(tmp, np.eye(3))}),
 ], ids=["coherent-without-theta", "missing-matrix-file", "band-limit-string",
         "band-limit-null", "band-limit-fractional", "kernel-band-limit-fractional",
-        "root-list", "matrix-file-shape", "matrix-file-trace"])
+        "root-list"])
 def test_malformed_config_fields_exit_one(tmp_path, capsys, make_config):
     cfg = make_config(tmp_path)
     command = "evolve" if "time" in cfg else "kernel"
@@ -900,7 +917,7 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("evolve", "bath.gamma", None, "bath gamma must be a number"),
     ("evolve", "bath", [], '"bath" must be an object'),
     ("evolve", "outputs", [], '"outputs" must map names'),
-    ("symbol", "seed", 2.7, "seed must be an integer"),
+    ("symbol", "seed", 2.7, "unknown config keys for symbol: seed"),  # no command reads it
     ("limit-scan", "scan.l_test", 3.7, "scan l_test must be an integer"),
     # the removed forms: whatever they hold, the key itself is refused
     ("evolve", "hamiltonian", {"quadratic": []},
@@ -923,15 +940,17 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("evolve", "hamiltonian.expression", [[True, [3]]], "coefficient must be a number"),
     ("evolve", "hamiltonian.expression", [[-1.0, [1.5]]], "word component must be an integer"),
     ("evolve", "sigma", None, "sigma must be a number"),
-    ("evolve", "initial", {"matrix_file": 3}, 'initial "matrix_file" must be a path'),
-    ("evolve", "initial", {"mixed": "no"}, "initial mixed must be true or false"),
+    # the removed matrix_file, mixed and random_hermitian: the key itself is refused
+    ("evolve", "initial", {"matrix_file": 3},
+     'unknown config keys in "initial" for evolve: matrix_file'),
+    ("evolve", "initial", {"mixed": "no"}, 'unknown config keys in "initial" for evolve: mixed'),
     ("evolve", "spin.twice_s", None, "spin twice_s must be an integer"),
     ("compare", "sigma", [0], "sigma must be a number"),
     ("compare", "bath.coupling", [[[1.0, None], [1]]], "coefficient im must be a number"),
     ("symbol", "sigma", None, "sigma must be a number"),
     ("symbol", "operator", {"expression": [[None, [1]]]}, "coefficient must be a number"),
     ("symbol", "operator", {"random_hermitian": "no"},
-     "operator random_hermitian must be true or false"),
+     'unknown config keys in "operator" for symbol: random_hermitian'),
     # the removed "quadratic" form, malformed: refused by its key before its content
     ("evolve", "hamiltonian", {"quadratic": {"d": {}}},
      'unknown config keys in "hamiltonian" for evolve: quadratic'),
@@ -974,14 +993,16 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("evolve", "initial", None, 'config needs an "initial" section'),
     ("evolve", "time", None, 'config needs a "time" section'),
     ("limit-scan", "scan", None, 'config needs a "scan" section'),
-    ("symbol", "operator", None, 'config needs an "operator" section'),
+    ("symbol", "operator", None, 'config needs "operator": {"expression": [[coeff, word], ...]}'),
     ("compare", "bath", None, 'compare needs a "bath" section'),
     ("evolve", "hamiltonian.expression", [[[1.0], [3]]],
      "complex coefficient must be [re, im], got [1.0]"),
     ("evolve", "hamiltonian.expression", 3, "expression must be a list of [coeff, word] pairs"),
-    ("evolve", "initial", {}, 'initial needs "coherent", "mixed" or "matrix_file"'),
-    ("symbol", "operator", {}, 'operator needs "expression" or "random_hermitian"'),
+    ("evolve", "initial", {}, 'initial needs "coherent" or "expression"'),
+    ("symbol", "operator", {}, 'config needs "operator": {"expression": [[coeff, word], ...]}'),
     ("symbol", "grid", [], '"grid" must be an object'),
+    ("evolve", "initial", {"expression": 3}, "expression must be a list of [coeff, word] pairs"),
+    ("compare", "initial", {"expression": [[None, []]]}, "coefficient must be a number"),
 ], ids=["theta-null", "dt-null", "gamma-null", "bath-list", "outputs-list",
         "seed-fractional", "l-test-fractional", "quadratic-list", "spin-component-fractional",
         "twice-s-values-number", "twice-s-values-fractional", "scan-mode-unknown",
@@ -1001,7 +1022,8 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
         "scan-coupling-complex", "scan-temperature-string", "scan-bath-list",
         "spin-missing", "initial-missing", "time-missing", "scan-missing",
         "operator-missing", "compare-bath-missing", "coeff-pair-short", "expression-number",
-        "initial-empty", "operator-empty", "symbol-grid-list"])
+        "initial-empty", "operator-empty", "symbol-grid-list", "initial-expression-number",
+        "initial-coeff-null"])
 def test_malformed_field_types_exit_one_at_parse(tmp_path, capsys, command, path, value,
                                                   message):
     """A null number, a list where an object belongs or a fractional integer
@@ -1168,7 +1190,7 @@ def test_spin_too_large_for_memory_exits_one_with_an_error_line(tmp_path, capsys
     ("evolve", "hamiltonian", {"expression": [[-1.0, [3]]], "quadractic": {}},
      "hamiltonian", "quadractic"),
     ("evolve", "hamiltonian", {"quadratic": {"b": [0, 0, 1]}}, "hamiltonian", "quadratic"),
-    ("evolve", "initial", {"mixed": True, "mxied": False}, "initial", "mxied"),
+    ("evolve", "initial", {"expression": [[1, []]], "mxied": False}, "initial", "mxied"),
     ("evolve", "initial.coherent", {"theta": 1.1, "phy": 0.4}, "initial.coherent", "phy"),
     ("evolve", "grid", {"band_limit": 2, "bandlimit": 3}, "grid", "bandlimit"),
     ("compare", "outputs", {"trajectory": "t.csv"}, "outputs", "trajectory"),
@@ -1275,24 +1297,35 @@ def test_readme_bilinear_scan_fits_minus_one_up_to_large_spin(tmp_path, capsys, 
     assert abs(float(capsys.readouterr().out.split("slope = ")[1]) + 1.0) <= 0.01
 
 
-@pytest.mark.parametrize("command, path, value, keys", [
-    # hamiltonian has one key now: a second one, the removed "quadratic", is unknown
+@pytest.mark.parametrize("command, path, value, message", [
+    ("evolve", "initial", {"coherent": {"theta": 1.1}, "expression": [[1, []]]},
+     '"initial" takes one of its keys, got coherent, expression'),
+    ("compare", "initial", {"coherent": {"theta": 1.1}, "expression": [[1, []]]},
+     '"initial" takes one of its keys, got coherent, expression'),
+    # hamiltonian and operator have one key now, and initial two: a removed
+    # alternative (quadratic, mixed, matrix_file, random_hermitian) is unknown
     ("evolve", "hamiltonian", {"expression": [[-1.0, [3]]], "quadratic": {"b": [5.0, 0, 0]}},
-     None),
-    ("compare", "hamiltonian", {"expression": [[-1.0, [3]]], "quadratic": {}}, None),
-    ("evolve", "initial", {"coherent": {"theta": 1.1}, "mixed": True}, "coherent, mixed"),
-    ("evolve", "initial", {"coherent": {"theta": 1.1}, "mixed": False}, "coherent, mixed"),
-    ("evolve", "initial", {"mixed": True, "matrix_file": "rho.npy"}, "matrix_file, mixed"),
+     'unknown config keys in "hamiltonian" for evolve: quadratic'),
+    ("compare", "hamiltonian", {"expression": [[-1.0, [3]]], "quadratic": {}},
+     'unknown config keys in "hamiltonian" for compare: quadratic'),
+    ("evolve", "initial", {"coherent": {"theta": 1.1}, "mixed": True},
+     'unknown config keys in "initial" for evolve: mixed'),
+    ("evolve", "initial", {"coherent": {"theta": 1.1}, "mixed": False},
+     'unknown config keys in "initial" for evolve: mixed'),
+    ("evolve", "initial", {"mixed": True, "matrix_file": "rho.npy"},
+     'unknown config keys in "initial" for evolve: matrix_file, mixed'),
     ("compare", "initial", {"coherent": {"theta": 1.1}, "matrix_file": "rho.npy"},
-     "coherent, matrix_file"),
+     'unknown config keys in "initial" for compare: matrix_file'),
     ("evolve", "initial", {"coherent": {"theta": 1.1}, "mixed": True,
-                           "matrix_file": "rho.npy"}, "coherent, matrix_file, mixed"),
+                           "matrix_file": "rho.npy"},
+     'unknown config keys in "initial" for evolve: matrix_file, mixed'),
     ("symbol", "operator", {"expression": [[1.0, [3]]], "random_hermitian": True},
-     "expression, random_hermitian"),
-], ids=["hamiltonian", "compare-hamiltonian", "coherent-mixed", "coherent-mixed-false",
-        "mixed-matrix-file", "compare-coherent-matrix-file", "all-three", "operator"])
+     'unknown config keys in "operator" for symbol: random_hermitian'),
+], ids=["coherent-expression", "compare-coherent-expression", "hamiltonian",
+        "compare-hamiltonian", "coherent-mixed", "coherent-mixed-false", "mixed-matrix-file",
+        "compare-coherent-matrix-file", "all-three", "operator"])
 def test_two_alternatives_in_a_section_exit_one_before_any_file(tmp_path, capsys, command,
-                                                                path, value, keys):
+                                                                path, value, message):
     """A section that names two alternatives would run the first and ignore
     the other without a word; it exits 1, naming the section and the keys,
     and writes nothing."""
@@ -1300,7 +1333,5 @@ def test_two_alternatives_in_a_section_exit_one_before_any_file(tmp_path, capsys
             "symbol": {"spin": {"twice_s": 2}, "operator": {"expression": [[1.0, [1]]]}}}[command]
     cfg_path = _write(tmp_path, "bad.json", _with(base, path, value))
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
-    message = (f'"{path}" takes one of its keys, got {keys}' if keys else
-               f'unknown config keys in "{path}" for {command}: quadratic')
     assert f"error: {message}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["bad.json"]

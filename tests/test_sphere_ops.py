@@ -175,6 +175,18 @@ def test_synthesize_rejects_coefficients_beyond_band():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda band: so.grid_values(band, np.arange(16) * (0.3 - 0.7j)),
+    lambda band: so.ylm_point(band, 1.1, 0.4)], ids=["grid_values", "ylm_point"])
+def test_harmonics_take_an_integral_float_band_as_its_int(evaluate):
+    """3.0 gives the bytes of 3, where it raised numpy's IndexError; 2.5 and
+    True are refused by name, with lm_arrays' message."""
+    assert evaluate(3.0).tobytes() == evaluate(3).tobytes()
+    for band in (True, 2.5):
+        with pytest.raises(ValueError, match=f"band_limit must be an integer >= 0, got {band}"):
+            evaluate(band)
+
+
 # --- coefficient-space operators ---------------------------------------------
 
 @pytest.mark.parametrize("build", [so.angular_operators, so.position_operators,
