@@ -16,7 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import bopp, sphere_ops, sw_transform
-from .su2_algebra import SpinContext, is_integer, rotation_z, spin_matrices
+# spin_matrices is unused here but stays bound: bench/test_bench.py traces it through dynamics
+from .su2_algebra import SpinContext, is_integer, spin_matrices  # noqa: F401
 
 _EPS = [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
         (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0)]
@@ -177,15 +178,10 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
 # --- states, integration, observables -------------------------------------
 
 def coherent_state(ctx, theta0, phi0):
-    """Density matrix of the spin coherent state at (theta0, phi0); non-finite
-    angles are refused."""
-    if not (math.isfinite(theta0) and math.isfinite(phi0)):
-        raise ValueError(f"coherent-state angles must be finite, got {theta0}, {phi0}")
-    _, s2, _ = spin_matrices(ctx)
-    w, v = np.linalg.eigh(s2)
-    # rotated highest-weight state: column 0 of Rz(phi0) exp(-i theta0 S2)
-    ket = rotation_z(ctx, phi0) @ (v @ (np.exp(-1j * theta0 * w) * v[0].conj()))
-    return np.outer(ket, ket.conj())
+    """Density matrix of the spin coherent state along n(theta0, phi0), for any
+    finite angles: the kernel Delta^(-1) there, the operator whose sigma = 1
+    symbol is the band-limited delta.  Non-finite angles are refused."""
+    return sw_transform.kernel_eval(ctx, -1.0, theta0, phi0)
 
 
 @dataclass
@@ -368,9 +364,8 @@ def _symbol_observables(ctx, sigma):
     sigma > 0 the factors w_l^-sigma magnify rounding in the top shell by
     about 2^(2S sigma), which is no error of the operator."""
     sigma = sw_transform.validate_sigma(sigma)
-    # S1, S2, S3 at -sigma as bopp.expression_symbol has them, from one band-1 Bopp set
-    duals = [np.pad(math.sqrt(4.0 * math.pi) * b[:, [0]].toarray()[:, 0], (0, ctx.symbol_dim - 4))
-             for b in bopp.bopp_matrices(ctx, -sigma, 1)]
+    duals = [np.pad(bopp.expression_symbol([(1.0, (k,))], -sigma, ctx), (0, ctx.symbol_dim - 4))
+             for k in (1, 2, 3)]  # S1, S2, S3 at -sigma
     conj = sphere_ops.conjugation_matrix(ctx.band_limit)
     to_symmetric = sw_transform.switch_ordering(np.ones(ctx.symbol_dim), sigma, 0.0, ctx).real
 

@@ -85,8 +85,12 @@ def _ylm_rows(band_limit, x):
 
 
 def ylm_point(band_limit, theta, phi):
-    """Y_lm(theta, phi) at one point for every l <= band_limit, over the flat index."""
+    """Y_lm(theta, phi) at one point for every l <= band_limit, over the flat index.
+    Any theta names the direction (sin theta cos phi, sin theta sin phi, cos theta):
+    the rows read only cos theta, so a negative sin theta turns phi by pi."""
     _, m_of = lm_arrays(band_limit)
+    if math.sin(theta) < 0:
+        phi = phi + math.pi
     return _ylm_rows(band_limit, math.cos(theta))[:, 0] * np.exp(1j * m_of * phi)
 
 

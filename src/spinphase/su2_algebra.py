@@ -1,9 +1,9 @@
 """Exact SU(2) representation machinery.
 
-Spin matrices, the diagonals of the orthonormal irreducible tensor operators
-(Jacobi eigenvectors, no Clebsch-Gordan sum), and z-axis rotations.  Spin
-labels are carried as doubled integers (twice_s = 2S) so half-integer spins
-never touch floating point.  The Racah-sum Clebsch-Gordan coefficients that
+Spin matrices and the diagonals of the orthonormal irreducible tensor
+operators (Jacobi eigenvectors, no Clebsch-Gordan sum).  Spin labels are
+carried as doubled integers (twice_s = 2S) so half-integer spins never touch
+floating point.  The Racah-sum Clebsch-Gordan coefficients that
 the tables are checked against live in tests/oracles.py.
 """
 
@@ -101,9 +101,3 @@ def tensor_blocks(twice_s):
         blocks[-m] = ((-1.0) ** l)[:, None] * vec[:, ::-1] if m else vec
         vec.flags.writeable = blocks[-m].flags.writeable = False
     return tuple(blocks[m] for m in range(-twice_s, n))
-
-
-def rotation_z(ctx, angle):
-    """exp(-i angle S3), diagonal in the standard basis."""
-    m = ctx.s - np.arange(ctx.hilbert_dim)
-    return np.diag(np.exp(-1j * angle * m))

@@ -10,7 +10,8 @@ kernel-product expansion, the master equation term by term, the K
 operators i(m x L)_i from their sin(theta) d/dtheta couplings, the Bopp
 position operators M F1 + K F2 and the termwise generators built on them
 from the sphere operators and shell tables, the symmetric tables
-from their closed form, the stationary state from a dense eigen-solve) or
+from their closed form, the stationary state from a dense eigen-solve, the
+z-axis rotation exp(-i angle S3) from its diagonal) or
 exposes a library quantity for a test to read.
 """
 
@@ -118,6 +119,12 @@ def tensor_operator(ctx, l, m):
     l, m = int(l), int(m)
     block = su2_algebra.tensor_blocks(ctx.twice_s)[ctx.twice_s + m]
     return np.diag(block[l - abs(m)], m).astype(complex)
+
+
+def rotation_z(ctx, angle):
+    """exp(-i angle S3), diagonal in the standard basis."""
+    m = ctx.s - np.arange(ctx.hilbert_dim)
+    return np.diag(np.exp(-1j * angle * m))
 
 
 def ylm_eval(l, m, theta, phi):

@@ -10,11 +10,12 @@ import time
 import numpy as np
 
 import oracles
+from oracles import rotation_z
 from spinphase import bopp
 from spinphase import dynamics as dyn
 from spinphase import sphere_ops as so
 from spinphase import sw_transform as swt
-from spinphase.su2_algebra import SpinContext, rotation_z, spin_matrices
+from spinphase.su2_algebra import SpinContext, spin_matrices
 
 SWEEP_TWICE_S = (1, 2, 3, 4, 5)
 SIGMAS = (-1.0, 0.0, 1.0)

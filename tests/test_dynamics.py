@@ -11,11 +11,12 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 import oracles
+from oracles import rotation_z
 from spinphase import bopp, cli
 from spinphase import dynamics as dyn
 from spinphase import sphere_ops as so
 from spinphase import sw_transform as swt
-from spinphase.su2_algebra import SpinContext, rotation_z, spin_matrices
+from spinphase.su2_algebra import SpinContext, spin_matrices
 
 SIGMAS = (-1.0, 0.0, 1.0)
 
@@ -422,25 +423,28 @@ def test_classical_generators_conserve_total_probability():
 # --- states, integration, trajectories ------------------------------------------------
 
 def test_coherent_state_points_along_its_angles():
+    """Any theta0 names the direction n(theta0, phi0), a negative sine included."""
     ctx = SpinContext(5)
-    theta0, phi0 = 1.1, 2.3
-    rho = dyn.coherent_state(ctx, theta0, phi0)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-13)
-    assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-13)
     s_ops = spin_matrices(ctx)
-    direction = np.array([math.sin(theta0) * math.cos(phi0),
-                          math.sin(theta0) * math.sin(phi0),
-                          math.cos(theta0)])
-    got = np.array([np.trace(op @ rho).real for op in s_ops])
-    np.testing.assert_allclose(got, ctx.s * direction, atol=1e-12)
+    for theta0, phi0 in ((1.1, 2.3), (-1.1, 0.4), (4.0, 0.4)):
+        rho = dyn.coherent_state(ctx, theta0, phi0)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-13)
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-13)
+        direction = np.array([math.sin(theta0) * math.cos(phi0),
+                              math.sin(theta0) * math.sin(phi0),
+                              math.cos(theta0)])
+        got = np.array([np.trace(op @ rho).real for op in s_ops])
+        np.testing.assert_allclose(got, ctx.s * direction, atol=1e-12)
 
 
-@pytest.mark.parametrize("twice_s", (1, 2, 7, 40))
+@pytest.mark.parametrize("twice_s", (1, 2, 7, 40, 81, 160))
 def test_coherent_state_matches_the_dense_rotation(twice_s):
-    """rho = |u0><u0| with u0 column 0 of Rz(phi0) expm(-i theta0 S2)."""
+    """rho = |u0><u0| with u0 column 0 of Rz(phi0) expm(-i theta0 S2), for
+    theta0 in and outside [0, pi]."""
     ctx = SpinContext(twice_s)
     _, s2, _ = spin_matrices(ctx)
-    for theta0, phi0 in ((0.0, 0.0), (1.1, 2.3), (math.pi / 2, -0.7), (math.pi, 0.4)):
+    for theta0, phi0 in ((0.0, 0.0), (1.1, 2.3), (math.pi / 2, -0.7), (math.pi, 0.4),
+                         (-1.1, 0.4), (4.0, 0.4), (-math.pi, 1.0), (7.0, 0.3)):
         ket = (rotation_z(ctx, phi0) @ la.expm(-1j * theta0 * s2))[:, 0]
         np.testing.assert_allclose(dyn.coherent_state(ctx, theta0, phi0),
                                    np.outer(ket, ket.conj()), rtol=0, atol=1e-14)

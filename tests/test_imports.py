@@ -189,7 +189,7 @@ def test_every_public_function_is_used_by_the_package():
 # grid classes and closures that the library's grid_points and grid_values replace
 MOVED = {"clebsch_gordan", "_check_jm", "log_factorial", "_LOG_FACT", "tensor_operator",
          "star_product", "s3_star_ylm", "master_rhs", "SphereGrid", "make_grid",
-         "grid_synthesis_analysis", "quadrature", "analyze", "sphere_integral"}
+         "grid_synthesis_analysis", "quadrature", "analyze", "sphere_integral", "rotation_z"}
 
 
 def _oracle_links(source):

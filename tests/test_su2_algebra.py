@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import clebsch_gordan, is_hermitian, tensor_operator
-from spinphase.su2_algebra import SpinContext, rotation_z, spin_matrices, tensor_blocks
+from oracles import clebsch_gordan, is_hermitian, rotation_z, tensor_operator
+from spinphase.su2_algebra import SpinContext, spin_matrices, tensor_blocks
 
 
 # --- oracle: couple two spins by explicit diagonalization ------------------

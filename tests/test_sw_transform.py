@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import rotation_z
 from spinphase import dynamics
 from spinphase import sphere_ops as so
 from spinphase import su2_algebra
 from spinphase import sw_transform as swt
-from spinphase.su2_algebra import SpinContext, rotation_z, spin_matrices
+from spinphase.su2_algebra import SpinContext, spin_matrices
 
 SIGMAS = (-1.0, 0.0, 1.0)  # antinormal, symmetric, normal
 
@@ -242,6 +243,18 @@ def test_kernel_is_hermitian_unit_trace_and_reproduces_symbols():
 def test_kernel_refuses_non_finite_angles(angles):
     with pytest.raises(ValueError, match="angles must be finite"):
         swt.kernel_eval(SpinContext(3), 0.0, *angles)
+
+
+@pytest.mark.parametrize("twice_s", [1, 6, 40])
+def test_kernel_at_a_negative_sine_is_the_kernel_of_its_direction(twice_s):
+    """theta with sin(theta) < 0 names the direction of (|theta'|, phi + pi) with
+    theta' in [0, pi]: (-1.1, phi) is (1.1, phi + pi), (4.0, phi) is (2pi - 4.0, phi + pi)."""
+    ctx = SpinContext(twice_s)
+    for sigma in SIGMAS:
+        for theta, same in ((-1.1, 1.1), (4.0, 2.0 * math.pi - 4.0)):
+            want = swt.kernel_eval(ctx, sigma, same, 0.4 + math.pi)
+            np.testing.assert_allclose(swt.kernel_eval(ctx, sigma, theta, 0.4), want,
+                                       rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
 def test_kernel_integrates_to_identity():
