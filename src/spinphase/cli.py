@@ -245,13 +245,14 @@ def _cmd_evolve(cfg, paths, tolerance):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     bath = _bath(cfg)
-    gen = dynamics.qfp_generator(_expression(cfg, "hamiltonian"), bath, sigma, ctx)
+    h_expr = _expression(cfg, "hamiltonian")
+    _, c0 = _initial_state(cfg, ctx, sigma)
+    t_end, dt = _time_block(cfg)
+    band = _grid_band(cfg, ctx, ctx.band_limit)
+    gen = dynamics.qfp_generator(h_expr, bath, sigma, ctx)  # the costly build, once all is read
     if bath is not None:
         print(f"validity ratio gamma/(S T) = {bath.validity_ratio(ctx):.6g}",
               file=sys.stderr)
-    _, c0 = _initial_state(cfg, ctx, sigma)
-    t_end, dt = _time_block(cfg)
-    band = _grid_band(cfg, ctx, ctx.band_limit)  # reject bad bands up front
     result = dynamics.integrate(gen, c0, t_end, dt, "expm", ctx, sigma, "symbol",
                                 keep_states=False)
     _write_csv(paths["trajectory"], "t,Sx,Sy,Sz,trace,purity",
@@ -286,16 +287,15 @@ def _cmd_compare(cfg, paths, tolerance):
     liou = dynamics.master_liouvillian(bopp.expression_to_matrix(h_expr, ctx),
                                        bopp.expression_to_matrix(bath.coupling, ctx),
                                        bath.gamma, bath.temperature)
-    times, blocks = dynamics.lockstep([liou, gen], [dynamics.vec_density(rho0), c0],
+    times, states = dynamics.lockstep([liou, gen], [dynamics.vec_density(rho0), c0],
                                       t_end, dt, "expm")
     devs = np.empty(times.size)
-    for first, (rhos, cs) in blocks:  # the two routes step by step, block by block
-        for i, (rho, c) in enumerate(zip(rhos, cs), first):
-            # read at sigma = 0, an operator error in the orthonormal T_lm basis
-            # (see dynamics._symbol_observables)
-            devs[i] = np.max(np.abs(
-                sw_transform.operator_to_symbol(dynamics.unvec_density(rho), 0.0, ctx)
-                - sw_transform.switch_ordering(c, sigma, 0.0, ctx)))
+    for k, (rho, c) in enumerate(states):  # the two routes, step by step
+        # read at sigma = 0, an operator error in the orthonormal T_lm basis
+        # (see dynamics._symbol_observables)
+        devs[k] = np.max(np.abs(
+            sw_transform.operator_to_symbol(dynamics.unvec_density(rho), 0.0, ctx)
+            - sw_transform.switch_ordering(c, sigma, 0.0, ctx)))
     _write_csv(paths["comparison"], "t,deviation", zip(times, devs))
     worst = float(np.max(devs))
     print(f"max deviation = {worst:.6g}")

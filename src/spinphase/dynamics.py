@@ -180,7 +180,13 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
 def coherent_state(ctx, theta0, phi0):
     """Density matrix of the spin coherent state along n(theta0, phi0), for any
     finite angles: the kernel Delta^(-1) there, the operator whose sigma = 1
-    symbol is the band-limited delta.  Non-finite angles are refused."""
+    symbol is the band-limited delta.  Non-finite angles are refused, and so
+    is a 2S whose sigma = 1 factors leave the normal double range (2S >= 1030)."""
+    try:
+        sw_transform._factors(ctx, 1.0)  # refuses the range before any table is built
+    except ValueError as exc:
+        raise ValueError(f"a coherent state at 2S = {ctx.twice_s} is out of range: its "
+                         "kernel's factors w_l^-1 leave the normal double range") from exc
     return sw_transform.kernel_eval(ctx, -1.0, theta0, phi0)
 
 
@@ -196,9 +202,6 @@ class EvolutionResult:
     reality: np.ndarray = None
 
 
-# bytes of the state buffer that integrate reuses when it keeps no states: 77
-# rows at 2S=40, and the 201 rows of a 200-step run at 2S=20 still fit in one
-_BLOCK_BYTES = 2 << 20
 # the most steps one time grid, or Taylor substeps one step, may have: a larger
 # count is a typo or an overflow, not a run
 MAX_STEPS = 10 ** 7
@@ -224,10 +227,9 @@ def integrate(gen, y0, t_end, dt, method="expm", ctx=None, sigma=None, kind=None
               keep_states=True):
     """Propagate dy/dt = G y on the uniform grid of time_steps(t_end, dt).
 
-    dt is adjusted to divide t_end evenly.  The states go into the buffer of
-    lockstep: every state with keep_states=True; otherwise at most
-    _BLOCK_BYTES of rows that each block reuses, so `states` holds only the
-    initial and final states and memory does not grow with the step count.
+    dt is adjusted to divide t_end evenly.  The states of lockstep go into
+    `states`: every state with keep_states=True; otherwise only the initial
+    and the latest one, so memory does not grow with the step count.
     "expm", the default and the CLI's only method, applies exp(G dt) as the
     truncated Taylor series of _taylor_step on the sparse G, with no dense
     n x n matrix, no random numbers and no size limit.  "rk4" is classical
@@ -245,59 +247,49 @@ def integrate(gen, y0, t_end, dt, method="expm", ctx=None, sigma=None, kind=None
     if kind and np.size(y0) != ctx.symbol_dim:
         raise ValueError(f"y0 has {np.size(y0)} coefficients, but ctx (2S = {ctx.twice_s}) "
                          f"has symbol_dim {ctx.symbol_dim}")
-    times, blocks = lockstep([gen], [y0], t_end, dt, method, keep_states)
+    times, states = lockstep([gen], [y0], t_end, dt, method)
     observe = kind and _symbol_observables(ctx, sigma)
     obs = np.empty((times.size, 6)) if observe else None
-    for first, (block,) in blocks:
+    kept = np.empty((times.size if keep_states else 2,) + np.shape(y0), dtype=complex)
+    for k, (y,) in enumerate(states):
+        kept[min(k, len(kept) - 1)] = y  # without keep_states, row 1 holds the latest
         if observe:
-            observe(block, obs[first:first + len(block)])
-    states = block if keep_states else np.stack((np.asarray(y0, dtype=complex), block[-1]))
+            observe(y, obs[k])
 
-    result = EvolutionResult(times=times, states=states)
+    result = EvolutionResult(times=times, states=kept)
     if observe:
         (result.s1, result.s2, result.s3, result.trace, result.purity,
          result.reality) = obs.T
     return result
 
 
-def lockstep(gens, y0s, t_end, dt, method="expm", keep_states=False):
-    """(times, blocks): each y0, refused unless finite, propagated under its
-    generator (one per y0) with method as in integrate on the grid of
-    time_steps(t_end, dt), blocks yielding (k, [a block per system]) from step k
-    on.  Every state is one block with keep_states=True; else each buffer holds
-    what _BLOCK_BYTES holds of the largest state and is reused."""
+def lockstep(gens, y0s, t_end, dt, method="expm"):
+    """(times, states): each y0, refused unless finite, propagated under its
+    generator (one per y0, and at least one) with method as in integrate on the
+    grid of time_steps(t_end, dt), states yielding at each step k = 0..n_steps
+    the list of every system's state at times[k], holding only the current ones."""
     n_steps, dt_used = time_steps(t_end, dt)
     if method not in ("rk4", "expm"):
         raise ValueError(f"unknown method {method!r}")
-    if len(gens) != len(y0s):
-        raise ValueError(f"{len(gens)} generators for {len(y0s)} initial states")
-    y0s = [np.asarray(y, dtype=complex) for y in y0s]
-    if not all(np.all(np.isfinite(y)) for y in y0s):
+    if not gens or len(gens) != len(y0s):  # zip would drop unpaired systems silently
+        raise ValueError(f"{len(gens)} generators for {len(y0s)} initial states: lockstep "
+                         "takes one generator per initial state, and at least one")
+    ys = [np.asarray(y, dtype=complex) for y in y0s]
+    if not all(np.all(np.isfinite(y)) for y in ys):
         raise ValueError("non-finite initial state y0 at t = 0, before the first step")
-    rows = n_steps + 1 if keep_states else min(
-        n_steps + 1, max(1, _BLOCK_BYTES // max(1, max(y.nbytes for y in y0s))))
-    streams = [_blocks((_rk4_step if method == "rk4" else _taylor_step)(gen, dt_used), y,
-                       n_steps, dt_used, np.empty((rows,) + y.shape, dtype=complex))
-               for gen, y in zip(gens, y0s)]
-    return (dt_used * np.arange(n_steps + 1),
-            ((parts[0][0], [block for _, block in parts]) for parts in zip(*streams)))
+    steps = [(_rk4_step if method == "rk4" else _taylor_step)(gen, dt_used) for gen in gens]
 
+    def states(ys):
+        yield ys
+        for k in range(1, n_steps + 1):
+            with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+                ys = [step(y) for step, y in zip(steps, ys)]
+            if not all(np.all(np.isfinite(y.view(float))) for y in ys):
+                raise RuntimeError(f"non-finite state at t = {k * dt_used:.6g} "
+                                   f"(step {k}/{n_steps}, dt = {dt_used:.6g})")
+            yield ys
 
-def _blocks(step, y, n_steps, dt_used, buf):
-    """Fill buf with the states of the grid from y on, yielding (k, rows of buf)
-    for each filled stretch starting at step k; a full buf is reused from row 0."""
-    rows = len(buf)
-    buf[0] = y
-    for k in range(1, n_steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-            y = step(y)
-        if not np.all(np.isfinite(y.view(float))):
-            raise RuntimeError(f"non-finite state at t = {k * dt_used:.6g} "
-                               f"(step {k}/{n_steps}, dt = {dt_used:.6g})")
-        if k % rows == 0:
-            yield k - rows, buf
-        buf[k % rows] = y
-    yield n_steps - n_steps % rows, buf[:n_steps % rows + 1]
+    return dt_used * np.arange(n_steps + 1), states(ys)
 
 
 def _rk4_step(gen, dt_used):
@@ -358,8 +350,8 @@ def _taylor_step(gen, dt_used):
 
 
 def _symbol_observables(ctx, sigma):
-    """Fills obs from a block of symbol states: S1, S2, S3, trace, purity and
-    the reality residual, one row per state.  The residual is read on the
+    """observe(c, row) fills row with S1, S2, S3, trace, purity and the
+    reality residual of the symbol state c.  The residual is read on the
     sigma = 0 coefficients, the operator in the orthonormal T_lm basis: at
     sigma > 0 the factors w_l^-sigma magnify rounding in the top shell by
     about 2^(2S sigma), which is no error of the operator."""
@@ -369,15 +361,14 @@ def _symbol_observables(ctx, sigma):
     conj = sphere_ops.conjugation_matrix(ctx.band_limit)
     to_symmetric = sw_transform.switch_ordering(np.ones(ctx.symbol_dim), sigma, 0.0, ctx).real
 
-    def observe(block, obs):
-        for i, c in enumerate(block):
-            for k in range(3):
-                obs[i, k] = sw_transform.expectation(duals[k], c, ctx).real
-            obs[i, 3] = sw_transform.symbol_trace(c, ctx).real
-            dual_c = sw_transform.switch_ordering(c, sigma, -sigma, ctx)
-            obs[i, 4] = sw_transform.expectation(c, dual_c, ctx).real
-            c0 = to_symmetric * c
-            obs[i, 5] = np.max(np.abs(conj @ c0.conj() - c0))
+    def observe(c, row):
+        for k in range(3):
+            row[k] = sw_transform.expectation(duals[k], c, ctx).real
+        row[3] = sw_transform.symbol_trace(c, ctx).real
+        dual_c = sw_transform.switch_ordering(c, sigma, -sigma, ctx)
+        row[4] = sw_transform.expectation(c, dual_c, ctx).real
+        c0 = to_symmetric * c
+        row[5] = np.max(np.abs(conj @ c0.conj() - c0))
 
     return observe
 

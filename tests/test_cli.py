@@ -268,13 +268,47 @@ def test_evolve_refuses_a_step_count_above_the_ceiling(tmp_path, capsys, t_end, 
     assert not (out / "resolved_config.json").exists()
 
 
-def test_evolve_memory_does_not_grow_with_the_step_count(tmp_path, monkeypatch):
+@pytest.mark.parametrize("over, message", [
+    ({"initial": {"coherent": {"phi": 0.4}}}, 'initial "coherent" needs {"theta": <angle>}'),
+    ({"time": {"t_end": 1.0, "dt": -0.1}}, "t_end and dt must be finite and positive"),
+    ({"grid": {"band_limit": 1}, "outputs": {"grid": "final.csv"}},
+     "grid band_limit 1 is below 2"),
+], ids=["initial", "time", "grid"])
+def test_evolve_reads_its_inputs_before_it_builds_the_generator(tmp_path, capsys, monkeypatch,
+                                                                over, message):
+    """A bad initial state, time block or grid band exits 1 with its own
+    message before qfp_generator, the run's costly build (about 10^6
+    coefficients at 2S=1030), is called; no file is written."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the generator was built")
+
+    monkeypatch.setattr(cli.dynamics, "qfp_generator", unbuilt)
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", _evolve_config(**over)),
+                     "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+def test_a_coherent_start_past_the_kernel_range_is_refused_by_name(tmp_path, capsys, command):
+    """At 2S = 1030 and sigma 0 the coherent start is refused under its own
+    name, not as the sigma = 1 ordering its kernel is built at."""
+    out = tmp_path / "o"
+    cfg = _evolve_config(spin={"twice_s": 1030})
+    assert cli.main([command, "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: a coherent state at 2S = 1030 is out of range" in err
+    assert "sigma = 1.0" not in err and not out.exists()
+
+
+def test_evolve_memory_does_not_grow_with_the_step_count(tmp_path):
     """Peak traced allocation of a whole evolve run grows by less than a
     quarter of one state per added step (the states themselves, kept, would
     add a whole one)."""
     twice_s = 10
     n = (twice_s + 1) ** 2
-    monkeypatch.setattr(cli.dynamics, "_BLOCK_BYTES", 8 * 16 * n)  # 8 rows
     cfg = _evolve_config(spin={"twice_s": twice_s})
     peaks = {}
     for steps in (1, 40, 200):  # the first run only warms the caches
@@ -319,16 +353,9 @@ def test_gates_fail_on_nan_measurements(tmp_path, monkeypatch):
         return result
 
     def nan_final_states(*args, **kwargs):  # read by compare
-        times, blocks = lockstep(*args, **kwargs)
-
-        def corrupted():
-            for first, parts in blocks:
-                if first + len(parts[0]) == times.size:
-                    for block in parts:
-                        block[-1] = np.nan
-                yield first, parts
-
-        return times, corrupted()
+        times, states = lockstep(*args, **kwargs)
+        return times, (ys if k < times.size - 1 else [np.full_like(y, np.nan) for y in ys]
+                       for k, ys in enumerate(states))
 
     monkeypatch.setattr(cli.dynamics, "integrate", nan_final_reality)
     monkeypatch.setattr(cli.dynamics, "lockstep", nan_final_states)
@@ -396,14 +423,11 @@ def test_compare_integrates_with_the_configured_method(tmp_path, capsys, monkeyp
     assert "error: time method must be \"expm\"" in err and "'rk4'" in err
     assert not out.exists()
 
-    methods = []  # one per trajectory
-    lockstep = cli.dynamics.lockstep
-
-    def spy(gens, y0s, t_end, dt, method, *args, **kwargs):
-        methods.extend([method] * len(gens))
-        return lockstep(gens, y0s, t_end, dt, method, *args, **kwargs)
-
-    monkeypatch.setattr(cli.dynamics, "lockstep", spy)
+    methods = []  # one per trajectory, by the stepper it builds
+    for name, method in (("_taylor_step", "expm"), ("_rk4_step", "rk4")):
+        stepper = getattr(cli.dynamics, name)
+        monkeypatch.setattr(cli.dynamics, name, lambda *args, method=method, stepper=stepper:
+                            methods.append(method) or stepper(*args))
     cfg["time"]["method"] = "expm"
     assert cli.main(["compare", "--config", _write(tmp_path, "ok.json", cfg),
                      "--out", str(out)]) == 0
@@ -441,32 +465,16 @@ def test_exact_runs_at_sigma_one_pass_the_sigma_zero_gates(tmp_path, capsys, com
 def test_sigma_zero_gates_fail_a_corrupted_top_shell(tmp_path, monkeypatch, capsys, command):
     """A non-real 1e-6 in one top-shell coefficient of the sigma = 0 image of
     the initial symbol (an operator error of about 1e-6) fails both gates.
-    The symbol route is the integration of the generator qfp_generator built."""
-    integrate, lockstep = cli.dynamics.integrate, cli.dynamics.lockstep
-    qfp_generator = cli.dynamics.qfp_generator
-    symbol_generators = []  # (generator, sigma, ctx) of each qfp_generator call
+    compare's oracle starts from the uncorrupted rho0."""
+    initial_state = cli._initial_state
 
-    def recorded(h_expr, bath, sigma, ctx):
-        symbol_generators.append((qfp_generator(h_expr, bath, sigma, ctx), sigma, ctx))
-        return symbol_generators[-1][0]
+    def bumped(cfg, ctx, sigma):
+        rho0, c0 = initial_state(cfg, ctx, sigma)
+        bump = np.zeros(ctx.symbol_dim, dtype=complex)
+        bump[so.flat_index(ctx.band_limit, 0)] = 1e-6j
+        return rho0, c0 + cli.sw_transform.switch_ordering(bump, 0.0, sigma, ctx)
 
-    def bumped(gen, y0):
-        for symbol_gen, sigma, ctx in symbol_generators:
-            if gen is symbol_gen:
-                bump = np.zeros(ctx.symbol_dim, dtype=complex)
-                bump[so.flat_index(ctx.band_limit, 0)] = 1e-6j
-                y0 = y0 + cli.sw_transform.switch_ordering(bump, 0.0, sigma, ctx)
-        return y0
-
-    def corrupted(gen, y0, *args, **kwargs):  # evolve
-        return integrate(gen, bumped(gen, y0), *args, **kwargs)
-
-    def corrupted_lockstep(gens, y0s, *args, **kwargs):  # compare
-        return lockstep(gens, [bumped(g, y) for g, y in zip(gens, y0s)], *args, **kwargs)
-
-    monkeypatch.setattr(cli.dynamics, "qfp_generator", recorded)
-    monkeypatch.setattr(cli.dynamics, "integrate", corrupted)
-    monkeypatch.setattr(cli.dynamics, "lockstep", corrupted_lockstep)
+    monkeypatch.setattr(cli, "_initial_state", bumped)
     assert cli.main([command, "--config", _write(tmp_path, "run.json", _sigma_one_config()),
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -501,12 +509,11 @@ def test_compare_peak_memory_at_2s_40(tmp_path):
     assert peak < 16 * 2 ** 20
 
 
-def test_compare_memory_does_not_grow_with_the_step_count(tmp_path, monkeypatch):
-    """compare steps both routes in lockstep through reused buffers of 16
+def test_compare_memory_does_not_grow_with_the_step_count(tmp_path):
+    """compare steps both routes in lockstep and holds only the current
     states: ten times the steps peak within 10% of the one-time run.  Two kept
-    trajectories would grow by 2 x 16 B x (2S+1)^2 per step, 3.5 MB over the
-    400 extra steps here."""
-    monkeypatch.setattr(cli.dynamics, "_BLOCK_BYTES", 16 * 16 * 21 ** 2)
+    trajectories would grow by 2 x 16 B x (2S+1)^2 per step, 5.1 MB over the
+    360 extra steps here."""
     peaks = []
     for t_end in (2.0, 20.0):  # 40 and 400 steps of 0.05
         cfg_path = _write(tmp_path, f"cmp{t_end}.json", _compare_config(20, 0.5, t_end))
@@ -1171,8 +1178,10 @@ def test_help_exits_zero(capsys):
 @pytest.mark.parametrize("command", ["evolve", "kernel"])
 def test_spin_too_large_for_memory_exits_one_with_an_error_line(tmp_path, capsys, command):
     """At 2S = 10^6 a (2S+1)^2 array needs terabytes: numpy's MemoryError
-    becomes the documented error line naming 2S, exit 1, and no file."""
-    cfg = {"evolve": _evolve_config(), "kernel": {}}[command]
+    becomes the documented error line naming 2S, exit 1, and no file.  evolve
+    starts from an expression: a coherent start is refused first, by its range."""
+    cfg = {"evolve": _evolve_config(initial={"expression": [[1.0, []]]}),
+           "kernel": {}}[command]
     cfg_path = _write(tmp_path, "big.json", {**cfg, "spin": {"twice_s": 10 ** 6}})
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

@@ -345,7 +345,7 @@ def test_non_finite_initial_state_is_refused_before_the_first_step(bad):
     for method in ("rk4", "expm"):
         with pytest.raises(ValueError, match=message):
             dyn.integrate(gen, y0, 1.0, 0.1, method)
-        with pytest.raises(ValueError, match=message):  # on the call, before any block
+        with pytest.raises(ValueError, match=message):  # on the call, before any step
             dyn.lockstep([gen, gen], [np.ones(3), y0], 1.0, 0.1, method)
 
 
@@ -456,6 +456,17 @@ def test_coherent_state_refuses_non_finite_angles(angles):
         dyn.coherent_state(SpinContext(4), *angles)
 
 
+def test_coherent_state_past_the_kernel_range_is_refused_by_name():
+    """From 2S = 1030 on, the sigma = 1 factors of the kernel leave the normal
+    double range: the refusal names the coherent state and 2S, not an ordering
+    the caller never asked for.  2S = 1029 is in range."""
+    with pytest.raises(ValueError, match=r"^a coherent state at 2S = 1030 is out of range: "
+                                         r"its kernel's factors w_l\^-1 leave the normal "
+                                         r"double range$"):
+        dyn.coherent_state(SpinContext(1030), 1.1, 0.4)
+    assert np.all(np.isfinite(swt._factors(SpinContext(1029), 1.0)))
+
+
 def test_integrate_adjusts_dt_and_attaches_observables():
     ctx = SpinContext(2)
     gen = dyn.qfp_generator([(-1.0, (3,))], None, 0.0, ctx)
@@ -556,36 +567,63 @@ def _dissipative_case(twice_s, sigma):
 @pytest.mark.parametrize("twice_s", (2, 5, 6))
 @pytest.mark.parametrize("sigma", (-1.0, 0.0, 0.5, 1.0))
 def test_integrate_expm_matches_dense_exponential(twice_s, sigma):
-    """Every state equals expm(G t_k) c0, computed densely and step by step."""
+    """Every state, kept by integrate or streamed by lockstep one step at a
+    time, equals expm(G t_k) c0, computed densely."""
     _, gen, c0 = _dissipative_case(twice_s, sigma)
     res = dyn.integrate(gen, c0, 2.0, 0.25, "expm")
     assert res.states.shape == (9, c0.size)
     np.testing.assert_allclose(res.times, 0.25 * np.arange(9), atol=1e-15)
     dense = gen.toarray()
-    for t, state in zip(res.times, res.states):
-        np.testing.assert_allclose(state, la.expm(dense * t) @ c0, rtol=0,
-                                   atol=1e-13)
+    _, states = dyn.lockstep([gen], [c0], 2.0, 0.25, "expm")
+    for t, state, (streamed,) in zip(res.times, res.states, states, strict=True):
+        want = la.expm(dense * t) @ c0
+        np.testing.assert_allclose(state, want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(streamed, want, rtol=0, atol=1e-13)
 
 
 def test_integrate_expm_ignores_global_rng_state():
-    """The 1-norm estimator's draws leave neither a trace in the states nor
-    a change in the caller's global RNG stream."""
+    """The expm step draws no random numbers: the states, kept or streamed,
+    do not depend on the caller's global RNG stream and leave it untouched."""
     _, gen, c0 = _dissipative_case(10, 0.5)
-    outputs = []
-    for seed in (0, 12345):
-        np.random.seed(seed)
-        outputs.append(dyn.integrate(gen, c0, 4.0, 0.05, "expm").states.tobytes())
-        after = np.random.random()
-        np.random.seed(seed)
-        assert after == np.random.random()
-    assert outputs[0] == outputs[1]
+    for keep in (True, False):
+        outputs = []
+        for seed in (0, 12345):
+            np.random.seed(seed)
+            outputs.append(dyn.integrate(gen, c0, 4.0, 0.05, "expm",
+                                         keep_states=keep).states.tobytes())
+            after = np.random.random()
+            np.random.seed(seed)
+            assert after == np.random.random()
+        assert outputs[0] == outputs[1]
 
 
 def test_integrate_expm_flags_overflow_step():
+    """The overflow is named by its step, with and without kept states."""
     gen = 1e3 * sp.identity(3, dtype=complex, format="csr")
-    with np.errstate(over="raise", invalid="raise"):
-        with pytest.raises(RuntimeError, match=r"step 8/10"):
-            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
+    for keep in (True, False):
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(RuntimeError, match=r"step 8/10"):
+                dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm",
+                              keep_states=keep)
+
+
+@pytest.mark.parametrize("method, rate, t_end, dt", [("expm", 1e3, 1.0, 0.1),
+                                                     ("rk4", 5e2, 100.0, 1.0)],
+                         ids=["expm", "rk4"])
+def test_lockstep_names_the_first_step_at_which_any_system_overflows(method, rate, t_end, dt):
+    """A system that stays finite does not move the step that names the
+    overflow of the other, in either order: exp(1000 t) overflows at step 8."""
+    slow = sp.identity(3, dtype=complex, format="csr")
+    y0 = np.ones(3, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="non-finite state at t =") as alone:
+            dyn.integrate(rate * slow, y0, t_end, dt, method)
+        for gens in ([slow, rate * slow], [rate * slow, slow]):
+            with pytest.raises(RuntimeError) as paired:
+                for _ in dyn.lockstep(gens, [y0, y0], t_end, dt, method)[1]:
+                    pass
+            assert str(paired.value) == str(alone.value)
+    assert method == "rk4" or "step 8/10" in str(alone.value)
 
 
 @pytest.mark.parametrize("sigma", [-1.0, -0.5, 0.0, 1.0])
@@ -601,9 +639,9 @@ def test_observables_pair_states_with_the_closed_form_spin_symbols(monkeypatch, 
     paired, expectation = [], swt.expectation
     monkeypatch.setattr(swt, "expectation",
                         lambda c_a, c_rho, ctx: paired.append(c_a) or expectation(c_a, c_rho, ctx))
-    state = np.zeros((1, ctx.symbol_dim), dtype=complex)
-    state[0, 0] = math.sqrt(4.0 * math.pi) / ctx.hilbert_dim  # the mixed state
-    dyn._symbol_observables(ctx, sigma)(state, np.empty((1, 6)))
+    state = np.zeros(ctx.symbol_dim, dtype=complex)
+    state[0] = math.sqrt(4.0 * math.pi) / ctx.hilbert_dim  # the mixed state
+    dyn._symbol_observables(ctx, sigma)(state, np.empty(6))
     scale = math.sqrt(s * (s + 1)) * ((s + 1) / s) ** (-sigma / 2)
     m_k = math.sqrt(2 * math.pi / 3) * np.array([[1, 0, -1], [1j, 0, 1j], [0, math.sqrt(2), 0]])
     for dual, m in zip(paired[:3], m_k, strict=True):
@@ -612,42 +650,11 @@ def test_observables_pair_states_with_the_closed_form_spin_symbols(monkeypatch, 
         assert np.max(np.abs(dual - want)) <= 1e-13 * scale
 
 
-def _block_rows(monkeypatch, rows, n):
-    """Make integrate propagate in blocks of `rows` states of length n."""
-    monkeypatch.setattr(dyn, "_BLOCK_BYTES", rows * 16 * n)
-
-
-def test_integrate_rk4_blocks_are_byte_identical_to_one_block(monkeypatch):
-    ctx, gen, c0 = _dissipative_case(6, 0.5)
-
-    def run():
-        res = dyn.integrate(gen, c0, 2.0, 0.05, "rk4", ctx=ctx, sigma=0.5, kind="symbol")
-        return [a.tobytes() for a in (res.states, res.s1, res.s2, res.s3, res.trace,
-                                      res.purity, res.reality)]
-
-    whole = run()
-    _block_rows(monkeypatch, 3, c0.size)  # 41 states: 13 blocks of 3 and one of 2
-    assert run() == whole
-
-
-@pytest.mark.parametrize("twice_s", (2, 5, 6))
-@pytest.mark.parametrize("sigma", (-1.0, 0.5))
-def test_integrate_expm_blocks_match_dense_exponential(monkeypatch, twice_s, sigma):
-    """Each block starts from the last state of the one before, and every
-    state still equals expm(G t_k) c0."""
-    _, gen, c0 = _dissipative_case(twice_s, sigma)
-    _block_rows(monkeypatch, 3, c0.size)
-    res = dyn.integrate(gen, c0, 2.0, 0.2, "expm")
-    assert res.states.shape == (11, c0.size)
-    dense = gen.toarray()
-    for t, state in zip(res.times, res.states):
-        np.testing.assert_allclose(state, la.expm(dense * t) @ c0, rtol=0, atol=1e-13)
-
-
 @pytest.mark.parametrize("method", ("rk4", "expm"))
-def test_integrate_without_states_keeps_the_ends_and_observables(monkeypatch, method):
+def test_integrate_without_states_keeps_the_ends_and_observables(method):
+    """Streamed, integrate keeps the initial and the final state, and every
+    observable, byte for byte as when it keeps every state."""
     ctx, gen, c0 = _dissipative_case(5, 1.0)
-    _block_rows(monkeypatch, 4, c0.size)
     fields = ("times", "s1", "s2", "s3", "trace", "purity", "reality")
     runs = [dyn.integrate(gen, c0, 1.0, 0.05, method, ctx=ctx, sigma=1.0, kind="symbol",
                           keep_states=keep) for keep in (True, False)]
@@ -669,76 +676,6 @@ def test_integrate_reality_column_sees_a_non_real_step():
     assert res.reality[0] < 1e-15 and res.reality[-1] < 1e-14
 
 
-def test_integrate_expm_blocks_keep_the_global_rng_stream(monkeypatch):
-    _, gen, c0 = _dissipative_case(10, 0.5)
-    _block_rows(monkeypatch, 5, c0.size)  # 81 states: 17 blocks
-    outputs = []
-    for seed in (0, 12345):
-        np.random.seed(seed)
-        outputs.append(dyn.integrate(gen, c0, 4.0, 0.05, "expm").states.tobytes())
-        after = np.random.random()
-        np.random.seed(seed)
-        assert after == np.random.random()
-    assert outputs[0] == outputs[1]
-
-
-def test_integrate_flags_overflow_step_in_a_later_block(monkeypatch):
-    _block_rows(monkeypatch, 3, 3)  # step 8 is in the third block
-    gen = 1e3 * sp.identity(3, dtype=complex, format="csr")
-    with np.errstate(over="raise", invalid="raise"):
-        with pytest.raises(RuntimeError, match=r"step 8/10"):
-            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
-    gen = np.array([[500.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError) as whole:
-            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
-        _block_rows(monkeypatch, 3, 1)
-        with pytest.raises(RuntimeError) as blocked:
-            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
-    assert str(blocked.value) == str(whole.value)
-
-
-@pytest.mark.parametrize("method", ("rk4", "expm"))
-@pytest.mark.parametrize("rows", (3, 6))
-def test_integrate_streaming_with_a_partial_last_block_matches_one_buffer(
-        monkeypatch, method, rows):
-    """41 states streamed through a reused buffer of 3 or 6 rows end in a
-    partial block; the ends and every observable equal a one-buffer run."""
-    ctx, gen, c0 = _dissipative_case(6, 0.5)
-    fields = ("times", "s1", "s2", "s3", "trace", "purity", "reality")
-
-    def run(keep):
-        return dyn.integrate(gen, c0, 2.0, 0.05, method, ctx=ctx, sigma=0.5,
-                             kind="symbol", keep_states=keep)
-
-    full = run(True)
-    _block_rows(monkeypatch, rows, c0.size)
-    ends = run(False)
-    assert len(full.times) == 41 and 40 % rows
-    assert ends.states.shape == (2, c0.size)
-    assert ends.states.tobytes() == full.states[[0, -1]].tobytes()
-    for name in fields:
-        assert getattr(ends, name).tobytes() == getattr(full, name).tobytes()
-
-
-def test_integrate_streaming_flags_overflow_step_in_a_later_block(monkeypatch):
-    _block_rows(monkeypatch, 3, 3)  # step 8 is in the third fill of the buffer
-    gen = 1e3 * sp.identity(3, dtype=complex, format="csr")
-    with np.errstate(over="raise", invalid="raise"):
-        with pytest.raises(RuntimeError, match=r"step 8/10"):
-            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm",
-                          keep_states=False)
-    gen = np.array([[500.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError) as whole:
-            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
-        _block_rows(monkeypatch, 3, 1)
-        with pytest.raises(RuntimeError) as blocked:
-            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4",
-                          keep_states=False)
-    assert str(blocked.value) == str(whole.value)
-
-
 def _traced_peak(run):
     tracemalloc.start()
     try:
@@ -749,33 +686,37 @@ def _traced_peak(run):
 
 
 @pytest.mark.parametrize("method", ("rk4", "expm"))
-def test_integrate_streaming_reuses_one_block(monkeypatch, method):
-    """Without kept states, a run of five blocks holds one block at a time:
-    a block is never allocated while the one before is still alive."""
-    _, gen, c0 = _dissipative_case(10, 0.5)
-    _block_rows(monkeypatch, 200, c0.size)
-    block = 200 * c0.nbytes
-    res, peak = _traced_peak(
-        lambda: dyn.integrate(gen, c0, 10.0, 0.01, method, keep_states=False))
-    assert res.states.shape == (2, c0.size)
-    assert peak < 1.5 * block
+def test_integrate_streaming_peak_does_not_grow_with_the_step_count(method):
+    """Without kept states, the peak of a run of 1000 steps exceeds that of
+    100 steps by less than its longer times and observables, 7 doubles a
+    step, and half a state of interpreter noise; each kept state would add
+    16 B x (2S+1)^2 = 1936 B more."""
+    ctx, gen, c0 = _dissipative_case(10, 0.5)
+
+    def run(steps):
+        return dyn.integrate(gen, c0, steps * 0.01, 0.01, method, ctx=ctx, sigma=0.5,
+                             kind="symbol", keep_states=False)
+
+    run(1)  # warms the caches
+    (short, peak_100), (long, peak_1000) = _traced_peak(lambda: run(100)), \
+        _traced_peak(lambda: run(1000))
+    assert short.states.shape == long.states.shape == (2, c0.size)
+    assert peak_1000 - peak_100 < 900 * 7 * 8 + c0.nbytes / 2
 
 
 @pytest.mark.parametrize("method", ("rk4", "expm"))
-def test_integrate_keeps_many_blocks_without_a_second_copy(monkeypatch, method):
-    """Kept states longer than one block are written straight into the
-    returned array: no per-block arrays are joined at the end."""
+def test_integrate_keeps_states_without_a_second_copy(method):
+    """Kept states are written straight into the returned array: no per-step
+    arrays are joined at the end."""
     _, gen, c0 = _dissipative_case(10, 0.5)
-    _block_rows(monkeypatch, 200, c0.size)
     res, peak = _traced_peak(lambda: dyn.integrate(gen, c0, 10.0, 0.01, method))
     assert res.states.shape == (1001, c0.size)
     assert peak < 1.25 * res.states.nbytes
 
 
-def test_lockstep_blocks_are_the_integrated_states(monkeypatch):
-    """lockstep hands out the states integrate computes, bit for bit, in
-    blocks of one row count for every system, ending in a partial block."""
-    monkeypatch.setattr(dyn, "_BLOCK_BYTES", 3 * 16 * 9)  # 3 states of (2S+1)^2 = 9
+def test_lockstep_states_are_the_integrated_states():
+    """lockstep hands out, at each step, every system's state as integrate
+    computes it, bit for bit."""
     ctx = SpinContext(2)
     gen = dyn.qfp_generator([(-1.0, (3,))], dyn.BathSpec(((1.0, (1,)),), 0.1, 1.0), 0.5, ctx)
     rho0 = dyn.coherent_state(ctx, 0.9, 0.2)
@@ -784,28 +725,30 @@ def test_lockstep_blocks_are_the_integrated_states(monkeypatch):
     y0s = [dyn.vec_density(rho0), swt.operator_to_symbol(rho0, 0.5, ctx)]
     for method in ("rk4", "expm"):
         whole = [dyn.integrate(g, y, 1.0, 0.1, method).states for g, y in zip([liou, gen], y0s)]
-        times, blocks = dyn.lockstep([liou, gen], y0s, 1.0, 0.1, method)
+        times, states = dyn.lockstep([liou, gen], y0s, 1.0, 0.1, method)
         assert np.array_equal(times, dyn.integrate(gen, y0s[1], 1.0, 0.1, method).times)
-        seen = 0
-        for first, parts in blocks:
-            assert first == seen and len({len(p) for p in parts}) == 1 and len(parts[0]) <= 3
-            for states, block in zip(whole, parts):
-                assert np.array_equal(states[first:first + len(block)], block)
-            seen += len(parts[0])
-        assert seen == 11
+        steps = 0
+        for k, ys in enumerate(states):
+            assert len(ys) == 2
+            for kept, y in zip(whole, ys):
+                assert np.array_equal(kept[k], y)
+            steps += 1
+        assert steps == 11
 
 
-@pytest.mark.parametrize("n_gens, n_y0s", [(2, 1), (1, 2), (0, 1)])
+@pytest.mark.parametrize("n_gens, n_y0s", [(2, 1), (1, 2), (0, 1), (0, 0)])
 def test_lockstep_refuses_unequal_generators_and_states(monkeypatch, n_gens, n_y0s):
-    """zip would drop the unpaired systems silently; the call is refused
-    before any stepper or buffer is built."""
+    """zip would drop the unpaired systems silently, and no system at all
+    would stream empty lists; the call is refused before any stepper is built."""
     def no_stepper(*args):
         raise AssertionError("a stepper was built")
 
     monkeypatch.setattr(dyn, "_taylor_step", no_stepper)
     monkeypatch.setattr(dyn, "_rk4_step", no_stepper)
     gen = sp.identity(3, dtype=complex, format="csr")
-    with pytest.raises(ValueError, match=f"{n_gens} generators for {n_y0s} initial states"):
+    with pytest.raises(ValueError, match=f"{n_gens} generators for {n_y0s} initial states: "
+                                         "lockstep takes one generator per initial state, "
+                                         "and at least one"):
         dyn.lockstep([gen] * n_gens, [np.ones(3)] * n_y0s, 1.0, 0.5, "expm")
 
 
@@ -878,6 +821,8 @@ def test_taylor_step_refuses_more_substeps_than_max_steps():
     with pytest.raises(RuntimeError, match=r"\|\|A\|\|_1 = 2e\+300 .* needs s = 2\.0202e\+299 "
                                            r"Taylor substeps, above MAX_STEPS = 10000000"):
         dyn._taylor_step(gen, 0.5)
+    with pytest.raises(RuntimeError, match=r"needs s = 2\.0202e\+299 Taylor substeps"):
+        dyn.lockstep([gen], [np.ones(25)], 1.0, 0.5, "expm")  # on the call, before any step
     assert callable(dyn._taylor_step(gen * 1e-293, 0.5))
 
 
