@@ -1,6 +1,7 @@
 """Evolution generators against Hilbert-space oracles; classical physics."""
 
 import csv
+import itertools
 import json
 import math
 import tracemalloc
@@ -567,44 +568,99 @@ def _dissipative_case(twice_s, sigma):
 @pytest.mark.parametrize("twice_s", (2, 5, 6))
 @pytest.mark.parametrize("sigma", (-1.0, 0.0, 0.5, 1.0))
 def test_integrate_expm_matches_dense_exponential(twice_s, sigma):
-    """Every state, kept by integrate or streamed by lockstep one step at a
-    time, equals expm(G t_k) c0, computed densely."""
+    """Every state equals expm(G t_k) c0, computed densely and step by step."""
     _, gen, c0 = _dissipative_case(twice_s, sigma)
     res = dyn.integrate(gen, c0, 2.0, 0.25, "expm")
     assert res.states.shape == (9, c0.size)
     np.testing.assert_allclose(res.times, 0.25 * np.arange(9), atol=1e-15)
     dense = gen.toarray()
-    _, states = dyn.lockstep([gen], [c0], 2.0, 0.25, "expm")
-    for t, state, (streamed,) in zip(res.times, res.states, states, strict=True):
-        want = la.expm(dense * t) @ c0
-        np.testing.assert_allclose(state, want, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(streamed, want, rtol=0, atol=1e-13)
+    for t, state in zip(res.times, res.states):
+        np.testing.assert_allclose(state, la.expm(dense * t) @ c0, rtol=0,
+                                   atol=1e-13)
+
+
+@pytest.mark.parametrize("twice_s", (2, 5, 6))
+@pytest.mark.parametrize("sigma", (-1.0, 0.5))
+def test_integrate_expm_blocks_match_dense_exponential(twice_s, sigma):
+    """Streamed by lockstep one step at a time, each state starts from the one
+    before and still equals expm(G t_k) c0; a streaming integrate ends on the
+    last of them."""
+    _, gen, c0 = _dissipative_case(twice_s, sigma)
+    times, states = dyn.lockstep([gen], [c0], 2.0, 0.2, "expm")
+    assert times.size == 11
+    dense = gen.toarray()
+    for t, (state,) in zip(times, states, strict=True):
+        np.testing.assert_allclose(state, la.expm(dense * t) @ c0, rtol=0, atol=1e-13)
+    ends = dyn.integrate(gen, c0, 2.0, 0.2, "expm", keep_states=False)
+    assert ends.states[-1].tobytes() == state.tobytes()
 
 
 def test_integrate_expm_ignores_global_rng_state():
-    """The expm step draws no random numbers: the states, kept or streamed,
-    do not depend on the caller's global RNG stream and leave it untouched."""
+    """The expm step draws no random numbers: the kept states do not depend
+    on the caller's global RNG stream and leave it untouched."""
     _, gen, c0 = _dissipative_case(10, 0.5)
-    for keep in (True, False):
-        outputs = []
-        for seed in (0, 12345):
-            np.random.seed(seed)
-            outputs.append(dyn.integrate(gen, c0, 4.0, 0.05, "expm",
-                                         keep_states=keep).states.tobytes())
-            after = np.random.random()
-            np.random.seed(seed)
-            assert after == np.random.random()
-        assert outputs[0] == outputs[1]
+    outputs = []
+    for seed in (0, 12345):
+        np.random.seed(seed)
+        outputs.append(dyn.integrate(gen, c0, 4.0, 0.05, "expm").states.tobytes())
+        after = np.random.random()
+        np.random.seed(seed)
+        assert after == np.random.random()
+    assert outputs[0] == outputs[1]
+
+
+def test_integrate_expm_blocks_keep_the_global_rng_stream():
+    """Streamed one step at a time, by a streaming integrate or by lockstep,
+    the expm states neither depend on nor move the caller's global RNG stream."""
+    _, gen, c0 = _dissipative_case(10, 0.5)
+    outputs = []
+    for seed in (0, 12345):
+        np.random.seed(seed)
+        ends = dyn.integrate(gen, c0, 4.0, 0.05, "expm", keep_states=False).states
+        streamed = np.array([y for (y,) in dyn.lockstep([gen], [c0], 4.0, 0.05, "expm")[1]])
+        outputs.append(ends.tobytes() + streamed.tobytes())
+        after = np.random.random()
+        np.random.seed(seed)
+        assert after == np.random.random()
+    assert outputs[0] == outputs[1]
 
 
 def test_integrate_expm_flags_overflow_step():
-    """The overflow is named by its step, with and without kept states."""
     gen = 1e3 * sp.identity(3, dtype=complex, format="csr")
-    for keep in (True, False):
-        with np.errstate(over="raise", invalid="raise"):
-            with pytest.raises(RuntimeError, match=r"step 8/10"):
-                dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm",
-                              keep_states=keep)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(RuntimeError, match=r"step 8/10"):
+            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
+
+
+def _assert_overflow_step_is_named(keep_states):
+    """exp(1000 t) overflows at step 8/10 under expm.  Under rk4 at rate 500
+    and dt 1, integrate names step k > 1, the first at which a loop of the
+    same stepper from y0 leaves the finite doubles."""
+    gen = 1e3 * sp.identity(3, dtype=complex, format="csr")
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(RuntimeError, match=r"step 8/10"):
+            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm",
+                          keep_states=keep_states)
+    gen, y = np.array([[500.0]]), np.array([1.0 + 0j])
+    step, k = dyn._rk4_step(gen, 1.0), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.all(np.isfinite(y)):
+            y, k = step(y), k + 1
+        with pytest.raises(RuntimeError, match=rf"\(step {k}/100, dt = 1\)$"):
+            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4",
+                          keep_states=keep_states)
+    assert 1 < k < 100
+
+
+def test_integrate_flags_overflow_step_in_a_later_block():
+    """With every state kept, the overflow is named by its step, however many
+    steps (each now its own block) came before it."""
+    _assert_overflow_step_is_named(keep_states=True)
+
+
+def test_integrate_streaming_flags_overflow_step_in_a_later_block():
+    """Streaming, the overflow is named by its step as with kept states."""
+    _assert_overflow_step_is_named(keep_states=False)
 
 
 @pytest.mark.parametrize("method, rate, t_end, dt", [("expm", 1e3, 1.0, 0.1),
@@ -665,6 +721,54 @@ def test_integrate_without_states_keeps_the_ends_and_observables(method):
         assert getattr(ends, name).tobytes() == getattr(full, name).tobytes()
     assert np.max(full.reality) < 1e-12
 
+
+def test_integrate_rk4_blocks_are_byte_identical_to_one_block():
+    """A run restarted from its last state every 3 steps (32 steps: ten blocks
+    of 3 and one of 2) has, byte for byte, the states and observables of one
+    run: a step reads nothing but the state before it.  dt = 1/16 keeps
+    dt_used the same in every block."""
+    ctx, gen, c0 = _dissipative_case(6, 0.5)
+    fields = ("states", "s1", "s2", "s3", "trace", "purity", "reality")
+
+    def run(y0, n_steps):
+        return dyn.integrate(gen, y0, n_steps / 16, 1 / 16, "rk4", ctx=ctx, sigma=0.5,
+                             kind="symbol")
+
+    whole, blocks, y = run(c0, 32), [], c0
+    for n_steps in [3] * 10 + [2]:
+        blocks.append(run(y, n_steps))
+        y = blocks[-1].states[-1]
+    for name in fields:
+        joined = np.concatenate([getattr(blocks[0], name)[:1]]
+                                + [getattr(b, name)[1:] for b in blocks])
+        assert joined.tobytes() == getattr(whole, name).tobytes()
+
+
+@pytest.mark.parametrize("method", ("rk4", "expm"))
+@pytest.mark.parametrize("rows", (3, 6))
+def test_integrate_streaming_with_a_partial_last_block_matches_one_buffer(method, rows):
+    """A consumer that holds lockstep's 41 states in blocks of 3 or 6, the last
+    one partial, sees integrate's one buffer byte for byte: no state handed
+    out is overwritten by a later step.  A streaming integrate keeps the ends
+    and every observable of that buffer."""
+    ctx, gen, c0 = _dissipative_case(6, 0.5)
+    fields = ("times", "s1", "s2", "s3", "trace", "purity", "reality")
+
+    def run(keep):
+        return dyn.integrate(gen, c0, 2.0, 0.05, method, ctx=ctx, sigma=0.5,
+                             kind="symbol", keep_states=keep)
+
+    full, ends = run(True), run(False)
+    assert len(full.times) == 41 and 41 % rows
+    stream, held = dyn.lockstep([gen], [c0], 2.0, 0.05, method)[1], []
+    while block := [y for (y,) in itertools.islice(stream, rows)]:
+        held.append(block)
+    assert len(held[-1]) == 41 % rows
+    assert np.array(sum(held, [])).tobytes() == full.states.tobytes()
+    assert ends.states.shape == (2, c0.size)
+    assert ends.states.tobytes() == full.states[[0, -1]].tobytes()
+    for name in fields:
+        assert getattr(ends, name).tobytes() == getattr(full, name).tobytes()
 
 def test_integrate_reality_column_sees_a_non_real_step():
     """exp(i t) c0 leaves the real symbols at t = pi/2 and is real at t = pi."""
