@@ -201,7 +201,11 @@ def _grid_band(cfg, ctx, minimum):
 def _output_paths(cfg, command, out_dir):
     """The path of each file the run writes, by its "outputs" key.  Each name
     must be a plain file name, and no two files of the run, the resolved
-    config included, may share one: the later would overwrite the earlier."""
+    config included, may share one: the later would overwrite the earlier.
+    An out_dir that is, or lies under, an existing non-directory is refused."""
+    nearest = next(path for path in (Path(out_dir), *Path(out_dir).parents) if path.exists())
+    if not nearest.is_dir():
+        raise ValueError(f"--out {out_dir} cannot be a directory: {nearest} exists and is not one")
     outputs = cfg.get("outputs", {})
     if not (isinstance(outputs, dict) and all(isinstance(v, str) for v in outputs.values())):
         raise ValueError(f'"outputs" must map names to file names, got {outputs!r}')
@@ -253,8 +257,7 @@ def _cmd_evolve(cfg, paths, tolerance):
     if bath is not None:
         print(f"validity ratio gamma/(S T) = {bath.validity_ratio(ctx):.6g}",
               file=sys.stderr)
-    result = dynamics.integrate(gen, c0, t_end, dt, "expm", ctx, sigma, "symbol",
-                                keep_states=False)
+    result = dynamics.integrate(gen, c0, t_end, dt, "expm", ctx, sigma, "symbol")
     _write_csv(paths["trajectory"], "t,Sx,Sy,Sz,trace,purity",
                zip(result.times, result.s1, result.s2, result.s3, result.trace,
                    result.purity))
@@ -434,7 +437,7 @@ def main(argv=None):
         (Path(args.out) / _RESOLVED_CONFIG).write_text(
             json.dumps(resolved, indent=2, sort_keys=True) + "\n")
         return code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the size it could not allocate

@@ -223,22 +223,21 @@ def time_steps(t_end, dt):
     return n_steps, t_end / n_steps
 
 
-def integrate(gen, y0, t_end, dt, method="expm", ctx=None, sigma=None, kind=None,
-              keep_states=True):
+def integrate(gen, y0, t_end, dt, method="expm", ctx=None, sigma=None, kind=None):
     """Propagate dy/dt = G y on the uniform grid of time_steps(t_end, dt).
 
-    dt is adjusted to divide t_end evenly.  The states of lockstep go into
-    `states`: every state with keep_states=True; otherwise only the initial
-    and the latest one, so memory does not grow with the step count.
-    "expm", the default and the CLI's only method, applies exp(G dt) as the
-    truncated Taylor series of _taylor_step on the sparse G, with no dense
-    n x n matrix, no random numbers and no size limit.  "rk4" is classical
-    Runge-Kutta, inexact at any dt; it stays for the benchmark's rk4 sweep
-    and goes with ROADMAP direction 11.  kind "symbol" attaches, at every step, the
-    spin observables, trace, purity and reality residual max|P conj(c0) - c0|
-    of symbol states c, with c0 = switch_ordering(c, sigma, 0) (needs ctx and
-    sigma, and a y0 of length ctx.symbol_dim).  A non-finite y0 is refused; a
-    non-finite state aborts, naming its step.
+    dt is adjusted to divide t_end evenly.  `states` holds two rows, y0 and
+    the final state, so memory does not grow with the step count; lockstep
+    hands out every state.  "expm", the default and the CLI's only method,
+    applies exp(G dt) as the truncated Taylor series of _taylor_step on the
+    sparse G, with no dense n x n matrix, no random numbers and no size limit.
+    "rk4" is classical Runge-Kutta, inexact at any dt; it stays for the
+    benchmark's rk4 sweep and goes with ROADMAP direction 11.  kind "symbol"
+    attaches, at every step, the spin observables, trace, purity and reality
+    residual max|P conj(c0) - c0| of symbol states c, with
+    c0 = switch_ordering(c, sigma, 0) (needs ctx and sigma, and a y0 of length
+    ctx.symbol_dim).  A non-finite y0 is refused; a non-finite state aborts,
+    naming its step.
     """
     if kind not in (None, "symbol"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -250,17 +249,10 @@ def integrate(gen, y0, t_end, dt, method="expm", ctx=None, sigma=None, kind=None
     times, states = lockstep([gen], [y0], t_end, dt, method)
     observe = kind and _symbol_observables(ctx, sigma)
     obs = np.empty((times.size, 6)) if observe else None
-    kept = np.empty((times.size if keep_states else 2,) + np.shape(y0), dtype=complex)
     for k, (y,) in enumerate(states):
-        kept[min(k, len(kept) - 1)] = y  # without keep_states, row 1 holds the latest
         if observe:
             observe(y, obs[k])
-
-    result = EvolutionResult(times=times, states=kept)
-    if observe:
-        (result.s1, result.s2, result.s3, result.trace, result.purity,
-         result.reality) = obs.T
-    return result
+    return EvolutionResult(times, np.array([y0, y], dtype=complex), *(obs.T if observe else ()))
 
 
 def lockstep(gens, y0s, t_end, dt, method="expm"):
@@ -356,8 +348,9 @@ def _symbol_observables(ctx, sigma):
     sigma > 0 the factors w_l^-sigma magnify rounding in the top shell by
     about 2^(2S sigma), which is no error of the operator."""
     sigma = sw_transform.validate_sigma(sigma)
-    duals = [np.pad(bopp.expression_symbol([(1.0, (k,))], -sigma, ctx), (0, ctx.symbol_dim - 4))
-             for k in (1, 2, 3)]  # S1, S2, S3 at -sigma
+    # S1, S2, S3 at -sigma as bopp.expression_symbol has them: B_k on sqrt(4pi) Y_00
+    duals = [np.pad(math.sqrt(4.0 * math.pi) * b[:, [0]].toarray()[:, 0],
+                    (0, ctx.symbol_dim - 4)) for b in bopp.bopp_matrices(ctx, -sigma, 1)]
     conj = sphere_ops.conjugation_matrix(ctx.band_limit)
     to_symmetric = sw_transform.switch_ordering(np.ones(ctx.symbol_dim), sigma, 0.0, ctx).real
 

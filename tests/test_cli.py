@@ -1087,6 +1087,52 @@ def test_two_output_files_of_one_name_are_refused(tmp_path, capsys, command, out
     assert os.listdir(tmp_path) == ["bad.json"]
 
 
+_FIVE_COMMANDS = {"evolve": ("trajectory.csv", _evolve_config()),
+                  "compare": ("compare.csv", _evolve_config()),
+                  "limit-scan": ("scan.csv", _SCAN_BASE),
+                  "kernel": ("kernel.csv", {"spin": {"twice_s": 2}}),
+                  "symbol": ("symbol.csv", {"spin": {"twice_s": 2},
+                                            "operator": {"expression": [[1.0, [3]]]}})}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", list(_FIVE_COMMANDS))
+def test_an_out_that_cannot_be_a_directory_exits_one_before_any_computation(
+        tmp_path, capsys, monkeypatch, command, under):
+    """An --out that names an existing file, or a path under one, exits 1
+    with an error: line before the command runs, and nothing is written."""
+    def no_run(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._COMMANDS, command, (no_run, *cli._COMMANDS[command][1:]))
+    cfg_path = _write(tmp_path, "run.json", _FIVE_COMMANDS[command][1])
+    (tmp_path / "taken").write_text("kept")
+    out = tmp_path / "taken" / "sub" if under else tmp_path / "taken"
+    assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: --out {out} cannot be a directory: {tmp_path / 'taken'} exists "
+                   "and is not one\n")
+    assert sorted(os.listdir(tmp_path)) == ["run.json", "taken"]
+    assert (tmp_path / "taken").read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", list(_FIVE_COMMANDS))
+def test_an_output_that_cannot_be_written_exits_one_with_an_error_line(tmp_path, capsys,
+                                                                        command):
+    """A directory where the run's output file goes is found only when the file
+    is opened: the OSError becomes an error: line, exit 1, and no resolved
+    config."""
+    name, cfg = _FIVE_COMMANDS[command]
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    assert cli.main([command, "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: [Errno 21] Is a directory: '{out / name}'" in err
+    assert "Traceback" not in err
+    assert os.listdir(out) == [name]
+
+
 @pytest.mark.parametrize("mode", ["bilinear"])
 def test_limit_scan_refuses_l_test_zero_where_it_compares_nothing(tmp_path, capsys, mode):
     """Every generator annihilates shell 0, so at l_test = 0 the compared block

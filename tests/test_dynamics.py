@@ -475,7 +475,7 @@ def test_integrate_adjusts_dt_and_attaches_observables():
     res = dyn.integrate(gen, c0, 1.0, 0.3, "rk4", ctx=ctx, sigma=0.0,
                         kind="symbol")
     np.testing.assert_allclose(np.diff(res.times), 1.0 / 3.0, atol=1e-15)
-    assert res.states.shape[0] == 4
+    assert _every_state(gen, c0, 1.0, 0.3, "rk4").shape[0] == 4
     for field in (res.s1, res.s2, res.s3, res.trace, res.purity):
         assert field.shape == (4,)
     np.testing.assert_allclose(res.trace, 1.0, atol=1e-12)
@@ -510,8 +510,7 @@ def test_integrate_density_matches_symbol_route():
     h = bopp.expression_to_matrix(h_expr, ctx)
     f = bopp.expression_to_matrix(f_expr, ctx)
     liou = dyn.master_liouvillian(h, f, bath.gamma, bath.temperature)
-    den = dyn.integrate(liou, dyn.vec_density(rho0), 2.0, 0.05, "expm")
-    rhos = [dyn.unvec_density(v) for v in den.states]
+    rhos = [dyn.unvec_density(v) for v in _every_state(liou, dyn.vec_density(rho0), 2.0, 0.05)]
     s1, s2, s3 = ([np.trace(m @ r).real for r in rhos] for m in spin_matrices(ctx))
     trace = [np.trace(r).real for r in rhos]
     purity = [np.trace(r @ r).real for r in rhos]
@@ -565,16 +564,46 @@ def _dissipative_case(twice_s, sigma):
     return ctx, gen, c0
 
 
+def _every_state(gen, y0, t_end, dt, method="expm"):
+    """Every state lockstep hands out for one system, each written into one
+    array as it comes."""
+    times, states = dyn.lockstep([gen], [y0], t_end, dt, method)
+    out = np.empty((times.size, np.size(y0)), dtype=complex)
+    for k, (y,) in enumerate(states):
+        out[k] = y
+    return out
+
+
+def _observables(ctx, sigma, states):
+    """(s1, s2, s3, trace, purity, reality) of each symbol state, by the
+    observer integrate uses."""
+    observe, obs = dyn._symbol_observables(ctx, sigma), np.empty((len(states), 6))
+    for y, row in zip(states, obs):
+        observe(y, row)
+    return obs.T
+
+
+@pytest.mark.parametrize("kind", (None, "symbol"))
+@pytest.mark.parametrize("method", ("rk4", "expm"))
+def test_integrate_states_are_the_initial_and_the_final_state(method, kind):
+    """integrate keeps two states, y0 and the last, with observables or without."""
+    ctx, gen, c0 = _dissipative_case(5, 0.5)
+    res = dyn.integrate(gen, c0, 1.0, 0.05, method, ctx=ctx, sigma=0.5, kind=kind)
+    assert res.states.shape[0] == 2
+    assert res.states.tobytes() == _every_state(gen, c0, 1.0, 0.05, method)[[0, -1]].tobytes()
+
+
 @pytest.mark.parametrize("twice_s", (2, 5, 6))
 @pytest.mark.parametrize("sigma", (-1.0, 0.0, 0.5, 1.0))
 def test_integrate_expm_matches_dense_exponential(twice_s, sigma):
     """Every state equals expm(G t_k) c0, computed densely and step by step."""
     _, gen, c0 = _dissipative_case(twice_s, sigma)
     res = dyn.integrate(gen, c0, 2.0, 0.25, "expm")
-    assert res.states.shape == (9, c0.size)
+    states = _every_state(gen, c0, 2.0, 0.25)
+    assert states.shape == (9, c0.size)
     np.testing.assert_allclose(res.times, 0.25 * np.arange(9), atol=1e-15)
     dense = gen.toarray()
-    for t, state in zip(res.times, res.states):
+    for t, state in zip(res.times, states):
         np.testing.assert_allclose(state, la.expm(dense * t) @ c0, rtol=0,
                                    atol=1e-13)
 
@@ -583,26 +612,25 @@ def test_integrate_expm_matches_dense_exponential(twice_s, sigma):
 @pytest.mark.parametrize("sigma", (-1.0, 0.5))
 def test_integrate_expm_blocks_match_dense_exponential(twice_s, sigma):
     """Streamed by lockstep one step at a time, each state starts from the one
-    before and still equals expm(G t_k) c0; a streaming integrate ends on the
-    last of them."""
+    before and still equals expm(G t_k) c0; integrate ends on the last of them."""
     _, gen, c0 = _dissipative_case(twice_s, sigma)
     times, states = dyn.lockstep([gen], [c0], 2.0, 0.2, "expm")
     assert times.size == 11
     dense = gen.toarray()
     for t, (state,) in zip(times, states, strict=True):
         np.testing.assert_allclose(state, la.expm(dense * t) @ c0, rtol=0, atol=1e-13)
-    ends = dyn.integrate(gen, c0, 2.0, 0.2, "expm", keep_states=False)
+    ends = dyn.integrate(gen, c0, 2.0, 0.2, "expm")
     assert ends.states[-1].tobytes() == state.tobytes()
 
 
 def test_integrate_expm_ignores_global_rng_state():
-    """The expm step draws no random numbers: the kept states do not depend
-    on the caller's global RNG stream and leave it untouched."""
+    """The expm step draws no random numbers: the states do not depend on
+    the caller's global RNG stream and leave it untouched."""
     _, gen, c0 = _dissipative_case(10, 0.5)
     outputs = []
     for seed in (0, 12345):
         np.random.seed(seed)
-        outputs.append(dyn.integrate(gen, c0, 4.0, 0.05, "expm").states.tobytes())
+        outputs.append(_every_state(gen, c0, 4.0, 0.05).tobytes())
         after = np.random.random()
         np.random.seed(seed)
         assert after == np.random.random()
@@ -610,13 +638,13 @@ def test_integrate_expm_ignores_global_rng_state():
 
 
 def test_integrate_expm_blocks_keep_the_global_rng_stream():
-    """Streamed one step at a time, by a streaming integrate or by lockstep,
-    the expm states neither depend on nor move the caller's global RNG stream."""
+    """Streamed one step at a time, by integrate or by lockstep, the expm
+    states neither depend on nor move the caller's global RNG stream."""
     _, gen, c0 = _dissipative_case(10, 0.5)
     outputs = []
     for seed in (0, 12345):
         np.random.seed(seed)
-        ends = dyn.integrate(gen, c0, 4.0, 0.05, "expm", keep_states=False).states
+        ends = dyn.integrate(gen, c0, 4.0, 0.05, "expm").states
         streamed = np.array([y for (y,) in dyn.lockstep([gen], [c0], 4.0, 0.05, "expm")[1]])
         outputs.append(ends.tobytes() + streamed.tobytes())
         after = np.random.random()
@@ -632,35 +660,23 @@ def test_integrate_expm_flags_overflow_step():
             dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
 
 
-def _assert_overflow_step_is_named(keep_states):
+def test_integrate_flags_overflow_step_in_a_later_block():
     """exp(1000 t) overflows at step 8/10 under expm.  Under rk4 at rate 500
     and dt 1, integrate names step k > 1, the first at which a loop of the
-    same stepper from y0 leaves the finite doubles."""
+    same stepper from y0 leaves the finite doubles: the overflow is named by
+    its step, however many steps came before it."""
     gen = 1e3 * sp.identity(3, dtype=complex, format="csr")
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(RuntimeError, match=r"step 8/10"):
-            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm",
-                          keep_states=keep_states)
+            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
     gen, y = np.array([[500.0]]), np.array([1.0 + 0j])
     step, k = dyn._rk4_step(gen, 1.0), 0
     with np.errstate(over="ignore", invalid="ignore"):
         while np.all(np.isfinite(y)):
             y, k = step(y), k + 1
         with pytest.raises(RuntimeError, match=rf"\(step {k}/100, dt = 1\)$"):
-            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4",
-                          keep_states=keep_states)
+            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
     assert 1 < k < 100
-
-
-def test_integrate_flags_overflow_step_in_a_later_block():
-    """With every state kept, the overflow is named by its step, however many
-    steps (each now its own block) came before it."""
-    _assert_overflow_step_is_named(keep_states=True)
-
-
-def test_integrate_streaming_flags_overflow_step_in_a_later_block():
-    """Streaming, the overflow is named by its step as with kept states."""
-    _assert_overflow_step_is_named(keep_states=False)
 
 
 @pytest.mark.parametrize("method, rate, t_end, dt", [("expm", 1e3, 1.0, 0.1),
@@ -708,31 +724,34 @@ def test_observables_pair_states_with_the_closed_form_spin_symbols(monkeypatch, 
 
 @pytest.mark.parametrize("method", ("rk4", "expm"))
 def test_integrate_without_states_keeps_the_ends_and_observables(method):
-    """Streamed, integrate keeps the initial and the final state, and every
-    observable, byte for byte as when it keeps every state."""
+    """integrate keeps the initial and the final state, and every observable,
+    byte for byte as those of every state lockstep hands out."""
     ctx, gen, c0 = _dissipative_case(5, 1.0)
-    fields = ("times", "s1", "s2", "s3", "trace", "purity", "reality")
-    runs = [dyn.integrate(gen, c0, 1.0, 0.05, method, ctx=ctx, sigma=1.0, kind="symbol",
-                          keep_states=keep) for keep in (True, False)]
-    full, ends = runs
+    fields = ("s1", "s2", "s3", "trace", "purity", "reality")
+    ends = dyn.integrate(gen, c0, 1.0, 0.05, method, ctx=ctx, sigma=1.0, kind="symbol")
+    times, _ = dyn.lockstep([gen], [c0], 1.0, 0.05, method)
+    full = _every_state(gen, c0, 1.0, 0.05, method)
+    assert ends.times.tobytes() == times.tobytes()
     assert ends.states.shape == (2, c0.size)
-    assert ends.states.tobytes() == full.states[[0, -1]].tobytes()
-    for name in fields:
-        assert getattr(ends, name).tobytes() == getattr(full, name).tobytes()
-    assert np.max(full.reality) < 1e-12
+    assert ends.states.tobytes() == full[[0, -1]].tobytes()
+    for name, column in zip(fields, _observables(ctx, 1.0, full), strict=True):
+        assert getattr(ends, name).tobytes() == column.tobytes()
+    assert np.max(ends.reality) < 1e-12
 
 
 def test_integrate_rk4_blocks_are_byte_identical_to_one_block():
     """A run restarted from its last state every 3 steps (32 steps: ten blocks
-    of 3 and one of 2) has, byte for byte, the states and observables of one
-    run: a step reads nothing but the state before it.  dt = 1/16 keeps
-    dt_used the same in every block."""
+    of 3 and one of 2) has, byte for byte, the states (as lockstep hands them
+    out) and observables of one run: a step reads nothing but the state
+    before it.  dt = 1/16 keeps dt_used the same in every block."""
     ctx, gen, c0 = _dissipative_case(6, 0.5)
     fields = ("states", "s1", "s2", "s3", "trace", "purity", "reality")
 
     def run(y0, n_steps):
-        return dyn.integrate(gen, y0, n_steps / 16, 1 / 16, "rk4", ctx=ctx, sigma=0.5,
-                             kind="symbol")
+        res = dyn.integrate(gen, y0, n_steps / 16, 1 / 16, "rk4", ctx=ctx, sigma=0.5,
+                            kind="symbol")
+        res.states = _every_state(gen, y0, n_steps / 16, 1 / 16, "rk4")
+        return res
 
     whole, blocks, y = run(c0, 32), [], c0
     for n_steps in [3] * 10 + [2]:
@@ -748,27 +767,23 @@ def test_integrate_rk4_blocks_are_byte_identical_to_one_block():
 @pytest.mark.parametrize("rows", (3, 6))
 def test_integrate_streaming_with_a_partial_last_block_matches_one_buffer(method, rows):
     """A consumer that holds lockstep's 41 states in blocks of 3 or 6, the last
-    one partial, sees integrate's one buffer byte for byte: no state handed
-    out is overwritten by a later step.  A streaming integrate keeps the ends
-    and every observable of that buffer."""
+    one partial, sees the states written into one buffer as they came, byte
+    for byte: no state handed out is overwritten by a later step.  integrate
+    keeps the ends and every observable of that buffer."""
     ctx, gen, c0 = _dissipative_case(6, 0.5)
-    fields = ("times", "s1", "s2", "s3", "trace", "purity", "reality")
-
-    def run(keep):
-        return dyn.integrate(gen, c0, 2.0, 0.05, method, ctx=ctx, sigma=0.5,
-                             kind="symbol", keep_states=keep)
-
-    full, ends = run(True), run(False)
-    assert len(full.times) == 41 and 41 % rows
+    fields = ("s1", "s2", "s3", "trace", "purity", "reality")
+    full = _every_state(gen, c0, 2.0, 0.05, method)
+    ends = dyn.integrate(gen, c0, 2.0, 0.05, method, ctx=ctx, sigma=0.5, kind="symbol")
+    assert len(ends.times) == len(full) == 41 and 41 % rows
     stream, held = dyn.lockstep([gen], [c0], 2.0, 0.05, method)[1], []
     while block := [y for (y,) in itertools.islice(stream, rows)]:
         held.append(block)
     assert len(held[-1]) == 41 % rows
-    assert np.array(sum(held, [])).tobytes() == full.states.tobytes()
+    assert np.array(sum(held, [])).tobytes() == full.tobytes()
     assert ends.states.shape == (2, c0.size)
-    assert ends.states.tobytes() == full.states[[0, -1]].tobytes()
-    for name in fields:
-        assert getattr(ends, name).tobytes() == getattr(full, name).tobytes()
+    assert ends.states.tobytes() == full[[0, -1]].tobytes()
+    for name, column in zip(fields, _observables(ctx, 0.5, full), strict=True):
+        assert getattr(ends, name).tobytes() == column.tobytes()
 
 def test_integrate_reality_column_sees_a_non_real_step():
     """exp(i t) c0 leaves the real symbols at t = pi/2 and is real at t = pi."""
@@ -791,15 +806,14 @@ def _traced_peak(run):
 
 @pytest.mark.parametrize("method", ("rk4", "expm"))
 def test_integrate_streaming_peak_does_not_grow_with_the_step_count(method):
-    """Without kept states, the peak of a run of 1000 steps exceeds that of
-    100 steps by less than its longer times and observables, 7 doubles a
-    step, and half a state of interpreter noise; each kept state would add
-    16 B x (2S+1)^2 = 1936 B more."""
+    """The peak of a run of 1000 steps exceeds that of 100 steps by less than
+    its longer times and observables, 7 doubles a step, and half a state of
+    interpreter noise; each kept state would add 16 B x (2S+1)^2 = 1936 B more."""
     ctx, gen, c0 = _dissipative_case(10, 0.5)
 
     def run(steps):
         return dyn.integrate(gen, c0, steps * 0.01, 0.01, method, ctx=ctx, sigma=0.5,
-                             kind="symbol", keep_states=False)
+                             kind="symbol")
 
     run(1)  # warms the caches
     (short, peak_100), (long, peak_1000) = _traced_peak(lambda: run(100)), \
@@ -810,17 +824,17 @@ def test_integrate_streaming_peak_does_not_grow_with_the_step_count(method):
 
 @pytest.mark.parametrize("method", ("rk4", "expm"))
 def test_integrate_keeps_states_without_a_second_copy(method):
-    """Kept states are written straight into the returned array: no per-step
-    arrays are joined at the end."""
+    """States that lockstep hands out can be written straight into one array:
+    lockstep holds only the current state, so there is no second copy."""
     _, gen, c0 = _dissipative_case(10, 0.5)
-    res, peak = _traced_peak(lambda: dyn.integrate(gen, c0, 10.0, 0.01, method))
-    assert res.states.shape == (1001, c0.size)
-    assert peak < 1.25 * res.states.nbytes
+    states, peak = _traced_peak(lambda: _every_state(gen, c0, 10.0, 0.01, method))
+    assert states.shape == (1001, c0.size)
+    assert peak < 1.25 * states.nbytes
 
 
 def test_lockstep_states_are_the_integrated_states():
-    """lockstep hands out, at each step, every system's state as integrate
-    computes it, bit for bit."""
+    """lockstep hands out, at each step, every system's state as a lockstep of
+    that system alone computes it, bit for bit, from and to integrate's ends."""
     ctx = SpinContext(2)
     gen = dyn.qfp_generator([(-1.0, (3,))], dyn.BathSpec(((1.0, (1,)),), 0.1, 1.0), 0.5, ctx)
     rho0 = dyn.coherent_state(ctx, 0.9, 0.2)
@@ -828,7 +842,10 @@ def test_lockstep_states_are_the_integrated_states():
                                   bopp.expression_to_matrix([(1.0, (1,))], ctx), 0.1, 1.0)
     y0s = [dyn.vec_density(rho0), swt.operator_to_symbol(rho0, 0.5, ctx)]
     for method in ("rk4", "expm"):
-        whole = [dyn.integrate(g, y, 1.0, 0.1, method).states for g, y in zip([liou, gen], y0s)]
+        whole = [_every_state(g, y, 1.0, 0.1, method) for g, y in zip([liou, gen], y0s)]
+        for g, y, kept in zip([liou, gen], y0s, whole):
+            ends = dyn.integrate(g, y, 1.0, 0.1, method).states
+            assert np.array_equal(ends, kept[[0, -1]])
         times, states = dyn.lockstep([liou, gen], y0s, 1.0, 0.1, method)
         assert np.array_equal(times, dyn.integrate(gen, y0s[1], 1.0, 0.1, method).times)
         steps = 0
@@ -887,10 +904,10 @@ def test_integrate_expm_matches_expm_multiply(twice_s, sigma):
     gen = dyn.qfp_generator([(-1.0, (3,))], dyn.BathSpec(((1.0, (1,)),), 0.1, 1.0),
                             sigma, ctx)
     c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 1.1, 0.3), sigma, ctx)
-    res = dyn.integrate(gen, c0, 20.0, 0.05, "expm")
+    states = _every_state(gen, c0, 20.0, 0.05)
     want = expm_multiply(gen, c0, start=0.0, stop=20.0, num=401, endpoint=True)
-    assert res.states.shape == want.shape == (401, c0.size)
-    assert np.max(np.abs(res.states - want)) <= 1e-13 * np.max(np.abs(want))
+    assert states.shape == want.shape == (401, c0.size)
+    assert np.max(np.abs(states - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_taylor_parameters_come_once_from_the_exact_one_norm(monkeypatch):
