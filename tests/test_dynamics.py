@@ -679,6 +679,27 @@ def test_integrate_flags_overflow_step_in_a_later_block():
     assert 1 < k < 100
 
 
+def test_integrate_streaming_flags_overflow_step_in_a_later_block():
+    """Streaming one system through lockstep, every state before the overflow
+    is yielded, and the overflow is named by its step with the same message
+    as integrate: step 8/10 under expm at rate 1000, step k > 1 under rk4."""
+    cases = [(1e3 * sp.identity(3, dtype=complex, format="csr"), np.ones(3, dtype=complex),
+              1.0, 0.1, "expm"),
+             (np.array([[500.0]]), np.array([1.0 + 0j]), 100.0, 1.0, "rk4")]
+    for gen, y0, t_end, dt, method in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError) as alone:
+                dyn.integrate(gen, y0, t_end, dt, method)
+            yielded = []
+            with pytest.raises(RuntimeError) as streamed:
+                for (y,) in dyn.lockstep([gen], [y0], t_end, dt, method)[1]:
+                    yielded.append(y)
+        assert str(streamed.value) == str(alone.value)
+        assert f"(step {len(yielded)}/" in str(streamed.value)
+        assert 1 < len(yielded) and all(np.all(np.isfinite(y)) for y in yielded)
+        assert method == "rk4" or len(yielded) == 8
+
+
 @pytest.mark.parametrize("method, rate, t_end, dt", [("expm", 1e3, 1.0, 0.1),
                                                      ("rk4", 5e2, 100.0, 1.0)],
                          ids=["expm", "rk4"])
