@@ -290,10 +290,10 @@ def _cmd_compare(cfg, paths, tolerance):
     liou = dynamics.master_liouvillian(bopp.expression_to_matrix(h_expr, ctx),
                                        bopp.expression_to_matrix(bath.coupling, ctx),
                                        bath.gamma, bath.temperature)
-    times, states = dynamics.lockstep([liou, gen], [dynamics.vec_density(rho0), c0],
-                                      t_end, dt, "expm")
+    times, rhos = dynamics.lockstep(liou, dynamics.vec_density(rho0), t_end, dt, "expm")
+    _, cs = dynamics.lockstep(gen, c0, t_end, dt, "expm")
     devs = np.empty(times.size)
-    for k, (rho, c) in enumerate(states):  # the two routes, step by step
+    for k, (rho, c) in enumerate(zip(rhos, cs)):  # the two routes, step by step
         # read at sigma = 0, an operator error in the orthonormal T_lm basis
         # (see dynamics._symbol_observables)
         devs[k] = np.max(np.abs(

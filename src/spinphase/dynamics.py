@@ -194,12 +194,12 @@ def coherent_state(ctx, theta0, phi0):
 class EvolutionResult:
     times: np.ndarray
     states: np.ndarray
-    s1: np.ndarray = None
-    s2: np.ndarray = None
-    s3: np.ndarray = None
-    trace: np.ndarray = None
-    purity: np.ndarray = None
-    reality: np.ndarray = None
+    s1: np.ndarray
+    s2: np.ndarray
+    s3: np.ndarray
+    trace: np.ndarray
+    purity: np.ndarray
+    reality: np.ndarray
 
 
 # the most steps one time grid, or Taylor substeps one step, may have: a larger
@@ -223,65 +223,59 @@ def time_steps(t_end, dt):
     return n_steps, t_end / n_steps
 
 
-def integrate(gen, y0, t_end, dt, method="expm", ctx=None, sigma=None, kind=None):
-    """Propagate dy/dt = G y on the uniform grid of time_steps(t_end, dt).
+def integrate(gen, y0, t_end, dt, method, ctx, sigma, kind="symbol"):
+    """Propagate the symbol state c of ctx under dy/dt = G y on the uniform grid
+    of time_steps(t_end, dt), observing at every step its spin observables,
+    trace, purity and reality residual max|P conj(c0) - c0|, with
+    c0 = switch_ordering(c, sigma, 0).  dt is adjusted to divide t_end evenly.
 
-    dt is adjusted to divide t_end evenly.  `states` holds two rows, y0 and
-    the final state, so memory does not grow with the step count; lockstep
-    hands out every state.  "expm", the default and the CLI's only method,
-    applies exp(G dt) as the truncated Taylor series of _taylor_step on the
-    sparse G, with no dense n x n matrix, no random numbers and no size limit.
-    "rk4" is classical Runge-Kutta, inexact at any dt; it stays for the
-    benchmark's rk4 sweep and goes with ROADMAP direction 11.  kind "symbol"
-    attaches, at every step, the spin observables, trace, purity and reality
-    residual max|P conj(c0) - c0| of symbol states c, with
-    c0 = switch_ordering(c, sigma, 0) (needs ctx and sigma, and a y0 of length
-    ctx.symbol_dim).  A non-finite y0 is refused; a non-finite state aborts,
-    naming its step.
+    `states` holds two rows, y0 and the final state, so memory does not grow
+    with the step count; lockstep hands out every state.  "expm", the CLI's
+    only method, applies exp(G dt) as the truncated Taylor series of
+    _taylor_step on the sparse G, with no dense n x n matrix, no random
+    numbers and no size limit.  "rk4" is classical Runge-Kutta, inexact at
+    any dt; it stays for the benchmark's rk4 sweep and goes with ROADMAP
+    direction 11.  kind takes only "symbol", the keyword the benchmark
+    passes, until ROADMAP direction 1b.  A y0 not finite or not of length
+    ctx.symbol_dim is refused; a non-finite state aborts, naming its step.
     """
-    if kind not in (None, "symbol"):
-        raise ValueError(f"unknown kind {kind!r}")
-    if kind and (ctx is None or sigma is None):
-        raise ValueError("symbol observables need ctx and sigma")
-    if kind and np.size(y0) != ctx.symbol_dim:
+    if kind != "symbol":
+        raise ValueError(f'unknown kind {kind!r}: integrate takes only "symbol"')
+    if np.size(y0) != ctx.symbol_dim:
         raise ValueError(f"y0 has {np.size(y0)} coefficients, but ctx (2S = {ctx.twice_s}) "
                          f"has symbol_dim {ctx.symbol_dim}")
-    times, states = lockstep([gen], [y0], t_end, dt, method)
-    observe = kind and _symbol_observables(ctx, sigma)
-    obs = np.empty((times.size, 6)) if observe else None
-    for k, (y,) in enumerate(states):
-        if observe:
-            observe(y, obs[k])
-    return EvolutionResult(times, np.array([y0, y], dtype=complex), *(obs.T if observe else ()))
+    times, states = lockstep(gen, y0, t_end, dt, method)
+    observe, obs = _symbol_observables(ctx, sigma), np.empty((times.size, 6))
+    for y, row in zip(states, obs):
+        observe(y, row)
+    return EvolutionResult(times, np.array([y0, y], dtype=complex), *obs.T)
 
 
-def lockstep(gens, y0s, t_end, dt, method="expm"):
-    """(times, states): each y0, refused unless finite, propagated under its
-    generator (one per y0, and at least one) with method as in integrate on the
-    grid of time_steps(t_end, dt), states yielding at each step k = 0..n_steps
-    the list of every system's state at times[k], holding only the current ones."""
+def lockstep(gen, y0, t_end, dt, method="expm"):
+    """(times, states): y0, refused unless finite, propagated under gen with
+    method ("expm", the default, or "rk4") as in integrate on the grid of
+    time_steps(t_end, dt), states yielding the state at times[k] at each step
+    k = 0..n_steps and holding only the current one.  Streams zipped together
+    step their systems in lockstep."""
     n_steps, dt_used = time_steps(t_end, dt)
     if method not in ("rk4", "expm"):
         raise ValueError(f"unknown method {method!r}")
-    if not gens or len(gens) != len(y0s):  # zip would drop unpaired systems silently
-        raise ValueError(f"{len(gens)} generators for {len(y0s)} initial states: lockstep "
-                         "takes one generator per initial state, and at least one")
-    ys = [np.asarray(y, dtype=complex) for y in y0s]
-    if not all(np.all(np.isfinite(y)) for y in ys):
+    y = np.asarray(y0, dtype=complex)
+    if not np.all(np.isfinite(y)):
         raise ValueError("non-finite initial state y0 at t = 0, before the first step")
-    steps = [(_rk4_step if method == "rk4" else _taylor_step)(gen, dt_used) for gen in gens]
+    step = (_rk4_step if method == "rk4" else _taylor_step)(gen, dt_used)
 
-    def states(ys):
-        yield ys
+    def states(y):
+        yield y
         for k in range(1, n_steps + 1):
             with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-                ys = [step(y) for step, y in zip(steps, ys)]
-            if not all(np.all(np.isfinite(y.view(float))) for y in ys):
+                y = step(y)
+            if not np.all(np.isfinite(y.view(float))):
                 raise RuntimeError(f"non-finite state at t = {k * dt_used:.6g} "
                                    f"(step {k}/{n_steps}, dt = {dt_used:.6g})")
-            yield ys
+            yield y
 
-    return dt_used * np.arange(n_steps + 1), states(ys)
+    return dt_used * np.arange(n_steps + 1), states(y)
 
 
 def _rk4_step(gen, dt_used):
@@ -414,6 +408,7 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None)
                          f"got {list(twice_s_values)}")
     if not is_integer(l_test):
         raise ValueError(f"l_test must be an integer, got {l_test!r}")
+    l_test = int(l_test)  # numpy indexes with 3, not with 3.0
     if l_test < 0:
         raise ValueError(f"l_test must be >= 0, got {l_test}")
     if l_test == 0 and mode != "asymptotics":

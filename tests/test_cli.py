@@ -354,8 +354,8 @@ def test_gates_fail_on_nan_measurements(tmp_path, monkeypatch):
 
     def nan_final_states(*args, **kwargs):  # read by compare
         times, states = lockstep(*args, **kwargs)
-        return times, (ys if k < times.size - 1 else [np.full_like(y, np.nan) for y in ys]
-                       for k, ys in enumerate(states))
+        return times, (y if k < times.size - 1 else np.full_like(y, np.nan)
+                       for k, y in enumerate(states))
 
     monkeypatch.setattr(cli.dynamics, "integrate", nan_final_reality)
     monkeypatch.setattr(cli.dynamics, "lockstep", nan_final_states)
@@ -404,6 +404,31 @@ def test_compare_agrees_and_honors_tolerance(tmp_path, capsys):
     tight = _write(tmp_path, "tight.json", dict(cfg, tolerance=1e-30))
     rc = cli.main(["compare", "--config", tight, "--out", str(tmp_path / "o2")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("route", ["qfp_generator", "master_liouvillian"])
+def test_compare_names_the_first_step_at_which_either_route_overflows(tmp_path, capsys,
+                                                                       monkeypatch, route):
+    """The symbol route or the oracle under 1e3 I overflows at step 8/10; the
+    route that stays finite does not move the step named, in either order,
+    and nothing is written."""
+    if route == "qfp_generator":
+        monkeypatch.setattr(cli.dynamics, route, lambda h, bath, sigma, ctx:
+                            1e3 * sp.identity(ctx.symbol_dim, dtype=complex, format="csr"))
+    else:
+        monkeypatch.setattr(cli.dynamics, route, lambda h, f, gamma, temperature:
+                            1e3 * sp.identity(h.shape[0] ** 2, dtype=complex, format="csr"))
+    cfg = {"spin": {"twice_s": 2}, "hamiltonian": {"expression": [[-1.0, [3]]]},
+           "bath": {"coupling": [[1.0, [1]]], "gamma": 0.1, "temperature": 1.0},
+           "initial": {"coherent": {"theta": 0.9, "phi": 0.0}},
+           "time": {"t_end": 1.0, "dt": 0.1}}
+    out = tmp_path / "o"
+    assert cli.main(["compare", "--config", _write(tmp_path, "cmp.json", cfg),
+                     "--out", str(out)]) == 3
+    assert ("numerical failure: non-finite state at t = 0.8 (step 8/10, dt = 0.1)"
+            in capsys.readouterr().err)
+    assert not (out / "compare.csv").exists()
+    assert not (out / "resolved_config.json").exists()
 
 
 def test_compare_integrates_with_the_configured_method(tmp_path, capsys, monkeypatch):

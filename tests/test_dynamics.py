@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -338,16 +339,16 @@ def test_classical_generators_refuse_a_bad_band_limit(band_limit):
 
 @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
 def test_non_finite_initial_state_is_refused_before_the_first_step(bad):
-    """A non-finite y0 is named as the initial state when lockstep is called,
-    not reported as a non-finite state at step 1."""
-    gen = sp.identity(3, dtype=complex, format="csr")
-    y0 = np.array([1.0, bad, 0.0], dtype=complex)
+    """A non-finite y0 is named as the initial state when lockstep or
+    integrate is called, not reported as a non-finite state at step 1."""
+    gen = sp.identity(4, dtype=complex, format="csr")
+    y0 = np.array([1.0, bad, 0.0, 0.0], dtype=complex)
     message = r"non-finite initial state y0 at t = 0"
     for method in ("rk4", "expm"):
         with pytest.raises(ValueError, match=message):
-            dyn.integrate(gen, y0, 1.0, 0.1, method)
+            dyn.integrate(gen, y0, 1.0, 0.1, method, SpinContext(1), 0.0)
         with pytest.raises(ValueError, match=message):  # on the call, before any step
-            dyn.lockstep([gen, gen], [np.ones(3), y0], 1.0, 0.1, method)
+            dyn.lockstep(gen, y0, 1.0, 0.1, method)
 
 
 @pytest.mark.parametrize("coeff", [math.nan, math.inf, complex(0.0, -math.inf)])
@@ -540,12 +541,18 @@ def test_integrate_refuses_a_state_of_another_spin_than_ctx_before_stepping(
 
 
 def test_integrate_refuses_density_observables():
-    with pytest.raises(ValueError, match="unknown kind"):
-        dyn.integrate(np.zeros((4, 4)), np.eye(2).ravel(), 1.0, 0.5, "expm",
-                      ctx=SpinContext(1), kind="density")
-    for ctx, sigma in ((None, 0.0), (SpinContext(1), None)):
-        with pytest.raises(ValueError, match="symbol observables need ctx and sigma"):
-            dyn.integrate(np.zeros((4, 4)), np.zeros(4), 1.0, 0.5, "expm", ctx, sigma, "symbol")
+    """integrate observes symbol states only: a kind other than "symbol", None
+    included, is refused, and so is a call without ctx or sigma."""
+    gen, c0 = np.zeros((4, 4)), np.zeros(4)
+    for kind in ("density", None):
+        with pytest.raises(ValueError, match=re.escape(
+                f'unknown kind {kind!r}: integrate takes only "symbol"')):
+            dyn.integrate(gen, c0, 1.0, 0.5, "expm", SpinContext(1), 0.0, kind)
+    with pytest.raises(TypeError, match="missing 2 required positional arguments: 'ctx' "
+                                        "and 'sigma'"):
+        dyn.integrate(gen, c0, 1.0, 0.5, "expm")
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'sigma'"):
+        dyn.integrate(gen, c0, 1.0, 0.5, "expm", ctx=SpinContext(1), kind="symbol")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -553,7 +560,7 @@ def test_integrate_refuses_density_observables():
 def test_integrate_flags_divergence_with_time_stamp():
     gen = np.array([[500.0]])
     with pytest.raises(RuntimeError, match="t ="):
-        dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
+        _every_state(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
 
 
 def _dissipative_case(twice_s, sigma):
@@ -567,9 +574,9 @@ def _dissipative_case(twice_s, sigma):
 def _every_state(gen, y0, t_end, dt, method="expm"):
     """Every state lockstep hands out for one system, each written into one
     array as it comes."""
-    times, states = dyn.lockstep([gen], [y0], t_end, dt, method)
+    times, states = dyn.lockstep(gen, y0, t_end, dt, method)
     out = np.empty((times.size, np.size(y0)), dtype=complex)
-    for k, (y,) in enumerate(states):
+    for k, y in enumerate(states):
         out[k] = y
     return out
 
@@ -583,10 +590,10 @@ def _observables(ctx, sigma, states):
     return obs.T
 
 
-@pytest.mark.parametrize("kind", (None, "symbol"))
+@pytest.mark.parametrize("kind", ("symbol",))
 @pytest.mark.parametrize("method", ("rk4", "expm"))
 def test_integrate_states_are_the_initial_and_the_final_state(method, kind):
-    """integrate keeps two states, y0 and the last, with observables or without."""
+    """integrate keeps two states, y0 and the last, beside its observables."""
     ctx, gen, c0 = _dissipative_case(5, 0.5)
     res = dyn.integrate(gen, c0, 1.0, 0.05, method, ctx=ctx, sigma=0.5, kind=kind)
     assert res.states.shape[0] == 2
@@ -596,57 +603,31 @@ def test_integrate_states_are_the_initial_and_the_final_state(method, kind):
 @pytest.mark.parametrize("twice_s", (2, 5, 6))
 @pytest.mark.parametrize("sigma", (-1.0, 0.0, 0.5, 1.0))
 def test_integrate_expm_matches_dense_exponential(twice_s, sigma):
-    """Every state equals expm(G t_k) c0, computed densely and step by step."""
-    _, gen, c0 = _dissipative_case(twice_s, sigma)
-    res = dyn.integrate(gen, c0, 2.0, 0.25, "expm")
-    states = _every_state(gen, c0, 2.0, 0.25)
-    assert states.shape == (9, c0.size)
-    np.testing.assert_allclose(res.times, 0.25 * np.arange(9), atol=1e-15)
+    """Streamed by lockstep one step at a time at dt 0.25 and 0.2, each state
+    starts from the one before and still equals expm(G t_k) c0, computed
+    densely; integrate keeps the same grid and ends on the last of them."""
+    ctx, gen, c0 = _dissipative_case(twice_s, sigma)
     dense = gen.toarray()
-    for t, state in zip(res.times, states):
-        np.testing.assert_allclose(state, la.expm(dense * t) @ c0, rtol=0,
-                                   atol=1e-13)
-
-
-@pytest.mark.parametrize("twice_s", (2, 5, 6))
-@pytest.mark.parametrize("sigma", (-1.0, 0.5))
-def test_integrate_expm_blocks_match_dense_exponential(twice_s, sigma):
-    """Streamed by lockstep one step at a time, each state starts from the one
-    before and still equals expm(G t_k) c0; integrate ends on the last of them."""
-    _, gen, c0 = _dissipative_case(twice_s, sigma)
-    times, states = dyn.lockstep([gen], [c0], 2.0, 0.2, "expm")
-    assert times.size == 11
-    dense = gen.toarray()
-    for t, (state,) in zip(times, states, strict=True):
-        np.testing.assert_allclose(state, la.expm(dense * t) @ c0, rtol=0, atol=1e-13)
-    ends = dyn.integrate(gen, c0, 2.0, 0.2, "expm")
-    assert ends.states[-1].tobytes() == state.tobytes()
+    for dt, n_steps in ((0.25, 8), (0.2, 10)):
+        times, states = dyn.lockstep(gen, c0, 2.0, dt, "expm")
+        np.testing.assert_allclose(times, dt * np.arange(n_steps + 1), atol=1e-15)
+        for t, state in zip(times, states, strict=True):
+            np.testing.assert_allclose(state, la.expm(dense * t) @ c0, rtol=0, atol=1e-13)
+        ends = dyn.integrate(gen, c0, 2.0, dt, "expm", ctx, sigma)
+        assert ends.times.tobytes() == times.tobytes()
+        assert ends.states[-1].tobytes() == state.tobytes()
 
 
 def test_integrate_expm_ignores_global_rng_state():
-    """The expm step draws no random numbers: the states do not depend on
-    the caller's global RNG stream and leave it untouched."""
-    _, gen, c0 = _dissipative_case(10, 0.5)
+    """The expm step draws no random numbers: the states, streamed by lockstep
+    or kept at the ends by integrate, do not depend on the caller's global RNG
+    stream and leave it untouched."""
+    ctx, gen, c0 = _dissipative_case(10, 0.5)
     outputs = []
     for seed in (0, 12345):
         np.random.seed(seed)
-        outputs.append(_every_state(gen, c0, 4.0, 0.05).tobytes())
-        after = np.random.random()
-        np.random.seed(seed)
-        assert after == np.random.random()
-    assert outputs[0] == outputs[1]
-
-
-def test_integrate_expm_blocks_keep_the_global_rng_stream():
-    """Streamed one step at a time, by integrate or by lockstep, the expm
-    states neither depend on nor move the caller's global RNG stream."""
-    _, gen, c0 = _dissipative_case(10, 0.5)
-    outputs = []
-    for seed in (0, 12345):
-        np.random.seed(seed)
-        ends = dyn.integrate(gen, c0, 4.0, 0.05, "expm").states
-        streamed = np.array([y for (y,) in dyn.lockstep([gen], [c0], 4.0, 0.05, "expm")[1]])
-        outputs.append(ends.tobytes() + streamed.tobytes())
+        ends = dyn.integrate(gen, c0, 4.0, 0.05, "expm", ctx, 0.5).states
+        outputs.append(ends.tobytes() + _every_state(gen, c0, 4.0, 0.05).tobytes())
         after = np.random.random()
         np.random.seed(seed)
         assert after == np.random.random()
@@ -657,25 +638,25 @@ def test_integrate_expm_flags_overflow_step():
     gen = 1e3 * sp.identity(3, dtype=complex, format="csr")
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(RuntimeError, match=r"step 8/10"):
-            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
+            _every_state(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
 
 
 def test_integrate_flags_overflow_step_in_a_later_block():
     """exp(1000 t) overflows at step 8/10 under expm.  Under rk4 at rate 500
-    and dt 1, integrate names step k > 1, the first at which a loop of the
+    and dt 1, lockstep names step k > 1, the first at which a loop of the
     same stepper from y0 leaves the finite doubles: the overflow is named by
     its step, however many steps came before it."""
     gen = 1e3 * sp.identity(3, dtype=complex, format="csr")
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(RuntimeError, match=r"step 8/10"):
-            dyn.integrate(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
+            _every_state(gen, np.ones(3, dtype=complex), 1.0, 0.1, "expm")
     gen, y = np.array([[500.0]]), np.array([1.0 + 0j])
     step, k = dyn._rk4_step(gen, 1.0), 0
     with np.errstate(over="ignore", invalid="ignore"):
         while np.all(np.isfinite(y)):
             y, k = step(y), k + 1
         with pytest.raises(RuntimeError, match=rf"\(step {k}/100, dt = 1\)$"):
-            dyn.integrate(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
+            _every_state(gen, np.array([1.0 + 0j]), 100.0, 1.0, "rk4")
     assert 1 < k < 100
 
 
@@ -683,40 +664,20 @@ def test_integrate_streaming_flags_overflow_step_in_a_later_block():
     """Streaming one system through lockstep, every state before the overflow
     is yielded, and the overflow is named by its step with the same message
     as integrate: step 8/10 under expm at rate 1000, step k > 1 under rk4."""
-    cases = [(1e3 * sp.identity(3, dtype=complex, format="csr"), np.ones(3, dtype=complex),
-              1.0, 0.1, "expm"),
-             (np.array([[500.0]]), np.array([1.0 + 0j]), 100.0, 1.0, "rk4")]
-    for gen, y0, t_end, dt, method in cases:
+    eye, y0 = sp.identity(4, dtype=complex, format="csr"), np.ones(4, dtype=complex)
+    for rate, t_end, dt, method in ((1e3, 1.0, 0.1, "expm"), (5e2, 100.0, 1.0, "rk4")):
+        gen = rate * eye
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError) as alone:
-                dyn.integrate(gen, y0, t_end, dt, method)
+                dyn.integrate(gen, y0, t_end, dt, method, SpinContext(1), 0.0)
             yielded = []
             with pytest.raises(RuntimeError) as streamed:
-                for (y,) in dyn.lockstep([gen], [y0], t_end, dt, method)[1]:
+                for y in dyn.lockstep(gen, y0, t_end, dt, method)[1]:
                     yielded.append(y)
         assert str(streamed.value) == str(alone.value)
         assert f"(step {len(yielded)}/" in str(streamed.value)
         assert 1 < len(yielded) and all(np.all(np.isfinite(y)) for y in yielded)
         assert method == "rk4" or len(yielded) == 8
-
-
-@pytest.mark.parametrize("method, rate, t_end, dt", [("expm", 1e3, 1.0, 0.1),
-                                                     ("rk4", 5e2, 100.0, 1.0)],
-                         ids=["expm", "rk4"])
-def test_lockstep_names_the_first_step_at_which_any_system_overflows(method, rate, t_end, dt):
-    """A system that stays finite does not move the step that names the
-    overflow of the other, in either order: exp(1000 t) overflows at step 8."""
-    slow = sp.identity(3, dtype=complex, format="csr")
-    y0 = np.ones(3, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match="non-finite state at t =") as alone:
-            dyn.integrate(rate * slow, y0, t_end, dt, method)
-        for gens in ([slow, rate * slow], [rate * slow, slow]):
-            with pytest.raises(RuntimeError) as paired:
-                for _ in dyn.lockstep(gens, [y0, y0], t_end, dt, method)[1]:
-                    pass
-            assert str(paired.value) == str(alone.value)
-    assert method == "rk4" or "step 8/10" in str(alone.value)
 
 
 @pytest.mark.parametrize("sigma", [-1.0, -0.5, 0.0, 1.0])
@@ -750,7 +711,7 @@ def test_integrate_without_states_keeps_the_ends_and_observables(method):
     ctx, gen, c0 = _dissipative_case(5, 1.0)
     fields = ("s1", "s2", "s3", "trace", "purity", "reality")
     ends = dyn.integrate(gen, c0, 1.0, 0.05, method, ctx=ctx, sigma=1.0, kind="symbol")
-    times, _ = dyn.lockstep([gen], [c0], 1.0, 0.05, method)
+    times, _ = dyn.lockstep(gen, c0, 1.0, 0.05, method)
     full = _every_state(gen, c0, 1.0, 0.05, method)
     assert ends.times.tobytes() == times.tobytes()
     assert ends.states.shape == (2, c0.size)
@@ -796,8 +757,8 @@ def test_integrate_streaming_with_a_partial_last_block_matches_one_buffer(method
     full = _every_state(gen, c0, 2.0, 0.05, method)
     ends = dyn.integrate(gen, c0, 2.0, 0.05, method, ctx=ctx, sigma=0.5, kind="symbol")
     assert len(ends.times) == len(full) == 41 and 41 % rows
-    stream, held = dyn.lockstep([gen], [c0], 2.0, 0.05, method)[1], []
-    while block := [y for (y,) in itertools.islice(stream, rows)]:
+    stream, held = dyn.lockstep(gen, c0, 2.0, 0.05, method)[1], []
+    while block := list(itertools.islice(stream, rows)):
         held.append(block)
     assert len(held[-1]) == 41 % rows
     assert np.array(sum(held, [])).tobytes() == full.tobytes()
@@ -854,8 +815,9 @@ def test_integrate_keeps_states_without_a_second_copy(method):
 
 
 def test_lockstep_states_are_the_integrated_states():
-    """lockstep hands out, at each step, every system's state as a lockstep of
-    that system alone computes it, bit for bit, from and to integrate's ends."""
+    """Two lockstep streams zipped, as compare steps the oracle and the symbol
+    route, hand out at each step the state each stream computes alone, bit
+    for bit, from and to integrate's ends."""
     ctx = SpinContext(2)
     gen = dyn.qfp_generator([(-1.0, (3,))], dyn.BathSpec(((1.0, (1,)),), 0.1, 1.0), 0.5, ctx)
     rho0 = dyn.coherent_state(ctx, 0.9, 0.2)
@@ -864,34 +826,17 @@ def test_lockstep_states_are_the_integrated_states():
     y0s = [dyn.vec_density(rho0), swt.operator_to_symbol(rho0, 0.5, ctx)]
     for method in ("rk4", "expm"):
         whole = [_every_state(g, y, 1.0, 0.1, method) for g, y in zip([liou, gen], y0s)]
-        for g, y, kept in zip([liou, gen], y0s, whole):
-            ends = dyn.integrate(g, y, 1.0, 0.1, method).states
-            assert np.array_equal(ends, kept[[0, -1]])
-        times, states = dyn.lockstep([liou, gen], y0s, 1.0, 0.1, method)
-        assert np.array_equal(times, dyn.integrate(gen, y0s[1], 1.0, 0.1, method).times)
+        ends = dyn.integrate(gen, y0s[1], 1.0, 0.1, method, ctx, 0.5)
+        assert np.array_equal(ends.states, whole[1][[0, -1]])
+        (times, rhos), (_, cs) = (dyn.lockstep(g, y, 1.0, 0.1, method)
+                                  for g, y in zip([liou, gen], y0s))
+        assert np.array_equal(times, ends.times)
         steps = 0
-        for k, ys in enumerate(states):
-            assert len(ys) == 2
-            for kept, y in zip(whole, ys):
+        for k, ys in enumerate(zip(rhos, cs)):
+            for kept, y in zip(whole, ys, strict=True):
                 assert np.array_equal(kept[k], y)
             steps += 1
         assert steps == 11
-
-
-@pytest.mark.parametrize("n_gens, n_y0s", [(2, 1), (1, 2), (0, 1), (0, 0)])
-def test_lockstep_refuses_unequal_generators_and_states(monkeypatch, n_gens, n_y0s):
-    """zip would drop the unpaired systems silently, and no system at all
-    would stream empty lists; the call is refused before any stepper is built."""
-    def no_stepper(*args):
-        raise AssertionError("a stepper was built")
-
-    monkeypatch.setattr(dyn, "_taylor_step", no_stepper)
-    monkeypatch.setattr(dyn, "_rk4_step", no_stepper)
-    gen = sp.identity(3, dtype=complex, format="csr")
-    with pytest.raises(ValueError, match=f"{n_gens} generators for {n_y0s} initial states: "
-                                         "lockstep takes one generator per initial state, "
-                                         "and at least one"):
-        dyn.lockstep([gen] * n_gens, [np.ones(3)] * n_y0s, 1.0, 0.5, "expm")
 
 
 @pytest.mark.parametrize("t_end, dt", [(math.inf, 0.1), (math.nan, 0.1),
@@ -964,7 +909,7 @@ def test_taylor_step_refuses_more_substeps_than_max_steps():
                                            r"Taylor substeps, above MAX_STEPS = 10000000"):
         dyn._taylor_step(gen, 0.5)
     with pytest.raises(RuntimeError, match=r"needs s = 2\.0202e\+299 Taylor substeps"):
-        dyn.lockstep([gen], [np.ones(25)], 1.0, 0.5, "expm")  # on the call, before any step
+        dyn.lockstep(gen, np.ones(25), 1.0, 0.5, "expm")  # on the call, before any step
     assert callable(dyn._taylor_step(gen * 1e-293, 0.5))
 
 
@@ -990,9 +935,9 @@ def test_integrate_rejects_bad_method_and_steps():
     gen = dyn.qfp_generator([(-1.0, (3,))], None, 0.0, ctx)
     c0 = np.zeros(ctx.symbol_dim, dtype=complex)
     with pytest.raises(ValueError):
-        dyn.integrate(gen, c0, 1.0, 0.1, "euler")
+        dyn.integrate(gen, c0, 1.0, 0.1, "euler", ctx, 0.0)
     with pytest.raises(ValueError):
-        dyn.integrate(gen, c0, -1.0, 0.1, "rk4")
+        dyn.integrate(gen, c0, -1.0, 0.1, "rk4", ctx, 0.0)
 
 
 def test_evolve_trajectory_csv_layout(tmp_path):
@@ -1089,6 +1034,19 @@ def test_scan_refuses_a_non_integer_spin_or_l_test_by_name(twice_s_values, l_tes
     and a fractional or boolean l_test by name, not by numpy's IndexError."""
     with pytest.raises(ValueError, match=message):
         dyn.classical_limit_scan("asymptotics", twice_s_values, 0.0, l_test)
+
+
+@pytest.mark.parametrize("mode", ["bilinear", "asymptotics"])
+def test_scan_takes_an_integral_float_l_test_as_its_int(mode):
+    """l_test 3.0 passes the integer check and scans as 3, bit for bit, not
+    into numpy's refusal of a float index (asymptotics) or slice bound
+    (bilinear)."""
+    model = _SCAN_MODEL if mode == "bilinear" else {}
+    want, got = (dyn.classical_limit_scan(mode, [10, 20], 0.0, l_test, **model)
+                 for l_test in (3, 3.0))
+    for key in ("s_values", "deviations"):
+        assert got[key].tobytes() == want[key].tobytes()
+    assert math.isfinite(want["slope"]) and got["slope"] == want["slope"]
 
 
 @pytest.mark.parametrize("key", ["h", "bath"])
