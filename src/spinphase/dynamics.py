@@ -236,9 +236,12 @@ def integrate(gen, y0, t_end, dt, method, ctx, sigma, kind="symbol"):
     numbers and no size limit.  "rk4" is classical Runge-Kutta, inexact at
     any dt; it stays for the benchmark's rk4 sweep and goes with ROADMAP
     direction 11.  kind takes only "symbol", the keyword the benchmark
-    passes, until ROADMAP direction 1b.  A y0 not finite or not of length
-    ctx.symbol_dim is refused; a non-finite state aborts, naming its step.
+    passes, until ROADMAP direction 1b.  A ctx or sigma of None, and a y0 not
+    finite or not of length ctx.symbol_dim, are refused before the first step;
+    a non-finite state aborts, naming its step.
     """
+    if ctx is None or sigma is None:
+        raise TypeError(f"integrate needs a ctx and a sigma, got ctx={ctx}, sigma={sigma}")
     if kind != "symbol":
         raise ValueError(f'unknown kind {kind!r}: integrate takes only "symbol"')
     if np.size(y0) != ctx.symbol_dim:
@@ -371,36 +374,95 @@ def _submatrix(gen, l_test):
     return gen[:n, :n].toarray()
 
 
+def _read_bilinear(h, bath):
+    wrong = [name for name, v in (("h", h), ("bath", bath)) if v is None]
+    if wrong:
+        raise ValueError(f"bilinear mode needs {', '.join(wrong)}")
+    h = bopp.validate_expression(h)
+    if any(coeff.imag for coeff, _ in h):
+        raise ValueError("the scan's h takes real coefficients only")
+    xi = np.zeros(3)
+    for coeff, word in bath.coupling:
+        if len(word) != 1 or coeff.imag:
+            raise ValueError(f"the scan's coupling must be xi.S with real xi, got the "
+                             f"term {coeff:g} on the word {word}")
+        xi[word[0] - 1] += coeff.real
+    if not any(coeff and word for coeff, word in h) and not (bath.gamma and np.any(xi)):
+        raise ValueError("a bilinear scan with a constant h and gamma xi = 0 compares "
+                         "nothing: the classical generator is zero, so the deviation is 0/0")
+    return h, bath, xi
+
+
+def _bilinear_point(ctx, sigma, l_test, model):
+    h, bath, xi = model
+    band = _block_band(h, bath.coupling, l_test, ctx)  # scaling h keeps its degree
+    # a bound on each term of c_sub, from |L_k| <= band, |m_a| <= 1 and the
+    # |coefficients| of -grad h and Lam, as _refuse_non_hermitian bounds its terms
+    grad = sum(abs(c) * len(w) for c, w in h)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a NaN point
+        h_quantum = [(c * ctx.s ** (1 - len(w)), w) for c, w in h]
+        h_classical = [(ctx.s * c, w) for c, w in h]  # at least as large as h_quantum
+        lam = ctx.s * bath.gamma * np.outer(xi, xi)
+        scale = band * (grad + bath.gamma * np.sum(np.abs(xi)) ** 2
+                        * (2 * ctx.s * grad + bath.temperature * band))
+        if not np.all(np.isfinite([scale, *lam.flat, *(c for c, _ in h_classical)])):
+            return math.nan
+        q_sub = _submatrix(qfp_generator(h_quantum, bath, sigma, ctx, band), l_test)
+        c_sub = _submatrix(classical_generators(h_classical, lam, bath.temperature, band,
+                                                ctx.s), l_test)
+        diff = q_sub - c_sub  # not finite wherever c_sub is not
+        if not np.all(np.isfinite(diff)):
+            return math.nan  # before LAPACK is handed an inf
+        if np.max(np.abs(c_sub)) <= 1e-12 * scale:
+            raise ValueError(f"a bilinear scan compares nothing at 2S = {ctx.twice_s}: the "
+                             f"classical l <= {l_test} block is zero to rounding (as for an h "
+                             "constant on the sphere at gamma xi = 0), so the deviation is 0/0")
+        return np.linalg.norm(diff, 2) / np.linalg.norm(c_sub, 2)
+
+
+def _read_asymptotics(h, bath):
+    wrong = [name for name, v in (("h", h), ("bath", bath)) if v is not None]
+    if wrong:
+        raise ValueError(f"asymptotics mode reads no {', '.join(wrong)}")
+
+
+def _asymptotics_point(ctx, sigma, l_test, model):
+    l = np.arange(l_test + 1)
+    exact = np.stack(bopp.bopp_coefficients(ctx, sigma))[:, l]
+    approx = np.stack(bopp.asymptotic_coefficients(ctx, sigma, l))
+    return np.max(np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-300))
+
+
+# per scan mode: its reader (h, bath) -> model, its point (ctx, sigma, l_test,
+# model) -> deviation, the top shells its block keeps clear of, its least l_test
+_SCAN_MODES = {"bilinear": (_read_bilinear, _bilinear_point, 2, 1),
+               "asymptotics": (_read_asymptotics, _asymptotics_point, 0, 0)}
+
+
 def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None):
     """Deviation-vs-S scan for the classical limit; returns dict with
-    s_values, deviations and the fitted log-log slope.
+    s_values, deviations and the fitted log-log slope, NaN once a deviation is
+    at rounding level (_ROUNDING).  mode names a row of _SCAN_MODES; every row
+    takes at least two distinct 2S and an integer l_test in its range, and a
+    point that is not finite is refused as an overflow (RuntimeError).
 
-    Modes:
-      "bilinear": the quantum generator against the classical Fokker-Planck
-        generator of a classical Hamiltonian h(m), a word expression with
-        real coefficients, and a BathSpec bath whose coupling F = xi.S is
-        linear with real coefficients.  A word w with coefficient c stands
-        for c S^(1 - len w) S_w on the quantum side, so H = S h(S/S), and for
-        S c m_w on the classical side, with Lam = S gamma xi xi^T.  Each point
-        compares qfp_generator with classical_generators on the l <= l_test
-        block (relative operator norm), both built at the band of
-        _block_band; the deviation decays like 1/S, and is rounding for a
-        linear h at gamma = 0, where both are the same drift.  Needs h and
-        bath, with a non-constant h or gamma xi non-zero, and refuses a point
-        whose classical block is zero to rounding, such as m1^2 + m2^2 + m3^2
-        at gamma = 0.
-      "asymptotics": relative sup deviation between the exact shell tables
-        (f1, f2) and their large-S approximations over l <= l_test.  The
-        deviation is measured relative to the exact values (f2 itself is
-        O(1/S), so its relative error is the O(1/S^2) quantity of interest).
-        Takes l_test up to min(2S), and refuses h and bath, which it does not read.
+      "bilinear" (l_test 1 to min(2S) - 2, clear of the truncated top shells):
+        the relative operator-norm deviation, on the l <= l_test block at the
+        band of _block_band, of qfp_generator for H = S h(S/S) and the bath's
+        F = xi.S from classical_generators for S h(m) and Lam = S gamma xi xi^T.
+        h(m) is a word expression with real coefficients, whose word w with
+        coefficient c is c S^(1 - len w) S_w and S c m_w, and xi is real.  The
+        deviation decays like 1/S, and is rounding for a linear h at gamma = 0.
+        A scan whose classical block is zero compares nothing and is refused.
+      "asymptotics" (l_test 0 to min(2S); reads no h or bath): the relative
+        sup deviation of the large-S shell tables (f1, f2) from the exact ones
+        over l <= l_test, which decays like 1/S^2 (f2 itself is O(1/S)).
     """
-    if mode not in ("bilinear", "asymptotics"):
-        raise ValueError(f'scan mode must be "bilinear" or "asymptotics", got {mode!r}')
-    wrong = [name for name, v in (("h", h), ("bath", bath)) if (v is None) == (mode == "bilinear")]
-    if wrong:  # bilinear reads both, asymptotics neither
-        raise ValueError(f"{mode} mode {'needs' if mode == 'bilinear' else 'reads no'} "
-                         f"{', '.join(wrong)}")
+    if mode not in _SCAN_MODES:
+        names = " or ".join(f'"{name}"' for name in _SCAN_MODES)
+        raise ValueError(f"scan mode must be {names}, got {mode!r}")
+    read, point, cut, least = _SCAN_MODES[mode]
+    model = read(h, bath)
     sigma = sw_transform.validate_sigma(sigma)
     contexts = [SpinContext(t) for t in twice_s_values]
     if len({ctx.twice_s for ctx in contexts}) < 2:  # one S fits no slope
@@ -411,59 +473,22 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None)
     l_test = int(l_test)  # numpy indexes with 3, not with 3.0
     if l_test < 0:
         raise ValueError(f"l_test must be >= 0, got {l_test}")
-    if l_test == 0 and mode != "asymptotics":
-        raise ValueError(f"scan l_test = 0 compares nothing in {mode} mode: every generator "
-                         "annihilates shell 0, so the deviation is 0/0; use l_test >= 1")
-    # a bilinear block keeps 2 shells clear of the truncated top; the exact
-    # shell tables of asymptotics end at l = 2S
-    cut = 2 if mode == "bilinear" else 0
+    if l_test < least:
+        raise ValueError(f"scan l_test = {l_test} compares nothing in {mode} mode: every "
+                         "generator annihilates shell 0, so the deviation is 0/0; "
+                         f"use l_test >= {least}")
     top = min(ctx.band_limit for ctx in contexts) - cut
     if l_test > top:
         raise ValueError(f"l_test = {l_test} exceeds min(2S)" + (
-            f" - 2 = {top}; the truncated top shells would contaminate the compared block"
+            f" - {cut} = {top}; the truncated top shells would contaminate the compared block"
             if cut else f" = {top}, the last shell of the tables"))
-    if mode == "bilinear":
-        h = bopp.validate_expression(h)
-        if any(coeff.imag for coeff, _ in h):  # before any point is computed
-            raise ValueError("the scan's h takes real coefficients only")
-        xi = np.zeros(3)
-        for coeff, word in bath.coupling:
-            if len(word) != 1 or coeff.imag:
-                raise ValueError(f"the scan's coupling must be xi.S with real xi, got the "
-                                 f"term {coeff:g} on the word {word}")
-            xi[word[0] - 1] += coeff.real
-        if not any(coeff and word for coeff, word in h) and not (bath.gamma and np.any(xi)):
-            raise ValueError("a bilinear scan with a constant h and gamma xi = 0 compares "
-                             "nothing: the classical generator is zero, so the deviation is 0/0")
-    s_values = []
-    deviations = []
-    for ctx in contexts:
-        s_values.append(ctx.s)
-        if mode == "asymptotics":
-            l = np.arange(l_test + 1)
-            exact = np.stack(bopp.bopp_coefficients(ctx, sigma))[:, l]
-            approx = np.stack(bopp.asymptotic_coefficients(ctx, sigma, l))
-            rel = np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-300)
-            deviations.append(np.max(rel))
-            continue
-        h_quantum = [(c * ctx.s ** (1 - len(w)), w) for c, w in h]
-        band = _block_band(h_quantum, bath.coupling, l_test, ctx)
-        q_sub = _submatrix(qfp_generator(h_quantum, bath, sigma, ctx, band), l_test)
-        c_sub = _submatrix(classical_generators([(ctx.s * c, w) for c, w in h],
-                                                ctx.s * bath.gamma * np.outer(xi, xi),
-                                                bath.temperature, band, ctx.s), l_test)
-        # a bound on each term of c_sub, from |L_k| <= band, |m_a| <= 1 and the
-        # |coefficients| of -grad h and Lam, as _refuse_non_hermitian bounds its terms
-        grad = sum(abs(c) * len(w) for c, w in h)
-        scale = band * (grad + bath.gamma * np.sum(np.abs(xi)) ** 2
-                        * (2 * ctx.s * grad + bath.temperature * band))
-        if np.max(np.abs(c_sub)) <= 1e-12 * scale:
-            raise ValueError(f"a bilinear scan compares nothing at 2S = {ctx.twice_s}: the "
-                             f"classical l <= {l_test} block is zero to rounding (as for an h "
-                             "constant on the sphere at gamma xi = 0), so the deviation is 0/0")
-        deviations.append(np.linalg.norm(q_sub - c_sub, 2) / np.linalg.norm(c_sub, 2))
-    s_values = np.asarray(s_values, dtype=float)
-    deviations = np.asarray(deviations, dtype=float)
+    deviations = np.empty(len(contexts))
+    for k, ctx in enumerate(contexts):
+        deviations[k] = point(ctx, sigma, l_test, model)
+        if not math.isfinite(deviations[k]):
+            raise RuntimeError(f"the {mode} scan deviation at 2S = {ctx.twice_s} is "
+                               f"{deviations[k]}, not finite: its arithmetic overflows")
+    s_values = np.array([ctx.s for ctx in contexts])
     if np.all(deviations > _ROUNDING):
         slope = float(np.polyfit(np.log(s_values), np.log(deviations), 1)[0])
     else:

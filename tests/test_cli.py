@@ -1158,23 +1158,81 @@ def test_an_output_that_cannot_be_written_exits_one_with_an_error_line(tmp_path,
     assert os.listdir(out) == [name]
 
 
-@pytest.mark.parametrize("mode", ["bilinear"])
+def _readme_scan_config(mode):
+    """The README's first limit-scan config of the given mode."""
+    for block in re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        cfg = json.loads(block)
+        if cfg.get("scan", {}).get("mode") == mode:
+            return cfg
+    raise LookupError(f"the README has no {mode} limit-scan config")
+
+
+@pytest.mark.parametrize("mode", list(cli.dynamics._SCAN_MODES))
+def test_every_scan_mode_has_a_readme_config_that_runs(tmp_path, capsys, mode):
+    """Each row of the mode table is documented by a README config that
+    passes its own slope gate, so no mode lands undocumented."""
+    cfg = _readme_scan_config(mode)
+    assert "expected_slope" in cfg["scan"]
+    assert cli.main(["limit-scan", "--config", _write(tmp_path, "scan.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("mode", list(cli.dynamics._SCAN_MODES))
 def test_limit_scan_refuses_l_test_zero_where_it_compares_nothing(tmp_path, capsys, mode):
-    """Every generator annihilates shell 0, so at l_test = 0 the compared block
-    is zero and its relative deviation 0/0: exit 1 before anything is written."""
-    cfg = {**_SCAN_BASE, "scan": {"mode": mode, "twice_s_values": [6, 10], "l_test": 0}}
-    cfg_path = _write(tmp_path, "scan.json", cfg)
-    assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
-    assert "error: scan l_test = 0 compares nothing" in capsys.readouterr().err
+    """Below a mode's least l_test the scan exits 1 before anything is written,
+    and at it the scan runs.  bilinear's least is 1: every generator
+    annihilates shell 0, so at l_test = 0 the compared block is zero and its
+    relative deviation 0/0.  asymptotics' is 0: it compares the l = 0 shell
+    tables, which 2S = 1 has too."""
+    _, _, cut, least = cli.dynamics._SCAN_MODES[mode]
+    cfg = _readme_scan_config(mode)
+    cfg.pop("tolerance", None)
+    del cfg["scan"]["expected_slope"]
+    cfg["scan"].update(twice_s_values=[6, 10], l_test=least - 1)
+    assert cli.main(["limit-scan", "--config", _write(tmp_path, "scan.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+    message = "scan l_test = 0 compares nothing" if least else "l_test must be >= 0"
+    assert f"error: {message}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["scan.json"]
 
-    # asymptotics compares the l = 0 shell tables, which 2S = 1 has too
-    for twice_s_values in ([6, 10], [1, 10]):
-        cfg = {"scan": {"mode": "asymptotics", "twice_s_values": twice_s_values, "l_test": 0}}
-        cfg_path = _write(tmp_path, "scan.json", cfg)
-        assert cli.main(["limit-scan", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    # the least 2S at which l_test = least keeps clear of the row's top cut
+    cfg["scan"].update(twice_s_values=[max(1, least + cut), 10], l_test=least)
+    assert cli.main(["limit-scan", "--config", _write(tmp_path, "scan.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
     with open(tmp_path / "o" / "scan.csv", newline="") as fh:
-        assert [r[0] for r in csv.reader(fh)] == ["S", "0.5", "5"]
+        assert [r[0] for r in csv.reader(fh)] == ["S", f"{max(1, least + cut) / 2:g}", "5"]
+
+
+# (hamiltonian, bath, the 2S refused): each overflows in the bilinear row's
+# own arithmetic, the first in the classical block at 2S = 12, the second in
+# the zero-block bound, the third in Lam = S gamma xi xi^T
+_OVERFLOWING_SCANS = [
+    ([[1e307, [3]]], {"coupling": [[1.0, [1]]], "gamma": 0.1, "temperature": 1.0}, 12),
+    ([[-1.0, [3]]], {"coupling": [[1.0, [1]]], "gamma": 1e154, "temperature": 1e154}, 8),
+    ([[-1.0, [3]]], {"coupling": [[1e200, [1]]], "gamma": 1e100, "temperature": 1.0}, 8),
+]
+
+
+@pytest.mark.parametrize("expected_slope", [None, -1.0], ids=["ungated", "gated"])
+@pytest.mark.parametrize("expression, bath, twice_s", _OVERFLOWING_SCANS,
+                         ids=["block", "bound", "lam"])
+def test_limit_scan_overflow_exits_three_naming_its_spin(tmp_path, capfd, expression, bath,
+                                                         twice_s, expected_slope):
+    """An overflowing point is a numerical failure (exit 3) that names its 2S,
+    with or without a slope gate: not a NaN row in scan.csv and exit 0 or 2,
+    nor a validation error.  Nothing is written, and the error line is all
+    that reaches stdout and stderr: no RuntimeWarning, no LAPACK message."""
+    scan = {"mode": "bilinear", "twice_s_values": [8, 12], "l_test": 3}
+    if expected_slope is not None:
+        scan["expected_slope"] = expected_slope
+    cfg = {"scan": scan, "hamiltonian": {"expression": expression}, "bath": bath}
+    assert cli.main(["limit-scan", "--config", _write(tmp_path, "scan.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == (f"numerical failure: the bilinear scan deviation at 2S = {twice_s} is nan, "
+                   "not finite: its arithmetic overflows\n")
+    assert os.listdir(tmp_path) == ["scan.json"]
 
 
 @pytest.mark.parametrize("key, value", [

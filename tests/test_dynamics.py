@@ -555,6 +555,21 @@ def test_integrate_refuses_density_observables():
         dyn.integrate(gen, c0, 1.0, 0.5, "expm", ctx=SpinContext(1), kind="symbol")
 
 
+@pytest.mark.parametrize("missing", ["ctx", "sigma"])
+def test_integrate_refuses_a_ctx_or_sigma_of_none_by_name_before_stepping(monkeypatch,
+                                                                         missing):
+    """An explicit None is refused by name, not by an AttributeError or a
+    TypeError from the observers' set-up: the stubbed steppers fail if built."""
+    def no_stepper(gen, dt_used):
+        raise AssertionError("built a stepper before checking ctx and sigma")
+
+    monkeypatch.setattr(dyn, "_rk4_step", no_stepper)
+    monkeypatch.setattr(dyn, "_taylor_step", no_stepper)
+    given = {"ctx": SpinContext(1), "sigma": 0.0, missing: None}
+    with pytest.raises(TypeError, match=f"integrate needs a ctx and a sigma, got .*{missing}=None"):
+        dyn.integrate(np.zeros((4, 4)), np.zeros(4), 1.0, 0.5, "expm", **given)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_integrate_flags_divergence_with_time_stamp():
@@ -1047,6 +1062,52 @@ def test_scan_takes_an_integral_float_l_test_as_its_int(mode):
     for key in ("s_values", "deviations"):
         assert got[key].tobytes() == want[key].tobytes()
     assert math.isfinite(want["slope"]) and got["slope"] == want["slope"]
+
+
+# (h, coupling, gamma, temperature, the 2S refused): each overflows in the
+# bilinear row's own arithmetic, not in its inputs: the classical block of
+# h = 1e307 m3 at 2S = 12, the zero-block bound at gamma = T = 1e154, Lam at
+# gamma xi^2 = 1e500, S c for a constant c = 1e308, and the bound alone, with
+# finite blocks, at T = 1e307
+_OVERFLOWING_SCANS = {
+    "block": ([(1e307, (3,))], ((1.0, (1,)),), 0.1, 1.0, 12),
+    "bound": ([(-1.0, (3,))], ((1.0, (1,)),), 1e154, 1e154, 8),
+    "lam": ([(-1.0, (3,))], ((1e200, (1,)),), 1e100, 1.0, 8),
+    "constant": ([(1e308, ()), (-1.0, (3,))], ((1.0, (1,)),), 0.1, 1.0, 8),
+    "bound-only": ([(1.0, (1, 1))], ((1e150, (1,)),), 1e-300, 1e307, 8),
+}
+
+
+@pytest.mark.parametrize("case", list(_OVERFLOWING_SCANS))
+def test_bilinear_scan_refuses_an_overflow_as_one_naming_its_spin(capfd, case):
+    """An overflow is a RuntimeError naming the 2S of its point: not a NaN
+    deviation, a "compares nothing" or "lam must be a finite 3x3 matrix"
+    ValueError, or a non-finite coefficient.  No RuntimeWarning escapes (the
+    suite makes them errors), and LAPACK is never handed an inf."""
+    h, coupling, gamma, temperature, twice_s = _OVERFLOWING_SCANS[case]
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"the bilinear scan deviation at 2S = {twice_s} is nan, not finite: its "
+            "arithmetic overflows")):
+        dyn.classical_limit_scan("bilinear", [8, 12], -1.0, 3, h=h,
+                                 bath=dyn.BathSpec(coupling, gamma, temperature))
+    assert "DLASCL" not in "".join(capfd.readouterr())
+
+
+@pytest.mark.parametrize("mode", list(dyn._SCAN_MODES))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_scan_driver_refuses_a_point_that_is_not_finite_in_every_mode(monkeypatch, mode, bad):
+    """The driver checks every point of every row, so a row's point that
+    returns a non-finite deviation at 2S = 20 is refused there, naming it."""
+    read, point, cut, least = dyn._SCAN_MODES[mode]
+
+    def second_not_finite(ctx, sigma, l_test, model):
+        return bad if ctx.twice_s == 20 else point(ctx, sigma, l_test, model)
+
+    monkeypatch.setitem(dyn._SCAN_MODES, mode, (read, second_not_finite, cut, least))
+    model = _SCAN_MODEL if mode == "bilinear" else {}
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"the {mode} scan deviation at 2S = 20 is {bad}, not finite")):
+        dyn.classical_limit_scan(mode, [10, 20, 40], 0.0, 3, **model)
 
 
 @pytest.mark.parametrize("key", ["h", "bath"])
