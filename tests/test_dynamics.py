@@ -566,7 +566,8 @@ def test_integrate_refuses_a_ctx_or_sigma_of_none_by_name_before_stepping(monkey
     monkeypatch.setattr(dyn, "_rk4_step", no_stepper)
     monkeypatch.setattr(dyn, "_taylor_step", no_stepper)
     given = {"ctx": SpinContext(1), "sigma": 0.0, missing: None}
-    with pytest.raises(TypeError, match=f"integrate needs a ctx and a sigma, got .*{missing}=None"):
+    message = f"integrate needs a ctx and a sigma, got .*{missing}=None"
+    with pytest.raises(TypeError, match=message):
         dyn.integrate(np.zeros((4, 4)), np.zeros(4), 1.0, 0.5, "expm", **given)
 
 
