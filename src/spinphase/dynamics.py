@@ -143,8 +143,8 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
     stationary under it on the shells the band truncation leaves
     intact.  qfp_generator for H = -b.S and F = xi.S is this form with B = S b,
     Lam = S gamma xi xi^T and m_i replaced by the Bopp position operator
-    (up M_i(up) + down M_i(down))/(2S) = m_i + O(1/S) of bopp_matrices.  A
-    band_limit that is not an integer >= 0 is refused.
+    (up M_i(up) + down M_i(down))/(2S) = m_i + O(1/S) of bopp_matrices.  A band_limit
+    not an integer >= 0 is refused; a -grad h that overflows is a RuntimeError.
     """
     h_expr = bopp.validate_expression(h_expr)
     if any(coeff.imag for coeff, _ in h_expr):
@@ -162,6 +162,8 @@ def classical_generators(h_expr, lam, temperature, band_limit, s):
             if a in word:
                 i = word.index(a)
                 grad[a - 1].append((-coeff * word.count(a), word[:i] + word[i + 1:]))
+    if not all(np.isfinite(coeff) for g in grad for coeff, _ in g):
+        raise RuntimeError("the gradient -grad h of the classical Hamiltonian overflows")
     l_ops = sphere_ops.angular_operators(band_limit)
     m_ops = sphere_ops.position_operators(band_limit)
     zero = sp.csr_matrix(l_ops[0].shape, dtype=complex)
@@ -226,7 +228,8 @@ def time_steps(t_end, dt):
 def integrate(gen, y0, t_end, dt, method, ctx, sigma, kind="symbol"):
     """Propagate the symbol state c of ctx under dy/dt = G y on the uniform grid
     of time_steps(t_end, dt), observing at every step its spin observables,
-    trace, purity and reality residual max|P conj(c0) - c0|, with
+    trace, purity Tr(rho^dag rho) = (2S+1)/(4pi) sum |c0|^2 (Tr(rho^2) for the
+    Hermitian rho the flow keeps) and reality residual max|P conj(c0) - c0|, with
     c0 = switch_ordering(c, sigma, 0).  dt is adjusted to divide t_end evenly.
 
     `states` holds two rows, y0 and the final state, so memory does not grow
@@ -258,14 +261,16 @@ def lockstep(gen, y0, t_end, dt, method="expm"):
     """(times, states): y0, refused unless finite, propagated under gen with
     method ("expm", the default, or "rk4") as in integrate on the grid of
     time_steps(t_end, dt), states yielding the state at times[k] at each step
-    k = 0..n_steps and holding only the current one.  Streams zipped together
-    step their systems in lockstep."""
+    k = 0..n_steps and holding only the current one.  A gen not of shape
+    (y0.size, y0.size) is refused.  Streams zipped together step in lockstep."""
     n_steps, dt_used = time_steps(t_end, dt)
     if method not in ("rk4", "expm"):
         raise ValueError(f"unknown method {method!r}")
     y = np.asarray(y0, dtype=complex)
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite initial state y0 at t = 0, before the first step")
+    if np.shape(gen) != (y.size, y.size):
+        raise ValueError(f"gen has shape {np.shape(gen)}, but y0 has {y.size} coefficients")
     step = (_rk4_step if method == "rk4" else _taylor_step)(gen, dt_used)
 
     def states(y):
@@ -339,11 +344,11 @@ def _taylor_step(gen, dt_used):
 
 
 def _symbol_observables(ctx, sigma):
-    """observe(c, row) fills row with S1, S2, S3, trace, purity and the
-    reality residual of the symbol state c.  The residual is read on the
-    sigma = 0 coefficients, the operator in the orthonormal T_lm basis: at
-    sigma > 0 the factors w_l^-sigma magnify rounding in the top shell by
-    about 2^(2S sigma), which is no error of the operator."""
+    """observe(c, row) fills row with S1, S2, S3, trace, purity Tr(rho^dag rho) =
+    (2S+1)/(4pi) sum |c0_lm|^2 and the reality residual of the symbol state c, both
+    read on its sigma = 0 coefficients c0, the operator in the orthonormal T_lm
+    basis: at sigma > 0 the factors w_l^-sigma magnify rounding in the top shell
+    by about 2^(2S sigma), which is no error of the operator."""
     sigma = sw_transform.validate_sigma(sigma)
     # S1, S2, S3 at -sigma as bopp.expression_symbol has them: B_k on sqrt(4pi) Y_00
     duals = [np.pad(math.sqrt(4.0 * math.pi) * b[:, [0]].toarray()[:, 0],
@@ -355,9 +360,8 @@ def _symbol_observables(ctx, sigma):
         for k in range(3):
             row[k] = sw_transform.expectation(duals[k], c, ctx).real
         row[3] = sw_transform.symbol_trace(c, ctx).real
-        dual_c = sw_transform.switch_ordering(c, sigma, -sigma, ctx)
-        row[4] = sw_transform.expectation(c, dual_c, ctx).real
         c0 = to_symmetric * c
+        row[4] = sw_transform.measure_constant(ctx) * np.vdot(c0, c0).real
         row[5] = np.max(np.abs(conj @ c0.conj() - c0))
 
     return observe

@@ -321,6 +321,16 @@ def test_classical_generators_refuse_a_non_finite_lam(entry):
             dyn.classical_generators([(-2.0, (3,))], bad, 1.0, 4, 2.0)
 
 
+@pytest.mark.parametrize("h_expr", [[(1e308, (1, 1))], [(-1.0, (3,)), (-1e308, (2, 3, 2))]])
+def test_classical_generators_name_an_overflow_of_their_own_gradient(h_expr):
+    """A finite h whose -grad h overflows (d/dm_1 of 1e308 m1 m1 is 2e308) is
+    a RuntimeError about the gradient, not a ValueError about a non-finite
+    term the caller never wrote."""
+    with pytest.raises(RuntimeError, match="the gradient -grad h of the classical "
+                                           "Hamiltonian overflows"):
+        dyn.classical_generators(h_expr, np.zeros((3, 3)), 1.0, 3, 2.0)
+
+
 @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
 def test_classical_generators_refuse_a_bad_s(s):
     with pytest.raises(ValueError, match="s must be finite and > 0"):
@@ -497,12 +507,14 @@ def test_integrate_larmor_rotates_transverse_spin():
     np.testing.assert_allclose(transverse, expected, atol=1e-10)
 
 
-def test_integrate_density_matches_symbol_route():
+@pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.5, 1.0])
+def test_integrate_density_matches_symbol_route(sigma):
+    """Every observable of the symbol route, the purity read on the sigma = 0
+    coefficients too, is the dense master equation's at every ordering."""
     ctx = SpinContext(2)
     h_expr = [(-1.0, (3,)), (0.2, (1,))]
     f_expr = [(1.0, (1,))]
     bath = dyn.BathSpec(tuple(f_expr), 0.1, 1.0)
-    sigma = 0.0
     gen = dyn.qfp_generator(h_expr, bath, sigma, ctx)
     rho0 = dyn.coherent_state(ctx, 1.0, 0.5)
     c0 = swt.operator_to_symbol(rho0, sigma, ctx)
@@ -518,6 +530,48 @@ def test_integrate_density_matches_symbol_route():
     for a, b in ((sym.s1, s1), (sym.s2, s2), (sym.s3, s3),
                  (sym.trace, trace), (sym.purity, purity)):
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+
+def test_integrate_observes_with_one_ordering_switch_and_three_pairings(monkeypatch):
+    """Over N steps the observer switches ordering once, for its sigma -> 0
+    factors, and pairs only S1, S2, S3 with each of the N + 1 states: the
+    purity is the norm of the sigma = 0 coefficients, with no dual state."""
+    ctx, n_steps = SpinContext(4), 6
+    gen = dyn.qfp_generator([(-1.0, (3,)), (0.2, (1, 1))], None, 0.5, ctx)
+    c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 1.1, 0.4), 0.5, ctx)
+    calls = {"switch_ordering": 0, "expectation": 0, "apply_conjugation": 0}
+    for module, name in ((swt, "switch_ordering"), (swt, "expectation"),
+                         (so, "apply_conjugation")):
+        def counted(*args, _name=name, _real=getattr(module, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    res = dyn.integrate(gen, c0, 0.6, 0.1, "rk4", ctx, 0.5)
+    assert res.times.size == n_steps + 1
+    assert calls == {"switch_ordering": 1, "expectation": 3 * (n_steps + 1),
+                     "apply_conjugation": 3 * (n_steps + 1)}
+
+
+@pytest.mark.parametrize("method", ["rk4", "expm"])
+def test_a_generator_of_another_size_than_y0_is_refused_on_the_call(monkeypatch, method):
+    """A 2S=3 generator with a 2S=4 state is refused by lockstep when it is
+    called, and so by integrate, naming both sizes: not a matmul error at
+    the first step.  The stubbed steppers fail on any call."""
+    def no_stepper(gen, dt_used):
+        raise AssertionError("built a stepper before checking gen against y0")
+
+    monkeypatch.setattr(dyn, "_rk4_step", no_stepper)
+    monkeypatch.setattr(dyn, "_taylor_step", no_stepper)
+    ctx = SpinContext(4)
+    gen = dyn.qfp_generator([(-1.0, (3,))], None, 0.0, SpinContext(3))
+    c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 1.1, 0.4), 0.0, ctx)
+    message = r"gen has shape \(16, 16\), but y0 has 25 coefficients"
+    with pytest.raises(ValueError, match=message):
+        dyn.integrate(gen, c0, 1.0, 0.1, method, ctx=ctx, sigma=0.0)
+    with pytest.raises(ValueError, match=message):
+        dyn.lockstep(gen, c0, 1.0, 0.1, method)
+    with pytest.raises(ValueError, match=r"gen has shape \(25,\), but y0 has 25"):
+        dyn.lockstep(np.ones(25), c0, 1.0, 0.1, method)
 
 
 @pytest.mark.parametrize("method", ["rk4", "expm"])
