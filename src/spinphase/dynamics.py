@@ -207,11 +207,6 @@ class EvolutionResult:
 # the most steps one time grid, or Taylor substeps one step, may have: a larger
 # count is a typo or an overflow, not a run
 MAX_STEPS = 10 ** 7
-# theta_m for double precision (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-# 488 (2011), Table 3.1): the degree-m Taylor series of exp(A) meets unit
-# roundoff in backward error while ||A||_1 <= theta_m
-_THETA = {5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
-          35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
 
 
 def time_steps(t_end, dt):
@@ -299,24 +294,20 @@ def _rk4_step(gen, dt_used):
     return step
 
 
-def _taylor_parameters(norm):
-    """(m, s) of least cost m*s over _THETA with s substeps of ||A||_1 / s <= theta_m."""
-    return min(((m, max(1, math.ceil(norm / theta))) for m, theta in _THETA.items()),
-               key=lambda ms: ms[0] * ms[1])
-
-
 def _taylor_step(gen, dt_used):
-    """y -> exp(G dt_used) y: s substeps of exp(mu dt/s) T_m(A/s), A = (G - mu I) dt,
-    mu = trace(G)/n, each cut once its last two terms sum below tol max|partial sum|.
-    An s above MAX_STEPS, or none at all for a non-finite ||A||_1, is refused."""
+    """y -> exp(G dt_used) y: s = ceil(||A||_1 / 9.9) substeps of exp(mu dt/s) T_55(A/s),
+    A = (G - mu I) dt, mu = trace(G)/n, each cut once its last two terms sum below
+    tol max|partial sum|.  theta_55 = 9.9 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    488 (2011), Table 3.1): the degree-55 series of exp(A/s) meets unit roundoff in
+    backward error while ||A/s||_1 <= 9.9.  An s above MAX_STEPS, or none at all for
+    a non-finite ||A||_1, is refused."""
     gen = sp.csr_matrix(gen)
     n = gen.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         mu = gen.diagonal().sum() / n
         a = (gen - mu * sp.identity(n, format="csr")) * dt_used
         norm = float(abs(a).sum(axis=0).max())  # exact 1-norm: column sums
-    m, s = (_taylor_parameters(norm) if math.isfinite(norm / min(_THETA.values()))
-            else (0, math.inf))  # each s = ceil(||A||_1 / theta_m)
+    s = max(1, math.ceil(norm / 9.9)) if math.isfinite(norm) else math.inf
     if not s <= MAX_STEPS:
         raise RuntimeError(f"||A||_1 = {norm:.6g} of A = (G - mu I) dt at dt = {dt_used:.6g} "
                            f"needs s = {s:.6g} Taylor substeps, above MAX_STEPS = {MAX_STEPS}")
@@ -328,7 +319,7 @@ def _taylor_step(gen, dt_used):
         for _ in range(s):
             f, term = y.copy(), y
             c1 = bound = np.max(np.abs(term))
-            for j in range(1, m + 1):
+            for j in range(1, 56):
                 term = a @ term
                 term /= j
                 c2 = np.max(np.abs(term))
@@ -379,9 +370,6 @@ def _submatrix(gen, l_test):
 
 
 def _read_bilinear(h, bath):
-    wrong = [name for name, v in (("h", h), ("bath", bath)) if v is None]
-    if wrong:
-        raise ValueError(f"bilinear mode needs {', '.join(wrong)}")
     h = bopp.validate_expression(h)
     if any(coeff.imag for coeff, _ in h):
         raise ValueError("the scan's h takes real coefficients only")
@@ -424,12 +412,6 @@ def _bilinear_point(ctx, sigma, l_test, model):
         return np.linalg.norm(diff, 2) / np.linalg.norm(c_sub, 2)
 
 
-def _read_asymptotics(h, bath):
-    wrong = [name for name, v in (("h", h), ("bath", bath)) if v is not None]
-    if wrong:
-        raise ValueError(f"asymptotics mode reads no {', '.join(wrong)}")
-
-
 def _asymptotics_point(ctx, sigma, l_test, model):
     l = np.arange(l_test + 1)
     exact = np.stack(bopp.bopp_coefficients(ctx, sigma))[:, l]
@@ -437,10 +419,11 @@ def _asymptotics_point(ctx, sigma, l_test, model):
     return np.max(np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-300))
 
 
-# per scan mode: its reader (h, bath) -> model, its point (ctx, sigma, l_test,
-# model) -> deviation, the top shells its block keeps clear of, its least l_test
+# per scan mode: its reader (h, bath) -> model, None for a mode that reads
+# neither, its point (ctx, sigma, l_test, model) -> deviation, the top shells
+# its block keeps clear of, its least l_test
 _SCAN_MODES = {"bilinear": (_read_bilinear, _bilinear_point, 2, 1),
-               "asymptotics": (_read_asymptotics, _asymptotics_point, 0, 0)}
+               "asymptotics": (None, _asymptotics_point, 0, 0)}
 
 
 def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None):
@@ -462,11 +445,15 @@ def classical_limit_scan(mode, twice_s_values, sigma, l_test, h=None, bath=None)
         sup deviation of the large-S shell tables (f1, f2) from the exact ones
         over l <= l_test, which decays like 1/S^2 (f2 itself is O(1/S)).
     """
-    if mode not in _SCAN_MODES:
+    if not (isinstance(mode, str) and mode in _SCAN_MODES):  # a list is unhashable
         names = " or ".join(f'"{name}"' for name in _SCAN_MODES)
         raise ValueError(f"scan mode must be {names}, got {mode!r}")
     read, point, cut, least = _SCAN_MODES[mode]
-    model = read(h, bath)
+    # a mode with a reader needs both h and bath, and one without reads neither
+    wrong = [name for name, v in (("h", h), ("bath", bath)) if (v is None) == (read is not None)]
+    if wrong:
+        raise ValueError(f"{mode} mode {'needs' if read else 'reads no'} {', '.join(wrong)}")
+    model = read(h, bath) if read else None
     sigma = sw_transform.validate_sigma(sigma)
     contexts = [SpinContext(t) for t in twice_s_values]
     if len({ctx.twice_s for ctx in contexts}) < 2:  # one S fits no slope

@@ -11,7 +11,6 @@ here: products that would leave shell L are dropped (documented lossy top
 shell).
 """
 
-import functools
 import math
 
 import numpy as np
@@ -35,22 +34,20 @@ def band_limit_of(n):
     return band
 
 
-@functools.lru_cache(maxsize=64, typed=True)  # typed: a cached 1.0 must not answer True
-def lm_arrays(band_limit):
-    """Arrays l_of[idx], m_of[idx] over the flat index; read-only and shared.
-    A band_limit that is not an integer >= 0 is refused."""
+def _band(band_limit):
+    """band_limit as an int (3.0 is 3); one that is not an integer >= 0 is refused."""
     if not (is_integer(band_limit) and band_limit >= 0):
         raise ValueError(f"band_limit must be an integer >= 0, got {band_limit!r}")
-    band_limit = int(band_limit)
+    return int(band_limit)
+
+
+def lm_arrays(band_limit):
+    """Arrays l_of[idx], m_of[idx] over the flat index, built afresh at each call.
+    A band_limit that is not an integer >= 0 is refused."""
+    band_limit = _band(band_limit)
     l_of = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
     m_of = np.arange(l_of.size) - l_of * (l_of + 1)
-    l_of.flags.writeable = m_of.flags.writeable = False
     return l_of, m_of
-
-
-def _band(band_limit):
-    """band_limit as the int that lm_arrays accepts it as (3.0 is 3)."""
-    return int(lm_arrays(band_limit)[0][-1])
 
 
 def _ylm_rows(band_limit, x):

@@ -7,7 +7,6 @@ floating point.  The Racah-sum Clebsch-Gordan coefficients that
 the tables are checked against live in tests/oracles.py.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +69,6 @@ def spin_matrices(ctx):
     return s1, s2, s3
 
 
-@functools.lru_cache(maxsize=8)
 def tensor_blocks(twice_s):
     """Diagonals of the orthonormal T_lm at 2S = twice_s: one read-only block per m.
 

@@ -31,7 +31,6 @@ def measure_constant(ctx):
     return (ctx.twice_s + 1) / (4.0 * math.pi)
 
 
-@functools.lru_cache(maxsize=64)
 def _log_weights(twice_s):
     # ln w_l, w_l = <S,S; l,0 | S,S> = (2S)! sqrt(2S+1) / sqrt((2S+l+1)!(2S-l)!):
     # w_0 = 1 and w_{l+1}/w_l = sqrt((2S-l)/(2S+l+2)), so ln w_l is a cumulative
@@ -45,12 +44,13 @@ def _factors(ctx, sigma):
     # through logs: the weights span many decades.  ln w_l falls from 0, so the
     # factors at l = 0 and 2S bound the rest, and both must be normal doubles
     log_scale = 0.5 * math.log(4.0 * math.pi / (ctx.twice_s + 1))
-    lo, hi = sorted((log_scale, log_scale - sigma * _log_weights(ctx.twice_s)[-1]))
+    log_w = _log_weights(ctx.twice_s)
+    lo, hi = sorted((log_scale, log_scale - sigma * log_w[-1]))
     if not _LOG_TINY <= lo <= hi <= _LOG_MAX:  # NaN-safe
         raise ValueError(f"the ordering factors w_l^-sigma at 2S = {ctx.twice_s}, "
                          f"sigma = {sigma} leave the normal double range")
     l_of, _ = sphere_ops.lm_arrays(ctx.band_limit)
-    return np.exp(log_scale - sigma * _log_weights(ctx.twice_s))[l_of]
+    return np.exp(log_scale - sigma * log_w)[l_of]
 
 
 @functools.lru_cache(maxsize=8)

@@ -762,10 +762,11 @@ def test_polynomials_reach_their_symbols_without_the_transform(tmp_path, monkeyp
 ], ids=["substeps-overflow", "generator-nan", "substeps-above-max-steps"])
 def test_evolve_refuses_a_generator_without_finite_taylor_parameters(tmp_path, capsys,
                                                                     hamiltonian, bath):
-    """H = 1e306 S3 overflows the Taylor substep count, 1e200 S3S3 with
-    F = 1e200 S1 gives a NaN generator, and 1e300 S3 would take 2.0e299
-    substeps a step: each exits 3 before the first step and writes no file,
-    where it raised an OverflowError, exited 1 or ran for ever."""
+    """H = 1e306 S3 would take 2.0e305 Taylor substeps a step (a count that
+    overflowed under the theta_m table used before), 1e200 S3S3 with
+    F = 1e200 S1 gives a NaN generator and so no finite count, and 1e300 S3
+    would take 2.0e299 substeps a step: each exits 3 before the first step and
+    writes no file, where it raised an OverflowError, exited 1 or ran for ever."""
     cfg = {"spin": {"twice_s": 4}, "hamiltonian": {"expression": hamiltonian},
            "initial": {"expression": [[1, []]]}, "time": {"t_end": 1.0, "dt": 0.5}}
     if bath is not None:
@@ -1201,6 +1202,19 @@ def test_limit_scan_refuses_l_test_zero_where_it_compares_nothing(tmp_path, caps
                      "--out", str(tmp_path / "o")]) == 0
     with open(tmp_path / "o" / "scan.csv", newline="") as fh:
         assert [r[0] for r in csv.reader(fh)] == ["S", f"{max(1, least + cut) / 2:g}", "5"]
+
+
+@pytest.mark.parametrize("mode", [["bilinear"], {"a": 1}], ids=["list", "object"])
+def test_limit_scan_refuses_a_mode_that_is_no_string(tmp_path, capsys, mode):
+    """A list or an object as scan.mode is refused with the mode message, exit
+    1 and one error: line, where its lookup among the modes raised TypeError
+    (unhashable) with a traceback; nothing is written."""
+    cfg = _with(json.loads(json.dumps(_SCAN_CONFIG)), "scan.mode", mode)
+    assert cli.main(["limit-scan", "--config", _write(tmp_path, "scan.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ('error: scan mode must be "bilinear" or "asymptotics", '
+                                       f"got {mode!r}\n")
+    assert os.listdir(tmp_path) == ["scan.json"]
 
 
 # (hamiltonian, bath, the 2S refused): each overflows in the bilinear row's

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -947,27 +948,40 @@ def test_integrate_expm_matches_expm_multiply(twice_s, sigma):
 
 
 def test_taylor_parameters_come_once_from_the_exact_one_norm(monkeypatch):
-    """The norm handed to the (m, s) choice is the dense column-sum norm of
-    (G - trace(G)/n I) dt, read once per run."""
+    """The norm that sets s = ceil(||A||_1 / 9.9) is the dense column-sum norm
+    of (G - trace(G)/n I) dt, read once per run."""
     ctx, gen, c0 = _dissipative_case(10, 0.5)
     seen = []
-    choose = dyn._taylor_parameters
-    monkeypatch.setattr(dyn, "_taylor_parameters", lambda norm: seen.append(norm) or choose(norm))
+    spy = dict(vars(math), ceil=lambda x: seen.append(x) or math.ceil(x))
+    monkeypatch.setattr(dyn, "math", types.SimpleNamespace(**spy))
     dyn.integrate(gen, c0, 2.0, 0.05, "expm", ctx=ctx, sigma=0.5, kind="symbol")
     dense = gen.toarray()
     n = dense.shape[0]
     shifted = (dense - np.trace(dense) / n * np.eye(n)) * 0.05
-    assert seen == [pytest.approx(np.abs(shifted).sum(axis=0).max(), rel=1e-14, abs=0)]
+    assert seen == [pytest.approx(np.abs(shifted).sum(axis=0).max() / 9.9, rel=1e-14, abs=0)]
+
+
+def _substeps(norm):
+    """The s _taylor_step takes at ||A||_1 = norm, read from MAX_STEPS: the
+    least ceiling at which the stepper is built, not refused."""
+    gen = sp.diags([norm, -norm])  # trace 0, so ||A||_1 = norm at dt 1
+    for ceiling in range(1, 1000):
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dyn, "MAX_STEPS", ceiling)
+                dyn._taylor_step(gen, 1.0)
+            return ceiling
+        except RuntimeError as exc:
+            assert f"||A||_1 = {norm:.6g} " in str(exc)
+    raise AssertionError(f"no s below 1000 at ||A||_1 = {norm}")
 
 
 @pytest.mark.parametrize("norm", (0.0, 1e-3, 0.1, 0.5, 7.46, 8.86, 30.0, 1e3))
 def test_taylor_parameters_are_the_cheapest_admissible_pair(norm):
-    """m*s is the least over every table degree m and substep count s with
-    norm / s <= theta_m, found here by brute force."""
-    m, s = dyn._taylor_parameters(norm)
-    assert norm / s <= dyn._THETA[m]
-    assert m * s == min(mm * ss for mm, theta in dyn._THETA.items()
-                        for ss in range(1, 1000) if norm / ss <= theta)
+    """With the series capped at degree 55, the cheapest admissible (m, s) is
+    m = 55 with the least s of norm / s <= theta_55 = 9.9, found here by brute
+    force (s = 1 at norm 0); the stepper is refused below that s."""
+    assert _substeps(norm) == min(s for s in range(1, 1000) if norm / s <= 9.9)
 
 
 def test_taylor_step_refuses_more_substeps_than_max_steps():
@@ -996,8 +1010,25 @@ def test_an_overflowing_polynomial_is_a_numerical_failure_not_non_hermitian(bath
 
 
 def test_taylor_parameters_at_the_documented_norms():
-    assert dyn._taylor_parameters(7.46) == (50, 1)
-    assert dyn._taylor_parameters(8.86) == (55, 1)
+    """s = 1 at the README's ||A||_1 = 7.46 and at 8.86, and 4 at 29.8, where
+    the degree table used before took 5."""
+    assert [_substeps(norm) for norm in (7.46, 8.86, 9.9, 29.8)] == [1, 1, 1, 4]
+
+
+def test_max_steps_bounds_the_taylor_substeps_of_a_readme_generator(monkeypatch):
+    """The README bath at 2S = 40, sigma = 0 and dt 0.2 has ||A||_1 = 29.8, so
+    it takes s = 4 substeps: it runs under MAX_STEPS = 4 (the degree table used
+    before took 5 and was refused) and is refused under 3, naming s."""
+    ctx = SpinContext(40)
+    gen = dyn.qfp_generator([(-1.0, (3,))], dyn.BathSpec(((1.0, (1,)),), 0.1, 1.0), 0.0, ctx)
+    c0 = swt.operator_to_symbol(dyn.coherent_state(ctx, 1.1, 0.4), 0.0, ctx)
+    monkeypatch.setattr(dyn, "MAX_STEPS", 4)
+    times, states = dyn.lockstep(gen, c0, 0.2, 0.2)
+    assert len(list(states)) == times.size == 2
+    monkeypatch.setattr(dyn, "MAX_STEPS", 3)
+    with pytest.raises(RuntimeError, match=r"\|\|A\|\|_1 = 29\.8\d* .* needs s = 4 Taylor "
+                                           r"substeps, above MAX_STEPS = 3"):
+        dyn.lockstep(gen, c0, 0.2, 0.2)
 
 
 def test_integrate_rejects_bad_method_and_steps():

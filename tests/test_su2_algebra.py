@@ -252,12 +252,14 @@ def test_tensor_blocks_orthonormal_at_large_spin(twice_s):
         assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= 1e-12
 
 
-def _padded_diagonals(twice_s, m):
+def _padded_diagonals(blocks, m):
     # D[l, c] = T_lm[c - m, c] for every l and column c, zero where absent,
-    # with one more zero column so that D[:, c + 1] exists at the last c
+    # with one more zero column so that D[:, c + 1] exists at the last c;
+    # blocks are tensor_blocks(2S), built once by the caller
+    twice_s = len(blocks) // 2
     n = twice_s + 1
     d = np.zeros((n, n + 1))
-    block = tensor_blocks(twice_s)[twice_s + m]
+    block = blocks[twice_s + m]
     d[abs(m):, max(0, m):max(0, m) + block.shape[1]] = block
     return d
 
@@ -277,11 +279,12 @@ def test_tensor_blocks_obey_the_ladder_relation(twice_s):
     s_minus = np.append(np.diagonal(s1 - 1j * s2, -1).real, 0.0)
     c = np.arange(n)
     l = np.arange(n)[:, None]
+    blocks = tensor_blocks(twice_s)
     worst = 0.0
     for m in range(-twice_s + 1, twice_s + 1):
-        d = _padded_diagonals(twice_s, m)
+        d = _padded_diagonals(blocks, m)
         shifted = np.where((c >= m) & (c - m < n), s_minus[np.clip(c - m, 0, n - 1)], 0.0)
         comm = shifted * d[:, :n] - s_minus * d[:, 1:]
         coef = np.sqrt(np.clip((l + m) * (l - m + 1), 0, None))
-        worst = max(worst, np.max(np.abs(comm - coef * _padded_diagonals(twice_s, m - 1)[:, :n])))
+        worst = max(worst, np.max(np.abs(comm - coef * _padded_diagonals(blocks, m - 1)[:, :n])))
     assert worst <= 1e-13 * n

@@ -12,7 +12,6 @@ import oracles
 from oracles import rotation_z
 from spinphase import dynamics
 from spinphase import sphere_ops as so
-from spinphase import su2_algebra
 from spinphase import sw_transform as swt
 from spinphase.su2_algebra import SpinContext, spin_matrices
 
@@ -97,23 +96,21 @@ def test_tables_and_round_trip_hold_at_2s_320():
     the round trip at every ordering, both <= 1e-12."""
     ctx = SpinContext(320)
     try:
-        for block in su2_algebra.tensor_blocks(ctx.twice_s):
+        for *_, block in swt._diagonals(ctx.twice_s):  # the tensor_blocks, built once
             assert np.max(np.abs(block @ block.T - np.eye(block.shape[0]))) <= 1e-12
         a = _random_hermitian(ctx.hilbert_dim, ctx.twice_s)
         for sigma in SIGMAS:
             c = swt.operator_to_symbol(a, sigma, ctx)
             assert np.max(np.abs(swt.symbol_to_operator(c, sigma, ctx) - a)) <= 1e-12
     finally:  # the tables at 2S=320 hold about 180 MB
-        su2_algebra.tensor_blocks.cache_clear()
         swt._diagonals.cache_clear()
 
 
 def test_transforms_kernel_and_integration_run_from_cold_table_caches():
-    """With every table cache empty, the transforms, the kernel and an
+    """With the table cache empty, the transforms, the kernel and an
     integration run at a new 2S from the Jacobi tables alone; that no library
     module reaches the Racah-sum oracle is checked in test_imports."""
-    for cached in (su2_algebra.tensor_blocks, swt._log_weights, swt._diagonals):
-        cached.cache_clear()
+    swt._diagonals.cache_clear()
     ctx = SpinContext(23)
     a = _random_hermitian(ctx.hilbert_dim, 23)
     for sigma in SIGMAS:
