@@ -281,8 +281,8 @@ def _cmd_compare(cfg, paths, tolerance):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     bath = _bath(cfg)
-    if bath is None:
-        raise ValueError('compare needs a "bath" section')
+    if bath is None:  # the unitary model, which the oracle reads as a bath of rate 0
+        bath = dynamics.BathSpec((), 0.0, 1.0)
     h_expr = _expression(cfg, "hamiltonian")
     rho0, c0 = _initial_state(cfg, ctx, sigma)
     t_end, dt = _time_block(cfg)
@@ -408,17 +408,7 @@ def build_parser():
     return parser
 
 
-def _twice_s_asked(cfg):
-    """The 2S a config asks for, as written: "spin" twice_s or a scan's values."""
-    for section, key in (("spin", "twice_s"), ("scan", "twice_s_values")):
-        part = cfg.get(section)
-        if isinstance(part, dict) and key in part:
-            return part[key]
-    return None
-
-
 def main(argv=None):
-    cfg = {}
     try:
         args = build_parser().parse_args(argv)
         cfg = _load_config(args.config)
@@ -441,8 +431,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the size it could not allocate
-        print(f"error: 2S = {_twice_s_asked(cfg)} needs more memory than is available: {exc}",
-              file=sys.stderr)
+        print(f"error: not enough memory for this run: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -50,35 +50,31 @@ def lm_arrays(band_limit):
     return l_of, m_of
 
 
-def _ylm_rows(band_limit, x):
-    """Y_lm(theta, phi = 0) over the flat index (rows) at x = cos(theta) (columns).
+def _ylm_shells(band_limit, x):
+    """Y_lm(theta, phi = 0) at x = cos(theta), one shell at a time: for l = 0..L,
+    rows m = -l..l by columns x.
 
     Fully normalized associated Legendre values P_l|m|(x), with 1/sqrt(4pi), the
     Condon-Shortley phase and (-1)^m for m < 0, by the standard stable
-    recurrences: the diagonal l = |m|, the first off-diagonal l = |m| + 1, then
-    upward in l at every m of shell l from rows idx - 2l (shell l - 1) and
-    idx - 4l + 2 (shell l - 2).
+    recurrences: the diagonal |m| = l from the one before it, and every |m| < l
+    from the two shells before, P_lm = a (x P_(l-1)m - b P_(l-2)m), where b = 0 at
+    l = |m| + 1.  The recurrence keeps the sign of m < 0 that the diagonal sets.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    band_limit = _band(band_limit)
-    _, m_of = lm_arrays(band_limit)
-    rows = np.empty((m_of.size, x.size))
-    m = np.arange(band_limit + 1)
-    sx = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    diag = np.cumprod(np.vstack([np.full((1, x.size), 1.0 / math.sqrt(4.0 * math.pi)),
-                                 -np.sqrt((2 * m[1:] + 1) / (2.0 * m[1:]))[:, None] * sx]),
-                      axis=0)
-    rows[m * m] = rows[m * m + 2 * m] = diag  # (m, -m) and (m, m)
-    m = m[:-1]
-    rows[m * m + 2 * m + 2] = rows[m * m + 4 * m + 2] = (  # (m + 1, -m) and (m + 1, m)
-        np.sqrt(2 * m + 3)[:, None] * x * diag[:-1])
-    for l in range(2, band_limit + 1):
-        idx = np.arange(l * l + 2, l * l + 2 * l - 1)  # m = 2 - l .. l - 2
-        m2 = ((idx - l * l - l) ** 2)[:, None]
-        a = np.sqrt((4 * l * l - 1) / (l * l - m2))
-        b = np.sqrt(((l - 1) ** 2 - m2) / (4.0 * (l - 1) ** 2 - 1))
-        rows[idx] = a * (x * rows[idx - 2 * l] - b * rows[idx - 4 * l + 2])
-    return (-1.0) ** np.minimum(m_of, 0)[:, None] * rows
+    sx = np.sqrt(1.0 - x * x)
+    diag = np.full(x.size, 1.0 / math.sqrt(4.0 * math.pi))
+    prev = np.empty((0, x.size))  # no shell below l = 0: at l = 1 the l - 2 term is empty
+    for l in range(_band(band_limit) + 1):
+        shell = np.empty((2 * l + 1, x.size))
+        if l:
+            diag = -math.sqrt((2 * l + 1) / (2.0 * l)) * sx * diag
+            m2 = (np.arange(1 - l, l) ** 2)[:, None]  # |m| < l
+            inner = x * prev
+            inner[1:-1] -= np.sqrt(((l - 1) ** 2 - m2[1:-1]) / (4.0 * (l - 1) ** 2 - 1)) * prev2
+            shell[1:-1] = np.sqrt((4 * l * l - 1) / (l * l - m2)) * inner
+        shell[0], shell[-1] = (-1) ** l * diag, diag
+        yield shell
+        prev2, prev = prev, shell
 
 
 def ylm_point(band_limit, theta, phi):
@@ -88,7 +84,8 @@ def ylm_point(band_limit, theta, phi):
     _, m_of = lm_arrays(band_limit)
     if math.sin(theta) < 0:
         phi = phi + math.pi
-    return _ylm_rows(band_limit, math.cos(theta))[:, 0] * np.exp(1j * m_of * phi)
+    rows = np.concatenate(list(_ylm_shells(band_limit, math.cos(theta))))
+    return rows[:, 0] * np.exp(1j * m_of * phi)
 
 
 def _nodes(band_limit):
@@ -118,10 +115,9 @@ def grid_values(band_limit, c):
     band = band_limit_of(c.size)
     if band > L:
         raise ValueError(f"coefficient band {band} exceeds grid band {L}")
-    rows = _ylm_rows(L, x)  # (flat lm, n_theta)
-    _, m_of = lm_arrays(L)
     g = np.zeros((2 * L + 1, x.size), dtype=complex)
-    np.add.at(g, L + m_of[: c.size], c[:, None] * rows[: c.size])  # in order of l
+    for l, shell in enumerate(_ylm_shells(band, x)):  # (m = -l..l, n_theta)
+        g[L - l: L + l + 1] += c[l * l: (l + 1) ** 2, None] * shell
     return g.T @ np.exp(1j * np.outer(np.arange(-L, L + 1), phis))
 
 

@@ -406,6 +406,23 @@ def test_compare_agrees_and_honors_tolerance(tmp_path, capsys):
     assert rc == 2
 
 
+def test_compare_without_a_bath_runs_the_unitary_model_of_an_empty_bath(tmp_path, capsys):
+    """A config with no "bath" section is the unitary model: compare writes the
+    bytes it writes for "bath": {}."""
+    cfg = _evolve_config(spin={"twice_s": 4}, time={"t_end": 1.0, "dt": 0.1})
+    written = []
+    for name, bath in (("none", None), ("empty", {})):
+        run = {k: v for k, v in cfg.items() if k != "bath"}
+        if bath is not None:
+            run["bath"] = bath
+        out = tmp_path / name
+        assert cli.main(["compare", "--config", _write(tmp_path, f"{name}.json", run),
+                         "--out", str(out)]) == 0
+        written.append((out / "compare.csv").read_bytes())
+    assert written[0] == written[1]
+    assert max(float(r.split(",")[1]) for r in written[0].decode().splitlines()[1:]) < 1e-13
+
+
 @pytest.mark.parametrize("route", ["qfp_generator", "master_liouvillian"])
 def test_compare_names_the_first_step_at_which_either_route_overflows(tmp_path, capsys,
                                                                        monkeypatch, route):
@@ -1027,7 +1044,6 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("evolve", "time", None, 'config needs a "time" section'),
     ("limit-scan", "scan", None, 'config needs a "scan" section'),
     ("symbol", "operator", None, 'config needs "operator": {"expression": [[coeff, word], ...]}'),
-    ("compare", "bath", None, 'compare needs a "bath" section'),
     ("evolve", "hamiltonian.expression", [[[1.0], [3]]],
      "complex coefficient must be [re, im], got [1.0]"),
     ("evolve", "hamiltonian.expression", 3, "expression must be a list of [coeff, word] pairs"),
@@ -1054,7 +1070,7 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
         "scan-h-non-hermitian", "scan-hamiltonian-list", "scan-coupling-word-long",
         "scan-coupling-complex", "scan-temperature-string", "scan-bath-list",
         "spin-missing", "initial-missing", "time-missing", "scan-missing",
-        "operator-missing", "compare-bath-missing", "coeff-pair-short", "expression-number",
+        "operator-missing", "coeff-pair-short", "expression-number",
         "initial-empty", "operator-empty", "symbol-grid-list", "initial-expression-number",
         "initial-coeff-null"])
 def test_malformed_field_types_exit_one_at_parse(tmp_path, capsys, command, path, value,
@@ -1321,15 +1337,28 @@ def test_help_exits_zero(capsys):
 @pytest.mark.parametrize("command", ["evolve", "kernel"])
 def test_spin_too_large_for_memory_exits_one_with_an_error_line(tmp_path, capsys, command):
     """At 2S = 10^6 a (2S+1)^2 array needs terabytes: numpy's MemoryError
-    becomes the documented error line naming 2S, exit 1, and no file.  evolve
+    becomes the documented error line quoting numpy's, exit 1, and no file.  evolve
     starts from an expression: a coherent start is refused first, by its range."""
     cfg = {"evolve": _evolve_config(initial={"expression": [[1.0, []]]}),
            "kernel": {}}[command]
     cfg_path = _write(tmp_path, "big.json", {**cfg, "spin": {"twice_s": 10 ** 6}})
     assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: 2S = 1000000 needs more memory than is available")
+    assert err.startswith("error: not enough memory for this run: Unable to allocate")
     assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["big.json"]
+
+
+def test_an_out_of_memory_grid_band_is_not_blamed_on_2s(tmp_path, capsys):
+    """kernel at 2S = 2 on a grid of band 10^6: the allocation numpy refuses is
+    the grid's, and the error line quotes it without naming the small 2S."""
+    cfg_path = _write(tmp_path, "big.json",
+                      {"spin": {"twice_s": 2}, "grid": {"band_limit": 10 ** 6}})
+    assert cli.main(["kernel", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: not enough memory for this run: Unable to allocate .* for an "
+                        r"array with shape \(1000001, 1000001\).*\n", err)
+    assert "2S = 2" not in err
     assert os.listdir(tmp_path) == ["big.json"]
 
 

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,9 +124,26 @@ def test_grid_values_match_the_scipy_synthesis(band):
         np.testing.assert_allclose(got, oracles.synthesize(band, c), rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("band", [0, 1, 7, 40])
+@pytest.mark.parametrize("c_band", [160, 1])
+def test_grid_values_peak_memory_at_band_160(c_band):
+    """grid_values folds one shell of harmonics at a time, up to c's own band: on
+    the L = 160 grid its peak stays below 16 MB, where a table of every Y_lm at
+    the thetas, (L+1)^2 by L+1, would alone take 33 MB."""
+    rng = np.random.default_rng(c_band)
+    n = (c_band + 1) ** 2
+    c = rng.normal(size=n) + 1j * rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        so.grid_values(160, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("band", [0, 1, 7, 40, 80])
 def test_ylm_point_matches_the_scipy_harmonics(band):
-    """ylm_point, from the library's recurrence on the flat index, against
+    """ylm_point, from the library's shell recurrence, against
     scipy's harmonics at both poles and at random points."""
     l, m = np.array([(l, m) for l in range(band + 1) for m in range(-l, l + 1)]).T
     rng = np.random.default_rng(band)
