@@ -129,9 +129,7 @@ def _expression(cfg, section):
 
 
 def _bath(cfg):
-    b = cfg.get("bath")
-    if b is None:
-        return None
+    b = cfg.get("bath", {})  # none: the unitary model, a bath of rate 0
     if not isinstance(b, dict):
         raise ValueError(f'"bath" must be an object, got {b!r}')
     return dynamics.BathSpec(
@@ -142,9 +140,9 @@ def _bath(cfg):
 
 
 def _initial_state(cfg, ctx, sigma):
-    """(rho0, its symbol at sigma).  An expression is divided by its trace, and its
-    symbol is its Bopp words', exact at every sigma; a coherent state's is the
-    transform's."""
+    """(rho0, its symbol at sigma), exact at every sigma.  An expression is divided
+    by its trace, and its symbol is its Bopp words'.  A coherent state is the
+    kernel Delta^(-1), whose sigma = 1 symbol is the band-limited delta."""
     init = cfg.get("initial")
     if not isinstance(init, dict):
         raise ValueError('config needs an "initial" section')
@@ -152,9 +150,12 @@ def _initial_state(cfg, ctx, sigma):
         c = init["coherent"]
         if not isinstance(c, dict) or "theta" not in c:
             raise ValueError('initial "coherent" needs {"theta": <angle>}')
-        rho = dynamics.coherent_state(ctx, _finite(c["theta"], "coherent theta"),
-                                      _finite(c.get("phi", 0.0), "coherent phi"))
-        return rho, sw_transform.operator_to_symbol(rho, sigma, ctx)
+        theta = _finite(c["theta"], "coherent theta")
+        phi = _finite(c.get("phi", 0.0), "coherent phi")
+        rho = dynamics.coherent_state(ctx, theta, phi)
+        y = sphere_ops.ylm_point(ctx.band_limit, theta, phi)
+        delta = np.conj(y) / sw_transform.measure_constant(ctx)  # its sigma = 1 symbol
+        return rho, sw_transform.switch_ordering(delta, 1.0, sigma, ctx)
     if "expression" not in init:
         raise ValueError('initial needs "coherent" or "expression"')
     expr = _parse_expression(init["expression"])
@@ -250,13 +251,15 @@ def _cmd_evolve(cfg, paths, tolerance):
     sigma = _sigma(cfg)
     bath = _bath(cfg)
     h_expr = _expression(cfg, "hamiltonian")
-    _, c0 = _initial_state(cfg, ctx, sigma)
+    rho0, c0 = _initial_state(cfg, ctx, sigma)
     t_end, dt = _time_block(cfg)
     band = _grid_band(cfg, ctx, ctx.band_limit)
     gen = dynamics.qfp_generator(h_expr, bath, sigma, ctx)  # the costly build, once all is read
-    if bath is not None:
-        print(f"validity ratio gamma/(S T) = {bath.validity_ratio(ctx):.6g}",
-              file=sys.stderr)
+    print(f"validity ratio gamma/(S T) = {bath.validity_ratio(ctx):.6g}", file=sys.stderr)
+    if "coherent" in cfg["initial"]:  # the transform against the closed form, reported only
+        check = np.max(np.abs(sw_transform.operator_to_symbol(rho0, 0.0, ctx)
+                              - sw_transform.switch_ordering(c0, sigma, 0.0, ctx)))
+        print(f"transform self-check = {check:.6g}", file=sys.stderr)
     result = dynamics.integrate(gen, c0, t_end, dt, "expm", ctx, sigma, "symbol")
     _write_csv(paths["trajectory"], "t,Sx,Sy,Sz,trace,purity",
                zip(result.times, result.s1, result.s2, result.s3, result.trace,
@@ -281,8 +284,6 @@ def _cmd_compare(cfg, paths, tolerance):
     ctx = _context(cfg)
     sigma = _sigma(cfg)
     bath = _bath(cfg)
-    if bath is None:  # the unitary model, which the oracle reads as a bath of rate 0
-        bath = dynamics.BathSpec((), 0.0, 1.0)
     h_expr = _expression(cfg, "hamiltonian")
     rho0, c0 = _initial_state(cfg, ctx, sigma)
     t_end, dt = _time_block(cfg)
@@ -325,8 +326,9 @@ def _cmd_limit_scan(cfg, paths, tolerance):
     elif "tolerance" in cfg:
         raise ValueError('"tolerance" is read only with "scan": {"expected_slope": <slope>}')
     h = _expression(cfg, "hamiltonian") if "hamiltonian" in cfg else None
+    bath = _bath(cfg) if "bath" in cfg else None
     result = dynamics.classical_limit_scan(scan.get("mode", "bilinear"), twice_s_values, sigma,
-                                           l_test, h=h, bath=_bath(cfg))
+                                           l_test, h=h, bath=bath)
     _write_csv(paths["scan"], "S,deviation", zip(result["s_values"], result["deviations"]))
     slope = result["slope"]
     print(f"slope = {slope:.6f}")

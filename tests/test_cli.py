@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import eval_legendre
 
+import oracles
 import spinphase
 from spinphase import cli
 from spinphase import sphere_ops as so
@@ -406,9 +408,14 @@ def test_compare_agrees_and_honors_tolerance(tmp_path, capsys):
     assert rc == 2
 
 
-def test_compare_without_a_bath_runs_the_unitary_model_of_an_empty_bath(tmp_path, capsys):
-    """A config with no "bath" section is the unitary model: compare writes the
-    bytes it writes for "bath": {}."""
+@pytest.mark.parametrize("command, written_file", [("evolve", "trajectory.csv"),
+                                                   ("compare", "compare.csv")],
+                         ids=["evolve", "compare"])
+def test_no_bath_runs_the_unitary_model_of_an_empty_bath(tmp_path, capsys, command,
+                                                        written_file):
+    """A config with no "bath" section is the unitary model: evolve and compare
+    write the bytes they write for "bath": {}, evolve with a validity ratio
+    of 0 on stderr."""
     cfg = _evolve_config(spin={"twice_s": 4}, time={"t_end": 1.0, "dt": 0.1})
     written = []
     for name, bath in (("none", None), ("empty", {})):
@@ -416,11 +423,15 @@ def test_compare_without_a_bath_runs_the_unitary_model_of_an_empty_bath(tmp_path
         if bath is not None:
             run["bath"] = bath
         out = tmp_path / name
-        assert cli.main(["compare", "--config", _write(tmp_path, f"{name}.json", run),
+        assert cli.main([command, "--config", _write(tmp_path, f"{name}.json", run),
                          "--out", str(out)]) == 0
-        written.append((out / "compare.csv").read_bytes())
+        if command == "evolve":
+            assert "validity ratio gamma/(S T) = 0\n" in capsys.readouterr().err
+        written.append((out / written_file).read_bytes())
     assert written[0] == written[1]
-    assert max(float(r.split(",")[1]) for r in written[0].decode().splitlines()[1:]) < 1e-13
+    if command == "compare":
+        deviations = [float(r.split(",")[1]) for r in written[0].decode().splitlines()[1:]]
+        assert max(deviations) < 1e-13
 
 
 @pytest.mark.parametrize("route", ["qfp_generator", "master_liouvillian"])
@@ -755,6 +766,57 @@ def test_evolve_from_an_expression_stays_within_its_p_symbol(tmp_path, twice_s):
     assert np.max(np.abs(im)) <= 1e-15
 
 
+@pytest.mark.parametrize("twice_s", [80, 160])
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_coherent_start_rotates_as_its_closed_form_at_every_sigma(tmp_path, twice_s, sigma):
+    """H = -S3 with no bath turns the coherent state at (1.1, 0.4) to (1.1, 0.4 - t):
+    the grid written at t = 0.5 is the closed-form symbol there to 1e-11 and
+    within the exact bound 2S + 1.  The closed form is the band-limited delta
+    (4pi/(2S+1)) sum_lm conj(Y_lm(n)) Y_lm at sigma = 1, switched to sigma.
+    Read through the transform's factors w_l^-sigma, the start wrote values
+    up to 6.3e6 at 2S = 80, sigma = 1 and 7.3e30 at 2S = 160, sigma = 1."""
+    cfg = {"spin": {"twice_s": twice_s}, "sigma": sigma,
+           "hamiltonian": {"expression": [[-1.0, [3]]]},
+           "initial": {"coherent": {"theta": 1.1, "phi": 0.4}},
+           "time": {"t_end": 0.5, "dt": 0.05}, "outputs": {"grid": "grid.csv"}}
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    _, _, re_, im = _grid_columns(tmp_path / "o" / "grid.csv")
+    ctx = cli.SpinContext(twice_s)
+    delta = np.conj(so.ylm_point(twice_s, 1.1, 0.4 - 0.5)) / cli.sw_transform.measure_constant(ctx)
+    want = so.grid_values(twice_s, cli.sw_transform.switch_ordering(delta, 1.0, sigma, ctx))
+    assert np.max(np.abs(re_ + 1j * im - want.ravel())) <= 1e-11
+    assert np.max(np.abs(re_)) <= twice_s + 1
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 0.0, 0.5, 1.0])
+def test_coherent_start_symbol_is_the_legendre_sum_of_the_delta(sigma):
+    """The coherent start's symbol at sigma is sum_l (2l+1)/(2S+1) w_l^(1-sigma)
+    P_l(n.m), with w_l the Racah-sum <S,S; l,0 | S,S> and P_l scipy's: at 2S = 20
+    it matches on the whole grid to 1e-12."""
+    twice_s, theta, phi = 20, 1.1, 0.4
+    _, c0 = cli._initial_state({"initial": {"coherent": {"theta": theta, "phi": phi}}},
+                               cli.SpinContext(twice_s), sigma)
+    thetas, phis = so.grid_points(twice_s)
+    t, p = np.meshgrid(thetas, phis, indexing="ij")
+    cos_gamma = np.cos(t) * math.cos(theta) + np.sin(t) * math.sin(theta) * np.cos(p - phi)
+    want = sum((2 * l + 1) / (twice_s + 1) * eval_legendre(l, cos_gamma)
+               * oracles.clebsch_gordan(twice_s, twice_s, 2 * l, 0, twice_s, twice_s)
+               ** (1 - sigma) for l in range(twice_s + 1))
+    assert np.max(np.abs(so.grid_values(twice_s, c0) - want)) <= 1e-12
+
+
+def test_coherent_evolve_reports_the_transform_self_check(tmp_path, capsys):
+    """A coherent evolve prints max |operator_to_symbol(rho, 0) - its closed form
+    at sigma = 0| on stderr, a self-check of the transform that gates nothing;
+    at 2S = 40 it is at rounding level."""
+    cfg = _evolve_config(spin={"twice_s": 40}, sigma=1.0, time={"t_end": 0.1, "dt": 0.05})
+    assert cli.main(["evolve", "--config", _write(tmp_path, "run.json", cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    found = re.search(r"^transform self-check = (\S+)$", capsys.readouterr().err, re.M)
+    assert found and float(found.group(1)) <= 1e-14
+
+
 def test_polynomials_reach_their_symbols_without_the_transform(tmp_path, monkeypatch):
     """symbol of an expression, and evolve from an initial expression with its
     Hermiticity checks and observables, never call operator_to_symbol."""
@@ -966,6 +1028,8 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("evolve", "time.dt", None, "time dt must be a number"),
     ("evolve", "bath.gamma", None, "bath gamma must be a number"),
     ("evolve", "bath", [], '"bath" must be an object'),
+    ("evolve", "bath", None, '"bath" must be an object, got None'),
+    ("compare", "bath", None, '"bath" must be an object, got None'),
     ("evolve", "outputs", [], '"outputs" must map names'),
     ("symbol", "seed", 2.7, "unknown config keys for symbol: seed"),  # no command reads it
     ("limit-scan", "scan.l_test", 3.7, "scan l_test must be an integer"),
@@ -1038,6 +1102,7 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("limit-scan", "bath.coupling", [[[1.0, 0.5], [1]]], "the scan's coupling must be xi.S"),
     ("limit-scan", "bath.temperature", "hot", "bath temperature must be a number"),
     ("limit-scan", "bath", [], '"bath" must be an object'),
+    ("limit-scan", "bath", None, '"bath" must be an object, got None'),
     # a missing section, a malformed expression, a section with no alternative
     ("evolve", "spin", None, 'config needs "spin": {"twice_s": <int>}'),
     ("evolve", "initial", None, 'config needs an "initial" section'),
@@ -1052,7 +1117,8 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
     ("symbol", "grid", [], '"grid" must be an object'),
     ("evolve", "initial", {"expression": 3}, "expression must be a list of [coeff, word] pairs"),
     ("compare", "initial", {"expression": [[None, []]]}, "coefficient must be a number"),
-], ids=["theta-null", "dt-null", "gamma-null", "bath-list", "outputs-list",
+], ids=["theta-null", "dt-null", "gamma-null", "bath-list", "bath-null", "compare-bath-null",
+        "outputs-list",
         "seed-fractional", "l-test-fractional", "quadratic-list", "spin-component-fractional",
         "twice-s-values-number", "twice-s-values-fractional", "scan-mode-unknown",
         "scan-mode-unitary",
@@ -1068,7 +1134,7 @@ _SCAN_CONFIG = {"scan": {"mode": "bilinear", "twice_s_values": [8, 12], "l_test"
         "expected-slope-nan", "l-test-negative", "twice-s-values-one",
         "twice-s-values-repeated", "twice-s-values-zero", "scan-coeff-nan",
         "scan-h-non-hermitian", "scan-hamiltonian-list", "scan-coupling-word-long",
-        "scan-coupling-complex", "scan-temperature-string", "scan-bath-list",
+        "scan-coupling-complex", "scan-temperature-string", "scan-bath-list", "scan-bath-null",
         "spin-missing", "initial-missing", "time-missing", "scan-missing",
         "operator-missing", "coeff-pair-short", "expression-number",
         "initial-empty", "operator-empty", "symbol-grid-list", "initial-expression-number",
